@@ -12,7 +12,6 @@ from .errors import (
     LikelihoodDomainError,
     MappingSingularError,
     NumericalError,
-    PoleError,
     RecursionDomainError,
     ValidationError,
 )
@@ -39,7 +38,7 @@ from .model import (
     stationary_state,
     theta_noncentrality,
 )
-from .mgf import Cumulants, MgfCoefficients, cumulants, mgf_p, mgf_q, step_p
+from .mgf import Cumulants, cumulants, mgf_p, mgf_q
 from .simulate import (
     PathSet,
     mc_mgf,

@@ -264,8 +264,8 @@ def _cmd_simulate(args) -> int:
         premia = RiskPremia.arbitrage_free(args.nu1, params.lam)
     state = _load_state(params, args.rv, args.returns)
     paths = simulate_paths(params, state, args.days, args.paths,
-                           measure=args.measure, premia=premia,
-                           seed=args.seed, burn_in=args.burn_in)
+                           premia=premia, seed=args.seed,
+                           burn_in=args.burn_in)
     rv, y = paths.rv_paths, paths.y_paths
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -273,10 +273,9 @@ def _cmd_simulate(args) -> int:
                          "rv_q95", "y_mean", "y_var"])
         q = np.quantile(rv, [0.05, 0.5, 0.95], axis=0)
         for t in range(args.days):
-            writer.writerow([t + 1, repr(rv[:, t].mean()),
-                             repr(rv[:, t].var()), repr(q[0, t]),
-                             repr(q[1, t]), repr(q[2, t]),
-                             repr(y[:, t].mean()), repr(y[:, t].var())])
+            cells = (rv[:, t].mean(), rv[:, t].var(), q[0, t], q[1, t],
+                     q[2, t], y[:, t].mean(), y[:, t].var())
+            writer.writerow([t + 1] + [repr(float(c)) for c in cells])
     if args.dump:
         with open(args.dump, "wb") as fh:
             fh.write(struct.pack("<4sIII", PATHSET_MAGIC, PATHSET_VERSION,
@@ -311,7 +310,7 @@ def _cmd_cumulants(args) -> int:
                          "excess_kurtosis"])
         for measure in measures:
             for horizon in horizons:
-                c = cumulants(params, state, horizon, measure=measure,
+                c = cumulants(params, state, horizon,
                               premia=premia if measure == "Q" else None)
                 writer.writerow([horizon, measure, repr(c.mean),
                                  repr(c.variance), repr(c.skewness),
@@ -389,8 +388,8 @@ def _cmd_mgf_check(args) -> int:
                          "dev_se"])
         for measure, premia in runs:
             ysnap, _ = simulate_y_snapshots(
-                params, state, MATURITY_GRID, args.paths, measure=measure,
-                premia=premia, seed=args.seed)
+                params, state, MATURITY_GRID, args.paths, premia=premia,
+                seed=args.seed)
             for j, horizon in enumerate(MATURITY_GRID):
                 if measure == "P":
                     analytic = mgf_p(params, state, zs, horizon)

@@ -17,10 +17,6 @@ class NumericalError(LhargError):
     """A computation left its admissible domain or failed to converge."""
 
 
-class PoleError(NumericalError):
-    """The gamma moment transform was evaluated at its pole (theta*x = 1)."""
-
-
 class RecursionDomainError(NumericalError):
     """A backward coefficient step violated its domain (branch or pole guard).
 

@@ -19,7 +19,7 @@ estimate feed the leverage terms of the likelihood.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -36,9 +36,12 @@ from .model import (
     MarketState,
     ModelParams,
     N_LAGS,
+    _gamma_star,
+    _spread_lags,
     expand_weights,
     filter_innovations,
     leverage,
+    parabolic_form,
     stationarity_margin,
 )
 
@@ -156,16 +159,12 @@ def estimate_lambda(returns, rv_series, r: float) -> tuple[float, float]:
     return lam_hat, se
 
 
-def _n_free(variant: str) -> int:
-    return 5 if variant == "HARG" else 9
-
-
-def _unpack(variant: str, u: np.ndarray):
-    theta, delta, b_d, b_w, b_m = np.exp(u[:5])
+def _unpack(variant: str, u: np.ndarray) -> np.ndarray:
+    # natural vector from the optimizer's coordinates: logs of the positive
+    # parameters, gamma_lev as is
     if variant == "HARG":
-        return theta, delta, b_d, b_w, b_m, 0.0, 0.0, 0.0, 0.0
-    a_d, a_w, a_m = np.exp(u[5:8])
-    return theta, delta, b_d, b_w, b_m, a_d, a_w, a_m, u[8]
+        return np.exp(u)
+    return np.concatenate([np.exp(u[:8]), u[8:]])
 
 
 def _pack(variant: str, values) -> np.ndarray:
@@ -176,32 +175,25 @@ def _pack(variant: str, values) -> np.ndarray:
     return np.concatenate([base, np.log([a_d, a_w, a_m]), [gamma]])
 
 
-def _make_objective(variant, rv, eps, k_max, clamp_floor, per_obs=False):
+def _natural_terms(variant, rv, eps, k_max, clamp_floor):
+    """Per-observation log-likelihood as a function of the natural vector
+    (theta, delta, beta_d, beta_w, beta_m[, alpha_d, alpha_w, alpha_m,
+    gamma_lev]); HARG carries the first five only."""
     w_beta = np.empty(N_LAGS)
-    w_alpha = np.empty(N_LAGS)
+    w_alpha = np.zeros(N_LAGS)
 
-    def terms(u):
-        theta, delta, b_d, b_w, b_m, a_d, a_w, a_m, gamma = _unpack(variant, u)
-        w_beta[0] = b_d
-        w_beta[1:5] = b_w / 4.0
-        w_beta[5:] = b_m / 17.0
-        w_alpha[0] = a_d
-        w_alpha[1:5] = a_w / 4.0
-        w_alpha[5:] = a_m / 17.0
+    def terms(x):
+        theta, delta, b_d, b_w, b_m = x[:5]
+        _spread_lags(w_beta, b_d, b_w, b_m)
+        gamma = 0.0
+        if variant != "HARG":
+            a_d, a_w, a_m, gamma = x[5:]
+            _spread_lags(w_alpha, a_d, a_w, a_m)
         lev = np.asarray(leverage(eps, rv, gamma, variant))
         return _loglik_vector(theta, delta, 0.0, w_beta, w_alpha, rv, lev,
                               k_max, clamp_floor)
 
-    if per_obs:
-        return terms
-
-    def negloglik(u):
-        try:
-            return -float(np.sum(terms(u)))
-        except (LikelihoodDomainError, FloatingPointError, OverflowError):
-            return _PENALTY
-
-    return negloglik
+    return terms
 
 
 def _initial_guess(variant, rv, eps) -> np.ndarray:
@@ -249,11 +241,17 @@ def mle_fit(rv_series, returns, r: float, variant: str,
                              init.beta_m, init.alpha_d or 1e-4,
                              init.alpha_w or 1e-4, init.alpha_m or 1e-4,
                              init.gamma_lev))
-        u0 = u0[:_n_free(variant)]
     else:
         u0 = _initial_guess(variant, rv, eps)
 
-    negll = _make_objective(variant, rv, eps, k_max, clamp_floor)
+    per_obs = _natural_terms(variant, rv, eps, k_max, clamp_floor)
+
+    def negll(u):
+        try:
+            return -float(np.sum(per_obs(_unpack(variant, u))))
+        except (LikelihoodDomainError, FloatingPointError, OverflowError):
+            return _PENALTY
+
     nm = optimize.minimize(
         negll, u0, method="Nelder-Mead",
         options={"maxiter": max_iter, "xatol": 1e-8, "fatol": 1e-10,
@@ -268,21 +266,15 @@ def mle_fit(rv_series, returns, r: float, variant: str,
     iterations = int(nm.nit + getattr(polish, "nit", 0))
     converged = bool(nm.success or polish.success) and best.fun < _PENALTY
 
-    theta, delta, b_d, b_w, b_m, a_d, a_w, a_m, gamma = _unpack(variant, u_hat)
-    params = ModelParams(
-        variant=variant, theta=theta, delta=delta, d=0.0,
-        beta_d=b_d, beta_w=b_w, beta_m=b_m,
-        alpha_d=a_d, alpha_w=a_w, alpha_m=a_m,
-        gamma_lev=gamma, lam=lam_hat, r=r,
-    )
-
-    x_hat = np.array([theta, delta, b_d, b_w, b_m, a_d, a_w, a_m, gamma])
-    x_hat = x_hat[:_n_free(variant)]
-    per_obs = _natural_terms(variant, rv, eps, k_max, clamp_floor)
-    se_native = _sandwich_errors(x_hat, per_obs, variant)
+    x_hat = _unpack(variant, u_hat)
     names = ["theta", "delta", "beta_d", "beta_w", "beta_m"]
     if variant != "HARG":
         names += ["alpha_d", "alpha_w", "alpha_m", "gamma_lev"]
+    natural = {"alpha_d": 0.0, "alpha_w": 0.0, "alpha_m": 0.0,
+               "gamma_lev": 0.0, **dict(zip(names, x_hat))}
+    params = ModelParams(variant=variant, d=0.0, lam=lam_hat, r=r, **natural)
+
+    se_native = _sandwich_errors(x_hat, per_obs, variant)
     std_errors = dict(zip(names, se_native))
     std_errors["lam"] = lam_se
 
@@ -296,30 +288,6 @@ def mle_fit(rv_series, returns, r: float, variant: str,
 # characteristic magnitudes used to floor the differentiation steps (and
 # to condition the Hessian) when an estimate sits at or near zero
 _NATURAL_SCALES = np.array([1e-5, 1.0, 1e4, 1e4, 1e4, 0.1, 0.1, 0.1, 100.0])
-
-
-def _natural_terms(variant, rv, eps, k_max, clamp_floor):
-    """Per-observation log-likelihood as a function of the natural vector."""
-    w_beta = np.empty(N_LAGS)
-    w_alpha = np.empty(N_LAGS)
-
-    def terms(x):
-        if variant == "HARG":
-            theta, delta, b_d, b_w, b_m = x
-            a_d = a_w = a_m = gamma = 0.0
-        else:
-            theta, delta, b_d, b_w, b_m, a_d, a_w, a_m, gamma = x
-        w_beta[0] = b_d
-        w_beta[1:5] = b_w / 4.0
-        w_beta[5:] = b_m / 17.0
-        w_alpha[0] = a_d
-        w_alpha[1:5] = a_w / 4.0
-        w_alpha[5:] = a_m / 17.0
-        lev = np.asarray(leverage(eps, rv, gamma, variant))
-        return _loglik_vector(theta, delta, 0.0, w_beta, w_alpha, rv, lev,
-                              k_max, clamp_floor)
-
-    return terms
 
 
 def _sandwich_errors(x_hat: np.ndarray, per_obs, variant: str) -> np.ndarray:
@@ -396,7 +364,6 @@ def calibrate_nu1(params: ModelParams, target_iv: float,
     """
     if not (0.0 < target_iv < 0.7):
         raise ValidationError("target IV must lie in (0, 0.7)")
-    from .model import parabolic_form
     from .pricing import model_atm_iv
 
     def f(nu1):
@@ -408,9 +375,7 @@ def calibrate_nu1(params: ModelParams, target_iv: float,
     # (1 - theta*y_star)^2 exceeds the physical-scale persistence evaluated
     # at the shifted gamma, which bounds how far down the bracket may go.
     p = parabolic_form(params)
-    g_star = p.gamma_lev + p.lam + 0.5
-    pers_star = p.theta * (p.beta_d + p.beta_w + p.beta_m
-                           + g_star**2 * (p.alpha_d + p.alpha_w + p.alpha_m))
+    pers_star = stationarity_margin(replace(p, gamma_lev=_gamma_star(p)))
     if pers_star >= 1.0:
         raise CalibrationInfeasibleError(iv_low=np.nan, iv_high=np.nan,
                                          target=target_iv)

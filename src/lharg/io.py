@@ -1,4 +1,4 @@
-"""CSV ingestion, serialization, and flat-file configuration.
+"""CSV ingestion and serialization, and the key = value parameter file.
 
 Schemas (ISO dates, decimal point, header row mandatory):
 
@@ -17,13 +17,13 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ValidationError
-from .options import FilterThresholds, OptionChain, OptionQuote
+from .options import OptionChain, OptionQuote
 from .pricing import TRADING_DAYS, implied_vol
 
 
@@ -194,72 +194,6 @@ def write_option_chain(path, chain: OptionChain) -> None:
                 repr(float(q.rate)),
                 "" if q.market_iv is None else repr(float(q.market_iv)),
             ])
-
-
-@dataclass
-class Config:
-    """Flat key=value run configuration; any CLI flag overrides its key."""
-
-    variant: str = "ZM-LHARG"
-    rv_path: str = ""
-    returns_path: str = ""
-    chain_path: str = ""
-    output_dir: str = "."
-    rate: float = 0.0
-    seed: int = 0
-    n_paths: int = 100_000
-    cos_n_terms: int = 512
-    cos_range_width: float = 10.0
-    target_iv: float = 0.2
-    min_maturity_days: int = 10
-    max_maturity_days: int = 365
-    max_iv: float = 0.70
-    min_price: float = 0.05
-    min_moneyness: float = 0.8
-    max_moneyness: float = 1.2
-
-    def thresholds(self) -> FilterThresholds:
-        return FilterThresholds(
-            min_maturity_days=self.min_maturity_days,
-            max_maturity_days=self.max_maturity_days,
-            max_iv=self.max_iv, min_price=self.min_price,
-            min_moneyness=self.min_moneyness, max_moneyness=self.max_moneyness,
-        )
-
-
-def load_config(path) -> Config:
-    """Parse `key = value` lines; `#` starts a comment, blank lines ignored."""
-    path = Path(path)
-    if not path.exists():
-        raise ValidationError(f"config file not found: {path}")
-    known = {f.name: f.type for f in fields(Config)}
-    cfg = Config()
-    for line_no, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValidationError(f"{path}:{line_no}: expected key = value")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key not in known:
-            raise ValidationError(f"{path}:{line_no}: unknown key {key!r}")
-        current = getattr(cfg, key)
-        try:
-            if isinstance(current, bool):
-                parsed = value.lower() in ("1", "true", "yes")
-            elif isinstance(current, int):
-                parsed = int(value)
-            elif isinstance(current, float):
-                parsed = float(value)
-            else:
-                parsed = value
-        except ValueError as exc:
-            raise ValidationError(
-                f"{path}:{line_no}: bad value for {key}: {value!r}") from exc
-        setattr(cfg, key, parsed)
-    return cfg
 
 
 PARAM_FIELDS = ("variant", "theta", "delta", "d", "beta_d", "beta_w",

@@ -22,24 +22,20 @@ nu2 = lam + 1/2, which makes mgf(1) = exp(r*T) hold identically.
 
 The recursion is evaluated on the parabolic-leverage canonical form and
 accepts complex z; the characteristic function is the MGF at z = i*u.
-Coefficients are kept in a flat 45-slot vector (A, 22 B's, 22 C's) so the
-backward loop is allocation-free, and evaluation is vectorized across a
-whole z-grid in one pass.
+`_recurse` is the one implementation of the step, vectorized across a
+whole z-grid in one pass.  `premia=None` means the physical measure P
+(nu1 = nu2 = Y = 0); given premia select the tilted recursion, which is
+the risk-neutral Q when they are arbitrage-free.  The tilt's scale
+1 - theta*Y comes from model.py, the single home of the measure change.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    MappingSingularError,
-    NumericalError,
-    PoleError,
-    RecursionDomainError,
-)
+from .errors import NumericalError, RecursionDomainError
 from .model import (
     LagWeights,
     MarketState,
@@ -47,72 +43,25 @@ from .model import (
     N_LAGS,
     ParabolicForm,
     RiskPremia,
+    _measure_scale,
     expand_weights,
     parabolic_form,
     parabolic_state,
     stationary_state,
 )
 
-_NC = 1 + 2 * N_LAGS  # flat coefficient slots: A + 22 B + 22 C
-
-
-@dataclass
-class MgfCoefficients:
-    """Backward-recursion coefficients, stored flat as [A, B_1..22, C_1..22]."""
-
-    data: np.ndarray          # (45,) complex
-    horizon_remaining: int    # days accumulated since the terminal date
-
-    @classmethod
-    def terminal(cls) -> "MgfCoefficients":
-        return cls(data=np.zeros(_NC, dtype=complex), horizon_remaining=0)
-
-    @property
-    def a(self) -> complex:
-        return self.data[0]
-
-    @property
-    def b(self) -> np.ndarray:
-        return self.data[1:1 + N_LAGS]
-
-    @property
-    def c(self) -> np.ndarray:
-        return self.data[1 + N_LAGS:]
-
-
-def v(x, theta: float):
-    """Noncentrality transform theta*x / (1 - theta*x) of the gamma MGF."""
-    x = np.asarray(x)
-    denom = 1.0 - theta * x
-    if np.any(denom == 0.0):
-        raise PoleError("v(x, theta) evaluated at its pole theta*x = 1")
-    out = theta * x / denom
-    return out if out.ndim else out[()]
-
-
-def w(x, theta: float):
-    """Shape transform log(1 - x*theta), principal branch."""
-    x = np.asarray(x)
-    arg = 1.0 - x * theta
-    if np.any(arg == 0.0):
-        raise PoleError("w(x, theta) evaluated at its branch point theta*x = 1")
-    out = np.log(arg)
-    return out if out.ndim else out[()]
-
 
 def _guarded(values: np.ndarray, step: int, what: str) -> None:
     # Per-step branch guard: arguments of the logs must stay in the right
-    # half-plane; raise instead of silently wrapping the branch.
+    # half-plane (which also keeps |arg| < pi/2, the principal branch);
+    # raise instead of silently wrapping the branch.
     re = values.real if np.iscomplexobj(values) else values
     if not np.all(re > 0.0):
         raise RecursionDomainError(step, f"{what} left the right half-plane")
-    if np.iscomplexobj(values):
-        if not np.all(np.abs(np.angle(values)) < 0.5 * np.pi):
-            raise RecursionDomainError(step, f"{what} violated |arg| < pi/2")
 
 
 def _recurse(p: ParabolicForm, weights: LagWeights, z: np.ndarray, horizon: int,
-             nu1: float = 0.0, nu2: float = 0.0, y_star: float = 0.0):
+             premia: RiskPremia | None = None):
     """Run the backward recursion for a vector of z values.
 
     Returns (A, B, C) with shapes (n,), (n, 22), (n, 22).
@@ -127,10 +76,11 @@ def _recurse(p: ParabolicForm, weights: LagWeights, z: np.ndarray, horizon: int,
     B = np.zeros((n, N_LAGS), dtype)
     C = np.zeros((n, N_LAGS), dtype)
 
-    if 1.0 - theta * y_star <= 0.0:
-        raise MappingSingularError("theta * y_star >= 1 in the tilted recursion")
-    v_y = theta * y_star / (1.0 - theta * y_star)
-    w_y = np.log(1.0 - theta * y_star)
+    nu1, nu2, y_star = (0.0, 0.0, 0.0) if premia is None \
+        else (premia.nu1, premia.nu2, premia.y_star)
+    c = _measure_scale(theta, y_star)
+    v_y = theta * y_star / c
+    w_y = np.log(c)
 
     zs = z - nu2
     zr = z * p.r
@@ -154,48 +104,14 @@ def _recurse(p: ParabolicForm, weights: LagWeights, z: np.ndarray, horizon: int,
     return A, B, C
 
 
-def step_p(next_coeffs: MgfCoefficients, z: complex, params: ModelParams,
-           weights: LagWeights | None = None) -> MgfCoefficients:
-    """One backward step of the physical-measure recursion.
-
-    `next_coeffs` holds the coefficients one day closer to maturity; the
-    returned object has horizon_remaining incremented by one.
-    """
-    p = parabolic_form(params)
-    if weights is None:
-        weights = expand_weights(p)
-    nc = next_coeffs.data
-    C1 = nc[1 + N_LAGS]
-    den = 1.0 - 2.0 * C1
-    _guarded(np.asarray([den]), next_coeffs.horizon_remaining + 1, "1 - 2*C_1")
-    g = p.gamma_lev
-    X = z * p.lam + nc[1] + (0.5 * z * z + g * g * C1 - 2.0 * C1 * g * z) / den
-    one_minus = 1.0 - p.theta * X
-    _guarded(np.asarray([one_minus]), next_coeffs.horizon_remaining + 1,
-             "1 - theta*X")
-    v_x = p.theta * X / one_minus
-    data = np.empty(_NC, dtype=complex)
-    data[0] = nc[0] + z * p.r - 0.5 * np.log(den) \
-        - p.delta * np.log(one_minus) + p.d * v_x
-    data[1:N_LAGS] = nc[2:1 + N_LAGS]
-    data[N_LAGS] = 0.0
-    data[1:1 + N_LAGS] += v_x * weights.beta
-    data[1 + N_LAGS:_NC - 1] = nc[2 + N_LAGS:]
-    data[_NC - 1] = 0.0
-    data[1 + N_LAGS:] += v_x * weights.alpha
-    return MgfCoefficients(data=data,
-                           horizon_remaining=next_coeffs.horizon_remaining + 1)
-
-
-def _evaluate(params, state, z, horizon, nu1=0.0, nu2=0.0, y_star=0.0,
-              log: bool = False):
+def _evaluate(params, state, z, horizon, premia=None, log: bool = False):
     p = parabolic_form(params)
     st = parabolic_state(params, state if state is not None
                          else stationary_state(params))
     weights = expand_weights(p)
     z_arr = np.atleast_1d(np.asarray(z))
     scalar = np.ndim(z) == 0
-    A, B, C = _recurse(p, weights, z_arr, horizon, nu1, nu2, y_star)
+    A, B, C = _recurse(p, weights, z_arr, horizon, premia)
     expo = A + B @ st.rv + C @ st.lev
     out = expo if log else np.exp(expo)
     return out[0] if scalar else out
@@ -219,19 +135,15 @@ def mgf_q(params: ModelParams | ParabolicForm, state: MarketState | None,
     arbitrage-free premia this equals the physical recursion evaluated on
     the risk-neutral-mapped parameters.
     """
-    return _evaluate(params, state, z, horizon,
-                     nu1=premia.nu1, nu2=premia.nu2, y_star=premia.y_star)
+    return _evaluate(params, state, z, horizon, premia)
 
 
-def log_mgf(params, state, z, horizon, measure: str = "P",
-            premia: RiskPremia | None = None):
-    """log E[exp(z y_{t,T})]; real-argument calls stay in real arithmetic."""
-    if measure == "P":
-        return _evaluate(params, state, z, horizon, log=True)
-    if premia is None:
-        raise NumericalError("risk-neutral log-MGF requires premia")
-    return _evaluate(params, state, z, horizon, nu1=premia.nu1,
-                     nu2=premia.nu2, y_star=premia.y_star, log=True)
+def log_mgf(params, state, z, horizon, premia: RiskPremia | None = None):
+    """log E[exp(z y_{t,T})] under P (premia=None) or under the premia's Q.
+
+    Real-argument calls stay in real arithmetic.
+    """
+    return _evaluate(params, state, z, horizon, premia, log=True)
 
 
 class Cumulants(NamedTuple):
@@ -256,10 +168,11 @@ def _fd_cumulants(g_vals: np.ndarray, h: float) -> np.ndarray:
     return (_STENCILS @ g_vals) / (_STENCIL_NORM * powers)
 
 
-def raw_cumulants(params, state, horizon: int, measure: str = "P",
+def raw_cumulants(params, state, horizon: int,
                   premia: RiskPremia | None = None,
                   step_scale: float = 5e-2) -> np.ndarray:
-    """First four cumulants of y_{t,T} by numerical differentiation.
+    """First four cumulants of y_{t,T} (under P when premia is None) by
+    numerical differentiation.
 
     Central differences of the log-MGF on a real stencil with step
     h = step_scale * max(1, 1/sqrt(kappa2-guess)), refined by one Richardson
@@ -276,7 +189,7 @@ def raw_cumulants(params, state, horizon: int, measure: str = "P",
 
     offsets = np.arange(-3, 4, dtype=float)
     grid = np.concatenate([h * offsets, 0.5 * h * offsets])
-    g = log_mgf(params, st, grid, horizon, measure=measure, premia=premia)
+    g = log_mgf(params, st, grid, horizon, premia=premia)
     if not np.all(np.isfinite(g)):
         raise NumericalError("log-MGF non-finite on the differentiation stencil")
     coarse = _fd_cumulants(g[:7], h)
@@ -284,19 +197,20 @@ def raw_cumulants(params, state, horizon: int, measure: str = "P",
     return (16.0 * fine - coarse) / 15.0
 
 
-def cumulants(params, state, horizon: int, measure: str = "P",
+def cumulants(params, state, horizon: int,
               premia: RiskPremia | None = None) -> Cumulants:
     """Mean, variance, skewness, and excess kurtosis of the T-day log-return.
 
-    state=None uses the stationary state of `params` (which requires the
-    persistence to be below one).
+    Under P when premia is None.  state=None uses the stationary state of
+    `params` (which requires the persistence to be below one).
     """
-    k = raw_cumulants(params, state, horizon, measure=measure, premia=premia)
-    if k[1] <= 0.0:
-        raise NumericalError(f"nonpositive variance cumulant {k[1]:.3g}")
+    k1, k2, k3, k4 = (float(k) for k in
+                      raw_cumulants(params, state, horizon, premia=premia))
+    if k2 <= 0.0:
+        raise NumericalError(f"nonpositive variance cumulant {k2:.3g}")
     return Cumulants(
-        mean=k[0],
-        variance=k[1],
-        skewness=k[2] / k[1] ** 1.5,
-        excess_kurtosis=k[3] / k[1] ** 2,
+        mean=k1,
+        variance=k2,
+        skewness=k3 / k2 ** 1.5,
+        excess_kurtosis=k4 / k2 ** 2,
     )

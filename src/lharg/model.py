@@ -26,6 +26,13 @@ canonical parabolic form.  Parabolic leverage values are invariant under
 the measure change (the shift of the innovation exactly offsets the shift
 of gamma), so no state conversion is needed for parabolic variants; the
 zero-mean *view* depends on gamma and is converted explicitly.
+
+This module is the single home of the P -> Q measure change: the scale
+c = 1 - theta*y_star (`_measure_scale`), the shifted leverage asymmetry
+gamma* = gamma + lam + 1/2 (`_gamma_star`) and the no-arbitrage check all
+live in `risk_neutral_parabolic`, which `risk_neutral_map` re-expresses in
+the native parameterization.  Throughout the package `premia=None` means
+the physical measure P; arbitrage-free premia select the risk-neutral Q.
 """
 
 from __future__ import annotations
@@ -229,15 +236,19 @@ def expand_weights(params: ModelParams | ParabolicForm) -> LagWeights:
     Lag 1 carries the daily loading, lags 2-5 share the weekly loading in
     four equal parts, lags 6-22 share the monthly loading in seventeen.
     """
-    beta = np.empty(N_LAGS)
-    alpha = np.empty(N_LAGS)
-    beta[0] = params.beta_d
-    beta[1:5] = params.beta_w / WEEKLY_LAGS
-    beta[5:] = params.beta_m / MONTHLY_LAGS
-    alpha[0] = params.alpha_d
-    alpha[1:5] = params.alpha_w / WEEKLY_LAGS
-    alpha[5:] = params.alpha_m / MONTHLY_LAGS
+    beta = _spread_lags(np.empty(N_LAGS), params.beta_d, params.beta_w,
+                        params.beta_m)
+    alpha = _spread_lags(np.empty(N_LAGS), params.alpha_d, params.alpha_w,
+                         params.alpha_m)
     return LagWeights(beta=beta, alpha=alpha)
+
+
+def _spread_lags(out: np.ndarray, daily, weekly, monthly) -> np.ndarray:
+    # the 22-lag fill, in place: shared by expand_weights and the likelihood
+    out[0] = daily
+    out[1:1 + WEEKLY_LAGS] = weekly / WEEKLY_LAGS
+    out[1 + WEEKLY_LAGS:] = monthly / MONTHLY_LAGS
+    return out
 
 
 def leverage(eps, rv, gamma_lev: float, variant: str):
@@ -296,66 +307,68 @@ def check_positivity(params: ModelParams | ParabolicForm) -> bool:
     return bool(p.d >= 0.0 and np.all(w.beta >= 0.0) and np.all(w.alpha >= 0.0))
 
 
-def risk_neutral_map(params: ModelParams, nu1: float) -> ModelParams:
-    """Map physical parameters into the equivalent risk-neutral dynamics.
+def _measure_scale(theta: float, y_star: float) -> float:
+    # c = 1 - theta*y_star: the rescaling of the gamma scale parameters
+    c = 1.0 - theta * y_star
+    if c <= 0.0:
+        raise MappingSingularError(
+            f"theta * y_star = {theta * y_star:.6g} >= 1; "
+            "risk-neutral scale undefined"
+        )
+    return c
 
-    With y_star = -lam^2/2 - nu1 + 1/8 and c = 1 - theta*y_star, the scale
-    parameters rescale by 1/c (theta, betas, alphas, d), the shape delta is
-    unchanged, gamma picks up the full premium shift gamma + lam + 1/2, and
-    the mapped market price of risk is exactly -1/2.
+
+def _gamma_star(params: ModelParams | ParabolicForm) -> float:
+    # leverage asymmetry after the full premium shift
+    return params.gamma_lev + params.lam + 0.5
+
+
+def risk_neutral_parabolic(pform: ParabolicForm, premia: RiskPremia) -> ParabolicForm:
+    """Map the parabolic form into the equivalent risk-neutral dynamics.
+
+    With c = 1 - theta*y_star the scale parameters (theta, d, betas,
+    alphas) rescale by 1/c, the shape delta is unchanged, gamma picks up
+    the full premium shift gamma + lam + 1/2, and the mapped market price
+    of risk is exactly -1/2.  Only arbitrage-free premia (nu2 = lam + 1/2)
+    have a risk-neutral counterpart; others raise ValidationError.
+    """
+    if not premia.is_arbitrage_free(pform.lam):
+        raise ValidationError(
+            "premia violate no-arbitrage: nu2 must equal lam + 1/2"
+        )
+    c = _measure_scale(pform.theta, premia.y_star)
+    return ParabolicForm(
+        theta=pform.theta / c, delta=pform.delta, d=pform.d / c,
+        beta_d=pform.beta_d / c, beta_w=pform.beta_w / c, beta_m=pform.beta_m / c,
+        alpha_d=pform.alpha_d / c, alpha_w=pform.alpha_w / c, alpha_m=pform.alpha_m / c,
+        gamma_lev=_gamma_star(pform), lam=-0.5, r=pform.r,
+    )
+
+
+def risk_neutral_map(params: ModelParams, nu1: float) -> ModelParams:
+    """risk_neutral_parabolic for arbitrage-free premia, in native form.
 
     The zero-mean variant is mapped through its parabolic reduction and
     re-expressed natively under the shifted gamma (the reduction constant
     -sum(alpha) rescales consistently, so the native form is preserved).
     """
-    c = _q_scale(params.theta, params.lam, nu1)
-    g_star = params.gamma_lev + params.lam + 0.5
+    q = risk_neutral_parabolic(parabolic_form(params),
+                               RiskPremia.arbitrage_free(nu1, params.lam))
     if params.is_zero_mean:
-        g2 = params.gamma_lev**2
-        gs2 = g_star**2
-
-        def nat(beta, alpha):
-            return (beta - alpha * g2) / c + (alpha / c) * gs2
-
+        gs2 = q.gamma_lev**2
         return replace(
-            params,
-            theta=params.theta / c,
-            beta_d=nat(params.beta_d, params.alpha_d),
-            beta_w=nat(params.beta_w, params.alpha_w),
-            beta_m=nat(params.beta_m, params.alpha_m),
-            alpha_d=params.alpha_d / c,
-            alpha_w=params.alpha_w / c,
-            alpha_m=params.alpha_m / c,
-            gamma_lev=g_star,
-            lam=-0.5,
+            params, theta=q.theta,
+            beta_d=q.beta_d + q.alpha_d * gs2,
+            beta_w=q.beta_w + q.alpha_w * gs2,
+            beta_m=q.beta_m + q.alpha_m * gs2,
+            alpha_d=q.alpha_d, alpha_w=q.alpha_w, alpha_m=q.alpha_m,
+            gamma_lev=q.gamma_lev, lam=q.lam,
         )
     return replace(
-        params,
-        theta=params.theta / c,
-        d=params.d / c,
-        beta_d=params.beta_d / c,
-        beta_w=params.beta_w / c,
-        beta_m=params.beta_m / c,
-        alpha_d=params.alpha_d / c,
-        alpha_w=params.alpha_w / c,
-        alpha_m=params.alpha_m / c,
-        gamma_lev=g_star,
-        lam=-0.5,
-    )
-
-
-def risk_neutral_parabolic(pform: ParabolicForm, premia: RiskPremia) -> ParabolicForm:
-    """Parabolic-form counterpart of risk_neutral_map for arbitrary premia."""
-    c = 1.0 - pform.theta * premia.y_star
-    if c <= 0.0:
-        raise MappingSingularError(
-            f"theta * y_star = {pform.theta * premia.y_star:.6g} >= 1"
-        )
-    return ParabolicForm(
-        theta=pform.theta / c, delta=pform.delta, d=pform.d / c,
-        beta_d=pform.beta_d / c, beta_w=pform.beta_w / c, beta_m=pform.beta_m / c,
-        alpha_d=pform.alpha_d / c, alpha_w=pform.alpha_w / c, alpha_m=pform.alpha_m / c,
-        gamma_lev=pform.gamma_lev + pform.lam + 0.5, lam=-0.5, r=pform.r,
+        params, theta=q.theta, d=q.d,
+        beta_d=q.beta_d, beta_w=q.beta_w, beta_m=q.beta_m,
+        alpha_d=q.alpha_d, alpha_w=q.alpha_w, alpha_m=q.alpha_m,
+        gamma_lev=q.gamma_lev, lam=q.lam,
     )
 
 
@@ -370,19 +383,8 @@ def risk_neutral_state(params: ModelParams, state: MarketState) -> MarketState:
     if not params.is_zero_mean:
         return state
     lev_par = parabolic_state(params, state).lev
-    g_star = params.gamma_lev + params.lam + 0.5
-    return MarketState(rv=state.rv, lev=lev_par - g_star**2 * state.rv - 1.0)
-
-
-def _q_scale(theta: float, lam: float, nu1: float) -> float:
-    y_star = -0.5 * lam**2 - nu1 + 0.125
-    c = 1.0 - theta * y_star
-    if c <= 0.0:
-        raise MappingSingularError(
-            f"theta * y_star = {theta * y_star:.6g} >= 1; "
-            "risk-neutral scale undefined"
-        )
-    return c
+    return MarketState(rv=state.rv,
+                       lev=lev_par - _gamma_star(params)**2 * state.rv - 1.0)
 
 
 def filter_innovations(returns, rv, r: float, lam: float) -> np.ndarray:

@@ -22,7 +22,12 @@ from dataclasses import dataclass, replace as dc_replace
 import numpy as np
 from scipy.stats import norm
 
-from .errors import InversionDomainError, NumericalError, ValidationError
+from .errors import (
+    InversionDomainError,
+    LhargError,
+    NumericalError,
+    ValidationError,
+)
 from .mgf import mgf_q, raw_cumulants
 from .model import MarketState, ModelParams, RiskPremia
 from .options import OptionChain, OptionQuote
@@ -64,7 +69,7 @@ def cos_config_for(params: ModelParams, state: MarketState | None,
                    cfg: CosConfig | None = None) -> CosConfig:
     """Fill in the truncation interval from the risk-neutral cumulants."""
     base = cfg or CosConfig()
-    k = raw_cumulants(params, state, tau_days, measure="Q", premia=premia)
+    k = raw_cumulants(params, state, tau_days, premia=premia)
     a, b = truncation_interval(k[0], k[1], k[3], base.range_width)
     return dc_replace(base, a=a, b=b)
 
@@ -234,7 +239,8 @@ def price_chain(params: ModelParams, nu1: float, chain: OptionChain,
     market rate replaces the model's baseline rate so discounting and the
     risk-neutral drift stay consistent.  `state` is either a single
     MarketState or a mapping from quote date to state.  Per-quote failures
-    are recorded on the row instead of aborting the chain.
+    of the package's own error classes are recorded on the row instead of
+    aborting the chain; any other exception is a bug and propagates.
     """
     from dataclasses import replace
 
@@ -260,7 +266,7 @@ def price_chain(params: ModelParams, nu1: float, chain: OptionChain,
         try:
             full_cfg = cos_config_for(grp_params, st, premia, tau, cfg)
             cf = _chain_cf(grp_params, st, premia, tau)
-        except Exception as exc:  # noqa: BLE001 - recorded, not fatal
+        except LhargError as exc:
             for q in quotes:
                 results.append(PricedQuote(q, np.nan, np.nan, str(exc)))
             continue
@@ -271,7 +277,7 @@ def price_chain(params: ModelParams, nu1: float, chain: OptionChain,
                 iv = implied_vol(price, q.underlying, q.strike, q.rate, tau,
                                  q.option_type) * np.sqrt(TRADING_DAYS)
                 results.append(PricedQuote(q, float(price), float(iv)))
-            except Exception as exc:  # noqa: BLE001
+            except LhargError as exc:
                 results.append(PricedQuote(q, np.nan, np.nan, str(exc)))
     return results
 

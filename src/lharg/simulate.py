@@ -45,7 +45,7 @@ class PathSet:
     rv_paths: np.ndarray   # (n_paths, horizon)
     y_paths: np.ndarray    # (n_paths, horizon)
     rng_seed: int
-    measure: str           # "P" or "Q"
+    measure: str           # "P" (no premia) or "Q"
     clamp_count: int       # noncentrality clampings over all recorded days
 
     def __post_init__(self):
@@ -73,20 +73,11 @@ def sample_noncentral_gamma(delta: float, big_theta, theta: float,
     return out if np.ndim(out) else float(out)
 
 
-def _engine_form(params: ModelParams, measure: str,
+def _engine_form(params: ModelParams,
                  premia: RiskPremia | None) -> ParabolicForm:
+    # P dynamics for premia=None, else the mapped Q dynamics
     p = parabolic_form(params)
-    if measure == "P":
-        return p
-    if measure != "Q":
-        raise ValidationError(f"unknown measure {measure!r}")
-    if premia is None:
-        raise ValidationError("risk-neutral simulation requires premia")
-    if not premia.is_arbitrage_free(params.lam):
-        raise ValidationError(
-            "premia violate no-arbitrage: nu2 must equal lam + 1/2"
-        )
-    return risk_neutral_parabolic(p, premia)
+    return p if premia is None else risk_neutral_parabolic(p, premia)
 
 
 def _block_streams(seed: int, n_paths: int, block_size: int):
@@ -149,22 +140,23 @@ def _simulate_block(p: ParabolicForm, weights, rv0: np.ndarray,
 
 
 def simulate_paths(params: ModelParams, state: MarketState, horizon: int,
-                   n_paths: int, measure: str = "P",
-                   premia: RiskPremia | None = None, seed: int = 0,
-                   burn_in: int = 0, block_size: int = DEFAULT_BLOCK) -> PathSet:
+                   n_paths: int, premia: RiskPremia | None = None,
+                   seed: int = 0, burn_in: int = 0,
+                   block_size: int = DEFAULT_BLOCK) -> PathSet:
     """Simulate daily (RV, y) paths from the given state.
 
-    Under "Q" the arbitrage-free premia are mapped into the starred
-    dynamics (lam* = -1/2, shifted gamma, rescaled gamma parameters); the
-    state's leverage lags are converted to their measure-invariant
-    parabolic values, so the same physical state seeds both measures.
+    premia=None simulates the physical measure.  Arbitrage-free premia are
+    mapped into the starred Q dynamics (lam* = -1/2, shifted gamma,
+    rescaled gamma parameters) by risk_neutral_parabolic; the state's
+    leverage lags are converted to their measure-invariant parabolic
+    values, so the same physical state seeds both measures.
     A nonzero burn_in advances the buffers that many days before recording
     (1000 days comfortably washes out the start state at the persistence
     levels of interest).
     """
     if horizon < 1 or n_paths < 1:
         raise ValidationError("horizon and n_paths must be positive")
-    p = _engine_form(params, measure, premia)
+    p = _engine_form(params, premia)
     st = parabolic_state(params, state)
     weights = expand_weights(p)
     rv_chunks, y_chunks, clamps = [], [], 0
@@ -178,12 +170,13 @@ def simulate_paths(params: ModelParams, state: MarketState, horizon: int,
         n_paths=n_paths, horizon=horizon,
         rv_paths=np.concatenate(rv_chunks, axis=0),
         y_paths=np.concatenate(y_chunks, axis=0),
-        rng_seed=seed, measure=measure, clamp_count=clamps,
+        rng_seed=seed, measure="P" if premia is None else "Q",
+        clamp_count=clamps,
     )
 
 
 def simulate_y_snapshots(params: ModelParams, state: MarketState,
-                         maturities, n_paths: int, measure: str = "P",
+                         maturities, n_paths: int,
                          premia: RiskPremia | None = None, seed: int = 0,
                          burn_in: int = 0, block_size: int = DEFAULT_BLOCK):
     """Cumulative log-returns y_{t,T} at selected maturities only.
@@ -196,7 +189,7 @@ def simulate_y_snapshots(params: ModelParams, state: MarketState,
     if maturities[0] < 1:
         raise ValidationError("maturities must be at least one day")
     horizon = maturities[-1]
-    p = _engine_form(params, measure, premia)
+    p = _engine_form(params, premia)
     st = parabolic_state(params, state)
     weights = expand_weights(p)
     out = np.empty((n_paths, len(maturities)))

@@ -97,6 +97,26 @@ def test_simulate_with_dump(data_dir, small_model, tmp_path):
     assert np.all(rv >= 0.0)
 
 
+def test_csv_cells_are_plain_floats(tmp_path, small_model):
+    # every numeric cell parses with float(): no numpy scalar reprs
+    from lharg.io import save_params
+    fit = tmp_path / "p.txt"
+    save_params(fit, small_model, extras={"nu1": -2500.0})
+    sim, cum = tmp_path / "summary.csv", tmp_path / "cumulants.csv"
+    assert main(["simulate", "--params", str(fit), "--days", "5",
+                 "--paths", "32", "--out", str(sim)]) == 0
+    assert main(["cumulants", "--params", str(fit), "--horizons", "5,22",
+                 "--out", str(cum)]) == 0
+    for path, labels in ((sim, set()), (cum, {"measure"})):
+        header, *rows = [line.split(",")
+                         for line in path.read_text().splitlines()]
+        assert rows
+        for row in rows:
+            for name, cell in zip(header, row):
+                if name not in labels:
+                    float(cell)
+
+
 def test_exit_codes(data_dir, tmp_path, small_model):
     # missing file -> validation (2)
     assert main(["estimate", "--rv", str(tmp_path / "nope.csv"),

@@ -1,4 +1,4 @@
-"""CSV loaders, serialization round trips, config parsing, option filter."""
+"""CSV loaders, serialization round trips, params-file parsing, option filter."""
 
 import datetime as dt
 
@@ -7,9 +7,7 @@ import pytest
 
 from lharg import ValidationError
 from lharg.io import (
-    Config,
     DatedSeries,
-    load_config,
     load_option_chain,
     load_params,
     load_returns,
@@ -143,35 +141,23 @@ class TestParamsFile:
         with pytest.raises(ValidationError, match="missing"):
             load_params(path)
 
-
-class TestConfig:
-    def test_parse_with_comments(self, tmp_path):
-        path = tmp_path / "run.cfg"
+    def test_parse_with_comments(self, tmp_path, harg):
+        path = tmp_path / "params.txt"
+        save_params(path, harg)
         path.write_text(
-            "# pipeline configuration\n"
-            "variant = P-LHARG\n"
-            "seed = 7          # reproducibility\n"
-            "target_iv = 0.21\n"
-            "cos_n_terms = 1024\n"
-            "\n")
-        cfg = load_config(path)
-        assert cfg.variant == "P-LHARG"
-        assert cfg.seed == 7
-        assert cfg.target_iv == 0.21
-        assert cfg.cos_n_terms == 1024
-        assert cfg.min_price == 0.05   # untouched default
+            "# fitted parameters\n\n"
+            + path.read_text().replace("delta = ", "delta=   ", 1)
+            + "nu1 = -2794.0    # calibrated premium\n"
+            + "note = fit on synthetic data\n")
+        params, extras = load_params(path)
+        assert params == harg
+        assert extras == {"nu1": -2794.0, "note": "fit on synthetic data"}
 
-    def test_unknown_key_rejected(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("volatility = high\n")
-        with pytest.raises(ValidationError, match="unknown key"):
-            load_config(path)
-
-    def test_thresholds_view(self):
-        cfg = Config(min_moneyness=0.85)
-        t = cfg.thresholds()
-        assert t.min_moneyness == 0.85
-        assert t.max_iv == 0.70
+    def test_line_without_equals_rejected(self, tmp_path):
+        path = tmp_path / "params.txt"
+        path.write_text("variant = HARG\ntheta 1e-5\n")
+        with pytest.raises(ValidationError, match=":2: expected key = value"):
+            load_params(path)
 
 
 class TestFilterOptions:

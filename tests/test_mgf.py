@@ -5,9 +5,9 @@ import pytest
 
 from lharg import (
     MarketState,
-    MgfCoefficients,
     ModelParams,
-    PoleError,
+    ParabolicForm,
+    RecursionDomainError,
     RiskPremia,
     cumulants,
     expand_weights,
@@ -22,77 +22,96 @@ from lharg import (
     simulate_paths,
     state_from_series,
     stationary_state,
-    step_p,
     theta_noncentrality,
 )
-from lharg.mgf import log_mgf, raw_cumulants, v, w
+from lharg.mgf import _recurse, log_mgf, raw_cumulants
 
 HORIZONS = (1, 5, 22, 63, 126, 252)
 
 
+def _one_step(z, theta=1e-5, delta=1.5, lam=0.0):
+    """One kernel step under P on a HARG whose only loading is beta_d = 1.
+
+    From the terminal zeros, X = lam*z + z^2/2, B_1 = v(X) and
+    A = -delta * w(X) (r = d = 0), with the gamma transforms
+    v(x) = theta*x / (1 - theta*x) and w(x) = log(1 - theta*x).
+    """
+    p = ParabolicForm(theta=theta, delta=delta, d=0.0, beta_d=1.0,
+                      beta_w=0.0, beta_m=0.0, alpha_d=0.0, alpha_w=0.0,
+                      alpha_m=0.0, gamma_lev=0.0, lam=lam, r=0.0)
+    a, b, _ = _recurse(p, expand_weights(p), np.atleast_1d(z), 1)
+    return b[0, 0], -a[0] / delta
+
+
 class TestTransforms:
     def test_zero(self):
-        assert v(0.0, 1e-5) == 0.0
-        assert w(0.0, 1e-5) == 0.0
+        v, w = _one_step(0.0)
+        assert v == 0.0
+        assert w == 0.0
 
     def test_half_pole(self):
-        # theta*x = 1/2 gives v = (1/2)/(1/2) = 1
-        assert abs(v(0.5e5, 1e-5) - 1.0) < 1e-12
+        # theta*X = 1/2 gives v = (1/2)/(1/2) = 1
+        v, _ = _one_step(np.sqrt(1e5), theta=1e-5)
+        assert abs(v - 1.0) < 1e-12
 
     def test_pole_raises(self):
-        with pytest.raises(PoleError):
-            v(1e5, 1e-5)
-        with pytest.raises(PoleError):
-            w(1e5, 1e-5)
+        # past the pole theta*X = 1 the step leaves the log's domain
+        with pytest.raises(RecursionDomainError) as err:
+            _one_step(np.sqrt(2.5e5), theta=1e-5)
+        assert err.value.step == 1
 
     def test_w_derivative_finite_difference(self):
-        # w'(x) = -theta / (1 - theta*x), checked at random complex points
+        # dw/dz = -theta X'(z) / (1 - theta X) with X' = lam + z, at random
+        # complex points: the step takes the principal branch of the log
         rng = np.random.default_rng(17)
-        theta = 1.1e-5
+        theta, lam = 1.1e-5, 2.0
         checked = 0
         while checked < 20:
-            x = complex(rng.uniform(-5e4, 5e4), rng.uniform(-5e4, 5e4))
-            if abs(1.0 - theta * x) < 0.3:
+            z = complex(rng.uniform(-50, 50), rng.uniform(-50, 50))
+            one_minus = 1.0 - theta * (lam * z + 0.5 * z * z)
+            if one_minus.real < 0.3:
                 continue
-            h = 1e-4 * max(abs(x), 1.0)
-            fd = (w(x + h, theta) - w(x - h, theta)) / (2.0 * h)
-            exact = -theta / (1.0 - theta * x)
+            h = 1e-4 * max(abs(z), 1.0)
+            fd = (_one_step(z + h, theta, lam=lam)[1]
+                  - _one_step(z - h, theta, lam=lam)[1]) / (2.0 * h)
+            exact = -theta * (lam + z) / one_minus
             assert abs(fd - exact) < 1e-8 * abs(exact) + 1e-16
             checked += 1
 
 
 class TestStepP:
-    def test_terminal_is_zero(self):
-        c = MgfCoefficients.terminal()
-        assert c.horizon_remaining == 0
-        assert np.all(c.data == 0.0)
+    """The kernel's backward step under P: horizon 1 is one step from the
+    terminal zeros, horizon 2 one more."""
 
     def test_zero_argument_stays_zero(self, zmlharg):
         params = zmlharg.__class__(**{**zmlharg.__dict__, "r": 0.0})
-        c = step_p(MgfCoefficients.terminal(), 0.0, params)
-        assert c.horizon_remaining == 1
-        assert np.max(np.abs(c.data)) == 0.0
+        p = parabolic_form(params)
+        a, b, c = _recurse(p, expand_weights(p), np.zeros(1), 1)
+        assert np.max(np.abs(a)) == 0.0
+        assert np.max(np.abs(b)) == 0.0
+        assert np.max(np.abs(c)) == 0.0
 
     def test_shift_structure(self, plharg):
-        weights = expand_weights(plharg)
-        c1 = step_p(MgfCoefficients.terminal(), 0.7, plharg, weights)
-        c2 = step_p(c1, 0.7, plharg, weights)
         p = parabolic_form(plharg)
+        weights = expand_weights(p)
+        z = np.array([0.7])
+        _, b1, c1 = _recurse(p, weights, z, 1)
+        _, b2, _ = _recurse(p, weights, z, 2)
+        b1, c1, b2 = b1[0], c1[0], b2[0]
         g = p.gamma_lev
-        den = 1.0 - 2.0 * c1.c[0]
-        x = 0.7 * p.lam + c1.b[0] \
-            + (0.5 * 0.49 + g * g * c1.c[0] - 2.0 * c1.c[0] * g * 0.7) / den
+        den = 1.0 - 2.0 * c1[0]
+        x = 0.7 * p.lam + b1[0] \
+            + (0.5 * 0.49 + g * g * c1[0] - 2.0 * c1[0] * g * 0.7) / den
         vx = p.theta * x / (1.0 - p.theta * x)
         # B_i picks up the shifted next coefficient plus v(X)*beta_i
         for i in range(21):
-            assert abs(c2.b[i] - (c1.b[i + 1] + vx * weights.beta[i])) < 1e-15
-        assert abs(c2.b[21] - vx * weights.beta[21]) < 1e-18
+            assert abs(b2[i] - (b1[i + 1] + vx * weights.beta[i])) < 1e-15
+        assert abs(b2[21] - vx * weights.beta[21]) < 1e-18
 
     def test_harg_c_identically_zero(self, harg):
-        c = MgfCoefficients.terminal()
-        for _ in range(30):
-            c = step_p(c, 1.3, harg)
-        assert np.max(np.abs(c.c)) == 0.0
+        p = parabolic_form(harg)
+        _, _, c = _recurse(p, expand_weights(p), np.array([1.3]), 30)
+        assert np.max(np.abs(c)) == 0.0
 
     def test_one_step_matches_mc(self, zmlharg):
         # one-day conditional expectation by direct Monte Carlo over the
@@ -222,7 +241,7 @@ class TestCumulants:
 
     def test_zero_mean_q_shape(self, zmlharg):
         premia = RiskPremia.arbitrage_free(-3375.0, zmlharg.lam)
-        c = cumulants(zmlharg, None, 22, measure="Q", premia=premia)
+        c = cumulants(zmlharg, None, 22, premia=premia)
         assert c.skewness < 0.0
         assert c.excess_kurtosis > 0.0
 
@@ -253,3 +272,63 @@ class TestStateHandling:
         batch = mgf_p(plharg, st, zs, 63)
         for i, z in enumerate(zs):
             assert abs(batch[i] - mgf_p(plharg, st, z, 63)) < 1e-14 * abs(batch[i])
+
+
+class TestVarianceGammaOracle:
+    """Zero loadings make RV iid Gamma(delta, theta): the T-day return is
+    variance-gamma with the closed-form MGF
+    e^{zrT} (1 - theta (lam z + z^2/2))^{-delta T} under P, and the same
+    form with theta/c and lam = -1/2 under arbitrage-free premia."""
+
+    NU1 = -2500.0
+    ZS = np.array([-2.0, -0.5, 0.7, 2.0, 0.5 + 3j, -1.0 - 8j, 25j, -40j])
+
+    @pytest.fixture(scope="class")
+    def vg(self):
+        return ModelParams(
+            variant="HARG", theta=1.149e-5, delta=1.358, d=0.0,
+            beta_d=0.0, beta_w=0.0, beta_m=0.0,
+            alpha_d=0.0, alpha_w=0.0, alpha_m=0.0,
+            gamma_lev=0.0, lam=2.005, r=1e-4,
+        )
+
+    def _q_law(self, vg):
+        premia = RiskPremia.arbitrage_free(self.NU1, vg.lam)
+        c = 1.0 - vg.theta * (-0.5 * vg.lam**2 - self.NU1 + 0.125)
+        return premia, vg.theta / c, -0.5
+
+    @staticmethod
+    def _log_oracle(z, horizon, r, theta, delta, lam):
+        return z * r * horizon \
+            - delta * horizon * np.log(1.0 - theta * (lam * z + 0.5 * z * z))
+
+    def test_mgf_p(self, vg):
+        st = stationary_state(vg)
+        for horizon in (1, 22, 252):
+            exact = np.exp(self._log_oracle(self.ZS, horizon, vg.r, vg.theta,
+                                            vg.delta, vg.lam))
+            got = mgf_p(vg, st, self.ZS, horizon)
+            assert np.max(np.abs(got - exact) / np.abs(exact)) <= 1e-12
+
+    def test_mgf_q(self, vg):
+        st = stationary_state(vg)
+        premia, theta_q, lam_q = self._q_law(vg)
+        for horizon in (1, 22, 252):
+            exact = np.exp(self._log_oracle(self.ZS, horizon, vg.r, theta_q,
+                                            vg.delta, lam_q))
+            got = mgf_q(vg, st, premia, self.ZS, horizon)
+            assert np.max(np.abs(got - exact) / np.abs(exact)) <= 1e-12
+            logs = log_mgf(vg, st, self.ZS, horizon, premia=premia)
+            assert np.max(np.abs(np.exp(logs) - exact) / np.abs(exact)) <= 1e-12
+
+    def test_raw_cumulants(self, vg):
+        st = stationary_state(vg)
+        premia, theta_q, lam_q = self._q_law(vg)
+        for given, theta, lam in ((None, vg.theta, vg.lam),
+                                  (premia, theta_q, lam_q)):
+            for horizon in (1, 22, 252):
+                k = raw_cumulants(vg, st, horizon, premia=given)
+                k1 = vg.r * horizon + vg.delta * theta * lam * horizon
+                k2 = vg.delta * theta * horizon * (1.0 + theta * lam**2)
+                assert abs(k[0] - k1) <= 1e-9 * abs(k1)
+                assert abs(k[1] - k2) <= 1e-9 * k2

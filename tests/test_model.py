@@ -26,6 +26,7 @@ from lharg import (
     stationary_state,
     theta_noncentrality,
 )
+from lharg.model import risk_neutral_parabolic
 
 from conftest import random_state_arrays
 
@@ -207,6 +208,16 @@ class TestRiskNeutralMap:
         nu1 = 0.125 - 0.5 * plharg.lam**2 - 1.1 / plharg.theta
         with pytest.raises(MappingSingularError):
             risk_neutral_map(plharg, nu1)
+
+    def test_rejects_premia_off_no_arbitrage(self, plharg):
+        # nu2 != lam + 1/2 has no risk-neutral counterpart, even at nu2 = 0
+        p = parabolic_form(plharg)
+        for nu2 in (0.0, plharg.lam, plharg.lam + 0.5 + 1e-9):
+            bad = RiskPremia.general(-100.0, nu2, plharg.lam)
+            with pytest.raises(ValidationError, match="no-arbitrage"):
+                risk_neutral_parabolic(p, bad)
+        good = RiskPremia.arbitrage_free(-100.0, plharg.lam)
+        assert risk_neutral_parabolic(p, good).lam == -0.5
 
     def test_zero_mean_native_form_preserved(self, zmlharg):
         q = risk_neutral_map(zmlharg, -3375.0)

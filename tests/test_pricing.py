@@ -217,6 +217,30 @@ class TestPriceChain:
         assert rows[1].error is None
         assert rows[0].error is not None or np.isfinite(rows[0].model_price)
 
+    def test_group_failures_recorded(self, zmlharg):
+        chain = OptionChain((make_quote(1.0, 63, "call"),
+                             make_quote(1.0, 126, "call")))
+        rows = price_chain(zmlharg, -3375.0, chain,
+                           {dt.date(1999, 1, 4): stationary_state(zmlharg)})
+        assert all(r.error.startswith("no state for") for r in rows)
+        # theta*y_star = 1/2 makes the mapped dynamics explode: the
+        # recursion leaves its domain, and theta*y_star > 1 has no map
+        for frac, message in ((0.5, "left the right half-plane"),
+                              (11.0, "scale undefined")):
+            rows = price_chain(zmlharg, -frac / zmlharg.theta, chain,
+                               stationary_state(zmlharg))
+            assert all(message in r.error and np.isnan(r.model_price)
+                       for r in rows)
+
+    def test_programming_errors_propagate(self, zmlharg, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("bug in the pricer")
+
+        monkeypatch.setattr(pricing_mod, "cos_price", broken)
+        chain = OptionChain((make_quote(1.0, 63, "call"),))
+        with pytest.raises(TypeError, match="bug in the pricer"):
+            price_chain(zmlharg, -3375.0, chain, stationary_state(zmlharg))
+
 
 class TestRmse:
     def test_identical_vectors(self):

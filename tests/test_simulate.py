@@ -95,15 +95,15 @@ class TestSimulatePaths:
         st = stationary_state(plharg)
         bad = RiskPremia.general(-100.0, 0.0, plharg.lam)
         with pytest.raises(ValidationError):
-            simulate_paths(plharg, st, 10, 10, measure="Q", premia=bad)
+            simulate_paths(plharg, st, 10, 10, premia=bad)
         with pytest.raises(ValidationError):
-            simulate_paths(plharg, st, 10, 10, measure="Q", premia=None)
+            simulate_y_snapshots(plharg, st, [5], 10, premia=bad)
 
     def test_q_path_level_martingale(self, zmlharg):
         premia = RiskPremia.arbitrage_free(-3375.0, zmlharg.lam)
         st = stationary_state(zmlharg)
         ysnap, _ = simulate_y_snapshots(zmlharg, st, [126], 100000,
-                                        measure="Q", premia=premia, seed=21)
+                                        premia=premia, seed=21)
         w = np.exp(ysnap[:, 0] - zmlharg.r * 126)
         se = w.std() / np.sqrt(w.size)
         assert abs(w.mean() - 1.0) < 3.0 * se
