@@ -135,21 +135,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _load_history(rv_path, returns_path):
+    """The RV and returns series, which must cover the same dates."""
+    rv = lio.load_rv_series(rv_path)
+    ret = lio.load_returns(returns_path)
+    if rv.dates != ret.dates:
+        raise ValidationError("rv and returns files cover different dates")
+    return rv, ret
+
+
 def _load_state(params: ModelParams, rv_path, returns_path):
     if rv_path and returns_path:
-        rv = lio.load_rv_series(rv_path)
-        ret = lio.load_returns(returns_path)
-        if rv.dates != ret.dates:
-            raise ValidationError("rv and returns files cover different dates")
+        rv, ret = _load_history(rv_path, returns_path)
         return state_from_series(params, rv.values, ret.values)
     return stationary_state(params)
 
 
 def _cmd_estimate(args) -> int:
-    rv = lio.load_rv_series(args.rv)
-    ret = lio.load_returns(args.returns)
-    if rv.dates != ret.dates:
-        raise ValidationError("rv and returns files cover different dates")
+    rv, ret = _load_history(args.rv, args.returns)
     fit = mle_fit(rv.values, ret.values, args.rate, args.variant,
                   k_max=args.kmax,
                   clamp_floor=1e-12 if args.clamp else None)
@@ -199,10 +202,7 @@ def _chain_states(params: ModelParams, chain: OptionChain, rv_path,
                   returns_path):
     if not (rv_path and returns_path):
         return stationary_state(params)
-    rv = lio.load_rv_series(rv_path)
-    ret = lio.load_returns(returns_path)
-    if rv.dates != ret.dates:
-        raise ValidationError("rv and returns files cover different dates")
+    rv, ret = _load_history(rv_path, returns_path)
     index = {d: i for i, d in enumerate(rv.dates)}
     states = {}
     for q in chain:

@@ -219,9 +219,8 @@ def _initial_guess(variant, rv, eps) -> np.ndarray:
 
 
 def mle_fit(rv_series, returns, r: float, variant: str,
-            init: ModelParams | None = None, k_max: int = DEFAULT_K_MAX,
-            clamp_floor: float | None = None,
-            max_iter: int = 4000) -> FitResult:
+            k_max: int = DEFAULT_K_MAX,
+            clamp_floor: float | None = None) -> FitResult:
     """Fit the variance dynamics of one variant by maximum likelihood.
 
     The market price of risk is estimated first by regression and held
@@ -235,15 +234,7 @@ def mle_fit(rv_series, returns, r: float, variant: str,
     y = np.asarray(returns, dtype=float)
     lam_hat, lam_se = estimate_lambda(y, rv, r)
     eps = filter_innovations(y, rv, r, lam_hat)
-
-    if init is not None:
-        u0 = _pack(variant, (init.theta, init.delta, init.beta_d, init.beta_w,
-                             init.beta_m, init.alpha_d or 1e-4,
-                             init.alpha_w or 1e-4, init.alpha_m or 1e-4,
-                             init.gamma_lev))
-    else:
-        u0 = _initial_guess(variant, rv, eps)
-
+    u0 = _initial_guess(variant, rv, eps)
     per_obs = _natural_terms(variant, rv, eps, k_max, clamp_floor)
 
     def negll(u):
@@ -254,7 +245,7 @@ def mle_fit(rv_series, returns, r: float, variant: str,
 
     nm = optimize.minimize(
         negll, u0, method="Nelder-Mead",
-        options={"maxiter": max_iter, "xatol": 1e-8, "fatol": 1e-10,
+        options={"maxiter": 4000, "xatol": 1e-8, "fatol": 1e-10,
                  "adaptive": True},
     )
     polish = optimize.minimize(
@@ -352,8 +343,7 @@ def _sandwich_errors(x_hat: np.ndarray, per_obs, variant: str) -> np.ndarray:
 
 def calibrate_nu1(params: ModelParams, target_iv: float,
                   maturity_days: int = 252,
-                  state: MarketState | None = None,
-                  xtol: float = 1e-10) -> float:
+                  state: MarketState | None = None) -> float:
     """Variance premium matching the model's ATM implied vol to a target.
 
     The target is the annualized at-the-money implied volatility at the
@@ -399,5 +389,5 @@ def calibrate_nu1(params: ModelParams, target_iv: float,
         raise CalibrationInfeasibleError(iv_low=min(iv_lo, iv_hi),
                                          iv_high=max(iv_lo, iv_hi),
                                          target=target_iv)
-    root = optimize.brentq(f, lo, hi, xtol=xtol, rtol=8.9e-16)
+    root = optimize.brentq(f, lo, hi, xtol=1e-10, rtol=8.9e-16)
     return float(root)

@@ -99,21 +99,9 @@ def _load_series(path, value_column, allow_negative) -> DatedSeries:
                        values=np.array([v for _, v in records]))
 
 
-def load_rv_series(path, rescale_to: float | None = None) -> DatedSeries:
-    """Load a realized-variance series; negative entries are rejected.
-
-    rescale_to, when given, multiplies the series so its mean matches the
-    target (e.g. the unconditional mean of squared close-to-close returns,
-    to fold the overnight variance back in); by default the series is
-    taken as already preprocessed.
-    """
-    series = _load_series(path, "rv", allow_negative=False)
-    if rescale_to is not None:
-        mean = float(np.mean(series.values))
-        if mean <= 0.0:
-            raise ValidationError("cannot rescale a zero-mean RV series")
-        series.values = series.values * (rescale_to / mean)
-    return series
+def load_rv_series(path) -> DatedSeries:
+    """Load a realized-variance series; negative entries are rejected."""
+    return _load_series(path, "rv", allow_negative=False)
 
 
 def load_returns(path) -> DatedSeries:
@@ -218,7 +206,7 @@ def load_params(path):
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"params file not found: {path}")
-    raw = {}
+    raw = {}   # key -> (value text, line number)
     for line_no, line in enumerate(path.read_text().splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -226,15 +214,21 @@ def load_params(path):
         if "=" not in line:
             raise ValidationError(f"{path}:{line_no}: expected key = value")
         key, _, value = line.partition("=")
-        raw[key.strip()] = value.strip()
+        key = key.strip()
+        if key in raw:
+            raise ValidationError(
+                f"{path}:{line_no}: duplicate key {key!r} "
+                f"(first set on line {raw[key][1]})")
+        raw[key] = (value.strip(), line_no)
     missing = [k for k in PARAM_FIELDS if k not in raw]
     if missing:
         raise ValidationError(f"{path}: missing keys {', '.join(missing)}")
-    kwargs = {"variant": raw.pop("variant")}
+    kwargs = {"variant": raw.pop("variant")[0]}
     for name in PARAM_FIELDS[1:]:
-        kwargs[name] = _parse_float(raw.pop(name), path, 0, name)
+        value, line_no = raw.pop(name)
+        kwargs[name] = _parse_float(value, path, line_no, name)
     extras = {}
-    for key, value in raw.items():
+    for key, (value, _) in raw.items():
         try:
             extras[key] = float(value)
         except ValueError:

@@ -161,6 +161,7 @@ _STENCILS = np.array([
     [-1.0, 12.0, -39.0, 56.0, -39.0, 12.0, -1.0],  # f'''' * 6
 ])
 _STENCIL_NORM = np.array([12.0, 12.0, 8.0, 6.0])
+CUMULANT_STEP = 5e-2   # stencil step scale, before the 1/sqrt(kappa2) floor
 
 
 def _fd_cumulants(g_vals: np.ndarray, h: float) -> np.ndarray:
@@ -169,15 +170,14 @@ def _fd_cumulants(g_vals: np.ndarray, h: float) -> np.ndarray:
 
 
 def raw_cumulants(params, state, horizon: int,
-                  premia: RiskPremia | None = None,
-                  step_scale: float = 5e-2) -> np.ndarray:
+                  premia: RiskPremia | None = None) -> np.ndarray:
     """First four cumulants of y_{t,T} (under P when premia is None) by
     numerical differentiation.
 
     Central differences of the log-MGF on a real stencil with step
-    h = step_scale * max(1, 1/sqrt(kappa2-guess)), refined by one Richardson
-    extrapolation between h and h/2.  The default step sits on the wide
-    accuracy plateau of the fourth cumulant: much smaller steps are
+    h = CUMULANT_STEP * max(1, 1/sqrt(kappa2-guess)), refined by one
+    Richardson extrapolation between h and h/2.  CUMULANT_STEP sits on the
+    wide accuracy plateau of the fourth cumulant: much smaller steps are
     roundoff-dominated there, while the truncation error only becomes
     visible beyond step scales of about 0.5.
     """
@@ -185,7 +185,7 @@ def raw_cumulants(params, state, horizon: int,
     kappa2_guess = horizon * float(np.mean(st.rv))
     if not np.isfinite(kappa2_guess) or kappa2_guess <= 0.0:
         kappa2_guess = 1.0
-    h = step_scale * max(1.0, 1.0 / np.sqrt(kappa2_guess))
+    h = CUMULANT_STEP * max(1.0, 1.0 / np.sqrt(kappa2_guess))
 
     offsets = np.arange(-3, 4, dtype=float)
     grid = np.concatenate([h * offsets, 0.5 * h * offsets])

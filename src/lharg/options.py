@@ -12,6 +12,12 @@ OPTION_TYPES = ("call", "put")
 # first-failing-rule attribution order
 FILTER_RULES = ("maturity", "implied_vol", "price", "otm", "moneyness")
 
+# the OTM sample screen; both ends of each range are kept
+MIN_MATURITY_DAYS, MAX_MATURITY_DAYS = 10, 365
+MAX_IV = 0.70
+MIN_PRICE = 0.05
+MIN_MONEYNESS, MAX_MONEYNESS = 0.8, 1.2
+
 
 @dataclass(frozen=True)
 class OptionQuote:
@@ -67,24 +73,6 @@ class OptionChain:
         return iter(self.quotes)
 
 
-@dataclass(frozen=True)
-class FilterThresholds:
-    """Sample-selection thresholds; defaults follow the usual OTM screen."""
-
-    min_maturity_days: int = 10
-    max_maturity_days: int = 365
-    max_iv: float = 0.70
-    min_price: float = 0.05
-    min_moneyness: float = 0.8
-    max_moneyness: float = 1.2
-
-    def __post_init__(self):
-        if min(self.min_maturity_days, self.max_maturity_days) <= 0 \
-                or min(self.max_iv, self.min_price, self.min_moneyness,
-                       self.max_moneyness) <= 0:
-            raise ValidationError("filter thresholds must be positive")
-
-
 @dataclass
 class FilterReport:
     """Retained chain plus per-rule rejection counts (first failing rule)."""
@@ -94,34 +82,34 @@ class FilterReport:
     n_input: int = 0
 
 
-def _first_failure(q: OptionQuote, t: FilterThresholds) -> str | None:
-    if not (t.min_maturity_days <= q.maturity_days <= t.max_maturity_days):
+def _first_failure(q: OptionQuote) -> str | None:
+    if not (MIN_MATURITY_DAYS <= q.maturity_days <= MAX_MATURITY_DAYS):
         return "maturity"
-    if q.market_iv is not None and q.market_iv > t.max_iv:
+    if q.market_iv is not None and q.market_iv > MAX_IV:
         return "implied_vol"
-    if q.mid_price < t.min_price:
+    if q.mid_price < MIN_PRICE:
         return "price"
     if not q.is_otm:
         return "otm"
-    if not (t.min_moneyness <= q.moneyness <= t.max_moneyness):
+    if not (MIN_MONEYNESS <= q.moneyness <= MAX_MONEYNESS):
         return "moneyness"
     return None
 
 
-def filter_options(chain: OptionChain,
-                   thresholds: FilterThresholds | None = None) -> FilterReport:
+def filter_options(chain: OptionChain) -> FilterReport:
     """Keep quotes passing all five screening rules.
 
-    Rules: maturity inside [10, 365] days, implied vol at most 70%, price
-    at least 5 cents, out-of-the-money only (ATM calls included), and
-    moneyness inside [0.8, 1.2].  Each rejected quote is attributed to the
-    first rule it fails, in that order, so the counts plus the retained
-    size always add up to the input size.
+    Rules, from the module constants: maturity from MIN_MATURITY_DAYS to
+    MAX_MATURITY_DAYS (10 to 365 days), implied vol at most MAX_IV (70%),
+    price at least MIN_PRICE (5 cents), out-of-the-money only (ATM calls
+    included), and moneyness K/S from MIN_MONEYNESS to MAX_MONEYNESS (0.8
+    to 1.2), range ends included.  Each rejected quote is attributed to
+    the first rule it fails, in that order, so the counts plus the
+    retained size always add up to the input size.
     """
-    t = thresholds or FilterThresholds()
     kept, counts = [], dict.fromkeys(FILTER_RULES, 0)
     for q in chain:
-        rule = _first_failure(q, t)
+        rule = _first_failure(q)
         if rule is None:
             kept.append(q)
         else:

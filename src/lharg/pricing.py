@@ -1,10 +1,11 @@
 """European option pricing by Fourier-cosine expansion, Black-Scholes
 utilities, and implied-volatility error metrics.
 
-The COS pricer expands the density of the T-day log-return y on a
-truncation interval [a, b] = c1 -/+ L*sqrt(c2 + sqrt(c4)) built from the
-model cumulants.  With phi the characteristic function of y and
-u_k = k*pi/(b-a), the density coefficients are
+The COS pricer (Fang & Oosterlee 2008) expands the density of the T-day
+log-return y in COS_TERMS cosine terms on the truncation interval
+[a, b] = c1 -/+ COS_WIDTH*sqrt(c2 + sqrt(c4)) built from the model's
+risk-neutral cumulants (`cos_interval`).  With phi the characteristic
+function of y and u_k = k*pi/(b-a), the density coefficients are
 
     A_k = 2/(b-a) * Re[ phi(u_k) exp(-i u_k a) ],
 
@@ -17,10 +18,10 @@ of a maturity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .errors import (
     InversionDomainError,
@@ -33,45 +34,19 @@ from .model import MarketState, ModelParams, RiskPremia
 from .options import OptionChain, OptionQuote
 
 TRADING_DAYS = 252  # annualization factor for reported implied vols
+COS_TERMS = 512     # N, the number of cosine terms
+COS_WIDTH = 10.0    # L in the cumulant-based truncation rule
 
 
-@dataclass(frozen=True)
-class CosConfig:
-    """Expansion order and truncation interval of the COS pricer."""
-
-    n_terms: int = 512
-    range_width: float = 10.0   # L in the cumulant-based truncation rule
-    a: float = np.nan
-    b: float = np.nan
-
-    def __post_init__(self):
-        if self.n_terms < 64:
-            raise ValidationError("COS expansion needs at least 64 terms")
-        if np.isfinite(self.a) and np.isfinite(self.b) and self.b <= self.a:
-            raise ValidationError("truncation interval requires b > a")
-
-    @property
-    def has_interval(self) -> bool:
-        return bool(np.isfinite(self.a) and np.isfinite(self.b))
-
-
-def truncation_interval(c1: float, c2: float, c4: float,
-                        range_width: float) -> tuple[float, float]:
-    """[a, b] = c1 -/+ L * sqrt(c2 + sqrt(c4)) from the raw cumulants."""
-    half = range_width * np.sqrt(c2 + np.sqrt(max(c4, 0.0)))
+def cos_interval(params: ModelParams, state: MarketState | None,
+                 premia: RiskPremia, tau_days: int) -> tuple[float, float]:
+    """Truncation interval [a, b] = c1 -/+ COS_WIDTH * sqrt(c2 + sqrt(c4))
+    from the raw cumulants of the tau-day log-return under the premia."""
+    c1, c2, _, c4 = raw_cumulants(params, state, tau_days, premia=premia)
+    half = COS_WIDTH * np.sqrt(c2 + np.sqrt(max(c4, 0.0)))
     if not (half > 0.0):
         raise NumericalError("degenerate truncation interval")
     return c1 - half, c1 + half
-
-
-def cos_config_for(params: ModelParams, state: MarketState | None,
-                   premia: RiskPremia, tau_days: int,
-                   cfg: CosConfig | None = None) -> CosConfig:
-    """Fill in the truncation interval from the risk-neutral cumulants."""
-    base = cfg or CosConfig()
-    k = raw_cumulants(params, state, tau_days, premia=premia)
-    a, b = truncation_interval(k[0], k[1], k[3], base.range_width)
-    return dc_replace(base, a=a, b=b)
 
 
 def _chi_psi(k: np.ndarray, a: float, b: float, c: float, d: float):
@@ -90,19 +65,19 @@ def _chi_psi(k: np.ndarray, a: float, b: float, c: float, d: float):
 
 
 def cos_price(cf, S: float, K: float, r: float, tau_days: int,
-              option_type: str, cfg: CosConfig) -> float:
+              option_type: str, a: float, b: float) -> float:
     """Discounted expected payoff of a European option by cosine expansion.
 
     cf must be the (vectorized) characteristic function of the log-return
-    over the full maturity, with cf(0) = 1 within 1e-10.
+    over the full maturity, with cf(0) = 1 within 1e-10.  The density is
+    expanded in COS_TERMS terms on the truncation interval [a, b], which
+    must satisfy b > a (see cos_interval).
     """
-    if not cfg.has_interval:
-        raise ValidationError("CosConfig carries no truncation interval")
+    if not b > a:
+        raise ValidationError("truncation interval requires b > a")
     if abs(cf(np.zeros(1))[0] - 1.0) > 1e-10:
         raise ValidationError("characteristic function is not normalized")
-    a, b = cfg.a, cfg.b
-    n = cfg.n_terms
-    k = np.arange(n)
+    k = np.arange(COS_TERMS)
     u = k * np.pi / (b - a)
     phi = np.asarray(cf(u), dtype=complex)
     dens = (2.0 / (b - a)) * np.real(phi * np.exp(-1j * u * a))
@@ -143,16 +118,17 @@ def bs_price(S: float, K: float, r: float, sigma: float, tau: float,
     d1 = (np.log(S / K) + (r + 0.5 * sigma**2) * tau) / srt
     d2 = d1 - srt
     if option_type == "call":
-        return float(S * norm.cdf(d1) - K * np.exp(-r * tau) * norm.cdf(d2))
+        return float(S * ndtr(d1) - K * np.exp(-r * tau) * ndtr(d2))
     if option_type == "put":
-        return float(K * np.exp(-r * tau) * norm.cdf(-d2) - S * norm.cdf(-d1))
+        return float(K * np.exp(-r * tau) * ndtr(-d2) - S * ndtr(-d1))
     raise ValidationError(f"option type must be call or put, got {option_type!r}")
 
 
 def bs_vega(S, K, r, sigma, tau) -> float:
     srt = sigma * np.sqrt(tau)
     d1 = (np.log(S / K) + (r + 0.5 * sigma**2) * tau) / srt
-    return float(S * norm.pdf(d1) * np.sqrt(tau))
+    pdf = np.exp(-0.5 * d1 * d1) / np.sqrt(2.0 * np.pi)
+    return float(S * pdf * np.sqrt(tau))
 
 
 def implied_vol(price: float, S: float, K: float, r: float, tau: float,
@@ -209,13 +185,12 @@ def model_char_fn(params: ModelParams, state: MarketState | None,
 
 
 def model_atm_iv(params: ModelParams, nu1: float, maturity_days: int = 252,
-                 state: MarketState | None = None,
-                 cfg: CosConfig | None = None) -> float:
+                 state: MarketState | None = None) -> float:
     """Annualized at-the-money implied vol generated by the model."""
     premia = RiskPremia.arbitrage_free(nu1, params.lam)
-    full_cfg = cos_config_for(params, state, premia, maturity_days, cfg)
+    a, b = cos_interval(params, state, premia, maturity_days)
     cf = model_char_fn(params, state, premia, maturity_days)
-    price = cos_price(cf, 1.0, 1.0, params.r, maturity_days, "call", full_cfg)
+    price = cos_price(cf, 1.0, 1.0, params.r, maturity_days, "call", a, b)
     iv_daily = implied_vol(price, 1.0, 1.0, params.r, maturity_days, "call")
     return iv_daily * np.sqrt(TRADING_DAYS)
 
@@ -231,7 +206,7 @@ class PricedQuote:
 
 
 def price_chain(params: ModelParams, nu1: float, chain: OptionChain,
-                state, cfg: CosConfig | None = None) -> list[PricedQuote]:
+                state) -> list[PricedQuote]:
     """Price every quote of a chain under the risk-neutral model.
 
     One characteristic-function grid is built per distinct
@@ -242,9 +217,7 @@ def price_chain(params: ModelParams, nu1: float, chain: OptionChain,
     of the package's own error classes are recorded on the row instead of
     aborting the chain; any other exception is a bug and propagates.
     """
-    from dataclasses import replace
-
-    premia_lam = params.lam
+    premia = RiskPremia.arbitrage_free(nu1, params.lam)
     groups: dict = {}
     for q in chain:
         groups.setdefault((q.quote_date, q.maturity_days), []).append(q)
@@ -262,10 +235,9 @@ def price_chain(params: ModelParams, nu1: float, chain: OptionChain,
                                                f"no state for {qdate}"))
                 continue
         grp_params = replace(params, r=quotes[0].rate)
-        premia = RiskPremia.arbitrage_free(nu1, premia_lam)
         try:
-            full_cfg = cos_config_for(grp_params, st, premia, tau, cfg)
-            cf = _chain_cf(grp_params, st, premia, tau)
+            a, b = cos_interval(grp_params, st, premia, tau)
+            cf = model_char_fn(grp_params, st, premia, tau)
         except LhargError as exc:
             for q in quotes:
                 results.append(PricedQuote(q, np.nan, np.nan, str(exc)))
@@ -273,18 +245,13 @@ def price_chain(params: ModelParams, nu1: float, chain: OptionChain,
         for q in quotes:
             try:
                 price = cos_price(cf, q.underlying, q.strike, q.rate, tau,
-                                  q.option_type, full_cfg)
+                                  q.option_type, a, b)
                 iv = implied_vol(price, q.underlying, q.strike, q.rate, tau,
                                  q.option_type) * np.sqrt(TRADING_DAYS)
                 results.append(PricedQuote(q, float(price), float(iv)))
             except LhargError as exc:
                 results.append(PricedQuote(q, np.nan, np.nan, str(exc)))
     return results
-
-
-def _chain_cf(params: ModelParams, state, premia: RiskPremia, tau_days: int):
-    # separate hook so tests can instrument the per-maturity call count
-    return model_char_fn(params, state, premia, tau_days)
 
 
 def rmse_iv(market_ivs, model_ivs) -> float:

@@ -8,10 +8,10 @@ which the zero-mean variant cannot rule out, is clamped to zero and
 counted; the clamp count stays at zero for every positivity-satisfying
 parameter set.
 
-Paths are generated in blocks; block b draws from an independent PCG64
-stream spawned as SeedSequence(seed).spawn(...)[b], and blocks partition
-the path indices deterministically, so a fixed seed reproduces the same
-PathSet bit for bit regardless of how the blocks are scheduled.
+Paths run in blocks of DEFAULT_BLOCK; block b draws from an independent
+PCG64 stream spawned as SeedSequence(seed).spawn(...)[b], and blocks
+partition the path indices deterministically, so a fixed seed reproduces
+the same PathSet bit for bit regardless of how the blocks are scheduled.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .model import (
     risk_neutral_parabolic,
 )
 
-DEFAULT_BLOCK = 65536
+DEFAULT_BLOCK = 65536   # paths per RNG stream
 
 
 @dataclass
@@ -80,12 +80,11 @@ def _engine_form(params: ModelParams,
     return p if premia is None else risk_neutral_parabolic(p, premia)
 
 
-def _block_streams(seed: int, n_paths: int, block_size: int):
-    n_blocks = (n_paths + block_size - 1) // block_size
-    children = np.random.SeedSequence(seed).spawn(n_blocks)
-    sizes = [min(block_size, n_paths - b * block_size) for b in range(n_blocks)]
-    return [(np.random.Generator(np.random.PCG64(c)), s)
-            for c, s in zip(children, sizes)]
+def _block_streams(seed: int, n_paths: int):
+    starts = range(0, n_paths, DEFAULT_BLOCK)
+    children = np.random.SeedSequence(seed).spawn(len(starts))
+    return [(np.random.Generator(np.random.PCG64(c)),
+             min(DEFAULT_BLOCK, n_paths - s)) for c, s in zip(children, starts)]
 
 
 def _simulate_block(p: ParabolicForm, weights, rv0: np.ndarray,
@@ -141,8 +140,7 @@ def _simulate_block(p: ParabolicForm, weights, rv0: np.ndarray,
 
 def simulate_paths(params: ModelParams, state: MarketState, horizon: int,
                    n_paths: int, premia: RiskPremia | None = None,
-                   seed: int = 0, burn_in: int = 0,
-                   block_size: int = DEFAULT_BLOCK) -> PathSet:
+                   seed: int = 0, burn_in: int = 0) -> PathSet:
     """Simulate daily (RV, y) paths from the given state.
 
     premia=None simulates the physical measure.  Arbitrage-free premia are
@@ -160,7 +158,7 @@ def simulate_paths(params: ModelParams, state: MarketState, horizon: int,
     st = parabolic_state(params, state)
     weights = expand_weights(p)
     rv_chunks, y_chunks, clamps = [], [], 0
-    for rng, n in _block_streams(seed, n_paths, block_size):
+    for rng, n in _block_streams(seed, n_paths):
         rv, y, c = _simulate_block(p, weights, st.rv, st.lev, horizon, n,
                                    rng, burn_in)
         rv_chunks.append(rv)
@@ -177,8 +175,7 @@ def simulate_paths(params: ModelParams, state: MarketState, horizon: int,
 
 def simulate_y_snapshots(params: ModelParams, state: MarketState,
                          maturities, n_paths: int,
-                         premia: RiskPremia | None = None, seed: int = 0,
-                         burn_in: int = 0, block_size: int = DEFAULT_BLOCK):
+                         premia: RiskPremia | None = None, seed: int = 0):
     """Cumulative log-returns y_{t,T} at selected maturities only.
 
     Memory-friendly variant of simulate_paths for large-scale MGF and
@@ -195,9 +192,9 @@ def simulate_y_snapshots(params: ModelParams, state: MarketState,
     out = np.empty((n_paths, len(maturities)))
     clamps = 0
     offset = 0
-    for rng, n in _block_streams(seed, n_paths, block_size):
+    for rng, n in _block_streams(seed, n_paths):
         _, y, c = _simulate_block(p, weights, st.rv, st.lev, horizon, n,
-                                  rng, burn_in, snapshot_days=maturities)
+                                  rng, 0, snapshot_days=maturities)
         out[offset:offset + n] = y
         offset += n
         clamps += c

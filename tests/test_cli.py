@@ -2,6 +2,9 @@
 
 import datetime as dt
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -136,6 +139,32 @@ def test_exit_codes(data_dir, tmp_path, small_model):
                  "--out", str(tmp_path / "s.csv")]) == 2
 
 
+def test_misaligned_history_rejected(data_dir, tmp_path, small_model,
+                                     capsys):
+    # every command that reads both series exits 2 when their dates differ
+    from lharg.io import save_params
+    fit = tmp_path / "p.txt"
+    save_params(fit, small_model)
+    returns = tmp_path / "returns.csv"
+    lines = (data_dir / "returns.csv").read_text().splitlines()
+    returns.write_text("\n".join(lines[:-1]) + "\n")
+    history = ["--rv", str(data_dir / "rv.csv"), "--returns", str(returns)]
+    commands = (
+        ["estimate", *history, "--variant", "HARG",
+         "--out", str(tmp_path / "x.txt"), "--csv", str(tmp_path / "x.csv")],
+        ["calibrate", "--params", str(fit), "--target-iv", "0.2", *history,
+         "--out", str(tmp_path / "nu1.txt")],
+        ["price", "--params", str(fit), "--nu1", "-2500",
+         "--chain", str(data_dir / "chain.csv"), *history,
+         "--out", str(tmp_path / "priced.csv")],
+        ["simulate", "--params", str(fit), "--days", "5", "--paths", "8",
+         *history, "--out", str(tmp_path / "s.csv")],
+    )
+    for argv in commands:
+        assert main(argv) == 2, argv[0]
+        assert "cover different dates" in capsys.readouterr().err
+
+
 def test_mgf_check_smoke(data_dir, tmp_path, small_model):
     from lharg.io import save_params
     fit = tmp_path / "p.txt"
@@ -149,3 +178,14 @@ def test_mgf_check_smoke(data_dir, tmp_path, small_model):
     worst = max(float(line.rsplit(",", 1)[1])
                 for line in text.splitlines()[1:])
     assert worst < 5.0
+
+
+def test_cli_import_skips_scipy_stats():
+    # scipy.stats costs most of the CLI's import time and nothing needs it
+    import lharg
+    src = str(Path(lharg.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import lharg.cli; "
+            "sys.exit('scipy.stats' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr or "scipy.stats was imported"

@@ -17,7 +17,6 @@ from lharg.io import (
     write_series,
 )
 from lharg.options import (
-    FilterThresholds,
     OptionChain,
     OptionQuote,
     filter_options,
@@ -77,12 +76,6 @@ class TestSeriesLoading:
         back = load_rv_series(path)
         assert back.dates == dates
         assert np.array_equal(back.values, values)
-
-    def test_rescale_option(self, tmp_path):
-        path = tmp_path / "rv.csv"
-        path.write_text("date,rv\n2004-01-05,1e-4\n2004-01-06,3e-4\n")
-        series = load_rv_series(path, rescale_to=4e-4)
-        assert abs(series.values.mean() - 4e-4) < 1e-18
 
 
 class TestChainLoading:
@@ -159,6 +152,28 @@ class TestParamsFile:
         with pytest.raises(ValidationError, match=":2: expected key = value"):
             load_params(path)
 
+    def test_repeated_key_rejected(self, tmp_path, harg):
+        path = tmp_path / "params.txt"
+        save_params(path, harg)
+        lines = path.read_text().splitlines()
+        lines.insert(3, "theta = 2e-05")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValidationError,
+                           match=r":4: duplicate key 'theta' "
+                                 r"\(first set on line 2\)"):
+            load_params(path)
+
+    def test_bad_value_cites_its_line(self, tmp_path, harg):
+        path = tmp_path / "params.txt"
+        save_params(path, harg)
+        text = path.read_text()
+        assert text.splitlines()[2].startswith("delta = ")
+        path.write_text(text.replace(f"delta = {harg.delta!r}",
+                                     "delta = 1.3x"))
+        with pytest.raises(ValidationError,
+                           match=r":3: bad delta value '1.3x'"):
+            load_params(path)
+
 
 class TestFilterOptions:
     def test_short_maturity_excluded(self):
@@ -222,7 +237,16 @@ class TestFilterOptions:
         assert len(report.chain) + sum(report.rejections.values()) == 500
         assert report.n_input == 500
 
-    def test_custom_thresholds(self):
-        chain = OptionChain((make_quote(1.05, 8, "call", market_iv=0.2),))
-        loose = FilterThresholds(min_maturity_days=5)
-        assert len(filter_options(chain, loose).chain) == 1
+    def test_boundaries(self):
+        # both ends of the maturity and moneyness ranges are kept
+        for tau, kept in ((9, False), (10, True), (365, True), (366, False)):
+            report = filter_options(OptionChain(
+                (make_quote(1.05, tau, "call", market_iv=0.2),)))
+            assert len(report.chain) == kept
+            assert report.rejections["maturity"] == (not kept)
+        for m, kind, kept in ((0.8 - 1e-9, "put", False), (0.8, "put", True),
+                              (1.2, "call", True), (1.2 + 1e-9, "call", False)):
+            report = filter_options(OptionChain(
+                (make_quote(m, 63, kind, market_iv=0.2),)))
+            assert len(report.chain) == kept
+            assert report.rejections["moneyness"] == (not kept)

@@ -14,16 +14,15 @@ from lharg import (
 )
 from lharg.options import OptionChain, OptionQuote
 from lharg.pricing import (
-    CosConfig,
+    COS_WIDTH,
     bs_price,
-    cos_config_for,
+    cos_interval,
     cos_price,
     implied_vol,
     model_char_fn,
     price_chain,
     rmse_iv,
     rmse_p,
-    truncation_interval,
 )
 
 import lharg.pricing as pricing_mod
@@ -37,37 +36,45 @@ def bs_cf(sigma, r, tau):
     return cf
 
 
-def bs_cos_config(sigma, r, tau, n_terms=512, width=10.0):
+def bs_interval(sigma, r, tau):
+    # the cumulant rule with c2 = sigma^2 tau and c4 = 0
     c1 = (r - 0.5 * sigma**2) * tau
-    a, b = truncation_interval(c1, sigma**2 * tau, 0.0, width)
-    return CosConfig(n_terms=n_terms, range_width=width, a=a, b=b)
+    half = COS_WIDTH * np.sqrt(sigma**2 * tau)
+    return c1 - half, c1 + half
 
 
 class TestCosAgainstBlackScholes:
     def test_atm_call_value(self):
         # closed form: 100*(2*Phi(0.1)-1) = 7.965567455...
-        cfg = bs_cos_config(0.2, 0.0, 1.0)
+        a, b = bs_interval(0.2, 0.0, 1.0)
         price = cos_price(bs_cf(0.2, 0.0, 1.0), 100.0, 100.0, 0.0, 1, "call",
-                          cfg)
+                          a, b)
         assert abs(price - 7.9655674554) < 1e-6
         assert abs(price - bs_price(100.0, 100.0, 0.0, 0.2, 1.0, "call")) < 1e-8
 
     def test_strike_grid_both_types(self):
         sigma, r, tau = 0.25, 0.0002, 126.0
-        cfg = bs_cos_config(sigma / np.sqrt(252), r, tau)
+        a, b = bs_interval(sigma / np.sqrt(252), r, tau)
         cf = bs_cf(sigma / np.sqrt(252), r, tau)
         for strike in (70.0, 90.0, 100.0, 115.0, 140.0):
             for kind in ("call", "put"):
-                got = cos_price(cf, 100.0, strike, r, 126, kind, cfg)
+                got = cos_price(cf, 100.0, strike, r, 126, kind, a, b)
                 ref = bs_price(100.0, strike, r, sigma / np.sqrt(252), tau,
                                kind)
                 assert abs(got - ref) < 1e-7
 
     def test_unnormalized_cf_rejected(self):
-        cfg = bs_cos_config(0.2, 0.0, 1.0)
-        with pytest.raises(ValidationError):
+        a, b = bs_interval(0.2, 0.0, 1.0)
+        with pytest.raises(ValidationError, match="not normalized"):
             cos_price(lambda u: 2.0 * np.ones_like(np.asarray(u)), 100.0,
-                      100.0, 0.0, 1, "call", cfg)
+                      100.0, 0.0, 1, "call", a, b)
+
+    def test_empty_interval_rejected(self):
+        a, b = bs_interval(0.2, 0.0, 1.0)
+        for lo, hi in ((b, a), (a, a), (np.nan, b)):
+            with pytest.raises(ValidationError, match="b > a"):
+                cos_price(bs_cf(0.2, 0.0, 1.0), 100.0, 100.0, 0.0, 1, "call",
+                          lo, hi)
 
 
 class TestCosOnModel:
@@ -75,41 +82,40 @@ class TestCosOnModel:
         premia = RiskPremia.arbitrage_free(-3375.0, zmlharg.lam)
         st = stationary_state(zmlharg)
         tau = 126
-        cfg = cos_config_for(zmlharg, st, premia, tau)
+        a, b = cos_interval(zmlharg, st, premia, tau)
         cf = model_char_fn(zmlharg, st, premia, tau)
         for m in (0.85, 0.95, 1.0, 1.1, 1.2):
             strike = 100.0 * m
-            call = cos_price(cf, 100.0, strike, zmlharg.r, tau, "call", cfg)
-            put = cos_price(cf, 100.0, strike, zmlharg.r, tau, "put", cfg)
+            call = cos_price(cf, 100.0, strike, zmlharg.r, tau, "call", a, b)
+            put = cos_price(cf, 100.0, strike, zmlharg.r, tau, "put", a, b)
             parity = 100.0 - strike * np.exp(-zmlharg.r * tau)
             assert abs(call - put - parity) < 1e-8
 
-    def test_doubling_terms_converged(self, zmlharg):
+    def test_doubling_terms_converged(self, zmlharg, monkeypatch):
         premia = RiskPremia.arbitrage_free(-3375.0, zmlharg.lam)
         st = stationary_state(zmlharg)
         for tau in (22, 252):
-            base = cos_config_for(zmlharg, st, premia, tau,
-                                  CosConfig(n_terms=512))
-            double = CosConfig(n_terms=1024, range_width=base.range_width,
-                               a=base.a, b=base.b)
+            a, b = cos_interval(zmlharg, st, premia, tau)
             cf = model_char_fn(zmlharg, st, premia, tau)
             for m in (0.8, 1.0, 1.2):
+                monkeypatch.setattr(pricing_mod, "COS_TERMS", 512)
                 p1 = cos_price(cf, 100.0, 100.0 * m, zmlharg.r, tau, "put",
-                               base)
+                               a, b)
+                monkeypatch.setattr(pricing_mod, "COS_TERMS", 1024)
                 p2 = cos_price(cf, 100.0, 100.0 * m, zmlharg.r, tau, "put",
-                               double)
+                               a, b)
                 assert abs(p1 - p2) < 1e-8
 
     def test_monotone_in_strike(self, zmlharg):
         premia = RiskPremia.arbitrage_free(-3375.0, zmlharg.lam)
         st = stationary_state(zmlharg)
         tau = 63
-        cfg = cos_config_for(zmlharg, st, premia, tau)
+        a, b = cos_interval(zmlharg, st, premia, tau)
         cf = model_char_fn(zmlharg, st, premia, tau)
         strikes = np.linspace(80.0, 120.0, 17)
-        calls = [cos_price(cf, 100.0, k, zmlharg.r, tau, "call", cfg)
+        calls = [cos_price(cf, 100.0, k, zmlharg.r, tau, "call", a, b)
                  for k in strikes]
-        puts = [cos_price(cf, 100.0, k, zmlharg.r, tau, "put", cfg)
+        puts = [cos_price(cf, 100.0, k, zmlharg.r, tau, "put", a, b)
                 for k in strikes]
         assert np.all(np.diff(calls) < 0.0)
         assert np.all(np.diff(puts) > 0.0)
@@ -120,12 +126,12 @@ class TestCosOnModel:
         premia = RiskPremia.arbitrage_free(-3375.0, zmlharg.lam)
         st = stationary_state(zmlharg)
         for tau in (10, 50, 160, 365):
-            cfg = cos_config_for(zmlharg, st, premia, tau)
+            a, b = cos_interval(zmlharg, st, premia, tau)
             cf = model_char_fn(zmlharg, st, premia, tau)
             for m in (0.8, 0.9, 1.0, 1.1, 1.2):
                 kind = "call" if m >= 1.0 else "put"
                 price = cos_price(cf, 100.0, 100.0 * m, zmlharg.r, tau, kind,
-                                  cfg)
+                                  a, b)
                 iv = implied_vol(price, 100.0, 100.0 * m, zmlharg.r, tau,
                                  kind) * np.sqrt(252.0)
                 assert 0.0 < iv < 0.7
@@ -165,13 +171,13 @@ def make_quote(m, tau, kind, qdate=dt.date(2004, 6, 9), spot=1000.0,
 class TestPriceChain:
     def test_cf_built_once_per_maturity(self, zmlharg, monkeypatch):
         calls = []
-        original = pricing_mod._chain_cf
+        original = pricing_mod.model_char_fn
 
         def counting(params, state, premia, tau):
             calls.append(tau)
             return original(params, state, premia, tau)
 
-        monkeypatch.setattr(pricing_mod, "_chain_cf", counting)
+        monkeypatch.setattr(pricing_mod, "model_char_fn", counting)
         chain = OptionChain((
             make_quote(1.0, 63, "call"), make_quote(1.1, 63, "call"),
             make_quote(0.9, 63, "put"), make_quote(1.0, 126, "call"),

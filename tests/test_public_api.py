@@ -1,11 +1,15 @@
-"""Functions the benchmark's tracer expects stay public in their modules."""
+"""The benchmark's view of the package stays valid: the functions its
+tracer expects stay public in their modules, and every name its checks
+import from lharg still resolves and accepts the calls made there."""
 
 import ast
 import importlib
 import inspect
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACING = BENCH / "tracing.py"
+CHECKS = BENCH / "checks.py"
 
 
 def _expected_names():
@@ -29,3 +33,60 @@ def test_traced_boundaries_are_public_functions():
         assert not func_name.startswith("_")
         # the tracer names a function by where it is defined
         assert fn.__module__ == "lharg." + module_name, dotted
+
+
+def _resolve(module_name, name):
+    # what `from module_name import name` binds: an attribute of the
+    # module, or else its submodule
+    module = importlib.import_module(module_name)
+    if hasattr(module, name):
+        return getattr(module, name)
+    return importlib.import_module(f"{module_name}.{name}")
+
+
+def _checks_imports(tree):
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module \
+                and node.module.split(".")[0] == "lharg":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = _resolve(node.module,
+                                                             alias.name)
+    return bound
+
+
+def test_bench_checks_imports_resolve():
+    tree = ast.parse(CHECKS.read_text())
+    bound = _checks_imports(tree)
+    assert {"lio", "loglik", "model_atm_iv"} <= set(bound)
+    # every call of an imported function, or of a function reached through
+    # an imported module, binds to its current signature
+    n_calls = 0
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in bound:
+            target = bound[func.id]
+        elif isinstance(func, ast.Attribute) \
+                and isinstance(func.value, ast.Name) \
+                and inspect.ismodule(bound.get(func.value.id)):
+            target = getattr(bound[func.value.id], func.attr, None)
+            assert target is not None, f"{func.value.id}.{func.attr} is gone"
+        else:
+            continue
+        if any(isinstance(a, ast.Starred) for a in node.args) \
+                or any(k.arg is None for k in node.keywords):
+            continue
+        inspect.signature(target).bind(*node.args,
+                                       **{k.arg: k for k in node.keywords})
+        n_calls += 1
+    assert n_calls >= 5
+
+
+def test_model_atm_iv_positional_order():
+    # the chain check calls model_atm_iv(params, nu1, maturity, state)
+    from lharg.pricing import model_atm_iv
+
+    bound = inspect.signature(model_atm_iv).bind(1, 2, 3, 4)
+    assert list(bound.arguments) == ["params", "nu1", "maturity_days", "state"]
