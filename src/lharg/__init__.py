@@ -41,7 +41,6 @@ from .model import (
 from .mgf import Cumulants, cumulants, mgf_p, mgf_q
 from .simulate import (
     PathSet,
-    mc_mgf,
     sample_noncentral_gamma,
     simulate_paths,
     simulate_y_snapshots,

@@ -34,7 +34,7 @@ from .model import (
 )
 from .options import FILTER_RULES, OptionChain, filter_options
 from .pricing import price_chain, rmse_iv
-from .simulate import simulate_paths, simulate_y_snapshots
+from .simulate import mc_mgf_from_samples, simulate_paths, simulate_y_snapshots
 
 PATHSET_MAGIC = b"LHPS"
 PATHSET_VERSION = 1
@@ -292,9 +292,17 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _horizons(text):
+    cells = [c.strip() for c in text.split(",") if c.strip()]
+    if not cells or not all(c.isdigit() and int(c) > 0 for c in cells):
+        raise ValidationError("--horizons takes comma-separated positive "
+                              f"day counts, got {text!r}")
+    return [int(c) for c in cells]
+
+
 def _cmd_cumulants(args) -> int:
     params, extras = lio.load_params(args.params)
-    horizons = [int(h) for h in args.horizons.split(",") if h.strip()]
+    horizons = _horizons(args.horizons)
     measures = ["P", "Q"] if args.measure == "both" else [args.measure]
     premia = None
     if "Q" in measures:
@@ -380,7 +388,6 @@ def _cmd_mgf_check(args) -> int:
     if nu1 is not None:
         runs.append(("Q", RiskPremia.arbitrage_free(float(nu1), params.lam)))
     worst = 0.0
-    from .simulate import mc_mgf_from_samples
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["measure", "T", "z_re", "z_im", "analytic_re",

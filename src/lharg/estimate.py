@@ -265,7 +265,7 @@ def mle_fit(rv_series, returns, r: float, variant: str,
                "gamma_lev": 0.0, **dict(zip(names, x_hat))}
     params = ModelParams(variant=variant, d=0.0, lam=lam_hat, r=r, **natural)
 
-    se_native = _sandwich_errors(x_hat, per_obs, variant)
+    se_native = _sandwich_errors(x_hat, per_obs)
     std_errors = dict(zip(names, se_native))
     std_errors["lam"] = lam_se
 
@@ -281,7 +281,7 @@ def mle_fit(rv_series, returns, r: float, variant: str,
 _NATURAL_SCALES = np.array([1e-5, 1.0, 1e4, 1e4, 1e4, 0.1, 0.1, 0.1, 100.0])
 
 
-def _sandwich_errors(x_hat: np.ndarray, per_obs, variant: str) -> np.ndarray:
+def _sandwich_errors(x_hat: np.ndarray, per_obs) -> np.ndarray:
     """Robust SEs from inv(info) @ score-outer-product @ inv(info).
 
     Scores and the observed information are central differences with steps
@@ -303,22 +303,21 @@ def _sandwich_errors(x_hat: np.ndarray, per_obs, variant: str) -> np.ndarray:
         u[i] += sign * h
         return u
 
-    base = terms_u(u_hat)
-    n = base.size
-    scores = np.empty((n, p))
-    for i in range(p):
-        scores[:, i] = (terms_u(shifted(i, +1)) - terms_u(shifted(i, -1))) \
-            / (2.0 * h)
+    # the 2p one-step shifts serve both the scores and the Hessian diagonal
+    plus = [terms_u(shifted(i, +1)) for i in range(p)]
+    minus = [terms_u(shifted(i, -1)) for i in range(p)]
+    scores = np.column_stack([(plus[i] - minus[i]) / (2.0 * h)
+                              for i in range(p)])
     opg = scores.T @ scores
 
     def total(u):
         return float(np.sum(terms_u(u)))
 
-    f0 = float(np.sum(base))
+    f0 = total(u_hat)
     hess = np.empty((p, p))
     for i in range(p):
-        hess[i, i] = (total(shifted(i, +1)) - 2.0 * f0
-                      + total(shifted(i, -1))) / h**2
+        hess[i, i] = (float(np.sum(plus[i])) - 2.0 * f0
+                      + float(np.sum(minus[i]))) / h**2
         for j in range(i + 1, p):
             upp = shifted(i, +1)
             upp[j] += h

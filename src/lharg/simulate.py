@@ -1,17 +1,19 @@
 """Forward path simulation and Monte Carlo estimators.
 
-Daily dynamics are simulated exactly: the variance draw is a
-Poisson-mixed gamma (K ~ Poisson(Theta), then Gamma(delta + K, theta)),
-the return innovation is standard normal, and the 22-lag variance and
-leverage buffers roll forward one day at a time.  Negative noncentrality,
-which the zero-mean variant cannot rule out, is clamped to zero and
-counted; the clamp count stays at zero for every positivity-satisfying
-parameter set.
+One day-step kernel, _day_steps, simulates the dynamics exactly: the
+variance draw is a Poisson-mixed gamma (K ~ Poisson(Theta), then
+Gamma(delta + K, theta)), the return innovation is standard normal, and
+the 22-lag variance and leverage buffers roll forward one day at a time.
+Negative noncentrality, which the zero-mean variant cannot rule out, is
+clamped to zero and counted (never for positivity-satisfying parameters).
+simulate_paths writes each day straight into preallocated (n_paths,
+horizon) arrays; simulate_y_snapshots keeps running sums of the same paths.
 
 Paths run in blocks of DEFAULT_BLOCK; block b draws from an independent
-PCG64 stream spawned as SeedSequence(seed).spawn(...)[b], and blocks
-partition the path indices deterministically, so a fixed seed reproduces
-the same PathSet bit for bit regardless of how the blocks are scheduled.
+PCG64 stream spawned as SeedSequence(seed).spawn(...)[b] and fills a fixed
+range of rows, so a fixed seed reproduces the same paths bit for bit.
+n_paths, horizon and maturities must be positive and burn_in and seed
+nonnegative; other inputs raise ValidationError before any work.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .errors import ValidationError
 from .model import (
     MarketState,
     ModelParams,
-    N_LAGS,
     ParabolicForm,
     RiskPremia,
     expand_weights,
@@ -73,69 +74,50 @@ def sample_noncentral_gamma(delta: float, big_theta, theta: float,
     return out if np.ndim(out) else float(out)
 
 
-def _engine_form(params: ModelParams,
-                 premia: RiskPremia | None) -> ParabolicForm:
-    # P dynamics for premia=None, else the mapped Q dynamics
-    p = parabolic_form(params)
-    return p if premia is None else risk_neutral_parabolic(p, premia)
-
-
 def _block_streams(seed: int, n_paths: int):
+    # (start row, rows, generator) of each block of DEFAULT_BLOCK paths
     starts = range(0, n_paths, DEFAULT_BLOCK)
     children = np.random.SeedSequence(seed).spawn(len(starts))
-    return [(np.random.Generator(np.random.PCG64(c)),
-             min(DEFAULT_BLOCK, n_paths - s)) for c, s in zip(children, starts)]
+    return [(s, min(DEFAULT_BLOCK, n_paths - s),
+             np.random.Generator(np.random.PCG64(c)))
+            for c, s in zip(children, starts)]
 
 
-def _simulate_block(p: ParabolicForm, weights, rv0: np.ndarray,
-                    lev0: np.ndarray, horizon: int, n: int,
-                    rng: np.random.Generator, burn_in: int,
-                    snapshot_days=None):
-    """Advance n paths for burn_in + horizon days from a common start state.
-
-    Returns (rv_out, y_out, clamps).  By default every post-burn-in day is
-    stored; with snapshot_days, y_out instead holds the cumulative return
-    at those (1-based) days and rv_out is empty.
-    """
-    rv_buf = np.repeat(rv0[:, None], n, axis=1)    # (22, n), row i = lag i+1
-    lev_buf = np.repeat(lev0[:, None], n, axis=1)
-    g = p.gamma_lev
-    snapshots = snapshot_days is not None
-    if snapshots:
-        lookup = {day: j for j, day in enumerate(snapshot_days)}
-        rv_out = np.empty((n, 0))
-        y_out = np.empty((n, len(snapshot_days)))
-        y_running = np.zeros(n)
-    else:
-        rv_out = np.empty((n, horizon))
-        y_out = np.empty((n, horizon))
-    clamps = 0
-    for day in range(-burn_in, horizon):
+def _day_steps(p: ParabolicForm, weights, st, n: int, rng, days: int):
+    """Step n paths from state st; yield each day's (rv, y, clamps)."""
+    rv_buf = np.repeat(st.rv[:, None], n, axis=1)    # (22, n), row i = lag i+1
+    lev_buf = np.repeat(st.lev[:, None], n, axis=1)
+    for _ in range(days):
         nc = p.d + weights.beta @ rv_buf + weights.alpha @ lev_buf
         neg = nc < 0.0
-        if np.any(neg):
-            if day >= 0:
-                clamps += int(np.count_nonzero(neg))
-            nc[neg] = 0.0
+        clamps = int(np.count_nonzero(neg))
+        nc[neg] = 0.0
         k = rng.poisson(nc)
         rv_new = rng.standard_gamma(p.delta + k) * p.theta
         eps = rng.standard_normal(n)
         vol = np.sqrt(rv_new)
-        y_new = p.r + p.lam * rv_new + vol * eps
-        if day >= 0:
-            if snapshots:
-                y_running += y_new
-                j = lookup.get(day + 1)
-                if j is not None:
-                    y_out[:, j] = y_running
-            else:
-                rv_out[:, day] = rv_new
-                y_out[:, day] = y_new
+        yield rv_new, p.r + p.lam * rv_new + vol * eps, clamps
         rv_buf[1:] = rv_buf[:-1]
         rv_buf[0] = rv_new
         lev_buf[1:] = lev_buf[:-1]
-        lev_buf[0] = (eps - g * vol) ** 2
-    return rv_out, y_out, clamps
+        lev_buf[0] = (eps - p.gamma_lev * vol) ** 2
+
+
+def _blocks(params: ModelParams, state: MarketState,
+            premia: RiskPremia | None, n_paths: int, seed: int, days: int):
+    """Check n_paths and seed, set up the P (premia=None) or Q dynamics
+    once, and return each RNG block's (rows, day steps)."""
+    if n_paths < 1:
+        raise ValidationError(f"n_paths must be positive, got {n_paths}")
+    if seed < 0:
+        raise ValidationError(f"seed must be nonnegative, got {seed}")
+    p = parabolic_form(params)
+    if premia is not None:
+        p = risk_neutral_parabolic(p, premia)
+    st = parabolic_state(params, state)
+    weights = expand_weights(p)
+    return [(slice(s, s + n), _day_steps(p, weights, st, n, rng, days))
+            for s, n, rng in _block_streams(seed, n_paths)]
 
 
 def simulate_paths(params: ModelParams, state: MarketState, horizon: int,
@@ -150,27 +132,25 @@ def simulate_paths(params: ModelParams, state: MarketState, horizon: int,
     values, so the same physical state seeds both measures.
     A nonzero burn_in advances the buffers that many days before recording
     (1000 days comfortably washes out the start state at the persistence
-    levels of interest).
+    levels of interest); clamps are counted on recorded days only.
     """
-    if horizon < 1 or n_paths < 1:
-        raise ValidationError("horizon and n_paths must be positive")
-    p = _engine_form(params, premia)
-    st = parabolic_state(params, state)
-    weights = expand_weights(p)
-    rv_chunks, y_chunks, clamps = [], [], 0
-    for rng, n in _block_streams(seed, n_paths):
-        rv, y, c = _simulate_block(p, weights, st.rv, st.lev, horizon, n,
-                                   rng, burn_in)
-        rv_chunks.append(rv)
-        y_chunks.append(y)
-        clamps += c
-    return PathSet(
-        n_paths=n_paths, horizon=horizon,
-        rv_paths=np.concatenate(rv_chunks, axis=0),
-        y_paths=np.concatenate(y_chunks, axis=0),
-        rng_seed=seed, measure="P" if premia is None else "Q",
-        clamp_count=clamps,
-    )
+    if horizon < 1:
+        raise ValidationError(f"horizon must be positive, got {horizon}")
+    if burn_in < 0:
+        raise ValidationError(f"burn_in must be nonnegative, got {burn_in}")
+    blocks = _blocks(params, state, premia, n_paths, seed, burn_in + horizon)
+    rv_out = np.empty((n_paths, horizon))
+    y_out = np.empty((n_paths, horizon))
+    clamps = 0
+    for rows, steps in blocks:
+        for day, (rv, y, c) in enumerate(steps, start=-burn_in):
+            if day >= 0:
+                rv_out[rows, day] = rv
+                y_out[rows, day] = y
+                clamps += c
+    return PathSet(n_paths=n_paths, horizon=horizon, rv_paths=rv_out,
+                   y_paths=y_out, rng_seed=seed, clamp_count=clamps,
+                   measure="P" if premia is None else "Q")
 
 
 def simulate_y_snapshots(params: ModelParams, state: MarketState,
@@ -179,44 +159,38 @@ def simulate_y_snapshots(params: ModelParams, state: MarketState,
     """Cumulative log-returns y_{t,T} at selected maturities only.
 
     Memory-friendly variant of simulate_paths for large-scale MGF and
-    cumulant validation: returns (ysnap, clamp_count) where ysnap has one
-    column per requested maturity.
+    cumulant validation: returns (ysnap, clamp_count).  Column j of ysnap
+    holds the cumulative return at maturities[j] days, in the requested
+    order; a repeated maturity fills each of its columns.  Paths and
+    clamps match simulate_paths over max(maturities) days at the same seed.
     """
-    maturities = sorted(int(m) for m in maturities)
-    if maturities[0] < 1:
-        raise ValidationError("maturities must be at least one day")
-    horizon = maturities[-1]
-    p = _engine_form(params, premia)
-    st = parabolic_state(params, state)
-    weights = expand_weights(p)
-    out = np.empty((n_paths, len(maturities)))
+    days = np.array([int(m) for m in maturities], dtype=int)
+    if days.size == 0 or days.min() < 1:
+        raise ValidationError("maturities must be a nonempty list of "
+                              f"positive day counts, got {days.tolist()}")
+    blocks = _blocks(params, state, premia, n_paths, seed, int(days.max()))
+    out = np.empty((n_paths, days.size))
     clamps = 0
-    offset = 0
-    for rng, n in _block_streams(seed, n_paths):
-        _, y, c = _simulate_block(p, weights, st.rv, st.lev, horizon, n,
-                                  rng, 0, snapshot_days=maturities)
-        out[offset:offset + n] = y
-        offset += n
-        clamps += c
+    for rows, steps in blocks:
+        y_running = np.zeros(rows.stop - rows.start)
+        for day, (_, y, c) in enumerate(steps, start=1):
+            y_running += y
+            out[rows, days == day] = y_running[:, None]
+            clamps += c
     return out, clamps
 
 
-def mc_mgf(paths: PathSet, z_grid):
-    """Sample mean and standard error of exp(z * y_{t,T}) over the paths.
-
-    The total return over the PathSet horizon is used.  Estimates are
-    complex; the returned standard errors pack the real-part SE in .real
-    and the imaginary-part SE in .imag.
-    """
-    if paths.n_paths < 1:
-        raise ValidationError("empty path set")
-    return mc_mgf_from_samples(paths.y_paths.sum(axis=1), z_grid)
-
-
 def mc_mgf_from_samples(y_total: np.ndarray, z_grid):
-    """Same estimator as mc_mgf, taking precomputed cumulative returns."""
-    z_grid = np.atleast_1d(np.asarray(z_grid))
+    """Sample mean and standard error of exp(z * y) over the samples y_total.
+
+    For a PathSet pass paths.y_paths.sum(axis=1), the total return over its
+    horizon.  Estimates are complex; the returned standard errors pack the
+    real-part SE in .real and the imaginary-part SE in .imag.
+    """
     n = y_total.size
+    if n < 1:
+        raise ValidationError("no samples to average")
+    z_grid = np.atleast_1d(np.asarray(z_grid))
     est = np.empty(z_grid.shape, dtype=complex)
     se = np.empty(z_grid.shape, dtype=complex)
     for i, z in enumerate(z_grid):

@@ -1,6 +1,7 @@
 """End-to-end command-line checks on small synthetic inputs."""
 
 import datetime as dt
+import re
 import struct
 import subprocess
 import sys
@@ -137,6 +138,26 @@ def test_exit_codes(data_dir, tmp_path, small_model):
     assert main(["simulate", "--params", str(fit), "--days", "5",
                  "--paths", "8", "--measure", "Q",
                  "--out", str(tmp_path / "s.csv")]) == 2
+
+
+def test_bad_simulator_inputs_rejected(tmp_path, small_model, capsys):
+    # each bad value exits 2 with a message naming it
+    from lharg.io import save_params
+    fit = tmp_path / "p.txt"
+    save_params(fit, small_model)
+    base = ["--params", str(fit), "--paths", "8", "--out", str(tmp_path / "o")]
+    cases = (
+        (["simulate", *base, "--days", "5", "--burn-in", "-3"], "burn_in.*-3"),
+        (["simulate", *base, "--days", "5", "--seed", "-1"], "seed.*-1"),
+        (["mgf-check", *base, "--seed", "-1"], "seed.*-1"),
+        (["cumulants", "--params", str(fit), "--measure", "P",
+          "--horizons", "5,x", "--out", str(tmp_path / "c")], "5,x"),
+        (["cumulants", "--params", str(fit), "--measure", "P",
+          "--horizons", "0", "--out", str(tmp_path / "c")], "'0'"),
+    )
+    for argv, message in cases:
+        assert main(argv) == 2, argv
+        assert re.search(message, capsys.readouterr().err), argv
 
 
 def test_misaligned_history_rejected(data_dir, tmp_path, small_model,

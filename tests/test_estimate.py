@@ -14,6 +14,8 @@ from lharg import (
     stationary_state,
 )
 from lharg.estimate import (
+    _natural_terms,
+    _sandwich_errors,
     calibrate_nu1,
     estimate_lambda,
     loglik,
@@ -194,6 +196,29 @@ class TestMleFit:
         assert fit.converged
         assert fit.params.alpha_d == 0.0
         assert abs(fit.params.theta - harg.theta) < 4.0 * fit.std_errors["theta"]
+
+
+class TestSandwichErrors:
+    def test_each_point_evaluated_once(self, plharg):
+        # the base point, the 2p one-step shifts (shared by the scores and
+        # the Hessian diagonal) and four corners per off-diagonal pair
+        rv, y = make_history(plharg, 400, seed=41)
+        eps = filter_innovations(y, rv, plharg.r, plharg.lam)
+        per_obs = _natural_terms("P-LHARG", rv, eps, 90, None)
+        points = []
+
+        def counted(x):
+            points.append(x.tobytes())
+            return per_obs(x)
+
+        names = ("theta", "delta", "beta_d", "beta_w", "beta_m",
+                 "alpha_d", "alpha_w", "alpha_m", "gamma_lev")
+        x = np.array([getattr(plharg, n) for n in names])
+        se = _sandwich_errors(x, counted)
+        p = x.size
+        assert len(points) == 1 + 2 * p + 2 * p * (p - 1) == 163
+        assert len(set(points)) == len(points)
+        assert np.all(np.isfinite(se))
 
 
 class TestCalibrateNu1:

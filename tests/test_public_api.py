@@ -1,6 +1,7 @@
 """The benchmark's view of the package stays valid: the functions its
-tracer expects stay public in their modules, and every name its checks
-import from lharg still resolves and accepts the calls made there."""
+tracer expects stay public in their modules, its hooks read only real
+parameters, and every name its checks import from lharg still resolves
+and accepts the calls made there."""
 
 import ast
 import importlib
@@ -90,3 +91,39 @@ def test_model_atm_iv_positional_order():
 
     bound = inspect.signature(model_atm_iv).bind(1, 2, 3, 4)
     assert list(bound.arguments) == ["params", "nu1", "maturity_days", "state"]
+
+
+def _hook_reads(tree):
+    # {traced name: argument names its HOOKS extractor reads as a["..."]}
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, ast.FunctionDef)}
+    hooks = next(node.value for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and any(isinstance(t, ast.Name) and t.id == "HOOKS"
+                         for t in node.targets))
+    reads = {}
+    for key, value in zip(hooks.keys, hooks.values):
+        fn = defs[value.id] if isinstance(value, ast.Name) else value
+        arg = fn.args.args[0].arg
+        reads[ast.literal_eval(key)] = {
+            node.slice.value for node in ast.walk(fn)
+            if isinstance(node, ast.Subscript)
+            and isinstance(node.value, ast.Name) and node.value.id == arg
+            and isinstance(node.slice, ast.Constant)}
+    return reads
+
+
+def test_tracer_hooks_read_real_parameters():
+    reads = _hook_reads(ast.parse(TRACING.read_text()))
+    checked = set()
+    for dotted, names in reads.items():
+        module_name, func_name = dotted.split(".")
+        fn = getattr(importlib.import_module("lharg." + module_name),
+                     func_name, None)
+        if not inspect.isfunction(fn):
+            continue        # a wrapped library function, not lharg's
+        params = inspect.signature(fn).parameters
+        for name in names:
+            assert name in params, f"{dotted} has no parameter {name!r}"
+            checked.add(name)
+    assert {"n_paths", "horizon", "maturities", "z"} <= checked

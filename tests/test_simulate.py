@@ -1,5 +1,7 @@
 """Noncentral-gamma sampling, path dynamics, and Monte Carlo estimators."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from lharg import (
     ValidationError,
     conditional_covariance,
     filter_innovations,
-    mc_mgf,
     parabolic_form,
     sample_noncentral_gamma,
     simulate_paths,
@@ -16,6 +17,8 @@ from lharg import (
     stationary_mean_rv,
     stationary_state,
 )
+from lharg import simulate
+from lharg.simulate import mc_mgf_from_samples
 
 
 class TestNoncentralGamma:
@@ -125,8 +128,9 @@ class TestSimulatePaths:
         ysnap, clamps = simulate_y_snapshots(zmlharg, st, [22, 63], 1000,
                                              seed=14)
         assert clamps == paths.clamp_count
-        assert np.allclose(ysnap[:, 0], paths.y_paths[:, :22].sum(axis=1))
-        assert np.allclose(ysnap[:, 1], paths.y_paths.sum(axis=1))
+        cum = np.cumsum(paths.y_paths, axis=1)
+        assert np.array_equal(ysnap[:, 0], cum[:, 21])
+        assert np.array_equal(ysnap[:, 1], cum[:, 62])
 
     def test_burn_in_decorrelates_start(self, plharg):
         # an exaggerated start state relaxes to the stationary level
@@ -138,12 +142,81 @@ class TestSimulatePaths:
         se = paths.rv_paths[:, 0].std() / np.sqrt(paths.n_paths)
         assert abs(mean - target) < 4.0 * se
 
+    def test_one_kernel_across_blocks(self, zmlharg, monkeypatch):
+        # snapshots are running sums of the very paths simulate_paths
+        # draws, block by block, in the requested column order
+        monkeypatch.setattr(simulate, "DEFAULT_BLOCK", 7)
+        st = stationary_state(zmlharg)
+        premia = RiskPremia.arbitrage_free(-3375.0, zmlharg.lam)
+        for prem in (None, premia):
+            paths = simulate_paths(zmlharg, st, 30, 20, premia=prem, seed=5)
+            cum = np.cumsum(paths.y_paths, axis=1)
+            for maturities in ([1, 10, 30], [30, 3, 12], [7, 30, 7, 1]):
+                ysnap, clamps = simulate_y_snapshots(
+                    zmlharg, st, maturities, 20, premia=prem, seed=5)
+                m = np.array(maturities)
+                assert np.array_equal(ysnap, cum[:, m - 1])
+                assert clamps == paths.clamp_count
+
+    def test_clamps_counted_on_recorded_days(self, zmlharg):
+        st = stationary_state(zmlharg)
+        burnt = simulate_paths(zmlharg, st, 200, 3000, seed=6, burn_in=60)
+        whole = simulate_paths(zmlharg, st, 260, 3000, seed=6)
+        assert np.array_equal(burnt.y_paths, whole.y_paths[:, 60:])
+        _, head = simulate_y_snapshots(zmlharg, st, [60], 3000, seed=6)
+        assert 0 < head < whole.clamp_count
+        assert burnt.clamp_count == whole.clamp_count - head
+
+    def test_paths_memory_is_the_output(self, plharg):
+        # the path matrices are written in place, not assembled from copies
+        st = stationary_state(plharg)
+        simulate_paths(plharg, st, 5, 10, seed=1)   # warm caches
+        tracemalloc.start()
+        try:
+            paths = simulate_paths(plharg, st, 500, 2000, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        out_bytes = paths.rv_paths.nbytes + paths.y_paths.nbytes
+        assert peak <= 1.5 * out_bytes
+
+    def test_negative_burn_in_rejected(self, plharg):
+        st = stationary_state(plharg)
+        with pytest.raises(ValidationError, match="burn_in.*-3"):
+            simulate_paths(plharg, st, 5, 10, burn_in=-3)
+
+    def test_negative_seed_rejected(self, plharg):
+        st = stationary_state(plharg)
+        with pytest.raises(ValidationError, match="seed.*-1"):
+            simulate_paths(plharg, st, 5, 10, seed=-1)
+        with pytest.raises(ValidationError, match="seed.*-1"):
+            simulate_y_snapshots(plharg, st, [5], 10, seed=-1)
+
+    def test_repeated_maturities_fill_each_column(self, plharg):
+        st = stationary_state(plharg)
+        ysnap, _ = simulate_y_snapshots(plharg, st, [5, 5], 10, seed=2)
+        assert np.array_equal(ysnap[:, 0], ysnap[:, 1])
+        paths = simulate_paths(plharg, st, 5, 10, seed=2)
+        assert np.array_equal(ysnap[:, 0], paths.y_paths.cumsum(axis=1)[:, 4])
+
+    def test_empty_maturities_rejected(self, plharg):
+        st = stationary_state(plharg)
+        with pytest.raises(ValidationError, match="maturities"):
+            simulate_y_snapshots(plharg, st, [], 10)
+        with pytest.raises(ValidationError, match="maturities"):
+            simulate_y_snapshots(plharg, st, [5, 0], 10)
+
+    def test_snapshot_path_count_checked(self, plharg):
+        st = stationary_state(plharg)
+        with pytest.raises(ValidationError, match="n_paths.*0"):
+            simulate_y_snapshots(plharg, st, [5], 0)
+
 
 class TestMcMgf:
     def test_zero_argument(self, plharg):
         paths = simulate_paths(plharg, stationary_state(plharg), 10, 200,
                                seed=16)
-        est, se = mc_mgf(paths, [0.0])
+        est, se = mc_mgf_from_samples(paths.y_paths.sum(axis=1), [0.0])
         assert est[0] == 1.0
         assert se[0] == 0.0
 
@@ -151,8 +224,8 @@ class TestMcMgf:
         st = stationary_state(plharg)
         small = simulate_paths(plharg, st, 22, 4000, seed=18)
         large = simulate_paths(plharg, st, 22, 16000, seed=18)
-        _, se_small = mc_mgf(small, [1.0])
-        _, se_large = mc_mgf(large, [1.0])
+        _, se_small = mc_mgf_from_samples(small.y_paths.sum(axis=1), [1.0])
+        _, se_large = mc_mgf_from_samples(large.y_paths.sum(axis=1), [1.0])
         ratio = se_small[0].real / se_large[0].real
         assert abs(ratio - 2.0) < 0.2
 
@@ -161,12 +234,16 @@ class TestMcMgf:
         st = stationary_state(zmlharg)
         paths = simulate_paths(zmlharg, st, 22, 50000, seed=19)
         zs = np.array([-1.0, 2.0, 1j * 10.0], dtype=complex)
-        est, se = mc_mgf(paths, zs)
+        est, se = mc_mgf_from_samples(paths.y_paths.sum(axis=1), zs)
         analytic = mgf_p(zmlharg, st, zs, 22)
         for i in range(len(zs)):
             assert abs(analytic[i].real - est[i].real) < 3.0 * se[i].real
             if se[i].imag > 0:
                 assert abs(analytic[i].imag - est[i].imag) < 3.0 * se[i].imag
+
+    def test_empty_sample_rejected(self):
+        with pytest.raises(ValidationError, match="no samples"):
+            mc_mgf_from_samples(np.empty(0), [1.0])
 
 
 class TestConditionalCovarianceMC:
