@@ -300,6 +300,14 @@ def _horizons(text):
     return [int(c) for c in cells]
 
 
+def _write_csv(path, header, rows) -> None:
+    # called once every row is computed, so a failed run leaves no file
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _cmd_cumulants(args) -> int:
     params, extras = lio.load_params(args.params)
     horizons = _horizons(args.horizons)
@@ -312,20 +320,18 @@ def _cmd_cumulants(args) -> int:
                                   "the params file)")
         premia = RiskPremia.arbitrage_free(float(nu1), params.lam)
     state = _load_state(params, args.rv, args.returns)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["T", "measure", "mean", "variance", "skewness",
-                         "excess_kurtosis"])
-        for measure in measures:
-            for horizon in horizons:
-                c = cumulants(params, state, horizon,
-                              premia=premia if measure == "Q" else None)
-                writer.writerow([horizon, measure, repr(c.mean),
-                                 repr(c.variance), repr(c.skewness),
-                                 repr(c.excess_kurtosis)])
-                print(f"T={horizon:4d} {measure}: mean={c.mean:+.6f} "
-                      f"var={c.variance:.6f} skew={c.skewness:+.4f} "
-                      f"exkurt={c.excess_kurtosis:.4f}")
+    rows = []
+    for measure in measures:
+        for horizon in horizons:
+            c = cumulants(params, state, horizon,
+                          premia=premia if measure == "Q" else None)
+            rows.append([horizon, measure, repr(c.mean), repr(c.variance),
+                         repr(c.skewness), repr(c.excess_kurtosis)])
+            print(f"T={horizon:4d} {measure}: mean={c.mean:+.6f} "
+                  f"var={c.variance:.6f} skew={c.skewness:+.4f} "
+                  f"exkurt={c.excess_kurtosis:.4f}")
+    _write_csv(args.out, ["T", "measure", "mean", "variance", "skewness",
+                          "excess_kurtosis"], rows)
     print(f"-> {args.out}")
     return 0
 
@@ -388,35 +394,33 @@ def _cmd_mgf_check(args) -> int:
     if nu1 is not None:
         runs.append(("Q", RiskPremia.arbitrage_free(float(nu1), params.lam)))
     worst = 0.0
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["measure", "T", "z_re", "z_im", "analytic_re",
-                         "analytic_im", "mc_re", "mc_im", "se_re", "se_im",
-                         "dev_se"])
-        for measure, premia in runs:
-            ysnap, _ = simulate_y_snapshots(
-                params, state, MATURITY_GRID, args.paths, premia=premia,
-                seed=args.seed)
-            for j, horizon in enumerate(MATURITY_GRID):
-                if measure == "P":
-                    analytic = mgf_p(params, state, zs, horizon)
-                else:
-                    analytic = mgf_q(params, state, premia, zs, horizon)
-                est, se = mc_mgf_from_samples(ysnap[:, j], zs)
-                dev_re = np.abs(analytic.real - est.real) \
-                    / np.maximum(se.real, 1e-300)
-                dev_im = np.where(se.imag > 0,
-                                  np.abs(analytic.imag - est.imag)
-                                  / np.maximum(se.imag, 1e-300), 0.0)
-                dev = np.maximum(dev_re, dev_im)
-                worst = max(worst, float(dev.max()))
-                for i, z in enumerate(zs):
-                    writer.writerow([measure, horizon, z.real, z.imag,
-                                     analytic[i].real, analytic[i].imag,
-                                     est[i].real, est[i].imag,
-                                     se[i].real, se[i].imag, dev[i]])
-                print(f"{measure} T={horizon:4d}: max deviation "
-                      f"{dev.max():6.2f} SE")
+    rows = []
+    for measure, premia in runs:
+        ysnap, _ = simulate_y_snapshots(
+            params, state, MATURITY_GRID, args.paths, premia=premia,
+            seed=args.seed)
+        for j, horizon in enumerate(MATURITY_GRID):
+            if measure == "P":
+                analytic = mgf_p(params, state, zs, horizon)
+            else:
+                analytic = mgf_q(params, state, premia, zs, horizon)
+            est, se = mc_mgf_from_samples(ysnap[:, j], zs)
+            dev_re = np.abs(analytic.real - est.real) \
+                / np.maximum(se.real, 1e-300)
+            dev_im = np.where(se.imag > 0,
+                              np.abs(analytic.imag - est.imag)
+                              / np.maximum(se.imag, 1e-300), 0.0)
+            dev = np.maximum(dev_re, dev_im)
+            worst = max(worst, float(dev.max()))
+            rows.extend([measure, horizon, z.real, z.imag,
+                         analytic[i].real, analytic[i].imag,
+                         est[i].real, est[i].imag, se[i].real, se[i].imag,
+                         dev[i]] for i, z in enumerate(zs))
+            print(f"{measure} T={horizon:4d}: max deviation "
+                  f"{dev.max():6.2f} SE")
+    _write_csv(args.out, ["measure", "T", "z_re", "z_im", "analytic_re",
+                          "analytic_im", "mc_re", "mc_im", "se_re", "se_im",
+                          "dev_se"], rows)
     print(f"worst deviation across the grid: {worst:.2f} SE")
     print(f"-> {args.out}")
     return 0

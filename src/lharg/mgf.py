@@ -23,10 +23,15 @@ nu2 = lam + 1/2, which makes mgf(1) = exp(r*T) hold identically.
 The recursion is evaluated on the parabolic-leverage canonical form and
 accepts complex z; the characteristic function is the MGF at z = i*u.
 `_recurse` is the one implementation of the step, vectorized across a
-whole z-grid in one pass.  `premia=None` means the physical measure P
-(nu1 = nu2 = Y = 0); given premia select the tilted recursion, which is
-the risk-neutral Q when they are arbitrage-free.  The tilt's scale
-1 - theta*Y comes from model.py, the single home of the measure change.
+whole z-grid in one pass.  Unrolled over T days the step gives
+B_i = sum_j beta_{i+j-1} inc[T+1-j], zero past lag 22 (C_j likewise with
+alpha), where inc[s] is day s's v(X) - v(Y).  So the loop keeps a ring of
+the last 22 increments and forms B_1 and C_1 in one weight product per day;
+the full B and C are formed once, after the last day, as a Hankel product.
+`premia=None` means the physical measure P (nu1 = nu2 = Y = 0); given
+premia select the tilted recursion, which is the risk-neutral Q when they
+are arbitrage-free.  The tilt's scale 1 - theta*Y comes from model.py, the
+single home of the measure change.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericalError, RecursionDomainError
+from .errors import NumericalError, RecursionDomainError, ValidationError
 from .model import (
     LagWeights,
     MarketState,
@@ -66,42 +71,44 @@ def _recurse(p: ParabolicForm, weights: LagWeights, z: np.ndarray, horizon: int,
 
     Returns (A, B, C) with shapes (n,), (n, 22), (n, 22).
     """
-    if horizon < 1:
-        raise NumericalError("horizon must be at least one day")
+    if not isinstance(horizon, (int, np.integer)) or horizon < 1:
+        raise ValidationError(f"horizon must be a positive whole number of "
+                              f"days, got {horizon!r}")
     theta, delta, d = p.theta, p.delta, p.d
     g = p.gamma_lev
     dtype = np.result_type(z.dtype, float)
-    n = z.shape[0]
-    A = np.zeros(n, dtype)
-    B = np.zeros((n, N_LAGS), dtype)
-    C = np.zeros((n, N_LAGS), dtype)
-
     nu1, nu2, y_star = (0.0, 0.0, 0.0) if premia is None \
         else (premia.nu1, premia.nu2, premia.y_star)
     c = _measure_scale(theta, y_star)
     v_y = theta * y_star / c
-    w_y = np.log(c)
 
     zs = z - nu2
-    zr = z * p.r
+    lin, quad, lev = zs * p.lam, 0.5 * zs * zs, g * g - 2.0 * g * zs
+    a_day = z * p.r + delta * np.log(c) - d * v_y
+    # ring[s % 22] holds day s's increment; rolled[s % 22] lines the
+    # [beta; alpha] rows up with the ring after day s
+    lags = np.arange(N_LAGS)
+    w = np.stack([weights.beta, weights.alpha])
+    rolled = np.stack([w[:, (s - lags) % N_LAGS] for s in lags]).astype(dtype)
+    ring = np.zeros((N_LAGS, z.shape[0]), dtype)
+    A = np.zeros(z.shape[0], dtype)
     for step in range(1, horizon + 1):
-        C1 = C[:, 0]
+        B1, C1 = rolled[(step - 1) % N_LAGS] @ ring
         den = 1.0 - 2.0 * C1
         _guarded(den, step, "1 - 2*C_1")
-        X = zs * p.lam + B[:, 0] - nu1 \
-            + (0.5 * zs * zs + (g * g) * C1 - 2.0 * C1 * g * zs) / den
+        # nu1 is added on its own: X cancels against Y at the scale of |nu1|,
+        # and rounding lin - nu1 first moves B by 1e-12 where it is 0 at z = 0
+        X = lin + B1 - nu1 + (quad + lev * C1) / den
         one_minus = 1.0 - theta * X
         _guarded(one_minus, step, "1 - theta*X")
         v_x = theta * X / one_minus
-        inc = v_x - v_y
-        A += zr - 0.5 * np.log(den) - delta * (np.log(one_minus) - w_y) + d * inc
-        B[:, :-1] = B[:, 1:]
-        B[:, -1] = 0.0
-        B += inc[:, None] * weights.beta
-        C[:, :-1] = C[:, 1:]
-        C[:, -1] = 0.0
-        C += inc[:, None] * weights.alpha
-    return A, B, C
+        A += a_day - 0.5 * np.log(den) - delta * np.log(one_minus) + d * v_x
+        ring[step % N_LAGS] = v_x - v_y
+    # B[:, i] = sum_j beta[i + j] inc[T - j], 0-based and zero past lag 22,
+    # likewise C: a Hankel product with the increments newest first
+    padded = np.concatenate([w, np.zeros_like(w)], axis=1)
+    B, C = padded[:, lags[:, None] + lags] @ ring[(horizon - lags) % N_LAGS]
+    return A, B.T, C.T
 
 
 def _evaluate(params, state, z, horizon, premia=None, log: bool = False):

@@ -160,6 +160,21 @@ def test_bad_simulator_inputs_rejected(tmp_path, small_model, capsys):
         assert re.search(message, capsys.readouterr().err), argv
 
 
+def test_failed_run_leaves_no_csv(tmp_path, small_model):
+    from lharg.io import save_params
+    fit = tmp_path / "p.txt"
+    save_params(fit, small_model)
+    cases = (
+        (["mgf-check", "--params", str(fit), "--paths", "8", "--seed", "-1"],
+         2, tmp_path / "m.csv"),
+        (["cumulants", "--params", str(fit), "--measure", "both",
+          "--nu1=-1e9"], 3, tmp_path / "c.csv"),
+    )
+    for argv, code, out in cases:
+        assert main([*argv, "--out", str(out)]) == code, argv
+        assert not out.exists(), argv
+
+
 def test_misaligned_history_rejected(data_dir, tmp_path, small_model,
                                      capsys):
     # every command that reads both series exits 2 when their dates differ

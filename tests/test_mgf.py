@@ -9,6 +9,7 @@ from lharg import (
     ParabolicForm,
     RecursionDomainError,
     RiskPremia,
+    ValidationError,
     cumulants,
     expand_weights,
     leverage,
@@ -24,7 +25,8 @@ from lharg import (
     stationary_state,
     theta_noncentrality,
 )
-from lharg.mgf import _recurse, log_mgf, raw_cumulants
+from lharg.mgf import _guarded, _recurse, log_mgf, raw_cumulants
+from lharg.pricing import COS_TERMS, cos_interval
 
 HORIZONS = (1, 5, 22, 63, 126, 252)
 
@@ -332,3 +334,101 @@ class TestVarianceGammaOracle:
                 k2 = vg.delta * theta * horizon * (1.0 + theta * lam**2)
                 assert abs(k[0] - k1) <= 1e-9 * abs(k1)
                 assert abs(k[1] - k2) <= 1e-9 * k2
+
+
+def _shift_and_add(p, weights, z, horizon, premia=None):
+    """Reference recursion: each day shifts both (n, 22) coefficient
+    matrices by one lag and adds the day's increment times the weights."""
+    theta, delta, d, g = p.theta, p.delta, p.d, p.gamma_lev
+    dtype = np.result_type(z.dtype, float)
+    A = np.zeros(z.shape[0], dtype)
+    B = np.zeros((z.shape[0], 22), dtype)
+    C = np.zeros((z.shape[0], 22), dtype)
+    nu1, nu2, y_star = (0.0, 0.0, 0.0) if premia is None \
+        else (premia.nu1, premia.nu2, premia.y_star)
+    c = 1.0 - theta * y_star
+    zs = z - nu2
+    for step in range(1, horizon + 1):
+        C1 = C[:, 0]
+        den = 1.0 - 2.0 * C1
+        _guarded(den, step, "1 - 2*C_1")
+        X = zs * p.lam + B[:, 0] - nu1 \
+            + (0.5 * zs * zs + (g * g) * C1 - 2.0 * C1 * g * zs) / den
+        one_minus = 1.0 - theta * X
+        _guarded(one_minus, step, "1 - theta*X")
+        inc = theta * X / one_minus - theta * y_star / c
+        A += z * p.r - 0.5 * np.log(den) \
+            - delta * (np.log(one_minus) - np.log(c)) + d * inc
+        B[:, :-1] = B[:, 1:]
+        B[:, -1] = 0.0
+        B += inc[:, None] * weights.beta
+        C[:, :-1] = C[:, 1:]
+        C[:, -1] = 0.0
+        C += inc[:, None] * weights.alpha
+    return A, B, C
+
+
+def _domain_error(recursion, *args):
+    try:
+        recursion(*args)
+    except RecursionDomainError as exc:
+        return exc
+    return None
+
+
+class TestAgainstShiftAndAdd:
+    """`_recurse` keeps a ring of the last 22 increments; the plain
+    shift-and-add loop above is its reference, under P and under Q, at
+    horizons on both sides of the ring's wrap."""
+
+    HORIZONS = (1, 2, 21, 22, 23, 44, 252)
+    NU1 = -3000.0
+
+    def _cases(self, all_variants):
+        for params in all_variants:
+            p = parabolic_form(params)
+            q = RiskPremia.arbitrage_free(self.NU1, params.lam)
+            for premia in (None, q):
+                yield params, p, expand_weights(p), premia
+
+    def test_coefficients_match(self, all_variants):
+        # real z, and the COS grid u_k = k*pi/(b-a), k < COS_TERMS, as i*u
+        real = np.array([-2.0, -0.5, 0.0, 0.7, 2.0])
+        for params, p, weights, premia in self._cases(all_variants):
+            for horizon in self.HORIZONS:
+                a, b = cos_interval(params, None, premia, horizon)
+                u = np.arange(COS_TERMS) * np.pi / (b - a)
+                for z in (real, 1j * u):
+                    want = _shift_and_add(p, weights, z, horizon, premia)
+                    got = _recurse(p, weights, z, horizon, premia)
+                    for w, g in zip(want, got):
+                        assert g.shape == w.shape
+                        bound = np.where(np.abs(w) < 1.0, 1e-13,
+                                         1e-12 * np.abs(w))
+                        assert np.all(np.abs(g - w) <= bound)
+
+    def test_pole_step_matches(self, all_variants):
+        # large real z cross a guard at steps from 23 up to about 120
+        late = 0
+        for _, p, weights, premia in self._cases(all_variants):
+            for z in np.linspace(30.0, 130.0, 11):
+                z = np.array([z])
+                want = _domain_error(_shift_and_add, p, weights, z, 252, premia)
+                got = _domain_error(_recurse, p, weights, z, 252, premia)
+                assert (got is None) == (want is None)
+                if want is not None:
+                    assert got.step == want.step
+                    assert str(got) == str(want)
+                    late += want.step > 22
+        assert late >= 20
+
+
+class TestHorizon:
+    def test_bad_horizon_rejected(self, plharg):
+        for horizon in (0, -3, 2.5, None, "22"):
+            with pytest.raises(ValidationError, match="horizon"):
+                mgf_p(plharg, None, 0.5, horizon)
+
+    def test_numpy_integer_accepted(self, plharg):
+        assert mgf_p(plharg, None, 0.5, np.int64(22)) \
+            == mgf_p(plharg, None, 0.5, 22)

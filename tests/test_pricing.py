@@ -106,6 +106,26 @@ class TestCosOnModel:
                                a, b)
                 assert abs(p1 - p2) < 1e-8
 
+    def test_truncation_against_wide_reference(self, zmlharg, monkeypatch):
+        # the cumulant truncation rule at COS_TERMS terms against 4096 terms
+        # on an interval 1.6x as wide about the same centre.  Puts only: a
+        # call's payoff coefficients grow like exp(b), and on the wide
+        # interval their roundoff reaches 1e-11 at tau = 252
+        premia = RiskPremia.arbitrage_free(-3000.0, zmlharg.lam)
+        st = stationary_state(zmlharg)
+        cases = []
+        for tau in (14, 63, 252):
+            a, b = cos_interval(zmlharg, st, premia, tau)
+            cf = model_char_fn(zmlharg, st, premia, tau)
+            for m in (0.8, 0.9, 1.0, 1.1, 1.2):
+                args = (cf, 100.0, 100.0 * m, zmlharg.r, tau, "put")
+                cases.append((args, cos_price(*args, a, b),
+                              0.5 * (a + b), 0.8 * (b - a)))
+        monkeypatch.setattr(pricing_mod, "COS_TERMS", 4096)
+        for args, price, mid, half in cases:
+            reference = cos_price(*args, mid - half, mid + half)
+            assert abs(price - reference) < 1e-11
+
     def test_monotone_in_strike(self, zmlharg):
         premia = RiskPremia.arbitrage_free(-3375.0, zmlharg.lam)
         st = stationary_state(zmlharg)
