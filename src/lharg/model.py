@@ -165,8 +165,9 @@ class RiskPremia:
 
     y_star = -nu2*lam - nu1 + nu2^2/2 is fixed at construction so the
     parameter map and the MGF recursion share one value.  Arbitrage-free
-    premia satisfy nu2 = lam + 1/2 exactly, for which y_star collapses to
-    -lam^2/2 - nu1 + 1/8.
+    premia satisfy nu2 = lam + 1/2 (to 1e-12 relative, so a nu2 computed
+    along another rounding path still qualifies), for which y_star
+    collapses to -lam^2/2 - nu1 + 1/8.
     """
 
     nu1: float
@@ -183,7 +184,7 @@ class RiskPremia:
         return cls(nu1=nu1, nu2=nu2, y_star=-nu2 * lam - nu1 + 0.5 * nu2**2)
 
     def is_arbitrage_free(self, lam: float) -> bool:
-        return self.nu2 == lam + 0.5
+        return abs(self.nu2 - (lam + 0.5)) <= 1e-12 * abs(lam + 0.5)
 
 
 def no_arbitrage_nu2(lam: float) -> float:

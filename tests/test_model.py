@@ -176,6 +176,15 @@ class TestNoArbitrage:
             general = RiskPremia.general(nu1, lam + 0.5, lam)
             assert abs(premia.y_star - general.y_star) < 1e-9 * abs(general.y_star)
 
+    def test_rounding_tolerated(self):
+        # (lam + 1/4) + 1/4 rounds differently from lam + 1/2 at lam = 0.08
+        lam = 0.08
+        nu2 = (lam + 0.25) + 0.25
+        assert nu2 != lam + 0.5
+        assert RiskPremia.general(-100.0, nu2, lam).is_arbitrage_free(lam)
+        off = RiskPremia.general(-100.0, lam + 0.5 + 1e-6, lam)
+        assert not off.is_arbitrage_free(lam)
+
 
 class TestRiskNeutralMap:
     def test_table_arithmetic(self, zmlharg):
