@@ -396,9 +396,10 @@ def _cmd_mgf_check(args) -> int:
     worst = 0.0
     rows = []
     for measure, premia in runs:
-        ysnap, _ = simulate_y_snapshots(
+        ysnap, clamps = simulate_y_snapshots(
             params, state, MATURITY_GRID, args.paths, premia=premia,
             seed=args.seed)
+        print(f"{measure} clamps: {clamps} noncentrality clamp events")
         for j, horizon in enumerate(MATURITY_GRID):
             if measure == "P":
                 analytic = mgf_p(params, state, zs, horizon)

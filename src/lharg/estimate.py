@@ -235,9 +235,12 @@ def mle_fit(rv_series, returns, r: float, variant: str,
     1e-8 |x0| (strictly positive), beta, alpha >= 0, gamma_lev free.
     Where Theta <= 0 (possible in the zero-mean variant) the objective is
     a finite wall; a run that met it restarts from where it stopped for as
-    long as that gains.  `FitResult.iterations` counts L-BFGS-B iterations
-    over all runs, each taking one or more likelihood-and-score
-    evaluations.  Robust standard errors come from `_sandwich_errors`.
+    long as that gains.  `FitResult.converged` holds only if the run that
+    ended the restarts succeeded without meeting the wall: a fit whose
+    likelihood still rises toward Theta = 0 is reported as not converged.
+    `FitResult.iterations` counts L-BFGS-B iterations over all runs, each
+    taking one or more likelihood-and-score evaluations.  Robust standard
+    errors come from `_sandwich_errors`.
     """
     rv = np.asarray(rv_series, dtype=float)
     y = np.asarray(returns, dtype=float)
@@ -289,7 +292,7 @@ def mle_fit(rv_series, returns, r: float, variant: str,
     return FitResult(
         params=params, loglik=-float(best.fun), std_errors=std_errors,
         persistence=stationarity_margin(params),
-        converged=bool(best.success and best.fun < _PENALTY),
+        converged=bool(run.success and wall_hits == hits),
         iterations=int(iterations),
     )
 

@@ -1,11 +1,12 @@
 """Forward path simulation and Monte Carlo estimators.
 
-One day-step kernel, _day_steps, simulates the dynamics exactly: the
-variance draw is a Poisson-mixed gamma (K ~ Poisson(Theta), then
-Gamma(delta + K, theta)), the return innovation is standard normal, and
-the 22-lag variance and leverage buffers roll forward one day at a time.
-Negative noncentrality, which the zero-mean variant cannot rule out, is
-clamped to zero and counted (never for positivity-satisfying parameters).
+One day-step kernel, _day_steps, simulates the dynamics exactly: a
+noncentral-gamma variance draw and a standard normal return innovation.
+Theta, the noncentrality, needs the 22 variance and leverage lags only
+through lag 1 and per-path sums of lags 2-5 and 6-22, which each new day
+updates as it overwrites the oldest row of an unshifted ring of lags.
+Negative Theta, which the zero-mean variant cannot rule out, is clamped
+to zero and counted (never for positivity-satisfying parameters).
 simulate_paths writes each day straight into preallocated (n_paths,
 horizon) arrays; simulate_y_snapshots keeps running sums of the same paths.
 
@@ -13,7 +14,7 @@ Paths run in blocks of DEFAULT_BLOCK; block b draws from an independent
 PCG64 stream spawned as SeedSequence(seed).spawn(...)[b] and fills a fixed
 range of rows, so a fixed seed reproduces the same paths bit for bit.
 n_paths, horizon and maturities must be positive and burn_in and seed
-nonnegative; other inputs raise ValidationError before any work.
+nonnegative integers; other inputs raise ValidationError before any work.
 """
 
 from __future__ import annotations
@@ -24,11 +25,13 @@ import numpy as np
 
 from .errors import ValidationError
 from .model import (
+    MONTHLY_LAGS,
+    N_LAGS,
+    WEEKLY_LAGS,
     MarketState,
     ModelParams,
     ParabolicForm,
     RiskPremia,
-    expand_weights,
     parabolic_form,
     parabolic_state,
     risk_neutral_parabolic,
@@ -69,9 +72,13 @@ def sample_noncentral_gamma(delta: float, big_theta, theta: float,
     big_theta = np.asarray(big_theta, dtype=float)
     if np.any(big_theta < 0.0):
         raise ValidationError("noncentrality must be nonnegative")
-    k = rng.poisson(big_theta, size=size)
-    out = rng.standard_gamma(delta + k) * theta
+    out = _poisson_gamma(delta, big_theta, theta, rng, size)
     return out if np.ndim(out) else float(out)
+
+
+def _poisson_gamma(delta, big_theta, theta, rng, size=None):
+    # the unchecked draw of sample_noncentral_gamma, also the kernel's
+    return rng.standard_gamma(delta + rng.poisson(big_theta, size)) * theta
 
 
 def _block_streams(seed: int, n_paths: int):
@@ -83,40 +90,54 @@ def _block_streams(seed: int, n_paths: int):
             for c, s in zip(children, starts)]
 
 
-def _day_steps(p: ParabolicForm, weights, st, n: int, rng, days: int):
-    """Step n paths from state st; yield each day's (rv, y, clamps)."""
-    rv_buf = np.repeat(st.rv[:, None], n, axis=1)    # (22, n), row i = lag i+1
-    lev_buf = np.repeat(st.lev[:, None], n, axis=1)
+def _day_steps(p: ParabolicForm, st, n: int, rng, days: int):
+    """Step n paths from state st; yield each day's (rv, y, clamps).
+
+    ring[(head + k - 1) % 22] holds lag k of (rv, lev); a new day overwrites
+    the lag-22 row and becomes the head.  agg holds lag 1 and the sums S_w
+    of lags 2-5 and S_m of lags 6-22, so Theta = d + coef @ agg; a new day
+    adds lag1 - lag5 to S_w and lag5 - lag22 to S_m before it is lag 1.
+    """
+    coef = np.array([p.beta_d, p.alpha_d, p.beta_w, p.alpha_w, p.beta_m,
+                     p.alpha_m]) / np.repeat([1, WEEKLY_LAGS, MONTHLY_LAGS], 2)
+    ring = np.stack([st.rv, st.lev], axis=1)[:, :, None].repeat(n, axis=2)
+    agg = np.add.reduceat(ring, [0, 1, 1 + WEEKLY_LAGS]).reshape(6, n)
+    head = 0
     for _ in range(days):
-        nc = p.d + weights.beta @ rv_buf + weights.alpha @ lev_buf
+        nc = coef @ agg + p.d
         neg = nc < 0.0
         clamps = int(np.count_nonzero(neg))
         nc[neg] = 0.0
-        k = rng.poisson(nc)
-        rv_new = rng.standard_gamma(p.delta + k) * p.theta
+        rv_new = _poisson_gamma(p.delta, nc, p.theta, rng)
         eps = rng.standard_normal(n)
         vol = np.sqrt(rv_new)
         yield rv_new, p.r + p.lam * rv_new + vol * eps, clamps
-        rv_buf[1:] = rv_buf[:-1]
-        rv_buf[0] = rv_new
-        lev_buf[1:] = lev_buf[:-1]
-        lev_buf[0] = (eps - p.gamma_lev * vol) ** 2
+        lag5 = ring[(head + 4) % N_LAGS]
+        head = (head + N_LAGS - 1) % N_LAGS                    # lag 22's row
+        agg[2:4] += agg[0:2] - lag5
+        agg[4:6] += lag5 - ring[head]
+        agg[0] = rv_new
+        agg[1] = (eps - p.gamma_lev * vol) ** 2
+        ring[head] = agg[0:2]
+
+
+def _whole(name: str, value, least: int) -> int:
+    if not isinstance(value, (int, np.integer)) or value < least:
+        raise ValidationError(f"{name} must be a whole number >= {least}, "
+                              f"got {value!r}")
+    return int(value)
 
 
 def _blocks(params: ModelParams, state: MarketState,
             premia: RiskPremia | None, n_paths: int, seed: int, days: int):
     """Check n_paths and seed, set up the P (premia=None) or Q dynamics
     once, and return each RNG block's (rows, day steps)."""
-    if n_paths < 1:
-        raise ValidationError(f"n_paths must be positive, got {n_paths}")
-    if seed < 0:
-        raise ValidationError(f"seed must be nonnegative, got {seed}")
+    n_paths, seed = _whole("n_paths", n_paths, 1), _whole("seed", seed, 0)
     p = parabolic_form(params)
     if premia is not None:
         p = risk_neutral_parabolic(p, premia)
     st = parabolic_state(params, state)
-    weights = expand_weights(p)
-    return [(slice(s, s + n), _day_steps(p, weights, st, n, rng, days))
+    return [(slice(s, s + n), _day_steps(p, st, n, rng, days))
             for s, n, rng in _block_streams(seed, n_paths)]
 
 
@@ -130,14 +151,12 @@ def simulate_paths(params: ModelParams, state: MarketState, horizon: int,
     rescaled gamma parameters) by risk_neutral_parabolic; the state's
     leverage lags are converted to their measure-invariant parabolic
     values, so the same physical state seeds both measures.
-    A nonzero burn_in advances the buffers that many days before recording
+    A nonzero burn_in advances the paths that many days before recording
     (1000 days comfortably washes out the start state at the persistence
     levels of interest); clamps are counted on recorded days only.
     """
-    if horizon < 1:
-        raise ValidationError(f"horizon must be positive, got {horizon}")
-    if burn_in < 0:
-        raise ValidationError(f"burn_in must be nonnegative, got {burn_in}")
+    horizon = _whole("horizon", horizon, 1)
+    burn_in = _whole("burn_in", burn_in, 0)
     blocks = _blocks(params, state, premia, n_paths, seed, burn_in + horizon)
     rv_out = np.empty((n_paths, horizon))
     y_out = np.empty((n_paths, horizon))
@@ -164,10 +183,9 @@ def simulate_y_snapshots(params: ModelParams, state: MarketState,
     order; a repeated maturity fills each of its columns.  Paths and
     clamps match simulate_paths over max(maturities) days at the same seed.
     """
-    days = np.array([int(m) for m in maturities], dtype=int)
-    if days.size == 0 or days.min() < 1:
-        raise ValidationError("maturities must be a nonempty list of "
-                              f"positive day counts, got {days.tolist()}")
+    days = np.array([_whole("maturities", m, 1) for m in maturities], int)
+    if days.size == 0:
+        raise ValidationError("maturities must be a nonempty list of days")
     blocks = _blocks(params, state, premia, n_paths, seed, int(days.max()))
     out = np.empty((n_paths, days.size))
     clamps = 0

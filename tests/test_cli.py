@@ -216,6 +216,28 @@ def test_mgf_check_smoke(data_dir, tmp_path, small_model):
     assert worst < 5.0
 
 
+def test_mgf_check_reports_clamps(tmp_path, zmlharg, capsys):
+    # zero-mean draws clamp now and then; each measure's count is printed
+    from lharg import RiskPremia, simulate_y_snapshots
+    from lharg.cli import MATURITY_GRID
+    from lharg.io import save_params
+    fit = tmp_path / "p.txt"
+    save_params(fit, zmlharg, extras={"nu1": -1000.0})
+    code = main(["mgf-check", "--params", str(fit), "--paths", "2000",
+                 "--seed", "4", "--out", str(tmp_path / "check.csv")])
+    assert code == 0
+    out = capsys.readouterr().out
+    st = stationary_state(zmlharg)
+    for measure, premia in (("P", None),
+                            ("Q", RiskPremia.arbitrage_free(-1000.0,
+                                                            zmlharg.lam))):
+        _, clamps = simulate_y_snapshots(zmlharg, st, MATURITY_GRID, 2000,
+                                         premia=premia, seed=4)
+        assert clamps > 0, measure
+        line = f"{measure} clamps: {clamps} noncentrality clamp events"
+        assert out.count(line) == 1, (measure, out)
+
+
 def test_cli_import_skips_scipy_stats():
     # scipy.stats costs most of the CLI's import time and nothing needs it
     import lharg

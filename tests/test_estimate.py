@@ -236,6 +236,14 @@ class TestMleFit:
         assert fit.converged
         assert fit.loglik >= 2391.9018358 - 1e-6
 
+    def test_fit_short_of_the_wall_not_converged(self, zmlharg):
+        # here the last restart meets the wall again without gaining, while
+        # a derivative-free search climbs on to 2459.146: not converged
+        rv, y = make_history(zmlharg, 300, seed=1)
+        fit = mle_fit(rv, y, zmlharg.r, "ZM-LHARG")
+        assert fit.converged is False
+        assert fit.loglik >= 2458.5548 - 1e-6
+
     def test_harg_fit_smoke(self, harg):
         rv, y = make_history(harg, 3000, seed=32)
         fit = mle_fit(rv, y, harg.r, "HARG")

@@ -1,0 +1,110 @@
+"""The model's identities as properties over random states, horizons and z.
+
+Examples are derandomized, so every run draws the same ones.  A state is
+22 random lags from conftest.random_state_arrays, its leverage in the
+variant's own convention.  Bounds are those of the deterministic tests in
+test_mgf.py and test_pricing.py.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lharg import (
+    MarketState,
+    RiskPremia,
+    leverage,
+    mgf_p,
+    mgf_q,
+    risk_neutral_map,
+    risk_neutral_state,
+)
+from lharg.mgf import raw_cumulants
+from lharg.pricing import COS_TERMS, cos_interval, cos_price, model_char_fn
+
+from conftest import random_state_arrays
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=100)
+
+VARIANT = st.integers(0, 2)                  # index into all_variants
+SEED = st.integers(0, 2**32 - 1)
+SCALE = st.floats(2e-5, 4e-4)                # mean lag variance
+HORIZON = st.integers(1, 60)
+NU1 = st.floats(-4000.0, -100.0)
+Z = st.one_of(st.floats(-2.5, 2.5).map(complex),
+              st.floats(-20.0, 20.0).map(lambda u: 1j * u))
+
+
+def _state(params, seed, scale):
+    rv, eps = random_state_arrays(np.random.default_rng(seed), scale)
+    lev = leverage(eps, rv, params.gamma_lev, params.variant)
+    return MarketState(rv=rv, lev=np.asarray(lev))
+
+
+def _grid_cf(params, state, premia, tau, a, b):
+    # the model cf evaluated once on the COS grid; cos_price asks for cf(0)
+    # and then the whole grid, both prefixes of it
+    grid = np.arange(COS_TERMS) * np.pi / (b - a)
+    phi = model_char_fn(params, state, premia, tau)(grid)
+
+    def cf(u):
+        assert np.array_equal(u, grid[:len(u)])
+        return phi[:len(u)]
+    return cf
+
+
+class TestMgfProperties:
+    @PROPERTY
+    @given(VARIANT, SEED, SCALE, HORIZON, NU1)
+    def test_normalization(self, all_variants, v, seed, scale, horizon, nu1):
+        params = all_variants[v]
+        state = _state(params, seed, scale)
+        premia = RiskPremia.arbitrage_free(nu1, params.lam)
+        assert abs(mgf_p(params, state, 0.0, horizon) - 1.0) <= 1e-12
+        assert abs(mgf_q(params, state, premia, 0.0, horizon) - 1.0) <= 1e-12
+
+    @PROPERTY
+    @given(VARIANT, SEED, SCALE, HORIZON, NU1)
+    def test_martingale(self, all_variants, v, seed, scale, horizon, nu1):
+        params = all_variants[v]
+        state = _state(params, seed, scale)
+        premia = RiskPremia.arbitrage_free(nu1, params.lam)
+        bench = np.exp(params.r * horizon)
+        val = mgf_q(params, state, premia, 1.0, horizon)
+        assert abs(val - bench) <= 1e-10 * bench
+
+    @PROPERTY
+    @given(VARIANT, SEED, SCALE, HORIZON, NU1, Z)
+    def test_equals_mapped_physical_recursion(self, all_variants, v, seed,
+                                              scale, horizon, nu1, z):
+        params = all_variants[v]
+        state = _state(params, seed, scale)
+        premia = RiskPremia.arbitrage_free(nu1, params.lam)
+        direct = mgf_q(params, state, premia, z, horizon)
+        mapped = mgf_p(risk_neutral_map(params, nu1),
+                       risk_neutral_state(params, state), z, horizon)
+        assert abs(direct - mapped) <= 1e-12 * abs(direct)
+
+
+class TestCosProperties:
+    @PROPERTY
+    @given(VARIANT, SEED, SCALE, HORIZON, NU1)
+    def test_parity_monotone_convex(self, all_variants, v, seed, scale,
+                                    horizon, nu1):
+        # strikes spread over +-2.5 standard deviations of the log-return
+        params = all_variants[v]
+        state = _state(params, seed, scale)
+        premia = RiskPremia.arbitrage_free(nu1, params.lam)
+        c1, c2, _, _ = raw_cumulants(params, state, horizon, premia=premia)
+        strikes = 100.0 * np.exp(c1 + np.sqrt(c2) * np.linspace(-2.5, 2.5, 11))
+        a, b = cos_interval(params, state, premia, horizon)
+        cf = _grid_cf(params, state, premia, horizon, a, b)
+        calls, puts = (np.array([cos_price(cf, 100.0, k, params.r, horizon,
+                                           kind, a, b) for k in strikes])
+                       for kind in ("call", "put"))
+        parity = 100.0 - strikes * np.exp(-params.r * horizon)
+        assert np.max(np.abs(calls - puts - parity)) < 1e-8
+        assert np.all(np.diff(calls) < 0.0)
+        assert np.all(np.diff(puts) > 0.0)
+        for prices in (calls, puts):
+            assert np.all(np.diff(np.diff(prices) / np.diff(strikes)) > 0.0)

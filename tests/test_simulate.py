@@ -9,6 +9,7 @@ from lharg import (
     RiskPremia,
     ValidationError,
     conditional_covariance,
+    expand_weights,
     filter_innovations,
     parabolic_form,
     sample_noncentral_gamma,
@@ -206,10 +207,84 @@ class TestSimulatePaths:
         with pytest.raises(ValidationError, match="maturities"):
             simulate_y_snapshots(plharg, st, [5, 0], 10)
 
+    def test_counts_must_be_whole(self, plharg):
+        # a fractional or string count names its argument instead of being
+        # truncated or failing inside numpy
+        st = stationary_state(plharg)
+        cases = (
+            (simulate_y_snapshots, (st, [2.7, 5], 10), {}, "maturities.*2.7"),
+            (simulate_paths, (st, 5.0, 10), {}, "horizon.*5.0"),
+            (simulate_paths, (st, "5", 10), {}, "horizon.*'5'"),
+            (simulate_paths, (st, 5, 10.0), {}, "n_paths.*10.0"),
+            (simulate_paths, (st, 5, 10), {"burn_in": 2.5}, "burn_in.*2.5"),
+            (simulate_paths, (st, 5, 10), {"seed": 1.0}, "seed.*1.0"),
+        )
+        for func, args, kwargs, message in cases:
+            with pytest.raises(ValidationError, match=message):
+                func(plharg, *args, **kwargs)
+
+    def test_numpy_integer_counts_accepted(self, plharg):
+        st = stationary_state(plharg)
+        ints = simulate_paths(plharg, st, 5, 10, seed=2, burn_in=3)
+        paths = simulate_paths(plharg, st, np.int64(5), np.int32(10),
+                               seed=np.uint32(2), burn_in=np.int16(3))
+        assert np.array_equal(paths.y_paths, ints.y_paths)
+        ysnap, _ = simulate_y_snapshots(plharg, st, np.array([2, 5]),
+                                        np.int64(10), seed=np.int64(2))
+        ref, _ = simulate_y_snapshots(plharg, st, [2, 5], 10, seed=2)
+        assert np.array_equal(ysnap, ref)
+
     def test_snapshot_path_count_checked(self, plharg):
         st = stationary_state(plharg)
         with pytest.raises(ValidationError, match="n_paths.*0"):
             simulate_y_snapshots(plharg, st, [5], 0)
+
+
+def _shift_and_add(p, st, n, rng, days):
+    # the literal kernel: both 22-lag buffers shift by one row every day and
+    # Theta weights all 22 lags; same RNG calls in the same order
+    weights = expand_weights(p)
+    rv_buf = np.repeat(st.rv[:, None], n, axis=1)    # (22, n), row i = lag i+1
+    lev_buf = np.repeat(st.lev[:, None], n, axis=1)
+    for _ in range(days):
+        nc = p.d + weights.beta @ rv_buf + weights.alpha @ lev_buf
+        neg = nc < 0.0
+        clamps = int(np.count_nonzero(neg))
+        nc[neg] = 0.0
+        k = rng.poisson(nc)
+        rv_new = rng.standard_gamma(p.delta + k) * p.theta
+        eps = rng.standard_normal(n)
+        vol = np.sqrt(rv_new)
+        yield rv_new, p.r + p.lam * rv_new + vol * eps, clamps
+        rv_buf[1:] = rv_buf[:-1]
+        rv_buf[0] = rv_new
+        lev_buf[1:] = lev_buf[:-1]
+        lev_buf[0] = (eps - p.gamma_lev * vol) ** 2
+
+
+class TestAgainstShiftAndAdd:
+    def test_paths_match(self, plharg, zmlharg, monkeypatch):
+        # the ring and its running window sums draw the very paths of the
+        # shift-and-add kernel, bit for bit, across RNG blocks and after a
+        # long burn-in; the zero-mean cases clamp on recorded days.  Theta
+        # is summed in another order, but a path sees it only through the
+        # integer Poisson draw, which a last-bit change flips with
+        # probability of order 1e-16 per draw
+        monkeypatch.setattr(simulate, "DEFAULT_BLOCK", 600)
+        premia = RiskPremia.arbitrage_free(-1000.0, zmlharg.lam)
+        cases = ((plharg, None, False), (zmlharg, None, True),
+                 (zmlharg, premia, True))
+        for params, prem, clamping in cases:
+            run = dict(state=stationary_state(params), horizon=250,
+                       n_paths=1000, premia=prem, seed=3, burn_in=2000)
+            ring = simulate_paths(params, **run)
+            with monkeypatch.context() as m:
+                m.setattr(simulate, "_day_steps", _shift_and_add)
+                ref = simulate_paths(params, **run)
+            assert np.array_equal(ring.rv_paths, ref.rv_paths)
+            assert np.array_equal(ring.y_paths, ref.y_paths)
+            assert ring.clamp_count == ref.clamp_count
+            assert (ring.clamp_count > 0) == clamping
 
 
 class TestMcMgf:
