@@ -59,9 +59,8 @@ from .model import (
 def _guarded(values: np.ndarray, step: int, what: str) -> None:
     # Per-step branch guard: arguments of the logs must stay in the right
     # half-plane (which also keeps |arg| < pi/2, the principal branch);
-    # raise instead of silently wrapping the branch.
-    re = values.real if np.iscomplexobj(values) else values
-    if not np.all(re > 0.0):
+    # raise instead of silently wrapping the branch.  NaN fails too.
+    if not (values.real > 0.0).all():
         raise RecursionDomainError(step, f"{what} left the right half-plane")
 
 

@@ -13,7 +13,11 @@ and the discounted expected payoff of a strike-K option reduces to closed
 cosine integrals of K*(exp(y + x) - 1) over the in-the-money region, with
 x = log(S/K).  Keeping the expansion in y (rather than log(S_T/K)) lets
 one characteristic-function pass on the shared u-grid price every strike
-of a maturity.
+of a maturity: `cos_price` evaluates its cf once per call, reads the
+cf(0) = 1 check from phi(u_0) (u_0 = 0), and broadcasts over strikes and
+option types; each strike's price is its row of the (strikes, N) payoff
+coefficients times the N density coefficients.  `price_chain` makes one
+such call per (quote_date, maturity) group.
 """
 
 from __future__ import annotations
@@ -49,60 +53,68 @@ def cos_interval(params: ModelParams, state: MarketState | None,
     return c1 - half, c1 + half
 
 
-def _chi_psi(k: np.ndarray, a: float, b: float, c: float, d: float):
-    # chi = int_c^d exp(y) cos(k pi (y-a)/(b-a)) dy, psi same with cos -> 1
-    om = k * np.pi / (b - a)
-    sc = np.sin(om * (c - a))
-    sd = np.sin(om * (d - a))
-    cc = np.cos(om * (c - a))
-    cd = np.cos(om * (d - a))
-    chi = (np.exp(d) * (cd + om * sd) - np.exp(c) * (cc + om * sc)) \
-        / (1.0 + om * om)
-    psi = np.empty_like(om)
-    psi[0] = d - c
-    psi[1:] = (sd[1:] - sc[1:]) / om[1:]
+def _chi_psi(u: np.ndarray, a: float, c: np.ndarray, d: np.ndarray):
+    # chi = int_c^d exp(y) cos(u (y-a)) dy, psi same with exp(y) -> 1:
+    # one row per strike, one column per u_k
+    ac = (c - a)[:, None] * u
+    ad = (d - a)[:, None] * u
+    sc, sd, cc, cd = np.sin(ac), np.sin(ad), np.cos(ac), np.cos(ad)
+    chi = (np.exp(d)[:, None] * (cd + u * sd)
+           - np.exp(c)[:, None] * (cc + u * sc)) / (1.0 + u * u)
+    psi = np.empty_like(chi)
+    psi[:, 0] = d - c
+    psi[:, 1:] = (sd[:, 1:] - sc[:, 1:]) / u[1:]
     return chi, psi
 
 
-def cos_price(cf, S: float, K: float, r: float, tau_days: int,
-              option_type: str, a: float, b: float) -> float:
-    """Discounted expected payoff of a European option by cosine expansion.
+def cos_price(cf, S, K, r, tau_days: int, option_type, a: float, b: float):
+    """Discounted expected payoff of European options by cosine expansion.
 
     cf must be the (vectorized) characteristic function of the log-return
-    over the full maturity, with cf(0) = 1 within 1e-10.  The density is
-    expanded in COS_TERMS terms on the truncation interval [a, b], which
-    must satisfy b > a (see cos_interval).
+    over the full maturity.  It is called once, on the grid u_k =
+    k*pi/(b-a), k < COS_TERMS, and its value at u_0 = 0 must be 1 within
+    1e-10.  The density is expanded on the truncation interval [a, b],
+    which must satisfy b > a (see cos_interval).
+
+    S, K, r and option_type broadcast against each other like the
+    arguments of a numpy ufunc, and every strike is priced from the one cf
+    grid: scalars give a float, arrays an array of their broadcast shape.
+    A price whose expansion falls below -1e-10 is NaN in an array result,
+    so one strike cannot fail the others; a scalar call raises
+    NumericalError for it.
     """
     if not b > a:
         raise ValidationError("truncation interval requires b > a")
-    if abs(cf(np.zeros(1))[0] - 1.0) > 1e-10:
-        raise ValidationError("characteristic function is not normalized")
-    k = np.arange(COS_TERMS)
-    u = k * np.pi / (b - a)
+    u = np.arange(COS_TERMS) * np.pi / (b - a)
     phi = np.asarray(cf(u), dtype=complex)
+    if abs(phi[0] - 1.0) > 1e-10:
+        raise ValidationError("characteristic function is not normalized")
     dens = (2.0 / (b - a)) * np.real(phi * np.exp(-1j * u * a))
     dens[0] *= 0.5
 
-    x = np.log(S / K)
-    if option_type == "call":
-        lo = max(a, -x)
-        if lo >= b:
-            return 0.0
-        chi, psi = _chi_psi(k, a, b, lo, b)
-    elif option_type == "put":
-        hi = min(b, -x)
-        if hi <= a:
-            return 0.0
-        chi, psi = _chi_psi(k, a, b, a, hi)
-        chi, psi = -chi, -psi   # payoff K - S e^y has the opposite signs
-    else:
+    S, K, r, kind = np.broadcast_arrays(S, K, r, option_type)
+    shape = S.shape
+    S, K, r, kind = (np.ravel(v) for v in (S, K, r, kind))
+    call = kind == "call"
+    bad = ~(call | (kind == "put"))
+    if bad.any():
         raise ValidationError(f"option type must be call or put, "
-                              f"got {option_type!r}")
-    payoff_coef = S * chi - K * psi
-    price = float(np.exp(-r * tau_days) * (dens @ payoff_coef))
-    if price < -1e-10:
-        raise NumericalError(f"COS price {price:.3e} below -1e-10")
-    return max(price, 0.0)
+                              f"got {kind[bad].tolist()[0]!r}")
+    # in the money for y above -log(S/K) (calls) or below it (puts); an
+    # interval that misses [a, b] shrinks to a point and prices to 0
+    edge = np.clip(-np.log(S / K), a, b)
+    chi, psi = _chi_psi(u, a, np.where(call, edge, a), np.where(call, b, edge))
+    # the put's payoff K - S e^y has the opposite signs
+    sign = np.where(call, 1.0, -1.0)
+    coef = (sign * S)[:, None] * chi - (sign * K)[:, None] * psi
+    # one dot per strike, not a matrix product: BLAS rounds a row of a
+    # matrix product differently with the number of rows, and a strike's
+    # price must not depend on the strikes priced with it
+    price = np.exp(-r * tau_days) * np.array([row @ dens for row in coef])
+    if not shape and price[0] < -1e-10:
+        raise NumericalError(f"COS price {price[0]:.3e} below -1e-10")
+    price = np.where(price < -1e-10, np.nan, np.maximum(price, 0.0))
+    return price.reshape(shape) if shape else float(price[0])
 
 
 def bs_price(S: float, K: float, r: float, sigma: float, tau: float,
@@ -209,13 +221,17 @@ def price_chain(params: ModelParams, nu1: float, chain: OptionChain,
                 state) -> list[PricedQuote]:
     """Price every quote of a chain under the risk-neutral model.
 
-    One characteristic-function grid is built per distinct
-    (quote_date, maturity) pair and reused across its strikes; the group's
-    market rate replaces the model's baseline rate so discounting and the
-    risk-neutral drift stay consistent.  `state` is either a single
-    MarketState or a mapping from quote date to state.  Per-quote failures
-    of the package's own error classes are recorded on the row instead of
-    aborting the chain; any other exception is a bug and propagates.
+    Quotes are grouped by (quote_date, maturity).  Each group gets its own
+    truncation interval and one `cos_price` call, which evaluates the
+    characteristic function once and prices all the group's strikes; the
+    group's market rate replaces the model's baseline rate so discounting
+    and the risk-neutral drift stay consistent.  `state` is either a single
+    MarketState or a mapping from quote date to state.  Failures of the
+    package's own error classes are recorded on the rows instead of
+    aborting the chain: a group failure (no state, recursion domain) on
+    every row of the group, a strike's negative COS price or failed IV
+    inversion on that quote's row alone.  Any other exception is a bug and
+    propagates.
     """
     premia = RiskPremia.arbitrage_free(nu1, params.lam)
     groups: dict = {}
@@ -237,15 +253,19 @@ def price_chain(params: ModelParams, nu1: float, chain: OptionChain,
         grp_params = replace(params, r=quotes[0].rate)
         try:
             a, b = cos_interval(grp_params, st, premia, tau)
-            cf = model_char_fn(grp_params, st, premia, tau)
+            prices = cos_price(model_char_fn(grp_params, st, premia, tau),
+                               [q.underlying for q in quotes],
+                               [q.strike for q in quotes],
+                               [q.rate for q in quotes], tau,
+                               [q.option_type for q in quotes], a, b)
         except LhargError as exc:
             for q in quotes:
                 results.append(PricedQuote(q, np.nan, np.nan, str(exc)))
             continue
-        for q in quotes:
+        for q, price in zip(quotes, prices):
             try:
-                price = cos_price(cf, q.underlying, q.strike, q.rate, tau,
-                                  q.option_type, a, b)
+                if np.isnan(price):
+                    raise NumericalError("COS price NaN or below -1e-10")
                 iv = implied_vol(price, q.underlying, q.strike, q.rate, tau,
                                  q.option_type) * np.sqrt(TRADING_DAYS)
                 results.append(PricedQuote(q, float(price), float(iv)))

@@ -62,6 +62,25 @@ class TestTransforms:
             _one_step(np.sqrt(2.5e5), theta=1e-5)
         assert err.value.step == 1
 
+    def test_guard_rejects_zero_and_nan(self, zmlharg):
+        # one bad real part among good ones, in real and complex arrays;
+        # NaN is outside the half-plane, as is a zero real part
+        for bad in (0.0, np.nan):
+            for values in (np.array([1.0, bad, 2.0]),
+                           np.array([1.0 + 1.0j, complex(bad, 3.0), -2.0j])):
+                with pytest.raises(RecursionDomainError,
+                                   match="step 7: 1 - 2.C_1 left") as err:
+                    _guarded(values, 7, "1 - 2*C_1")
+                assert err.value.step == 7
+        _guarded(np.array([1e-300, 2.0]), 7, "1 - 2*C_1")
+        _guarded(np.array([1e-300 - 5.0j]), 7, "1 - 2*C_1")
+        # a NaN z poisons X on the first day, real or complex
+        for z in (np.array([0.1, np.nan]), np.array([0.1j, complex(np.nan)])):
+            with pytest.raises(RecursionDomainError,
+                               match="1 - theta.X left") as err:
+                mgf_p(zmlharg, None, z, 22)
+            assert err.value.step == 1
+
     def test_w_derivative_finite_difference(self):
         # dw/dz = -theta X'(z) / (1 - theta X) with X' = lam + z, at random
         # complex points: the step takes the principal branch of the log

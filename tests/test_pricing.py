@@ -1,12 +1,17 @@
 """COS pricer, Black-Scholes utilities, chain pricing, error metrics."""
 
 import datetime as dt
+import importlib.util
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lharg import (
     InversionDomainError,
+    MarketState,
+    NumericalError,
     RiskPremia,
     ValidationError,
     state_from_series,
@@ -14,6 +19,7 @@ from lharg import (
 )
 from lharg.options import OptionChain, OptionQuote
 from lharg.pricing import (
+    COS_TERMS,
     COS_WIDTH,
     bs_price,
     cos_interval,
@@ -25,7 +31,10 @@ from lharg.pricing import (
     rmse_p,
 )
 
+import lharg.mgf as mgf_mod
 import lharg.pricing as pricing_mod
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 
 def bs_cf(sigma, r, tau):
@@ -34,6 +43,16 @@ def bs_cf(sigma, r, tau):
         return np.exp(1j * u * (r - 0.5 * sigma**2) * tau
                       - 0.5 * u**2 * sigma**2 * tau)
     return cf
+
+
+def signed_density_cf(cf, eps, mean, sd):
+    # (1 + eps) f - eps N(mean, sd^2): still normalized, but negative near
+    # mean, so a put whose payoff covers that dip prices below zero
+    def bumped(u):
+        u = np.asarray(u)
+        return (1.0 + eps) * cf(u) - eps * np.exp(1j * u * mean
+                                                  - 0.5 * (sd * u) ** 2)
+    return bumped
 
 
 def bs_interval(sigma, r, tau):
@@ -75,6 +94,20 @@ class TestCosAgainstBlackScholes:
             with pytest.raises(ValidationError, match="b > a"):
                 cos_price(bs_cf(0.2, 0.0, 1.0), 100.0, 100.0, 0.0, 1, "call",
                           lo, hi)
+
+    def test_negative_price_fails_alone(self):
+        # a strike whose expansion dips below -1e-10 is NaN in an array
+        # result, and the others keep their prices; alone it raises
+        a, b = bs_interval(0.2, 0.0, 1.0)
+        cf = signed_density_cf(bs_cf(0.2, 0.0, 1.0), 1e-3, -0.7, 0.01)
+        strikes = np.array([40.0, 52.0, 100.0])
+        prices = cos_price(cf, 100.0, strikes, 0.0, 1, "put", a, b)
+        assert np.isnan(prices[1])
+        assert prices[[0, 2]].tolist() == [
+            cos_price(cf, 100.0, k, 0.0, 1, "put", a, b)
+            for k in (40.0, 100.0)]
+        with pytest.raises(NumericalError, match="below -1e-10"):
+            cos_price(cf, 100.0, 52.0, 0.0, 1, "put", a, b)
 
 
 class TestCosOnModel:
@@ -125,6 +158,37 @@ class TestCosOnModel:
         for args, price, mid, half in cases:
             reference = cos_price(*args, mid - half, mid + half)
             assert abs(price - reference) < 1e-11
+
+    def test_batch_equals_loop(self, zmlharg):
+        # one call on a strike array equals one scalar call per strike,
+        # also for strikes beyond [a, b] that take the zero-price branches:
+        # calls with log(K/S) >= b and puts with log(K/S) <= a
+        premia = RiskPremia.arbitrage_free(-3375.0, zmlharg.lam)
+        st = stationary_state(zmlharg)
+        tau = 63
+        a, b = cos_interval(zmlharg, st, premia, tau)
+        phi = model_char_fn(zmlharg, st, premia, tau)(
+            np.arange(COS_TERMS) * np.pi / (b - a))
+
+        def cf(u):
+            return phi
+
+        strikes = 100.0 * np.exp(np.r_[a - 0.5, b + 0.5,
+                                       np.linspace(a, b, 25)])
+        kinds = np.where(strikes > 100.0, "call", "put")
+        for kind in ("call", "put", kinds):
+            batch = cos_price(cf, 100.0, strikes, zmlharg.r, tau, kind, a, b)
+            kind = np.broadcast_to(kind, strikes.shape)
+            loop = [cos_price(cf, 100.0, k, zmlharg.r, tau, t, a, b)
+                    for k, t in zip(strikes, kind)]
+            assert batch.shape == strikes.shape
+            assert all(type(price) is float for price in loop)
+            assert np.all(np.abs(batch - loop) <= 1e-15 * np.abs(loop))
+        assert cos_price(cf, 100.0, strikes[:2], zmlharg.r, tau,
+                         ["put", "call"], a, b).tolist() == [0.0, 0.0]
+        with pytest.raises(ValidationError, match="'straddle'"):
+            cos_price(cf, 100.0, strikes[:3], zmlharg.r, tau,
+                      ["call", "straddle", "put"], a, b)
 
     def test_monotone_in_strike(self, zmlharg):
         premia = RiskPremia.arbitrage_free(-3375.0, zmlharg.lam)
@@ -188,23 +252,73 @@ def make_quote(m, tau, kind, qdate=dt.date(2004, 6, 9), spot=1000.0,
     )
 
 
+def two_date_chain(params):
+    # two quote dates x maturities 63 and 126 x three strikes, each date
+    # with its own state
+    dates = (dt.date(2004, 6, 9), dt.date(2004, 6, 10))
+    chain = OptionChain(tuple(
+        make_quote(m, tau, "call" if m >= 1 else "put", qdate=d)
+        for d in dates for tau in (63, 126) for m in (0.9, 1.0, 1.1)))
+    st = stationary_state(params)
+    calm = MarketState(rv=0.5 * st.rv, lev=st.lev)
+    return chain, {dates[0]: st, dates[1]: calm}
+
+
 class TestPriceChain:
     def test_cf_built_once_per_maturity(self, zmlharg, monkeypatch):
-        calls = []
+        # one cf built and called once, on the whole grid, per (date,
+        # maturity) group: no separate cf(0) call and no call per strike
+        built, grids = [], []
         original = pricing_mod.model_char_fn
 
         def counting(params, state, premia, tau):
-            calls.append(tau)
-            return original(params, state, premia, tau)
+            cf = original(params, state, premia, tau)
+            built.append((id(state), tau))
+
+            def counted(u):
+                grids.append((id(state), tau, np.size(u)))
+                return cf(u)
+            return counted
 
         monkeypatch.setattr(pricing_mod, "model_char_fn", counting)
-        chain = OptionChain((
-            make_quote(1.0, 63, "call"), make_quote(1.1, 63, "call"),
-            make_quote(0.9, 63, "put"), make_quote(1.0, 126, "call"),
-        ))
-        rows = price_chain(zmlharg, -3375.0, chain, stationary_state(zmlharg))
+        chain, states = two_date_chain(zmlharg)
+        rows = price_chain(zmlharg, -3375.0, chain, states)
         assert all(r.error is None for r in rows)
-        assert sorted(calls) == [63, 126]
+        groups = sorted((id(s), tau) for s in states.values()
+                        for tau in (63, 126))
+        assert sorted(built) == groups
+        assert sorted(grids) == [g + (COS_TERMS,) for g in groups]
+
+    def test_recursions_traced_once_per_group(self, zmlharg, monkeypatch):
+        # under the benchmark's tracer every recursion is an mgf span: one
+        # mgf_q for the cf grid and one raw_cumulants for the interval per
+        # group, and the layer self times add up to the command's wall
+        spec = importlib.util.spec_from_file_location("tracing", TRACING)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        recursions = []
+        original = mgf_mod._recurse
+
+        def counting(*args, **kwargs):
+            recursions.append(args[3])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(mgf_mod, "_recurse", counting)
+        chain, states = two_date_chain(zmlharg)
+        rec = tracing.Recorder()
+        with rec.installed(), rec.command_span("price"):
+            rows = pricing_mod.price_chain(zmlharg, -3375.0, chain, states)
+        assert not [name for name in rec.missing
+                    if name.startswith(("mgf.", "pricing."))]
+        assert rec.check_additivity() == []
+        calls = Counter(span[0] for span in rec.spans)
+        assert sum(calls[name] for name in tracing.MGF_CALLS) \
+            == len(recursions) == 8
+        assert calls["mgf.mgf_q"] == calls["mgf.raw_cumulants"] == 4
+        assert calls["pricing.cos_price"] == 4
+        metrics = tracing.layer_metrics(rec)
+        assert metrics["pricing.quotes"] == len(rows) == 12
+        assert metrics["pricing.recursions_per_quote"] == 8 / 12
 
     def test_self_pricing_round_trip(self, zmlharg):
         st = stationary_state(zmlharg)
@@ -242,6 +356,28 @@ class TestPriceChain:
         rows = price_chain(zmlharg, -3375.0, chain, stationary_state(zmlharg))
         assert rows[1].error is None
         assert rows[0].error is not None or np.isfinite(rows[0].model_price)
+
+    def test_failures_stay_per_quote(self, zmlharg, monkeypatch):
+        # one group holds good quotes, a call so far out of the money that
+        # it prices to 0 and has no IV, and a put whose COS price dips
+        # below -1e-10: only those two rows fail
+        original = pricing_mod.model_char_fn
+        monkeypatch.setattr(
+            pricing_mod, "model_char_fn",
+            lambda *args: signed_density_cf(original(*args), 1e-3, -0.5,
+                                            0.01))
+        chain = OptionChain((make_quote(1.0, 63, "call"),
+                             make_quote(5.0, 63, "call"),
+                             make_quote(0.9, 63, "put"),
+                             make_quote(0.62, 63, "put"),
+                             make_quote(1.0, 126, "put")))
+        rows = price_chain(zmlharg, -3375.0, chain, stationary_state(zmlharg))
+        errors = [r.error for r in rows]
+        assert "outside no-arbitrage bounds" in errors[1]
+        assert errors[3] == "COS price NaN or below -1e-10"
+        for i in (0, 2, 4):
+            assert errors[i] is None and rows[i].model_iv > 0.0
+        assert all(np.isnan(rows[i].model_price) for i in (1, 3))
 
     def test_group_failures_recorded(self, zmlharg):
         chain = OptionChain((make_quote(1.0, 63, "call"),

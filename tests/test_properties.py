@@ -20,7 +20,7 @@ from lharg import (
     risk_neutral_state,
 )
 from lharg.mgf import raw_cumulants
-from lharg.pricing import COS_TERMS, cos_interval, cos_price, model_char_fn
+from lharg.pricing import cos_interval, cos_price, model_char_fn
 
 from conftest import random_state_arrays
 
@@ -39,18 +39,6 @@ def _state(params, seed, scale):
     rv, eps = random_state_arrays(np.random.default_rng(seed), scale)
     lev = leverage(eps, rv, params.gamma_lev, params.variant)
     return MarketState(rv=rv, lev=np.asarray(lev))
-
-
-def _grid_cf(params, state, premia, tau, a, b):
-    # the model cf evaluated once on the COS grid; cos_price asks for cf(0)
-    # and then the whole grid, both prefixes of it
-    grid = np.arange(COS_TERMS) * np.pi / (b - a)
-    phi = model_char_fn(params, state, premia, tau)(grid)
-
-    def cf(u):
-        assert np.array_equal(u, grid[:len(u)])
-        return phi[:len(u)]
-    return cf
 
 
 class TestMgfProperties:
@@ -98,10 +86,10 @@ class TestCosProperties:
         c1, c2, _, _ = raw_cumulants(params, state, horizon, premia=premia)
         strikes = 100.0 * np.exp(c1 + np.sqrt(c2) * np.linspace(-2.5, 2.5, 11))
         a, b = cos_interval(params, state, premia, horizon)
-        cf = _grid_cf(params, state, premia, horizon, a, b)
-        calls, puts = (np.array([cos_price(cf, 100.0, k, params.r, horizon,
-                                           kind, a, b) for k in strikes])
-                       for kind in ("call", "put"))
+        # one cf grid prices both rows: calls, then puts
+        calls, puts = cos_price(model_char_fn(params, state, premia, horizon),
+                                100.0, strikes, params.r, horizon,
+                                [["call"], ["put"]], a, b)
         parity = 100.0 - strikes * np.exp(-params.r * horizon)
         assert np.max(np.abs(calls - puts - parity)) < 1e-8
         assert np.all(np.diff(calls) < 0.0)
