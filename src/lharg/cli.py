@@ -266,22 +266,20 @@ def _cmd_simulate(args) -> int:
     paths = simulate_paths(params, state, args.days, args.paths,
                            premia=premia, seed=args.seed,
                            burn_in=args.burn_in)
-    rv, y = paths.rv_paths, paths.y_paths
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["day", "rv_mean", "rv_var", "rv_q05", "rv_q50",
-                         "rv_q95", "y_mean", "y_var"])
-        q = np.quantile(rv, [0.05, 0.5, 0.95], axis=0)
-        for t in range(args.days):
-            cells = (rv[:, t].mean(), rv[:, t].var(), q[0, t], q[1, t],
-                     q[2, t], y[:, t].mean(), y[:, t].var())
-            writer.writerow([t + 1] + [repr(float(c)) for c in cells])
+    rv, y = paths.rv_paths.T, paths.y_paths.T    # one row per day
+    q = np.quantile(rv, [0.05, 0.5, 0.95], axis=1)
+    cells = np.column_stack([rv.mean(axis=1), rv.var(axis=1), *q,
+                             y.mean(axis=1), y.var(axis=1)])
+    _write_csv(args.out, ["day", "rv_mean", "rv_var", "rv_q05", "rv_q50",
+                          "rv_q95", "y_mean", "y_var"],
+               ([t + 1] + [repr(float(c)) for c in row]
+                for t, row in enumerate(cells)))
     if args.dump:
         with open(args.dump, "wb") as fh:
             fh.write(struct.pack("<4sIII", PATHSET_MAGIC, PATHSET_VERSION,
                                  paths.n_paths, paths.horizon))
-            fh.write(np.ascontiguousarray(rv, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(y, dtype="<f8").tobytes())
+            for m in (paths.rv_paths, paths.y_paths):   # (n_paths, horizon)
+                fh.write(np.ascontiguousarray(m, dtype="<f8").tobytes())
         print(f"raw paths -> {args.dump}")
     rate = paths.clamp_count / (paths.n_paths * paths.horizon)
     print(f"simulated {paths.n_paths} paths x {paths.horizon} days "

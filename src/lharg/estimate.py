@@ -333,48 +333,65 @@ def calibrate_nu1(params: ModelParams, target_iv: float,
 
     The target is the annualized at-the-money implied volatility at the
     given maturity; the model value is computed by COS pricing under the
-    risk-neutral map for each candidate nu1, and the root is bracketed
-    around the identity point nu1 = 1/8 - lam^2/2 (at which the map leaves
-    the scale parameters untouched).  The root is resolved to 1e-9: the
-    model IV carries rounding noise that leaves nu1 defined only to about
-    1e-8, so finer steps would chase that noise.
+    risk-neutral map.  nu1 enters that map only through the scale
+    c = 1 - theta*y_star, so the root is sought in s = 1/c, in which the
+    IV is close to linear, and mapped back by
+    nu1 = (1/8 - lam^2/2) - (1 - 1/s)/theta.  The search first evaluates
+    the identity point s = 1 (nu1 = 1/8 - lam^2/2, where the map leaves
+    the scale parameters untouched), which lies strictly inside the
+    bracket [1/21, s_max], and keeps only the half that holds the sign
+    change; each point is evaluated once.  The far end is evaluated only
+    when that half holds no root, to report the attainable IV range.
+    The root is resolved to xtol = 3e-12 in s, about 1e-10 relative in
+    nu1 at market-level targets: the model IV carries rounding noise that
+    leaves nu1 defined only to about 1e-8, so finer steps would chase it.
     """
     if not (0.0 < target_iv < 0.7):
         raise ValidationError("target IV must lie in (0, 0.7)")
     from .pricing import model_atm_iv
 
-    def f(nu1):
-        return model_atm_iv(params, nu1, maturity_days, state) - target_iv
-
     fixed_point = 0.125 - 0.5 * params.lam**2
-    # nu1 below the fixed point inflates variance (theta* > theta), above
-    # deflates it.  The mapped dynamics stays stationary only while
-    # (1 - theta*y_star)^2 exceeds the physical-scale persistence evaluated
-    # at the shifted gamma, which bounds how far down the bracket may go.
     p = parabolic_form(params)
     pers_star = stationarity_margin(replace(p, gamma_lev=_gamma_star(p)))
     if pers_star >= 1.0:
         raise CalibrationInfeasibleError(iv_low=np.nan, iv_high=np.nan,
                                          target=target_iv)
-    y_star_max = (1.0 - np.sqrt(pers_star)) / p.theta
-    lo = fixed_point - 0.98 * y_star_max
-    hi = fixed_point + 20.0 / p.theta
-    f_lo = None
-    for _ in range(40):
-        try:
-            f_lo = f(lo)
-            break
-        except NumericalError:
-            lo = fixed_point + 0.7 * (lo - fixed_point)
-    if f_lo is None:
-        raise CalibrationInfeasibleError(iv_low=np.nan, iv_high=np.nan,
+    ivs: dict[float, float] = {}
+
+    def nu1_of(s):
+        return fixed_point - (1.0 - 1.0 / s) / p.theta
+
+    def f(s):
+        if s not in ivs:
+            ivs[s] = model_atm_iv(params, nu1_of(s), maturity_days,
+                                  state) - target_iv
+        return ivs[s]
+
+    def top():
+        # s > 1 inflates variance.  The mapped dynamics stays stationary
+        # only while c^2 exceeds the physical-scale persistence at the
+        # shifted gamma: start at 98% of that limit on theta*y_star and
+        # back off by 0.7 on each numerical failure.
+        ty = 0.98 * (1.0 - np.sqrt(pers_star))
+        for _ in range(40):
+            s = 1.0 / (1.0 - ty)
+            try:
+                f(s)
+                return s
+            except NumericalError:
+                ty *= 0.7
+        return None
+
+    low = 1.0 / 21.0            # nu1 = 1/8 - lam^2/2 + 20/theta
+    if f(1.0) >= 0.0:
+        bracket = (low, 1.0) if f(low) <= 0.0 else None
+        high = None if bracket else top()
+    else:
+        high = top()
+        bracket = (1.0, high) if high is not None and f(high) >= 0.0 else None
+    if bracket is None:
+        ends = (np.nan, np.nan) if high is None else \
+            sorted((f(low) + target_iv, f(high) + target_iv))
+        raise CalibrationInfeasibleError(iv_low=ends[0], iv_high=ends[1],
                                          target=target_iv)
-    f_hi = f(hi)
-    if f_lo * f_hi > 0.0:
-        iv_hi = f_lo + target_iv
-        iv_lo = f_hi + target_iv
-        raise CalibrationInfeasibleError(iv_low=min(iv_lo, iv_hi),
-                                         iv_high=max(iv_lo, iv_hi),
-                                         target=target_iv)
-    root = optimize.brentq(f, lo, hi, xtol=1e-9, rtol=8.9e-16)
-    return float(root)
+    return float(nu1_of(optimize.brentq(f, *bracket, xtol=3e-12)))

@@ -7,8 +7,10 @@ through lag 1 and per-path sums of lags 2-5 and 6-22, which each new day
 updates as it overwrites the oldest row of an unshifted ring of lags.
 Negative Theta, which the zero-mean variant cannot rule out, is clamped
 to zero and counted (never for positivity-satisfying parameters).
-simulate_paths writes each day straight into preallocated (n_paths,
-horizon) arrays; simulate_y_snapshots keeps running sums of the same paths.
+simulate_paths writes each day as one contiguous row of preallocated
+(horizon, n_paths) arrays and returns their transposes, so a PathSet reads
+(n_paths, horizon); simulate_y_snapshots keeps running sums of the same
+paths.
 
 Paths run in blocks of DEFAULT_BLOCK; block b draws from an independent
 PCG64 stream spawned as SeedSequence(seed).spawn(...)[b] and fills a fixed
@@ -46,8 +48,8 @@ class PathSet:
 
     n_paths: int
     horizon: int
-    rv_paths: np.ndarray   # (n_paths, horizon)
-    y_paths: np.ndarray    # (n_paths, horizon)
+    rv_paths: np.ndarray   # (n_paths, horizon); .T is day-major
+    y_paths: np.ndarray    # (n_paths, horizon); .T is day-major
     rng_seed: int
     measure: str           # "P" (no premia) or "Q"
     clamp_count: int       # noncentrality clampings over all recorded days
@@ -158,17 +160,17 @@ def simulate_paths(params: ModelParams, state: MarketState, horizon: int,
     horizon = _whole("horizon", horizon, 1)
     burn_in = _whole("burn_in", burn_in, 0)
     blocks = _blocks(params, state, premia, n_paths, seed, burn_in + horizon)
-    rv_out = np.empty((n_paths, horizon))
-    y_out = np.empty((n_paths, horizon))
+    rv_out = np.empty((horizon, n_paths))
+    y_out = np.empty((horizon, n_paths))
     clamps = 0
     for rows, steps in blocks:
         for day, (rv, y, c) in enumerate(steps, start=-burn_in):
             if day >= 0:
-                rv_out[rows, day] = rv
-                y_out[rows, day] = y
+                rv_out[day, rows] = rv
+                y_out[day, rows] = y
                 clamps += c
-    return PathSet(n_paths=n_paths, horizon=horizon, rv_paths=rv_out,
-                   y_paths=y_out, rng_seed=seed, clamp_count=clamps,
+    return PathSet(n_paths=n_paths, horizon=horizon, rv_paths=rv_out.T,
+                   y_paths=y_out.T, rng_seed=seed, clamp_count=clamps,
                    measure="P" if premia is None else "Q")
 
 

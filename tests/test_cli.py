@@ -97,8 +97,19 @@ def test_simulate_with_dump(data_dir, small_model, tmp_path):
     assert version == PATHSET_VERSION
     assert (n, horizon) == (64, 12)
     assert len(raw) == 16 + 2 * 8 * 64 * 12
-    rv = np.frombuffer(raw, dtype="<f8", count=64 * 12, offset=16)
-    assert np.all(rv >= 0.0)
+    # row-major (n_paths, horizon): rv first, then y, as simulate_paths
+    params, _ = load_params(fit)
+    ref = simulate_paths(params, stationary_state(params), 12, 64, seed=3)
+    rv, y = np.frombuffer(raw, dtype="<f8", offset=16).reshape(2, 64, 12)
+    assert np.array_equal(rv, ref.rv_paths)
+    assert np.array_equal(y, ref.y_paths)
+    # the summary equals a per-day loop over the path columns
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    for t in range(12):
+        r, x = ref.rv_paths[:, t], ref.y_paths[:, t]
+        loop = [t + 1, r.mean(), r.var(), *np.quantile(r, [0.05, 0.5, 0.95]),
+                x.mean(), x.var()]
+        assert np.array_equal(rows[t], loop)
 
 
 def test_csv_cells_are_plain_floats(tmp_path, small_model):

@@ -350,6 +350,35 @@ class TestCalibrateNu1:
         with pytest.raises(CalibrationInfeasibleError) as err:
             calibrate_nu1(zmlharg, 0.01, 252, st)
         assert err.value.target == 0.01
+        assert np.isfinite([err.value.iv_low, err.value.iv_high]).all()
+        assert err.value.iv_low < err.value.iv_high
+
+    def test_bench_target_evaluations(self, zmlharg, monkeypatch):
+        # the identity split and the cache leave at most 10 IV evaluations
+        import lharg.pricing
+        seen = []
+        atm_iv = lharg.pricing.model_atm_iv
+
+        def counted(params, nu1, *args):
+            seen.append(nu1)
+            return atm_iv(params, nu1, *args)
+
+        monkeypatch.setattr(lharg.pricing, "model_atm_iv", counted)
+        calibrate_nu1(zmlharg, 0.20, 252, stationary_state(zmlharg))
+        assert len(seen) <= 10
+        assert len(set(seen)) == len(seen)
+
+    @pytest.mark.parametrize("target", [0.15, 0.22])
+    def test_matches_root_in_nu1(self, zmlharg, target):
+        # roots on both sides of the identity point (s < 1 and s > 1)
+        from scipy import optimize
+        from lharg.pricing import model_atm_iv
+        st = stationary_state(zmlharg)
+        ref = optimize.brentq(
+            lambda nu1: model_atm_iv(zmlharg, nu1, 252, st) - target,
+            -6000.0, 5000.0, xtol=1e-9)
+        found = calibrate_nu1(zmlharg, target, 252, st)
+        assert abs(found - ref) <= 1e-9 * abs(ref)
 
     def test_rejects_silly_target(self, zmlharg):
         with pytest.raises(ValidationError):
