@@ -292,7 +292,7 @@ def _cmd_simulate(args) -> int:
 
 def _horizons(text):
     cells = [c.strip() for c in text.split(",") if c.strip()]
-    if not cells or not all(c.isdigit() and int(c) > 0 for c in cells):
+    if not cells or not all(c.isdecimal() and int(c) > 0 for c in cells):
         raise ValidationError("--horizons takes comma-separated positive "
                               f"day counts, got {text!r}")
     return [int(c) for c in cells]

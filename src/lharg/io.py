@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -155,16 +155,11 @@ def load_option_chain(path) -> OptionChain:
         if quote.market_iv is None:
             try:
                 iv_daily = implied_vol(mid, under, strike, rate, tau, opt_type)
-                quote = OptionQuote(
-                    quote_date=qdate, expiry_date=edate, maturity_days=tau,
-                    strike=strike, option_type=opt_type, mid_price=mid,
-                    underlying=under, rate=rate,
-                    market_iv=iv_daily * math.sqrt(TRADING_DAYS),
-                )
             except ValidationError as exc:
                 raise ValidationError(
                     f"{path}:{line}: cannot imply vol from mid price: {exc}"
                 ) from None
+            quote = replace(quote, market_iv=iv_daily * math.sqrt(TRADING_DAYS))
         quotes.append(quote)
     quotes.sort(key=lambda q: (q.quote_date, q.maturity_days, q.strike))
     return OptionChain(tuple(quotes))

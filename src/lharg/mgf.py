@@ -32,6 +32,12 @@ the full B and C are formed once, after the last day, as a Hankel product.
 premia select the tilted recursion, which is the risk-neutral Q when they
 are arbitrage-free.  The tilt's scale 1 - theta*Y comes from model.py, the
 single home of the measure change.
+
+The cumulants kappa_n of y_{t,T} are the Taylor coefficients of the log-MGF
+at z = 0, times n!.  `raw_cumulants` reads the first four from one FFT of
+the log-MGF on a circle around the origin (a discretized Cauchy integral),
+so they come from one complex-argument call of the same recursion, with no
+difference step to tune.
 """
 
 from __future__ import annotations
@@ -159,48 +165,39 @@ class Cumulants(NamedTuple):
     excess_kurtosis: float
 
 
-# 4th-order central-difference stencils on the 7-point grid -3h..3h.
-_STENCILS = np.array([
-    [0.0, 1.0, -8.0, 0.0, 8.0, -1.0, 0.0],        # f'    * 12
-    [0.0, -1.0, 16.0, -30.0, 16.0, -1.0, 0.0],    # f''   * 12
-    [1.0, -8.0, 13.0, 0.0, -13.0, 8.0, -1.0],     # f'''  * 8
-    [-1.0, 12.0, -39.0, 56.0, -39.0, 12.0, -1.0],  # f'''' * 6
-])
-_STENCIL_NORM = np.array([12.0, 12.0, 8.0, 6.0])
-CUMULANT_STEP = 5e-2   # stencil step scale, before the 1/sqrt(kappa2) floor
-
-
-def _fd_cumulants(g_vals: np.ndarray, h: float) -> np.ndarray:
-    powers = h ** np.arange(1, 5)
-    return (_STENCILS @ g_vals) / (_STENCIL_NORM * powers)
+_CONTOUR_RADIUS = 0.125   # circle radius in guessed standard deviations
 
 
 def raw_cumulants(params, state, horizon: int,
                   premia: RiskPremia | None = None) -> np.ndarray:
-    """First four cumulants of y_{t,T} (under P when premia is None) by
-    numerical differentiation.
+    """First four cumulants of y_{t,T} (under P when premia is None) as
+    Taylor coefficients of the log-MGF g, by one FFT on a circle.
 
-    Central differences of the log-MGF on a real stencil with step
-    h = CUMULANT_STEP * max(1, 1/sqrt(kappa2-guess)), refined by one
-    Richardson extrapolation between h and h/2.  CUMULANT_STEP sits on the
-    wide accuracy plateau of the fourth cumulant: much smaller steps are
-    roundoff-dominated there, while the truncation error only becomes
-    visible beyond step scales of about 0.5.
+    On |z| = rho the 16-point trapezoidal rule for the Cauchy integral
+    returns kappa_n rho^n / n! plus aliasing of order kappa_{n+16} rho^(n+16)
+    / (n+16)! (Lyness & Moler 1967; Fornberg 1981).  g(conj z) = conj g(z),
+    so g is evaluated on the 9 upper-half points only.  The radius is
+    rho = _CONTOUR_RADIUS / sqrt(kappa2-guess), with the guess T * mean(rv).
+    The Taylor terms scale like (z * sd)^n, so a circle measured in
+    standard deviations keeps the roundoff, amplified by n!/rho^n, the same
+    relative to sd^n at every horizon and state (a fixed rho = 1 loses
+    kappa4 to roundoff at one day), and keeps the circle well inside the
+    nearest singularity of g, a zero of 1 - theta*X, so the aliasing stays
+    below that roundoff even when kappa2 runs several times past its guess.
     """
     st = state if state is not None else stationary_state(params)
     kappa2_guess = horizon * float(np.mean(st.rv))
     if not np.isfinite(kappa2_guess) or kappa2_guess <= 0.0:
         kappa2_guess = 1.0
-    h = CUMULANT_STEP * max(1.0, 1.0 / np.sqrt(kappa2_guess))
+    rho = _CONTOUR_RADIUS / np.sqrt(kappa2_guess)
 
-    offsets = np.arange(-3, 4, dtype=float)
-    grid = np.concatenate([h * offsets, 0.5 * h * offsets])
-    g = log_mgf(params, st, grid, horizon, premia=premia)
+    g = log_mgf(params, st, rho * np.exp(1j * np.pi * np.arange(9) / 8),
+                horizon, premia=premia)
     if not np.all(np.isfinite(g)):
-        raise NumericalError("log-MGF non-finite on the differentiation stencil")
-    coarse = _fd_cumulants(g[:7], h)
-    fine = _fd_cumulants(g[7:], 0.5 * h)
-    return (16.0 * fine - coarse) / 15.0
+        raise NumericalError("log-MGF non-finite on the cumulant contour")
+    n = np.arange(1, 5)
+    return np.fft.irfft(np.conj(g), 16)[n] * np.array([1.0, 2.0, 6.0, 24.0]) \
+        / rho ** n
 
 
 def cumulants(params, state, horizon: int,

@@ -35,7 +35,7 @@ from .errors import (
 )
 from .mgf import mgf_q, raw_cumulants
 from .model import MarketState, ModelParams, RiskPremia
-from .options import OptionChain, OptionQuote
+from .options import OPTION_TYPES, OptionChain, OptionQuote
 
 TRADING_DAYS = 252  # annualization factor for reported implied vols
 COS_TERMS = 512     # N, the number of cosine terms
@@ -123,6 +123,9 @@ def bs_price(S: float, K: float, r: float, sigma: float, tau: float,
     if min(S, K, tau) <= 0.0 or sigma < 0.0:
         raise ValidationError("bs_price requires positive S, K, tau and "
                               "nonnegative sigma")
+    if option_type not in OPTION_TYPES:
+        raise ValidationError("option type must be call or put, "
+                              f"got {option_type!r}")
     if sigma == 0.0:
         fwd = S - K * np.exp(-r * tau)
         return max(fwd, 0.0) if option_type == "call" else max(-fwd, 0.0)
@@ -131,9 +134,7 @@ def bs_price(S: float, K: float, r: float, sigma: float, tau: float,
     d2 = d1 - srt
     if option_type == "call":
         return float(S * ndtr(d1) - K * np.exp(-r * tau) * ndtr(d2))
-    if option_type == "put":
-        return float(K * np.exp(-r * tau) * ndtr(-d2) - S * ndtr(-d1))
-    raise ValidationError(f"option type must be call or put, got {option_type!r}")
+    return float(K * np.exp(-r * tau) * ndtr(-d2) - S * ndtr(-d1))
 
 
 def bs_vega(S, K, r, sigma, tau) -> float:

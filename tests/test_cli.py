@@ -164,6 +164,8 @@ def test_bad_simulator_inputs_rejected(tmp_path, small_model, capsys):
         (["cumulants", "--params", str(fit), "--measure", "P",
           "--horizons", "5,x", "--out", str(tmp_path / "c")], "5,x"),
         (["cumulants", "--params", str(fit), "--measure", "P",
+          "--horizons", "5,²", "--out", str(tmp_path / "c")], "5,²"),
+        (["cumulants", "--params", str(fit), "--measure", "P",
           "--horizons", "0", "--out", str(tmp_path / "c")], "'0'"),
     )
     for argv, message in cases:

@@ -1,7 +1,10 @@
 """Backward MGF recursions, characteristic function, cumulants."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 
 from lharg import (
     MarketState,
@@ -27,6 +30,8 @@ from lharg import (
 )
 from lharg.mgf import _guarded, _recurse, log_mgf, raw_cumulants
 from lharg.pricing import COS_TERMS, cos_interval
+
+from conftest import random_state_arrays
 
 HORIZONS = (1, 5, 22, 63, 126, 252)
 
@@ -240,18 +245,44 @@ class TestMgfQ:
                 assert abs(direct - mapped) <= 1e-12 * abs(direct)
 
 
+def _one_day_cumulants(p, nc):
+    """k1..k4 of one day's return from its closed-form log-MGF
+
+        log E e^{zy} = z r - delta log(1 - theta w) + nc theta w / (1 - theta w),
+        w = lam z + z^2/2,
+
+    on parabolic parameters p with noncentrality nc, expanded to z^4."""
+    u = Polynomial([0.0, p.lam, 0.5]) * p.theta
+    series = Polynomial([0.0, p.r]) + sum(
+        (p.delta / k + nc) * u**k for k in range(1, 5))
+    return series.coef[1:5] * np.array([1.0, 2.0, 6.0, 24.0])
+
+
 class TestCumulants:
     def test_one_day_variance_analytic(self, all_variants):
-        # Var(y | F_t) = lam^2 theta^2 (delta + 2 Theta) + theta (delta + Theta)
+        # k1..k4 at T = 1 against the closed form, under P and under Q
+        # (whose law is the physical one on the mapped parameters)
+        rng = np.random.default_rng(23)
         for params in all_variants:
-            st = stationary_state(params)
-            p = parabolic_form(params)
-            nc = theta_noncentrality(p, expand_weights(p),
-                                     parabolic_state(params, st))
-            exact = params.lam**2 * p.theta**2 * (p.delta + 2.0 * nc) \
-                + p.theta * (p.delta + nc)
-            k = raw_cumulants(params, st, 1)
-            assert abs(k[1] - exact) <= 1e-8 * exact
+            rv, eps = random_state_arrays(rng)
+            drawn = MarketState(rv=rv, lev=np.asarray(
+                leverage(eps, rv, params.gamma_lev, params.variant)))
+            for st in (stationary_state(params), drawn):
+                for nu1 in (None, -3000.0):
+                    if nu1 is None:
+                        premia, law, law_state = None, params, st
+                    else:
+                        premia = RiskPremia.arbitrage_free(nu1, params.lam)
+                        law = risk_neutral_map(params, nu1)
+                        law_state = risk_neutral_state(params, st)
+                    p = parabolic_form(law)
+                    nc = theta_noncentrality(p, expand_weights(p),
+                                             parabolic_state(law, law_state))
+                    exact = _one_day_cumulants(p, nc)
+                    k = raw_cumulants(params, st, 1, premia=premia)
+                    rel = np.abs(k - exact) / np.abs(exact)
+                    assert rel[:2].max() <= 1e-11
+                    assert rel[2:].max() <= 1e-8
 
     def test_finite_and_positive_variance(self, all_variants):
         for params in all_variants:
@@ -349,10 +380,11 @@ class TestVarianceGammaOracle:
                                   (premia, theta_q, lam_q)):
             for horizon in (1, 22, 252):
                 k = raw_cumulants(vg, st, horizon, premia=given)
-                k1 = vg.r * horizon + vg.delta * theta * lam * horizon
-                k2 = vg.delta * theta * horizon * (1.0 + theta * lam**2)
-                assert abs(k[0] - k1) <= 1e-9 * abs(k1)
-                assert abs(k[1] - k2) <= 1e-9 * k2
+                exact = horizon * _one_day_cumulants(
+                    replace(vg, theta=theta, lam=lam), 0.0)
+                rel = np.abs(k - exact) / np.abs(exact)
+                assert rel[:2].max() <= 1e-11
+                assert rel[2:].max() <= 1e-6
 
 
 def _shift_and_add(p, weights, z, horizon, premia=None):

@@ -236,6 +236,14 @@ class TestImpliedVol:
         with pytest.raises(InversionDomainError):
             implied_vol(100.0 + 1.0, 100.0, 80.0, 0.01, 1.0, "call")
 
+    def test_bs_price_checks_type_at_zero_vol(self):
+        # the zero-vol shortcut must not read an unknown type as a put
+        for sigma in (0.0, 0.2):
+            with pytest.raises(ValidationError, match="'cal'"):
+                bs_price(1.0, 1.2, 0.0, sigma, 10.0, "cal")
+        assert bs_price(1.0, 1.2, 0.0, 0.0, 10.0, "put") == pytest.approx(0.2)
+        assert bs_price(1.0, 1.2, 0.0, 0.0, 10.0, "call") == 0.0
+
     def test_deep_otm_tiny_price(self):
         # 5 cents on a 1000 underlying still inverts accurately
         iv = implied_vol(0.05, 1000.0, 700.0, 1e-4, 30.0, "put")
