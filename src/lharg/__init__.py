@@ -22,16 +22,11 @@ from .model import (
     N_LAGS,
     ParabolicForm,
     RiskPremia,
-    check_positivity,
-    conditional_covariance,
     expand_weights,
     filter_innovations,
     leverage,
-    no_arbitrage_nu2,
     parabolic_form,
     parabolic_state,
-    risk_neutral_map,
-    risk_neutral_state,
     state_from_series,
     stationarity_margin,
     stationary_mean_rv,

@@ -161,17 +161,10 @@ def _cmd_estimate(args) -> int:
         "loglik": fit.loglik, "persistence": fit.persistence,
         "converged": int(fit.converged), "iterations": fit.iterations,
     })
-    row = {
-        "lambda": p.lam, "theta": p.theta, "delta": p.delta,
-        "beta_d": p.beta_d, "beta_w": p.beta_w, "beta_m": p.beta_m,
-        "alpha_d": p.alpha_d, "alpha_w": p.alpha_w, "alpha_m": p.alpha_m,
-        "gamma": p.gamma_lev, "loglik": fit.loglik,
-        "persistence": fit.persistence,
-    }
-    with open(args.csv, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=_ESTIMATE_COLUMNS)
-        writer.writeheader()
-        writer.writerow(row)
+    _write_csv(args.csv, _ESTIMATE_COLUMNS, [[
+        p.lam, p.theta, p.delta, p.beta_d, p.beta_w, p.beta_m,
+        p.alpha_d, p.alpha_w, p.alpha_m, p.gamma_lev, fit.loglik,
+        fit.persistence]])
     print(f"{args.variant} fit on {len(rv)} observations "
           f"({'converged' if fit.converged else 'NOT converged'}, "
           f"{fit.iterations} iterations)")
@@ -231,19 +224,13 @@ def _cmd_price(args) -> int:
         chain = report.chain
     states = _chain_states(params, chain, args.rv, args.returns)
     rows = price_chain(params, args.nu1, chain, states)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(lio.CHAIN_COLUMNS)
-                        + ["market_iv", "model_price", "model_iv", "error"])
-        for row in rows:
-            q = row.quote
-            writer.writerow([
-                q.quote_date.isoformat(), q.expiry_date.isoformat(),
-                repr(q.strike), q.option_type, repr(q.mid_price),
-                repr(q.underlying), repr(q.rate),
-                "" if q.market_iv is None else repr(q.market_iv),
-                repr(row.model_price), repr(row.model_iv), row.error or "",
-            ])
+    _write_csv(args.out, [*lio.CHAIN_COLUMNS, "market_iv", "model_price",
+                          "model_iv", "error"], [
+        [q.quote_date.isoformat(), q.expiry_date.isoformat(), repr(q.strike),
+         q.option_type, repr(q.mid_price), repr(q.underlying), repr(q.rate),
+         "" if q.market_iv is None else repr(q.market_iv),
+         repr(row.model_price), repr(row.model_iv), row.error or ""]
+        for row in rows for q in [row.quote]])
     good = [r for r in rows if r.error is None and r.quote.market_iv is not None]
     if good:
         err = rmse_iv([r.quote.market_iv for r in good],
@@ -298,6 +285,18 @@ def _horizons(text):
     return [int(c) for c in cells]
 
 
+def _nu1_premia(args, extras, params: ModelParams) -> RiskPremia | None:
+    """Premia from --nu1, else from the params file's nu1; None if neither."""
+    nu1 = args.nu1 if args.nu1 is not None else extras.get("nu1")
+    if nu1 is None:
+        return None
+    try:
+        nu1 = float(nu1)
+    except ValueError:
+        raise ValidationError(f"nu1 must be a number, got {nu1!r}") from None
+    return RiskPremia.arbitrage_free(nu1, params.lam)
+
+
 def _write_csv(path, header, rows) -> None:
     # called once every row is computed, so a failed run leaves no file
     with open(path, "w", newline="") as fh:
@@ -312,11 +311,10 @@ def _cmd_cumulants(args) -> int:
     measures = ["P", "Q"] if args.measure == "both" else [args.measure]
     premia = None
     if "Q" in measures:
-        nu1 = args.nu1 if args.nu1 is not None else extras.get("nu1")
-        if nu1 is None:
+        premia = _nu1_premia(args, extras, params)
+        if premia is None:
             raise ValidationError("measure Q requires --nu1 (or a nu1 key in "
                                   "the params file)")
-        premia = RiskPremia.arbitrage_free(float(nu1), params.lam)
     state = _load_state(params, args.rv, args.returns)
     rows = []
     for measure in measures:
@@ -359,24 +357,23 @@ def _cmd_evaluate(args) -> int:
                 rows.append((m, tau, market_iv, model_iv))
     if not rows:
         raise ValidationError(f"no usable rows in {args.results}")
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["m_low", "m_high", "tau_low", "tau_high", "n",
-                         "rmse_iv"])
-        print(f"{'moneyness':>14s} {'maturity':>12s} {'n':>6s} {'RMSE_IV':>9s}")
-        for m_lo, m_hi in _M_BUCKETS:
-            for t_lo, t_hi in _TAU_BUCKETS:
-                cell = [(mk, md) for m, tau, mk, md in rows
-                        if _in_m_bucket(m, m_lo, m_hi) and t_lo < tau <= t_hi]
-                if not cell:
-                    continue
-                err = rmse_iv([c[0] for c in cell], [c[1] for c in cell])
-                tau_hi_text = t_hi if t_hi < 10**9 else ""
-                writer.writerow([m_lo, m_hi, t_lo, tau_hi_text, len(cell),
-                                 repr(err)])
-                tau_text = f"({t_lo},{t_hi}]" if t_hi < 10**9 else f">{t_lo}"
-                print(f"({m_lo:5.2f},{m_hi:5.2f}] {tau_text:>12s} "
-                      f"{len(cell):6d} {err:9.4f}")
+    panels = []
+    print(f"{'moneyness':>14s} {'maturity':>12s} {'n':>6s} {'RMSE_IV':>9s}")
+    for m_lo, m_hi in _M_BUCKETS:
+        for t_lo, t_hi in _TAU_BUCKETS:
+            cell = [(mk, md) for m, tau, mk, md in rows
+                    if _in_m_bucket(m, m_lo, m_hi) and t_lo < tau <= t_hi]
+            if not cell:
+                continue
+            err = rmse_iv([c[0] for c in cell], [c[1] for c in cell])
+            open_ended = t_hi >= 10**9
+            panels.append([m_lo, m_hi, t_lo, "" if open_ended else t_hi,
+                           len(cell), repr(err)])
+            tau_text = f">{t_lo}" if open_ended else f"({t_lo},{t_hi}]"
+            print(f"({m_lo:5.2f},{m_hi:5.2f}] {tau_text:>12s} "
+                  f"{len(cell):6d} {err:9.4f}")
+    _write_csv(args.out, ["m_low", "m_high", "tau_low", "tau_high", "n",
+                          "rmse_iv"], panels)
     print(f"-> {args.out}")
     return 0
 
@@ -387,10 +384,8 @@ def _cmd_mgf_check(args) -> int:
     z_real = np.array([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])
     u_imag = np.array([-30.0, -10.0, -3.0, 3.0, 10.0, 30.0])
     zs = np.concatenate([z_real.astype(complex), 1j * u_imag])
-    runs = [("P", None)]
-    nu1 = args.nu1 if args.nu1 is not None else extras.get("nu1")
-    if nu1 is not None:
-        runs.append(("Q", RiskPremia.arbitrage_free(float(nu1), params.lam)))
+    premia = _nu1_premia(args, extras, params)
+    runs = [("P", None)] + ([("Q", premia)] if premia is not None else [])
     worst = 0.0
     rows = []
     for measure, premia in runs:

@@ -1,4 +1,4 @@
-"""CSV ingestion and serialization, and the key = value parameter file.
+"""CSV ingestion, and reading and writing the key = value parameter file.
 
 Schemas (ISO dates, decimal point, header row mandatory):
 
@@ -109,14 +109,6 @@ def load_returns(path) -> DatedSeries:
     return _load_series(path, "log_return", allow_negative=True)
 
 
-def write_series(path, series: DatedSeries, value_column: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", value_column])
-        for date, value in zip(series.dates, series.values):
-            writer.writerow([date.isoformat(), repr(float(value))])
-
-
 CHAIN_COLUMNS = ("quote_date", "expiry_date", "strike", "type", "mid_price",
                  "underlying", "rate")
 
@@ -163,20 +155,6 @@ def load_option_chain(path) -> OptionChain:
         quotes.append(quote)
     quotes.sort(key=lambda q: (q.quote_date, q.maturity_days, q.strike))
     return OptionChain(tuple(quotes))
-
-
-def write_option_chain(path, chain: OptionChain) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(CHAIN_COLUMNS) + ["market_iv"])
-        for q in chain:
-            writer.writerow([
-                q.quote_date.isoformat(), q.expiry_date.isoformat(),
-                repr(float(q.strike)), q.option_type,
-                repr(float(q.mid_price)), repr(float(q.underlying)),
-                repr(float(q.rate)),
-                "" if q.market_iv is None else repr(float(q.market_iv)),
-            ])
 
 
 PARAM_FIELDS = ("variant", "theta", "delta", "d", "beta_d", "beta_w",

@@ -59,6 +59,7 @@ from .model import (
     parabolic_form,
     parabolic_state,
     stationary_state,
+    theta_noncentrality,
 )
 
 
@@ -177,7 +178,8 @@ def raw_cumulants(params, state, horizon: int,
     returns kappa_n rho^n / n! plus aliasing of order kappa_{n+16} rho^(n+16)
     / (n+16)! (Lyness & Moler 1967; Fornberg 1981).  g(conj z) = conj g(z),
     so g is evaluated on the 9 upper-half points only.  The radius is
-    rho = _CONTOUR_RADIUS / sqrt(kappa2-guess), with the guess T * mean(rv).
+    rho = _CONTOUR_RADIUS / sqrt(kappa2-guess), with the guess T times the
+    next day's variance theta * (delta + max(Theta, 0)) from the state.
     The Taylor terms scale like (z * sd)^n, so a circle measured in
     standard deviations keeps the roundoff, amplified by n!/rho^n, the same
     relative to sd^n at every horizon and state (a fixed rho = 1 loses
@@ -186,7 +188,9 @@ def raw_cumulants(params, state, horizon: int,
     below that roundoff even when kappa2 runs several times past its guess.
     """
     st = state if state is not None else stationary_state(params)
-    kappa2_guess = horizon * float(np.mean(st.rv))
+    p = parabolic_form(params)
+    nc = theta_noncentrality(p, expand_weights(p), parabolic_state(params, st))
+    kappa2_guess = horizon * p.theta * (p.delta + max(nc, 0.0))
     if not np.isfinite(kappa2_guess) or kappa2_guess <= 0.0:
         kappa2_guess = 1.0
     rho = _CONTOUR_RADIUS / np.sqrt(kappa2_guess)

@@ -24,20 +24,21 @@ d = -(alpha_d + alpha_w + alpha_m) and beta_l -> beta_l - alpha_l*gamma^2;
 all numerical engines (MGF recursion, simulator, likelihood) work on that
 canonical parabolic form.  Parabolic leverage values are invariant under
 the measure change (the shift of the innovation exactly offsets the shift
-of gamma), so no state conversion is needed for parabolic variants; the
-zero-mean *view* depends on gamma and is converted explicitly.
+of gamma), so the engines take the state in parabolic values
+(`parabolic_state`) and need no conversion under Q; only the zero-mean
+*view* depends on gamma.
 
 This module is the single home of the P -> Q measure change: the scale
 c = 1 - theta*y_star (`_measure_scale`), the shifted leverage asymmetry
 gamma* = gamma + lam + 1/2 (`_gamma_star`) and the no-arbitrage check all
-live in `risk_neutral_parabolic`, which `risk_neutral_map` re-expresses in
-the native parameterization.  Throughout the package `premia=None` means
-the physical measure P; arbitrage-free premia select the risk-neutral Q.
+live in `risk_neutral_parabolic`, the one map from physical to
+risk-neutral parameters.  Throughout the package `premia=None` means the
+physical measure P; arbitrage-free premia select the risk-neutral Q.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -174,10 +175,14 @@ class RiskPremia:
     nu2: float
     y_star: float
 
+    def __post_init__(self):
+        if not np.isfinite((self.nu1, self.nu2, self.y_star)).all():
+            raise ValidationError(f"risk premia must be finite, got nu1 = "
+                                  f"{self.nu1!r}, nu2 = {self.nu2!r}")
+
     @classmethod
     def arbitrage_free(cls, nu1: float, lam: float) -> "RiskPremia":
-        nu2 = no_arbitrage_nu2(lam)
-        return cls(nu1=nu1, nu2=nu2, y_star=-0.5 * lam**2 - nu1 + 0.125)
+        return cls(nu1=nu1, nu2=lam + 0.5, y_star=-0.5 * lam**2 - nu1 + 0.125)
 
     @classmethod
     def general(cls, nu1: float, nu2: float, lam: float) -> "RiskPremia":
@@ -185,11 +190,6 @@ class RiskPremia:
 
     def is_arbitrage_free(self, lam: float) -> bool:
         return abs(self.nu2 - (lam + 0.5)) <= 1e-12 * abs(lam + 0.5)
-
-
-def no_arbitrage_nu2(lam: float) -> float:
-    """Equity premium forced by the no-arbitrage restriction: nu2 = lam + 1/2."""
-    return lam + 0.5
 
 
 def parabolic_form(params: ModelParams | ParabolicForm) -> ParabolicForm:
@@ -296,18 +296,6 @@ def stationarity_margin(params: ModelParams | ParabolicForm) -> float:
     return p.theta * (sb + p.gamma_lev**2 * sa)
 
 
-def check_positivity(params: ModelParams | ParabolicForm) -> bool:
-    """Whether the noncentrality is nonnegative for every admissible state.
-
-    Evaluated on the parameterization actually fed to the gamma draw, i.e.
-    the parabolic reduction: requires d >= 0 and every expanded lag weight
-    >= 0.  The zero-mean variant fails by construction (d = -sum(alpha)).
-    """
-    p = parabolic_form(params)
-    w = expand_weights(p)
-    return bool(p.d >= 0.0 and np.all(w.beta >= 0.0) and np.all(w.alpha >= 0.0))
-
-
 def _measure_scale(theta: float, y_star: float) -> float:
     # c = 1 - theta*y_star: the rescaling of the gamma scale parameters
     c = 1.0 - theta * y_star
@@ -346,48 +334,6 @@ def risk_neutral_parabolic(pform: ParabolicForm, premia: RiskPremia) -> Paraboli
     )
 
 
-def risk_neutral_map(params: ModelParams, nu1: float) -> ModelParams:
-    """risk_neutral_parabolic for arbitrage-free premia, in native form.
-
-    The zero-mean variant is mapped through its parabolic reduction and
-    re-expressed natively under the shifted gamma (the reduction constant
-    -sum(alpha) rescales consistently, so the native form is preserved).
-    """
-    q = risk_neutral_parabolic(parabolic_form(params),
-                               RiskPremia.arbitrage_free(nu1, params.lam))
-    if params.is_zero_mean:
-        gs2 = q.gamma_lev**2
-        return replace(
-            params, theta=q.theta,
-            beta_d=q.beta_d + q.alpha_d * gs2,
-            beta_w=q.beta_w + q.alpha_w * gs2,
-            beta_m=q.beta_m + q.alpha_m * gs2,
-            alpha_d=q.alpha_d, alpha_w=q.alpha_w, alpha_m=q.alpha_m,
-            gamma_lev=q.gamma_lev, lam=q.lam,
-        )
-    return replace(
-        params, theta=q.theta, d=q.d,
-        beta_d=q.beta_d, beta_w=q.beta_w, beta_m=q.beta_m,
-        alpha_d=q.alpha_d, alpha_w=q.alpha_w, alpha_m=q.alpha_m,
-        gamma_lev=q.gamma_lev, lam=q.lam,
-    )
-
-
-def risk_neutral_state(params: ModelParams, state: MarketState) -> MarketState:
-    """Re-express the state's leverage lags under the mapped gamma.
-
-    Parabolic leverage values are measure-invariant, so HARG and P-LHARG
-    states pass through unchanged.  The zero-mean view depends on gamma:
-    the invariant parabolic values are recovered with the physical gamma
-    and re-projected with gamma* = gamma + lam + 1/2.
-    """
-    if not params.is_zero_mean:
-        return state
-    lev_par = parabolic_state(params, state).lev
-    return MarketState(rv=state.rv,
-                       lev=lev_par - _gamma_star(params)**2 * state.rv - 1.0)
-
-
 def filter_innovations(returns, rv, r: float, lam: float) -> np.ndarray:
     """Recover the standard-normal innovations from returns and variances.
 
@@ -403,18 +349,6 @@ def filter_innovations(returns, rv, r: float, lam: float) -> np.ndarray:
             f"degenerate variance at index {bad[0]}: rv = {rv[bad[0]]:.6g}"
         )
     return (y - r - lam * rv) / np.sqrt(rv)
-
-
-def conditional_covariance(params: ModelParams | ParabolicForm,
-                           state: MarketState) -> float:
-    """One-step-ahead covariance between today's return and tomorrow's variance.
-
-    Cov(y_t, RV_{t+1} | F_{t-1}) = -2 theta^2 alpha_d gamma (delta + Theta),
-    negative whenever the daily leverage loading and gamma are positive.
-    """
-    p = parabolic_form(params)
-    th = theta_noncentrality(p, expand_weights(p), parabolic_state(params, state))
-    return -2.0 * p.theta**2 * p.alpha_d * p.gamma_lev * (p.delta + th)
 
 
 def stationary_mean_rv(params: ModelParams | ParabolicForm) -> float:

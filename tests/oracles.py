@@ -1,0 +1,92 @@
+"""Test-local oracles: formulas and writers that the package itself does
+not need, kept here so the tests check the package against them.
+
+The risk-neutral map is written out natively from the paper's formulas,
+not through `lharg.model.risk_neutral_parabolic`, so a test comparing the
+tilted recursion on physical parameters with the physical recursion on
+these mapped parameters checks two independent routes to Q.
+"""
+
+import csv
+from dataclasses import replace
+
+from lharg import (
+    MappingSingularError,
+    MarketState,
+    ModelParams,
+    expand_weights,
+    parabolic_form,
+    parabolic_state,
+    theta_noncentrality,
+)
+from lharg.io import CHAIN_COLUMNS
+
+
+def risk_neutral_map(params: ModelParams, nu1: float) -> ModelParams:
+    """Native parameters of the risk-neutral dynamics for arbitrage-free
+    premia (nu2 = lam + 1/2).
+
+    With y* = -lam^2/2 - nu1 + 1/8 and c = 1 - theta*y*, the scale
+    parameters divide by c, gamma* = gamma + lam + 1/2 and lam* = -1/2.
+    The zero-mean form keeps d = 0: its betas carry alpha*gamma^2 beside
+    the parabolic ones, so they map to (beta + alpha*(gamma*^2 - gamma^2))/c.
+    """
+    c = 1.0 - params.theta * (-0.5 * params.lam**2 - nu1 + 0.125)
+    if c <= 0.0:
+        raise MappingSingularError(f"scale c = {c:.6g} <= 0")
+    g_star = params.gamma_lev + params.lam + 0.5
+    shift = g_star**2 - params.gamma_lev**2 if params.is_zero_mean else 0.0
+    return replace(
+        params, theta=params.theta / c, d=params.d / c,
+        beta_d=(params.beta_d + params.alpha_d * shift) / c,
+        beta_w=(params.beta_w + params.alpha_w * shift) / c,
+        beta_m=(params.beta_m + params.alpha_m * shift) / c,
+        alpha_d=params.alpha_d / c, alpha_w=params.alpha_w / c,
+        alpha_m=params.alpha_m / c, gamma_lev=g_star, lam=-0.5,
+    )
+
+
+def risk_neutral_state(params: ModelParams, state: MarketState) -> MarketState:
+    """The state in the convention of `risk_neutral_map(params, nu1)`.
+
+    Parabolic leverage is measure-invariant.  The zero-mean value
+    lev + gamma^2 rv + 1 is that invariant, so under gamma* the zero-mean
+    lags become lev + (gamma^2 - gamma*^2) rv.
+    """
+    if not params.is_zero_mean:
+        return state
+    g_star = params.gamma_lev + params.lam + 0.5
+    return MarketState(rv=state.rv, lev=state.lev + (
+        params.gamma_lev**2 - g_star**2) * state.rv)
+
+
+def conditional_covariance(params: ModelParams, state: MarketState) -> float:
+    """Cov(y_t, RV_{t+1} | F_{t-1}) = -2 theta^2 alpha_d gamma (delta + Theta)
+    on the parabolic form, exact when lam = 0."""
+    p = parabolic_form(params)
+    nc = theta_noncentrality(p, expand_weights(p), parabolic_state(params, state))
+    return -2.0 * p.theta**2 * p.alpha_d * p.gamma_lev * (p.delta + nc)
+
+
+def write_series(path, series, value_column: str) -> None:
+    """A date,<value_column> CSV that `lharg.io` loads back exactly."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["date", value_column])
+        for date, value in zip(series.dates, series.values):
+            writer.writerow([date.isoformat(), repr(float(value))])
+
+
+def write_option_chain(path, chain) -> None:
+    """A chain CSV with the market_iv column, in `lharg.io`'s schema."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([*CHAIN_COLUMNS, "market_iv"])
+        for q in chain:
+            writer.writerow([
+                q.quote_date.isoformat(), q.expiry_date.isoformat(),
+                repr(float(q.strike)), q.option_type,
+                repr(float(q.mid_price)), repr(float(q.underlying)),
+                repr(float(q.rate)),
+                "" if q.market_iv is None else repr(float(q.market_iv)),
+            ])

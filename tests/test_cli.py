@@ -12,9 +12,10 @@ import pytest
 
 from lharg import ModelParams, simulate_paths, stationary_state
 from lharg.cli import PATHSET_MAGIC, PATHSET_VERSION, main
-from lharg.io import DatedSeries, load_params, write_option_chain, write_series
+from lharg.io import DatedSeries, load_params
 from lharg.options import OptionChain
 
+from oracles import write_option_chain, write_series
 from test_pricing import make_quote
 
 
@@ -173,15 +174,32 @@ def test_bad_simulator_inputs_rejected(tmp_path, small_model, capsys):
         assert re.search(message, capsys.readouterr().err), argv
 
 
-def test_failed_run_leaves_no_csv(tmp_path, small_model):
+def test_failed_run_leaves_no_csv(data_dir, tmp_path, small_model):
     from lharg.io import save_params
-    fit = tmp_path / "p.txt"
+    fit, bad = tmp_path / "p.txt", tmp_path / "bad.txt"
     save_params(fit, small_model)
+    save_params(bad, small_model, extras={"nu1": "abc"})
+    sim_q = ["simulate", "--params", str(fit), "--days", "5", "--paths", "8",
+             "--measure", "Q"]
+    chain = ["price", "--params", str(fit), "--chain",
+             str(data_dir / "chain.csv")]
     cases = (
         (["mgf-check", "--params", str(fit), "--paths", "8", "--seed", "-1"],
          2, tmp_path / "m.csv"),
         (["cumulants", "--params", str(fit), "--measure", "both",
           "--nu1=-1e9"], 3, tmp_path / "c.csv"),
+        # a nan, infinite or non-numeric nu1, from --nu1 or the params file
+        ([*sim_q, "--nu1", "nan"], 2, tmp_path / "s.csv"),
+        ([*sim_q, "--nu1", "inf"], 2, tmp_path / "s.csv"),
+        ([*chain, "--nu1", "nan"], 2, tmp_path / "p.csv"),
+        ([*chain, "--nu1=-inf"], 2, tmp_path / "p.csv"),
+        (["cumulants", "--params", str(fit), "--nu1", "nan"], 2,
+         tmp_path / "c.csv"),
+        (["cumulants", "--params", str(bad)], 2, tmp_path / "c.csv"),
+        (["mgf-check", "--params", str(fit), "--paths", "8", "--nu1", "nan"],
+         2, tmp_path / "m.csv"),
+        (["mgf-check", "--params", str(bad), "--paths", "8"], 2,
+         tmp_path / "m.csv"),
     )
     for argv, code, out in cases:
         assert main([*argv, "--out", str(out)]) == code, argv

@@ -13,8 +13,6 @@ from lharg.io import (
     load_returns,
     load_rv_series,
     save_params,
-    write_option_chain,
-    write_series,
 )
 from lharg.options import (
     OptionChain,
@@ -22,6 +20,7 @@ from lharg.options import (
     filter_options,
 )
 
+from oracles import write_option_chain, write_series
 from test_pricing import make_quote
 
 

@@ -20,8 +20,6 @@ from lharg import (
     mgf_q,
     parabolic_form,
     parabolic_state,
-    risk_neutral_map,
-    risk_neutral_state,
     sample_noncentral_gamma,
     simulate_paths,
     state_from_series,
@@ -32,6 +30,7 @@ from lharg.mgf import _guarded, _recurse, log_mgf, raw_cumulants
 from lharg.pricing import COS_TERMS, cos_interval
 
 from conftest import random_state_arrays
+from oracles import risk_neutral_map, risk_neutral_state
 
 HORIZONS = (1, 5, 22, 63, 126, 252)
 
@@ -258,7 +257,40 @@ def _one_day_cumulants(p, nc):
     return series.coef[1:5] * np.array([1.0, 2.0, 6.0, 24.0])
 
 
+def _circle_cumulants(params, state, horizon, premia, rho, points=64):
+    """k1..k4 from the trapezoidal Cauchy integral of the log-MGF on the
+    full circle |z| = rho, by a plain forward FFT of `points` values."""
+    z = rho * np.exp(2j * np.pi * np.arange(points) / points)
+    coef = np.fft.fft(log_mgf(params, state, z, horizon, premia=premia)) \
+        / points
+    n = np.arange(1, 5)
+    return coef[n].real * np.array([1.0, 2.0, 6.0, 24.0]) / rho ** n
+
+
 class TestCumulants:
+    def test_calm_states_against_wide_circle(self, zmlharg):
+        # on calm ZM-LHARG states (rv lags near 1e-6) the variance comes
+        # mostly from delta and the leverage lags, far past T * mean(rv);
+        # the 16-point contour must still match a 64-point circle at a
+        # quarter of a standard deviation, in units of sd^n
+        rng = np.random.default_rng(29)
+        states = []
+        for scale in (1e-6,) * 6 + (1.1e-4,) * 3:
+            rv, eps = random_state_arrays(rng, scale)
+            states.append(MarketState(rv=rv, lev=np.asarray(
+                leverage(eps, rv, zmlharg.gamma_lev, "ZM-LHARG"))))
+        q = RiskPremia.arbitrage_free(-3000.0, zmlharg.lam)
+        worst = 0.0
+        for st in states:
+            for premia in (None, q):
+                for horizon in (1, 5, 14, 63, 252):
+                    k = raw_cumulants(zmlharg, st, horizon, premia=premia)
+                    ref = _circle_cumulants(zmlharg, st, horizon, premia,
+                                            0.25 / np.sqrt(k[1]))
+                    sd_n = np.sqrt(ref[1]) ** np.arange(1, 5)
+                    worst = max(worst, float(np.max(np.abs(k - ref) / sd_n)))
+        assert worst <= 1e-8
+
     def test_one_day_variance_analytic(self, all_variants):
         # k1..k4 at T = 1 against the closed form, under P and under Q
         # (whose law is the physical one on the mapped parameters)

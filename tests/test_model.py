@@ -10,16 +10,13 @@ from lharg import (
     RiskPremia,
     ValidationError,
     MappingSingularError,
-    check_positivity,
-    conditional_covariance,
     expand_weights,
     filter_innovations,
     leverage,
-    no_arbitrage_nu2,
+    mgf_p,
+    mgf_q,
     parabolic_form,
     parabolic_state,
-    risk_neutral_map,
-    risk_neutral_state,
     state_from_series,
     stationarity_margin,
     stationary_mean_rv,
@@ -29,6 +26,13 @@ from lharg import (
 from lharg.model import risk_neutral_parabolic
 
 from conftest import random_state_arrays
+from oracles import risk_neutral_map, risk_neutral_state
+
+
+def _q_form(params, nu1):
+    # the package's one P -> Q map, at arbitrage-free premia
+    return risk_neutral_parabolic(parabolic_form(params),
+                                  RiskPremia.arbitrage_free(nu1, params.lam))
 
 
 class TestModelParams:
@@ -160,9 +164,9 @@ class TestThetaNoncentrality:
 
 class TestNoArbitrage:
     def test_values(self):
-        assert no_arbitrage_nu2(2.005) == 2.505
-        assert no_arbitrage_nu2(0.0) == 0.5
-        assert no_arbitrage_nu2(-0.5) == 0.0
+        assert RiskPremia.arbitrage_free(-100.0, 2.005).nu2 == 2.505
+        assert RiskPremia.arbitrage_free(-100.0, 0.0).nu2 == 0.5
+        assert RiskPremia.arbitrage_free(-100.0, -0.5).nu2 == 0.0
 
     def test_arbitrage_free_premia_identity(self):
         rng = np.random.default_rng(3)
@@ -175,6 +179,13 @@ class TestNoArbitrage:
             # the stored tilt agrees with the general formula at nu2=lam+1/2
             general = RiskPremia.general(nu1, lam + 0.5, lam)
             assert abs(premia.y_star - general.y_star) < 1e-9 * abs(general.y_star)
+
+    def test_non_finite_rejected(self):
+        for nu1 in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValidationError, match="finite"):
+                RiskPremia.arbitrage_free(nu1, 2.005)
+        with pytest.raises(ValidationError, match="finite"):
+            RiskPremia.general(-100.0, np.nan, 2.005)
 
     def test_rounding_tolerated(self):
         # (lam + 1/4) + 1/4 rounds differently from lam + 1/2 at lam = 0.08
@@ -194,18 +205,17 @@ class TestRiskNeutralMap:
         assert abs(y_star - 3373.1149875) < 1e-9
         scale = 1.0 - 1.117e-5 * y_star
         theta_star = 1.117e-5 / scale
-        q = risk_neutral_map(zmlharg, nu1)
+        q = _q_form(zmlharg, nu1)
         assert abs(q.theta - theta_star) <= 1e-14
         assert abs(q.theta - 1.1608e-5) < 1e-9      # magnitude check
         assert abs(q.gamma_lev - 137.305) < 1e-12   # 134.8 + 2.005 + 0.5
         assert q.lam == -0.5
         assert q.delta == zmlharg.delta
         assert q.r == zmlharg.r
-        assert q.variant == zmlharg.variant
 
     def test_identity_at_fixed_point(self, plharg):
         nu1 = 0.125 - 0.5 * plharg.lam**2
-        q = risk_neutral_map(plharg, nu1)
+        q = _q_form(plharg, nu1)
         for name in ("theta", "delta", "d", "beta_d", "beta_w", "beta_m",
                      "alpha_d", "alpha_w", "alpha_m"):
             assert abs(getattr(q, name) - getattr(plharg, name)) \
@@ -216,7 +226,7 @@ class TestRiskNeutralMap:
         # theta * y_star >= 1 has no risk-neutral counterpart
         nu1 = 0.125 - 0.5 * plharg.lam**2 - 1.1 / plharg.theta
         with pytest.raises(MappingSingularError):
-            risk_neutral_map(plharg, nu1)
+            _q_form(plharg, nu1)
 
     def test_rejects_premia_off_no_arbitrage(self, plharg):
         # nu2 != lam + 1/2 has no risk-neutral counterpart, even at nu2 = 0
@@ -252,13 +262,6 @@ class TestStationarityMargin:
         assert abs(stationarity_margin(harg) - 0.8532) < 5e-4
 
 
-class TestPositivity:
-    def test_three_variants(self, harg, plharg, zmlharg):
-        assert check_positivity(plharg) is True
-        assert check_positivity(zmlharg) is False   # reduction has d < 0
-        assert check_positivity(harg) is True
-
-
 class TestFilterInnovations:
     def test_round_trip(self):
         rng = np.random.default_rng(5)
@@ -274,16 +277,6 @@ class TestFilterInnovations:
         y = np.zeros(3)
         with pytest.raises(ValidationError, match="index 1"):
             filter_innovations(y, rv, 0.0, 0.0)
-
-
-class TestConditionalCovariance:
-    def test_zero_without_daily_leverage(self, harg):
-        st = stationary_state(harg)
-        assert conditional_covariance(harg, st) == 0.0
-
-    def test_strictly_negative(self, zmlharg):
-        st = stationary_state(zmlharg)
-        assert conditional_covariance(zmlharg, st) < 0.0
 
 
 class TestMarketState:
@@ -317,8 +310,14 @@ class TestMarketState:
 
 class TestRiskNeutralState:
     def test_parabolic_untouched(self, plharg):
+        # parabolic leverage is measure-invariant: the mapped parameters
+        # take the physical state as it stands
         st = stationary_state(plharg)
-        assert risk_neutral_state(plharg, st) is st
+        premia = RiskPremia.arbitrage_free(-3375.0, plharg.lam)
+        for z in (0.5, 1j * 10.0):
+            direct = mgf_q(plharg, st, premia, z, 22)
+            mapped = mgf_p(_q_form(plharg, -3375.0), st, z, 22)
+            assert abs(direct - mapped) <= 1e-12 * abs(direct)
 
     def test_zero_mean_view_consistency(self, zmlharg):
         # invariant parabolic values recovered under either gamma agree

@@ -16,13 +16,12 @@ from lharg import (
     leverage,
     mgf_p,
     mgf_q,
-    risk_neutral_map,
-    risk_neutral_state,
 )
 from lharg.mgf import raw_cumulants
 from lharg.pricing import cos_interval, cos_price, model_char_fn
 
 from conftest import random_state_arrays
+from oracles import risk_neutral_map, risk_neutral_state
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=100)
 

@@ -9,6 +9,7 @@ import inspect
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+SRC = Path(__file__).resolve().parents[1] / "src" / "lharg"
 TRACING = BENCH / "tracing.py"
 CHECKS = BENCH / "checks.py"
 
@@ -21,6 +22,31 @@ def _expected_names():
                 for t in node.targets):
             return ast.literal_eval(node.value)
     raise AssertionError("EXPECTED not found in bench/tracing.py")
+
+
+def test_every_import_is_used():
+    # a name a module imports and never reads is left over from a deletion;
+    # __init__ imports only to re-export, so it is exempt
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = \
+                        node.lineno
+            elif isinstance(node, ast.ImportFrom) \
+                    and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}"
+                   for name, line in imported.items() if name not in used]
+    assert not unused, unused
 
 
 def test_traced_boundaries_are_public_functions():

@@ -8,7 +8,6 @@ import pytest
 from lharg import (
     RiskPremia,
     ValidationError,
-    conditional_covariance,
     expand_weights,
     filter_innovations,
     parabolic_form,
@@ -20,6 +19,8 @@ from lharg import (
 )
 from lharg import simulate
 from lharg.simulate import mc_mgf_from_samples
+
+from oracles import conditional_covariance
 
 
 class TestNoncentralGamma:
