@@ -103,7 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--days", type=_positive_int, default=252)
     p.add_argument("--paths", type=_positive_int, default=10000)
     p.add_argument("--measure", choices=["P", "Q"], default="P")
-    p.add_argument("--nu1", type=float, help="required for measure Q")
+    p.add_argument("--nu1", type=float,
+                   help="for measure Q; default: the params file's nu1")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--burn-in", type=int, default=0)
     p.add_argument("--rv", help="RV CSV for the start state")
@@ -114,7 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cumulants", help="cumulant term structure")
     p.add_argument("--params", required=True)
     p.add_argument("--measure", choices=["P", "Q", "both"], default="both")
-    p.add_argument("--nu1", type=float, help="required for measure Q")
+    p.add_argument("--nu1", type=float,
+                   help="for measure Q; default: the params file's nu1")
     p.add_argument("--horizons", default="5,22,63,126,252",
                    help="comma-separated day counts")
     p.add_argument("--rv", help="RV CSV for the conditioning state")
@@ -243,12 +245,8 @@ def _cmd_price(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    params, _ = lio.load_params(args.params)
-    premia = None
-    if args.measure == "Q":
-        if args.nu1 is None:
-            raise ValidationError("measure Q requires --nu1")
-        premia = RiskPremia.arbitrage_free(args.nu1, params.lam)
+    params, extras = lio.load_params(args.params)
+    premia = _q_premia(args, extras, params) if args.measure == "Q" else None
     state = _load_state(params, args.rv, args.returns)
     paths = simulate_paths(params, state, args.days, args.paths,
                            premia=premia, seed=args.seed,
@@ -297,6 +295,15 @@ def _nu1_premia(args, extras, params: ModelParams) -> RiskPremia | None:
     return RiskPremia.arbitrage_free(nu1, params.lam)
 
 
+def _q_premia(args, extras, params: ModelParams) -> RiskPremia:
+    """The premia of _nu1_premia, which a Q run cannot do without."""
+    premia = _nu1_premia(args, extras, params)
+    if premia is None:
+        raise ValidationError("measure Q requires --nu1 (or a nu1 key in "
+                              "the params file)")
+    return premia
+
+
 def _write_csv(path, header, rows) -> None:
     # called once every row is computed, so a failed run leaves no file
     with open(path, "w", newline="") as fh:
@@ -309,12 +316,7 @@ def _cmd_cumulants(args) -> int:
     params, extras = lio.load_params(args.params)
     horizons = _horizons(args.horizons)
     measures = ["P", "Q"] if args.measure == "both" else [args.measure]
-    premia = None
-    if "Q" in measures:
-        premia = _nu1_premia(args, extras, params)
-        if premia is None:
-            raise ValidationError("measure Q requires --nu1 (or a nu1 key in "
-                                  "the params file)")
+    premia = _q_premia(args, extras, params) if "Q" in measures else None
     state = _load_state(params, args.rv, args.returns)
     rows = []
     for measure in measures:

@@ -6,32 +6,33 @@ The conditional MGF E[exp(z * y_{t,T}) | F_t] is exponential-affine in the
     mgf = exp( A + sum_i B_i RV[t+1-i] + sum_j C_j lev[t+1-j] ),
 
 with coefficients obtained by a backward daily recursion from terminal
-zeros.  One step evolves (A, B, C) through
+zeros.  On the parabolic-leverage canonical form one step evolves (A, B, C)
+through
 
-    X   = (z - nu2)*lam + B_1 - nu1
-          + ((z - nu2)^2/2 + g^2 C_1 - 2 C_1 g (z - nu2)) / (1 - 2 C_1)
-    A  += z*r - log(1 - 2 C_1)/2 - delta*(w(X) - w(Y)) + d*(v(X) - v(Y))
-    B_i = B_{i+1} + (v(X) - v(Y)) beta_i      (B_23 = 0)
-    C_j = C_{j+1} + (v(X) - v(Y)) alpha_j
+    X   = z*lam + B_1 + (z^2/2 + g^2 C_1 - 2 C_1 g z) / (1 - 2 C_1)
+    A  += z*r - log(1 - 2 C_1)/2 - delta*w(X) + d*v(X)
+    B_i = B_{i+1} + v(X) beta_i      (B_23 = 0)
+    C_j = C_{j+1} + v(X) alpha_j
 
 where v(x) = theta*x / (1 - theta*x) and w(x) = log(1 - x*theta) are the
-noncentral-gamma moment transforms and Y = -nu2*lam - nu1 + nu2^2/2 is the
-constant risk-premium tilt.  The physical measure is the special case
-nu1 = nu2 = 0 (Y = 0); arbitrage-free risk-neutral premia have
-nu2 = lam + 1/2, which makes mgf(1) = exp(r*T) hold identically.
+noncentral-gamma moment transforms.
 
-The recursion is evaluated on the parabolic-leverage canonical form and
-accepts complex z; the characteristic function is the MGF at z = i*u.
-`_recurse` is the one implementation of the step, vectorized across a
-whole z-grid in one pass.  Unrolled over T days the step gives
+The step is the same under both measures, since under an arbitrage-free
+pricing kernel the risk-neutral dynamics are again an LHARG.
+`premia=None` runs it on the physical parameters (P); arbitrage-free
+premia run it on the parameters of `model.risk_neutral_parabolic` (scale
+parameters over c, gamma + lam + 1/2, lam = -1/2), the risk-neutral Q,
+for which mgf(1) = exp(r*T) holds exactly: X is 0 every day at z = 1.
+model.py is the single home of that measure change; premia off
+no-arbitrage have no Q and raise ValidationError.
+
+The recursion accepts complex z; the characteristic function is the MGF
+at z = i*u.  `_recurse` is the one implementation of the step, vectorized
+across a whole z-grid in one pass.  Unrolled over T days the step gives
 B_i = sum_j beta_{i+j-1} inc[T+1-j], zero past lag 22 (C_j likewise with
-alpha), where inc[s] is day s's v(X) - v(Y).  So the loop keeps a ring of
-the last 22 increments and forms B_1 and C_1 in one weight product per day;
+alpha), where inc[s] is day s's v(X).  So the loop keeps a ring of the
+last 22 increments and forms B_1 and C_1 in one weight product per day;
 the full B and C are formed once, after the last day, as a Hankel product.
-`premia=None` means the physical measure P (nu1 = nu2 = Y = 0); given
-premia select the tilted recursion, which is the risk-neutral Q when they
-are arbitrage-free.  The tilt's scale 1 - theta*Y comes from model.py, the
-single home of the measure change.
 
 The cumulants kappa_n of y_{t,T} are the Taylor coefficients of the log-MGF
 at z = 0, times n!.  `raw_cumulants` reads the first four from one FFT of
@@ -54,7 +55,7 @@ from .model import (
     N_LAGS,
     ParabolicForm,
     RiskPremia,
-    _measure_scale,
+    _measure_form,
     expand_weights,
     parabolic_form,
     parabolic_state,
@@ -71,8 +72,7 @@ def _guarded(values: np.ndarray, step: int, what: str) -> None:
         raise RecursionDomainError(step, f"{what} left the right half-plane")
 
 
-def _recurse(p: ParabolicForm, weights: LagWeights, z: np.ndarray, horizon: int,
-             premia: RiskPremia | None = None):
+def _recurse(p: ParabolicForm, weights: LagWeights, z: np.ndarray, horizon: int):
     """Run the backward recursion for a vector of z values.
 
     Returns (A, B, C) with shapes (n,), (n, 22), (n, 22).
@@ -83,14 +83,8 @@ def _recurse(p: ParabolicForm, weights: LagWeights, z: np.ndarray, horizon: int,
     theta, delta, d = p.theta, p.delta, p.d
     g = p.gamma_lev
     dtype = np.result_type(z.dtype, float)
-    nu1, nu2, y_star = (0.0, 0.0, 0.0) if premia is None \
-        else (premia.nu1, premia.nu2, premia.y_star)
-    c = _measure_scale(theta, y_star)
-    v_y = theta * y_star / c
-
-    zs = z - nu2
-    lin, quad, lev = zs * p.lam, 0.5 * zs * zs, g * g - 2.0 * g * zs
-    a_day = z * p.r + delta * np.log(c) - d * v_y
+    lin, quad, lev = z * p.lam, 0.5 * z * z, g * g - 2.0 * g * z
+    a_day = z * p.r
     # ring[s % 22] holds day s's increment; rolled[s % 22] lines the
     # [beta; alpha] rows up with the ring after day s
     lags = np.arange(N_LAGS)
@@ -102,14 +96,12 @@ def _recurse(p: ParabolicForm, weights: LagWeights, z: np.ndarray, horizon: int,
         B1, C1 = rolled[(step - 1) % N_LAGS] @ ring
         den = 1.0 - 2.0 * C1
         _guarded(den, step, "1 - 2*C_1")
-        # nu1 is added on its own: X cancels against Y at the scale of |nu1|,
-        # and rounding lin - nu1 first moves B by 1e-12 where it is 0 at z = 0
-        X = lin + B1 - nu1 + (quad + lev * C1) / den
+        X = lin + B1 + (quad + lev * C1) / den
         one_minus = 1.0 - theta * X
         _guarded(one_minus, step, "1 - theta*X")
         v_x = theta * X / one_minus
         A += a_day - 0.5 * np.log(den) - delta * np.log(one_minus) + d * v_x
-        ring[step % N_LAGS] = v_x - v_y
+        ring[step % N_LAGS] = v_x
     # B[:, i] = sum_j beta[i + j] inc[T - j], 0-based and zero past lag 22,
     # likewise C: a Hankel product with the increments newest first
     padded = np.concatenate([w, np.zeros_like(w)], axis=1)
@@ -118,13 +110,13 @@ def _recurse(p: ParabolicForm, weights: LagWeights, z: np.ndarray, horizon: int,
 
 
 def _evaluate(params, state, z, horizon, premia=None, log: bool = False):
-    p = parabolic_form(params)
+    p = _measure_form(params, premia)
     st = parabolic_state(params, state if state is not None
                          else stationary_state(params))
     weights = expand_weights(p)
     z_arr = np.atleast_1d(np.asarray(z))
     scalar = np.ndim(z) == 0
-    A, B, C = _recurse(p, weights, z_arr, horizon, premia)
+    A, B, C = _recurse(p, weights, z_arr, horizon)
     expo = A + B @ st.rv + C @ st.lev
     out = expo if log else np.exp(expo)
     return out[0] if scalar else out
@@ -144,9 +136,11 @@ def mgf_q(params: ModelParams | ParabolicForm, state: MarketState | None,
           premia: RiskPremia, z, horizon: int):
     """MGF under the risk-neutral measure induced by the pricing kernel.
 
-    Runs the tilted recursion directly on the physical parameters; with
-    arbitrage-free premia this equals the physical recursion evaluated on
-    the risk-neutral-mapped parameters.
+    Runs the physical recursion on the risk-neutral parameters that
+    `risk_neutral_parabolic` maps params to under arbitrage-free premia;
+    premia off no-arbitrage raise ValidationError, and premia with no
+    positive scale raise MappingSingularError.  The state is the physical
+    one: its parabolic leverage values are the same under both measures.
     """
     return _evaluate(params, state, z, horizon, premia)
 

@@ -29,11 +29,14 @@ of gamma), so the engines take the state in parabolic values
 *view* depends on gamma.
 
 This module is the single home of the P -> Q measure change: the scale
-c = 1 - theta*y_star (`_measure_scale`), the shifted leverage asymmetry
+c = 1 - theta*y_star, the shifted leverage asymmetry
 gamma* = gamma + lam + 1/2 (`_gamma_star`) and the no-arbitrage check all
 live in `risk_neutral_parabolic`, the one map from physical to
-risk-neutral parameters.  Throughout the package `premia=None` means the
-physical measure P; arbitrage-free premia select the risk-neutral Q.
+risk-neutral parameters.  Throughout the package `premia=None` means the physical
+measure P; arbitrage-free premia select the risk-neutral Q, whose
+dynamics are again an LHARG.  `_measure_form` picks the one or the other
+for the MGF recursion and the simulator alike, so both run the same
+physical dynamics on the form it returns.
 """
 
 from __future__ import annotations
@@ -164,11 +167,12 @@ class MarketState:
 class RiskPremia:
     """Variance premium nu1 and equity premium nu2 of the pricing kernel.
 
-    y_star = -nu2*lam - nu1 + nu2^2/2 is fixed at construction so the
-    parameter map and the MGF recursion share one value.  Arbitrage-free
-    premia satisfy nu2 = lam + 1/2 (to 1e-12 relative, so a nu2 computed
-    along another rounding path still qualifies), for which y_star
-    collapses to -lam^2/2 - nu1 + 1/8.
+    y_star = -nu2*lam - nu1 + nu2^2/2 is the kernel's constant tilt, read
+    only by `risk_neutral_parabolic` to form the scale c = 1 - theta*y_star.
+    Arbitrage-free premia satisfy nu2 = lam + 1/2 (to 1e-12 relative, so a
+    nu2 computed along another rounding path still qualifies), for which
+    y_star collapses to -lam^2/2 - nu1 + 1/8; only these have a risk-neutral
+    counterpart, and every engine rejects the others.
     """
 
     nu1: float
@@ -183,10 +187,6 @@ class RiskPremia:
     @classmethod
     def arbitrage_free(cls, nu1: float, lam: float) -> "RiskPremia":
         return cls(nu1=nu1, nu2=lam + 0.5, y_star=-0.5 * lam**2 - nu1 + 0.125)
-
-    @classmethod
-    def general(cls, nu1: float, nu2: float, lam: float) -> "RiskPremia":
-        return cls(nu1=nu1, nu2=nu2, y_star=-nu2 * lam - nu1 + 0.5 * nu2**2)
 
     def is_arbitrage_free(self, lam: float) -> bool:
         return abs(self.nu2 - (lam + 0.5)) <= 1e-12 * abs(lam + 0.5)
@@ -296,17 +296,6 @@ def stationarity_margin(params: ModelParams | ParabolicForm) -> float:
     return p.theta * (sb + p.gamma_lev**2 * sa)
 
 
-def _measure_scale(theta: float, y_star: float) -> float:
-    # c = 1 - theta*y_star: the rescaling of the gamma scale parameters
-    c = 1.0 - theta * y_star
-    if c <= 0.0:
-        raise MappingSingularError(
-            f"theta * y_star = {theta * y_star:.6g} >= 1; "
-            "risk-neutral scale undefined"
-        )
-    return c
-
-
 def _gamma_star(params: ModelParams | ParabolicForm) -> float:
     # leverage asymmetry after the full premium shift
     return params.gamma_lev + params.lam + 0.5
@@ -325,13 +314,25 @@ def risk_neutral_parabolic(pform: ParabolicForm, premia: RiskPremia) -> Paraboli
         raise ValidationError(
             "premia violate no-arbitrage: nu2 must equal lam + 1/2"
         )
-    c = _measure_scale(pform.theta, premia.y_star)
+    c = 1.0 - pform.theta * premia.y_star
+    if c <= 0.0:
+        raise MappingSingularError(
+            f"theta * y_star = {pform.theta * premia.y_star:.6g} >= 1; "
+            "risk-neutral scale undefined"
+        )
     return ParabolicForm(
         theta=pform.theta / c, delta=pform.delta, d=pform.d / c,
         beta_d=pform.beta_d / c, beta_w=pform.beta_w / c, beta_m=pform.beta_m / c,
         alpha_d=pform.alpha_d / c, alpha_w=pform.alpha_w / c, alpha_m=pform.alpha_m / c,
         gamma_lev=_gamma_star(pform), lam=-0.5, r=pform.r,
     )
+
+
+def _measure_form(params: ModelParams | ParabolicForm,
+                  premia: RiskPremia | None) -> ParabolicForm:
+    # the parabolic form of the P (premia=None) or the Q dynamics
+    p = parabolic_form(params)
+    return p if premia is None else risk_neutral_parabolic(p, premia)
 
 
 def filter_innovations(returns, rv, r: float, lam: float) -> np.ndarray:

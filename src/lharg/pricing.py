@@ -282,14 +282,3 @@ def rmse_iv(market_ivs, model_ivs) -> float:
     if mkt.size == 0 or mkt.shape != mod.shape:
         raise ValidationError("RMSE inputs must be non-empty and aligned")
     return float(np.sqrt(np.mean((mkt - mod) ** 2)) * 100.0)
-
-
-def rmse_p(market_prices, model_prices) -> float:
-    """Percentage RMSE of relative price errors, (mod - mkt)/mkt."""
-    mkt = np.asarray(market_prices, dtype=float)
-    mod = np.asarray(model_prices, dtype=float)
-    if mkt.size == 0 or mkt.shape != mod.shape:
-        raise ValidationError("RMSE inputs must be non-empty and aligned")
-    if np.any(mkt <= 0.0):
-        raise ValidationError("relative price errors need positive prices")
-    return float(np.sqrt(np.mean(((mod - mkt) / mkt) ** 2)) * 100.0)

@@ -34,9 +34,8 @@ from .model import (
     ModelParams,
     ParabolicForm,
     RiskPremia,
-    parabolic_form,
+    _measure_form,
     parabolic_state,
-    risk_neutral_parabolic,
 )
 
 DEFAULT_BLOCK = 65536   # paths per RNG stream
@@ -135,9 +134,7 @@ def _blocks(params: ModelParams, state: MarketState,
     """Check n_paths and seed, set up the P (premia=None) or Q dynamics
     once, and return each RNG block's (rows, day steps)."""
     n_paths, seed = _whole("n_paths", n_paths, 1), _whole("seed", seed, 0)
-    p = parabolic_form(params)
-    if premia is not None:
-        p = risk_neutral_parabolic(p, premia)
+    p = _measure_form(params, premia)
     st = parabolic_state(params, state)
     return [(slice(s, s + n), _day_steps(p, st, n, rng, days))
             for s, n, rng in _block_streams(seed, n_paths)]

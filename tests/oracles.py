@@ -1,14 +1,17 @@
 """Test-local oracles: formulas and writers that the package itself does
 not need, kept here so the tests check the package against them.
 
-The risk-neutral map is written out natively from the paper's formulas,
-not through `lharg.model.risk_neutral_parabolic`, so a test comparing the
-tilted recursion on physical parameters with the physical recursion on
-these mapped parameters checks two independent routes to Q.
+The package reaches Q one way: the physical recursion on the parameters
+of `lharg.model.risk_neutral_parabolic`.  Two independent routes sit
+here.  `risk_neutral_map` writes that map out natively from the paper's
+formulas, and `shift_and_add` is the tilted recursion, which runs the
+pricing kernel's tilt on the physical parameters and needs no map at all.
 """
 
 import csv
 from dataclasses import replace
+
+import numpy as np
 
 from lharg import (
     MappingSingularError,
@@ -20,6 +23,7 @@ from lharg import (
     theta_noncentrality,
 )
 from lharg.io import CHAIN_COLUMNS
+from lharg.mgf import _guarded
 
 
 def risk_neutral_map(params: ModelParams, nu1: float) -> ModelParams:
@@ -58,6 +62,47 @@ def risk_neutral_state(params: ModelParams, state: MarketState) -> MarketState:
     g_star = params.gamma_lev + params.lam + 0.5
     return MarketState(rv=state.rv, lev=state.lev + (
         params.gamma_lev**2 - g_star**2) * state.rv)
+
+
+def shift_and_add(p, weights, z, horizon, premia=None):
+    """MGF coefficients (A, B, C) of the tilted recursion on the parabolic
+    form p, under the premia's Q (under P when premia is None).
+
+    Each day shifts both (n, 22) coefficient matrices by one lag and adds
+    the day's increment times the weights.  The kernel's tilt moves z to
+    z - nu2 and X by -nu1, and measures each day against the constant
+    Y = y_star: the increment is v(X) - v(Y) and A gains
+    -delta*(w(X) - w(Y)) - d*v(Y), with c = 1 - theta*Y.  For
+    arbitrage-free premia it equals the physical recursion on the mapped
+    parameters, reached without the map.
+    """
+    theta, delta, d, g = p.theta, p.delta, p.d, p.gamma_lev
+    dtype = np.result_type(z.dtype, float)
+    A = np.zeros(z.shape[0], dtype)
+    B = np.zeros((z.shape[0], 22), dtype)
+    C = np.zeros((z.shape[0], 22), dtype)
+    nu1, nu2, y_star = (0.0, 0.0, 0.0) if premia is None \
+        else (premia.nu1, premia.nu2, premia.y_star)
+    c = 1.0 - theta * y_star
+    zs = z - nu2
+    for step in range(1, horizon + 1):
+        C1 = C[:, 0]
+        den = 1.0 - 2.0 * C1
+        _guarded(den, step, "1 - 2*C_1")
+        X = zs * p.lam + B[:, 0] - nu1 \
+            + (0.5 * zs * zs + (g * g) * C1 - 2.0 * C1 * g * zs) / den
+        one_minus = 1.0 - theta * X
+        _guarded(one_minus, step, "1 - theta*X")
+        inc = theta * X / one_minus - theta * y_star / c
+        A += z * p.r - 0.5 * np.log(den) \
+            - delta * (np.log(one_minus) - np.log(c)) + d * inc
+        B[:, :-1] = B[:, 1:]
+        B[:, -1] = 0.0
+        B += inc[:, None] * weights.beta
+        C[:, :-1] = C[:, 1:]
+        C[:, -1] = 0.0
+        C += inc[:, None] * weights.alpha
+    return A, B, C
 
 
 def conditional_covariance(params: ModelParams, state: MarketState) -> float:

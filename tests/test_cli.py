@@ -113,6 +113,22 @@ def test_simulate_with_dump(data_dir, small_model, tmp_path):
         assert np.array_equal(rows[t], loop)
 
 
+def test_simulate_q_reads_params_file_nu1(tmp_path, small_model):
+    # simulate --measure Q takes nu1 from the params file when --nu1 is
+    # absent, as cumulants and mgf-check do
+    from lharg.io import save_params
+    fit, keyed = tmp_path / "p.txt", tmp_path / "keyed.txt"
+    save_params(fit, small_model)
+    save_params(keyed, small_model, extras={"nu1": -2500.0})
+    q = ["simulate", "--days", "5", "--paths", "32", "--seed", "4",
+         "--measure", "Q"]
+    flag, key = tmp_path / "flag.csv", tmp_path / "key.csv"
+    assert main([*q, "--params", str(fit), "--nu1", "-2500",
+                 "--out", str(flag)]) == 0
+    assert main([*q, "--params", str(keyed), "--out", str(key)]) == 0
+    assert key.read_bytes() == flag.read_bytes()
+
+
 def test_csv_cells_are_plain_floats(tmp_path, small_model):
     # every numeric cell parses with float(): no numpy scalar reprs
     from lharg.io import save_params
@@ -200,6 +216,8 @@ def test_failed_run_leaves_no_csv(data_dir, tmp_path, small_model):
          2, tmp_path / "m.csv"),
         (["mgf-check", "--params", str(bad), "--paths", "8"], 2,
          tmp_path / "m.csv"),
+        (["simulate", "--params", str(bad), "--days", "5", "--paths", "8",
+          "--measure", "Q"], 2, tmp_path / "s.csv"),
     )
     for argv, code, out in cases:
         assert main([*argv, "--out", str(out)]) == code, argv

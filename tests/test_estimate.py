@@ -12,7 +12,6 @@ from lharg import (
     expand_weights,
     filter_innovations,
     leverage,
-    simulate_paths,
     stationarity_margin,
     stationary_state,
 )

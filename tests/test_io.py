@@ -14,11 +14,7 @@ from lharg.io import (
     load_rv_series,
     save_params,
 )
-from lharg.options import (
-    OptionChain,
-    OptionQuote,
-    filter_options,
-)
+from lharg.options import OptionChain, filter_options
 
 from oracles import write_option_chain, write_series
 from test_pricing import make_quote

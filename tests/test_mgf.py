@@ -26,11 +26,13 @@ from lharg import (
     stationary_state,
     theta_noncentrality,
 )
+from lharg import mgf
 from lharg.mgf import _guarded, _recurse, log_mgf, raw_cumulants
+from lharg.model import _measure_form
 from lharg.pricing import COS_TERMS, cos_interval
 
 from conftest import random_state_arrays
-from oracles import risk_neutral_map, risk_neutral_state
+from oracles import risk_neutral_map, risk_neutral_state, shift_and_add
 
 HORIZONS = (1, 5, 22, 63, 126, 252)
 
@@ -229,19 +231,58 @@ class TestMgfQ:
             assert abs(mgf_q(zmlharg, st, premia, 0.0, horizon) - 1.0) <= 1e-12
 
     def test_equals_mapped_physical_recursion(self, all_variants):
+        # mgf_q against the two independent routes to Q of `oracles`: the
+        # tilted recursion on the physical parameters, and the physical
+        # recursion on the natively mapped ones
         rng = np.random.default_rng(31)
         for params in all_variants:
             nu1 = float(rng.uniform(-4000.0, -100.0))
             premia = RiskPremia.arbitrage_free(nu1, params.lam)
             st = stationary_state(params)
+            p, sp = parabolic_form(params), parabolic_state(params, st)
             q_params = risk_neutral_map(params, nu1)
             q_state = risk_neutral_state(params, st)
             for _ in range(15):
                 z = complex(rng.uniform(-2.5, 2.5), rng.uniform(-20, 20))
                 horizon = int(rng.integers(1, 253))
                 direct = mgf_q(params, st, premia, z, horizon)
+                a, b, c = shift_and_add(p, expand_weights(p), np.array([z]),
+                                        horizon, premia)
+                tilted = np.exp(a[0] + b[0] @ sp.rv + c[0] @ sp.lev)
+                assert abs(direct - tilted) <= 1e-12 * abs(direct)
                 mapped = mgf_p(q_params, q_state, z, horizon)
                 assert abs(direct - mapped) <= 1e-12 * abs(direct)
+
+    def test_coefficients_exact_at_zero_and_one(self, all_variants,
+                                                monkeypatch):
+        # under Q the step's X is exactly 0 at z = 0 and at z = 1, so the
+        # coefficients mgf_q runs on are (0, 0, 0) and (rT, 0, 0); a tilt
+        # cancelling X against Y at the scale of |nu1| leaves rounding in B
+        seen = []
+
+        def spy(*args):
+            seen.append(_recurse(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(mgf, "_recurse", spy)
+        for params in all_variants:
+            for nu1 in (-100.0, -3000.0, -4000.0):
+                premia = RiskPremia.arbitrage_free(nu1, params.lam)
+                for horizon in (22, 252):
+                    mgf_q(params, None, premia, np.array([0.0, 1.0]), horizon)
+                    a, b, c = seen.pop()
+                    assert np.abs(a - [0.0, params.r * horizon]).max() \
+                        <= 1e-15
+                    assert np.abs(b).max() <= 1e-15
+                    assert np.abs(c).max() <= 1e-15
+
+    def test_rejects_premia_off_no_arbitrage(self, plharg):
+        # premia off nu2 = lam + 1/2 have no risk-neutral dynamics
+        bad = RiskPremia(nu1=-100.0, nu2=0.0, y_star=-100.0)
+        with pytest.raises(ValidationError, match="no-arbitrage"):
+            mgf_q(plharg, None, bad, 0.5, 22)
+        with pytest.raises(ValidationError, match="no-arbitrage"):
+            cumulants(plharg, None, 22, premia=bad)
 
 
 def _one_day_cumulants(p, nc):
@@ -419,38 +460,6 @@ class TestVarianceGammaOracle:
                 assert rel[2:].max() <= 1e-6
 
 
-def _shift_and_add(p, weights, z, horizon, premia=None):
-    """Reference recursion: each day shifts both (n, 22) coefficient
-    matrices by one lag and adds the day's increment times the weights."""
-    theta, delta, d, g = p.theta, p.delta, p.d, p.gamma_lev
-    dtype = np.result_type(z.dtype, float)
-    A = np.zeros(z.shape[0], dtype)
-    B = np.zeros((z.shape[0], 22), dtype)
-    C = np.zeros((z.shape[0], 22), dtype)
-    nu1, nu2, y_star = (0.0, 0.0, 0.0) if premia is None \
-        else (premia.nu1, premia.nu2, premia.y_star)
-    c = 1.0 - theta * y_star
-    zs = z - nu2
-    for step in range(1, horizon + 1):
-        C1 = C[:, 0]
-        den = 1.0 - 2.0 * C1
-        _guarded(den, step, "1 - 2*C_1")
-        X = zs * p.lam + B[:, 0] - nu1 \
-            + (0.5 * zs * zs + (g * g) * C1 - 2.0 * C1 * g * zs) / den
-        one_minus = 1.0 - theta * X
-        _guarded(one_minus, step, "1 - theta*X")
-        inc = theta * X / one_minus - theta * y_star / c
-        A += z * p.r - 0.5 * np.log(den) \
-            - delta * (np.log(one_minus) - np.log(c)) + d * inc
-        B[:, :-1] = B[:, 1:]
-        B[:, -1] = 0.0
-        B += inc[:, None] * weights.beta
-        C[:, :-1] = C[:, 1:]
-        C[:, -1] = 0.0
-        C += inc[:, None] * weights.alpha
-    return A, B, C
-
-
 def _domain_error(recursion, *args):
     try:
         recursion(*args)
@@ -461,7 +470,8 @@ def _domain_error(recursion, *args):
 
 class TestAgainstShiftAndAdd:
     """`_recurse` keeps a ring of the last 22 increments; the plain
-    shift-and-add loop above is its reference, under P and under Q, at
+    shift-and-add loop of `oracles`, run untilted, is its reference on the
+    physical form and on the risk-neutral one that the package maps to, at
     horizons on both sides of the ring's wrap."""
 
     HORIZONS = (1, 2, 21, 22, 23, 44, 252)
@@ -469,9 +479,9 @@ class TestAgainstShiftAndAdd:
 
     def _cases(self, all_variants):
         for params in all_variants:
-            p = parabolic_form(params)
             q = RiskPremia.arbitrage_free(self.NU1, params.lam)
             for premia in (None, q):
+                p = _measure_form(params, premia)
                 yield params, p, expand_weights(p), premia
 
     def test_coefficients_match(self, all_variants):
@@ -482,8 +492,8 @@ class TestAgainstShiftAndAdd:
                 a, b = cos_interval(params, None, premia, horizon)
                 u = np.arange(COS_TERMS) * np.pi / (b - a)
                 for z in (real, 1j * u):
-                    want = _shift_and_add(p, weights, z, horizon, premia)
-                    got = _recurse(p, weights, z, horizon, premia)
+                    want = shift_and_add(p, weights, z, horizon)
+                    got = _recurse(p, weights, z, horizon)
                     for w, g in zip(want, got):
                         assert g.shape == w.shape
                         bound = np.where(np.abs(w) < 1.0, 1e-13,
@@ -493,11 +503,11 @@ class TestAgainstShiftAndAdd:
     def test_pole_step_matches(self, all_variants):
         # large real z cross a guard at steps from 23 up to about 120
         late = 0
-        for _, p, weights, premia in self._cases(all_variants):
+        for _, p, weights, _ in self._cases(all_variants):
             for z in np.linspace(30.0, 130.0, 11):
                 z = np.array([z])
-                want = _domain_error(_shift_and_add, p, weights, z, 252, premia)
-                got = _domain_error(_recurse, p, weights, z, 252, premia)
+                want = _domain_error(shift_and_add, p, weights, z, 252)
+                got = _domain_error(_recurse, p, weights, z, 252)
                 assert (got is None) == (want is None)
                 if want is not None:
                     assert got.step == want.step

@@ -176,24 +176,26 @@ class TestNoArbitrage:
             premia = RiskPremia.arbitrage_free(nu1, lam)
             assert premia.nu2 - lam - 0.5 == 0.0
             assert premia.is_arbitrage_free(lam)
-            # the stored tilt agrees with the general formula at nu2=lam+1/2
-            general = RiskPremia.general(nu1, lam + 0.5, lam)
-            assert abs(premia.y_star - general.y_star) < 1e-9 * abs(general.y_star)
+            # the stored tilt agrees with the general formula
+            # y_star = -nu2*lam - nu1 + nu2^2/2 at nu2 = lam + 1/2
+            general = -(lam + 0.5) * lam - nu1 + 0.5 * (lam + 0.5) ** 2
+            assert abs(premia.y_star - general) < 1e-9 * abs(general)
 
     def test_non_finite_rejected(self):
         for nu1 in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValidationError, match="finite"):
                 RiskPremia.arbitrage_free(nu1, 2.005)
         with pytest.raises(ValidationError, match="finite"):
-            RiskPremia.general(-100.0, np.nan, 2.005)
+            RiskPremia(nu1=-100.0, nu2=np.nan, y_star=np.nan)
 
     def test_rounding_tolerated(self):
         # (lam + 1/4) + 1/4 rounds differently from lam + 1/2 at lam = 0.08
         lam = 0.08
         nu2 = (lam + 0.25) + 0.25
         assert nu2 != lam + 0.5
-        assert RiskPremia.general(-100.0, nu2, lam).is_arbitrage_free(lam)
-        off = RiskPremia.general(-100.0, lam + 0.5 + 1e-6, lam)
+        assert RiskPremia(nu1=-100.0, nu2=nu2, y_star=100.0) \
+            .is_arbitrage_free(lam)
+        off = RiskPremia(nu1=-100.0, nu2=lam + 0.5 + 1e-6, y_star=100.0)
         assert not off.is_arbitrage_free(lam)
 
 
@@ -232,7 +234,8 @@ class TestRiskNeutralMap:
         # nu2 != lam + 1/2 has no risk-neutral counterpart, even at nu2 = 0
         p = parabolic_form(plharg)
         for nu2 in (0.0, plharg.lam, plharg.lam + 0.5 + 1e-9):
-            bad = RiskPremia.general(-100.0, nu2, plharg.lam)
+            bad = RiskPremia(nu1=-100.0, nu2=nu2,
+                             y_star=-nu2 * plharg.lam + 100.0 + 0.5 * nu2**2)
             with pytest.raises(ValidationError, match="no-arbitrage"):
                 risk_neutral_parabolic(p, bad)
         good = RiskPremia.arbitrage_free(-100.0, plharg.lam)

@@ -14,7 +14,6 @@ from lharg import (
     NumericalError,
     RiskPremia,
     ValidationError,
-    state_from_series,
     stationary_state,
 )
 from lharg.options import OptionChain, OptionQuote
@@ -28,7 +27,6 @@ from lharg.pricing import (
     model_char_fn,
     price_chain,
     rmse_iv,
-    rmse_p,
 )
 
 import lharg.mgf as mgf_mod
@@ -434,11 +432,6 @@ class TestRmse:
         perm = rng.permutation(20)
         assert abs(rmse_iv(market[perm], (market + gap)[perm]) - base) < 1e-12
         assert abs(rmse_iv(market, market + 2.0 * gap) - 2.0 * base) < 1e-12
-
-    def test_relative_price_variant(self):
-        market = np.array([2.0, 4.0])
-        model = np.array([2.2, 3.6])    # relative errors 0.1 and -0.1
-        assert abs(rmse_p(market, model) - 10.0) < 1e-12
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):

@@ -10,6 +10,7 @@ from pathlib import Path
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 SRC = Path(__file__).resolve().parents[1] / "src" / "lharg"
+TESTS = Path(__file__).resolve().parent
 TRACING = BENCH / "tracing.py"
 CHECKS = BENCH / "checks.py"
 
@@ -25,10 +26,10 @@ def _expected_names():
 
 
 def test_every_import_is_used():
-    # a name a module imports and never reads is left over from a deletion;
-    # __init__ imports only to re-export, so it is exempt
+    # a name a module or test imports and never reads is left over from a
+    # deletion; __init__ imports only to re-export, so it is exempt
     unused = []
-    for path in sorted(SRC.glob("*.py")):
+    for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text())
@@ -44,7 +45,7 @@ def test_every_import_is_used():
                     imported[alias.asname or alias.name] = node.lineno
         used = {node.id for node in ast.walk(tree)
                 if isinstance(node, ast.Name)}
-        unused += [f"{path.name}:{line} {name}"
+        unused += [f"{path.parent.name}/{path.name}:{line} {name}"
                    for name, line in imported.items() if name not in used]
     assert not unused, unused
 

@@ -10,7 +10,6 @@ from lharg import (
     ValidationError,
     expand_weights,
     filter_innovations,
-    parabolic_form,
     sample_noncentral_gamma,
     simulate_paths,
     simulate_y_snapshots,
@@ -98,7 +97,7 @@ class TestSimulatePaths:
 
     def test_q_requires_arbitrage_free_premia(self, plharg):
         st = stationary_state(plharg)
-        bad = RiskPremia.general(-100.0, 0.0, plharg.lam)
+        bad = RiskPremia(nu1=-100.0, nu2=0.0, y_star=100.0)
         with pytest.raises(ValidationError):
             simulate_paths(plharg, st, 10, 10, premia=bad)
         with pytest.raises(ValidationError):
