@@ -139,6 +139,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_history(rv_path, returns_path):
     """The RV and returns series, which must cover the same dates."""
+    if not (rv_path and returns_path):
+        raise ValidationError("--rv and --returns go together: missing "
+                              + ("--returns" if rv_path else "--rv"))
     rv = lio.load_rv_series(rv_path)
     ret = lio.load_returns(returns_path)
     if rv.dates != ret.dates:
@@ -147,10 +150,10 @@ def _load_history(rv_path, returns_path):
 
 
 def _load_state(params: ModelParams, rv_path, returns_path):
-    if rv_path and returns_path:
-        rv, ret = _load_history(rv_path, returns_path)
-        return state_from_series(params, rv.values, ret.values)
-    return stationary_state(params)
+    if not (rv_path or returns_path):
+        return stationary_state(params)
+    rv, ret = _load_history(rv_path, returns_path)
+    return state_from_series(params, rv.values, ret.values)
 
 
 def _cmd_estimate(args) -> int:
@@ -195,8 +198,9 @@ def _cmd_calibrate(args) -> int:
 
 def _chain_states(params: ModelParams, chain: OptionChain, rv_path,
                   returns_path):
-    if not (rv_path and returns_path):
-        return stationary_state(params)
+    if not (rv_path or returns_path):
+        return dict.fromkeys((q.quote_date for q in chain),
+                             stationary_state(params))
     rv, ret = _load_history(rv_path, returns_path)
     index = {d: i for i, d in enumerate(rv.dates)}
     states = {}

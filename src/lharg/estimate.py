@@ -327,8 +327,7 @@ def _sandwich_errors(x_hat: np.ndarray, per_obs, scale: np.ndarray) -> np.ndarra
 
 
 def calibrate_nu1(params: ModelParams, target_iv: float,
-                  maturity_days: int = 252,
-                  state: MarketState | None = None) -> float:
+                  maturity_days: int, state: MarketState) -> float:
     """Variance premium matching the model's ATM implied vol to a target.
 
     The target is the annualized at-the-money implied volatility at the

@@ -59,7 +59,6 @@ from .model import (
     expand_weights,
     parabolic_form,
     parabolic_state,
-    stationary_state,
     theta_noncentrality,
 )
 
@@ -111,8 +110,7 @@ def _recurse(p: ParabolicForm, weights: LagWeights, z: np.ndarray, horizon: int)
 
 def _evaluate(params, state, z, horizon, premia=None, log: bool = False):
     p = _measure_form(params, premia)
-    st = parabolic_state(params, state if state is not None
-                         else stationary_state(params))
+    st = parabolic_state(params, state)
     weights = expand_weights(p)
     z_arr = np.atleast_1d(np.asarray(z))
     scalar = np.ndim(z) == 0
@@ -122,17 +120,16 @@ def _evaluate(params, state, z, horizon, premia=None, log: bool = False):
     return out[0] if scalar else out
 
 
-def mgf_p(params: ModelParams | ParabolicForm, state: MarketState | None,
+def mgf_p(params: ModelParams | ParabolicForm, state: MarketState,
           z, horizon: int):
     """MGF of the T-day cumulative log-return under the physical measure.
 
-    z may be a scalar or array, real or complex; state=None starts from the
-    stationary state.
+    z may be a scalar or array, real or complex.
     """
     return _evaluate(params, state, z, horizon)
 
 
-def mgf_q(params: ModelParams | ParabolicForm, state: MarketState | None,
+def mgf_q(params: ModelParams | ParabolicForm, state: MarketState,
           premia: RiskPremia, z, horizon: int):
     """MGF under the risk-neutral measure induced by the pricing kernel.
 
@@ -181,15 +178,14 @@ def raw_cumulants(params, state, horizon: int,
     nearest singularity of g, a zero of 1 - theta*X, so the aliasing stays
     below that roundoff even when kappa2 runs several times past its guess.
     """
-    st = state if state is not None else stationary_state(params)
     p = parabolic_form(params)
-    nc = theta_noncentrality(p, expand_weights(p), parabolic_state(params, st))
+    nc = theta_noncentrality(p, expand_weights(p), parabolic_state(params, state))
     kappa2_guess = horizon * p.theta * (p.delta + max(nc, 0.0))
     if not np.isfinite(kappa2_guess) or kappa2_guess <= 0.0:
         kappa2_guess = 1.0
     rho = _CONTOUR_RADIUS / np.sqrt(kappa2_guess)
 
-    g = log_mgf(params, st, rho * np.exp(1j * np.pi * np.arange(9) / 8),
+    g = log_mgf(params, state, rho * np.exp(1j * np.pi * np.arange(9) / 8),
                 horizon, premia=premia)
     if not np.all(np.isfinite(g)):
         raise NumericalError("log-MGF non-finite on the cumulant contour")
@@ -200,10 +196,8 @@ def raw_cumulants(params, state, horizon: int,
 
 def cumulants(params, state, horizon: int,
               premia: RiskPremia | None = None) -> Cumulants:
-    """Mean, variance, skewness, and excess kurtosis of the T-day log-return.
-
-    Under P when premia is None.  state=None uses the stationary state of
-    `params` (which requires the persistence to be below one).
+    """Mean, variance, skewness, and excess kurtosis of the T-day log-return
+    from the given state, under P when premia is None.
     """
     k1, k2, k3, k4 = (float(k) for k in
                       raw_cumulants(params, state, horizon, premia=premia))

@@ -15,9 +15,9 @@ x = log(S/K).  Keeping the expansion in y (rather than log(S_T/K)) lets
 one characteristic-function pass on the shared u-grid price every strike
 of a maturity: `cos_price` evaluates its cf once per call, reads the
 cf(0) = 1 check from phi(u_0) (u_0 = 0), and broadcasts over strikes and
-option types; each strike's price is its row of the (strikes, N) payoff
-coefficients times the N density coefficients.  `price_chain` makes one
-such call per (quote_date, maturity) group.
+option types at one rate; each strike's price is its row of the
+(strikes, N) payoff coefficients times the N density coefficients.
+`price_chain` makes one such call per (quote_date, maturity, rate) group.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ COS_TERMS = 512     # N, the number of cosine terms
 COS_WIDTH = 10.0    # L in the cumulant-based truncation rule
 
 
-def cos_interval(params: ModelParams, state: MarketState | None,
+def cos_interval(params: ModelParams, state: MarketState,
                  premia: RiskPremia, tau_days: int) -> tuple[float, float]:
     """Truncation interval [a, b] = c1 -/+ COS_WIDTH * sqrt(c2 + sqrt(c4))
     from the raw cumulants of the tau-day log-return under the premia."""
@@ -76,12 +76,12 @@ def cos_price(cf, S, K, r, tau_days: int, option_type, a: float, b: float):
     1e-10.  The density is expanded on the truncation interval [a, b],
     which must satisfy b > a (see cos_interval).
 
-    S, K, r and option_type broadcast against each other like the
-    arguments of a numpy ufunc, and every strike is priced from the one cf
-    grid: scalars give a float, arrays an array of their broadcast shape.
-    A price whose expansion falls below -1e-10 is NaN in an array result,
-    so one strike cannot fail the others; a scalar call raises
-    NumericalError for it.
+    r is one scalar rate, in the time unit of tau_days.  S, K and
+    option_type broadcast against each other like the arguments of a numpy
+    ufunc, and every strike is priced from the one cf grid: scalars give a
+    float, arrays an array of their broadcast shape.  A price whose
+    expansion falls below -1e-10 is NaN in an array result, so one strike
+    cannot fail the others; a scalar call raises NumericalError for it.
     """
     if not b > a:
         raise ValidationError("truncation interval requires b > a")
@@ -92,9 +92,9 @@ def cos_price(cf, S, K, r, tau_days: int, option_type, a: float, b: float):
     dens = (2.0 / (b - a)) * np.real(phi * np.exp(-1j * u * a))
     dens[0] *= 0.5
 
-    S, K, r, kind = np.broadcast_arrays(S, K, r, option_type)
+    S, K, kind = np.broadcast_arrays(S, K, option_type)
     shape = S.shape
-    S, K, r, kind = (np.ravel(v) for v in (S, K, r, kind))
+    S, K, kind = (np.ravel(v) for v in (S, K, kind))
     call = kind == "call"
     bad = ~(call | (kind == "put"))
     if bad.any():
@@ -137,19 +137,15 @@ def bs_price(S: float, K: float, r: float, sigma: float, tau: float,
     return float(K * np.exp(-r * tau) * ndtr(-d2) - S * ndtr(-d1))
 
 
-def bs_vega(S, K, r, sigma, tau) -> float:
-    srt = sigma * np.sqrt(tau)
-    d1 = (np.log(S / K) + (r + 0.5 * sigma**2) * tau) / srt
-    pdf = np.exp(-0.5 * d1 * d1) / np.sqrt(2.0 * np.pi)
-    return float(S * pdf * np.sqrt(tau))
-
-
 def implied_vol(price: float, S: float, K: float, r: float, tau: float,
                 option_type: str) -> float:
-    """Invert Black-Scholes by bracketing plus Newton refinement.
+    """Invert Black-Scholes by one Brent solve on [1e-12, hi], with hi
+    doubled from 1/sqrt(tau) until it prices above the target.
 
-    Accurate to about 1e-12 in price; prices outside the static
-    no-arbitrage bounds raise InversionDomainError.
+    Brent stops at a relative tolerance of 4 machine epsilons in sigma,
+    about 1e-12 in price; xtol lies below rtol times the low end, so it
+    never stops the search first.  Prices outside the static no-arbitrage
+    bounds raise InversionDomainError.
     """
     disc_k = K * np.exp(-r * tau)
     if option_type == "call":
@@ -172,38 +168,24 @@ def implied_vol(price: float, S: float, K: float, r: float, tau: float,
         hi *= 2.0
         if hi > 1e6:
             raise NumericalError("implied vol bracket expansion failed")
-    sigma = brentq(f, 1e-12, hi, xtol=1e-12, rtol=8.9e-16)
-    # Newton polish takes the residual to machine precision when vega allows
-    for _ in range(3):
-        resid = f(sigma)
-        vega = bs_vega(S, K, r, sigma, tau)
-        if vega <= 0.0 or not np.isfinite(vega):
-            break
-        step = resid / vega
-        if sigma - step <= 0.0:
-            break
-        sigma -= step
-        if abs(step) < 1e-16 * max(sigma, 1.0):
-            break
-    return float(sigma)
+    return float(brentq(f, 1e-12, hi, xtol=1e-30,
+                        rtol=4.0 * np.finfo(float).eps))
 
 
-def model_char_fn(params: ModelParams, state: MarketState | None,
-                  premia: RiskPremia, tau_days: int):
-    """Vectorized characteristic function of the tau-day log-return under Q."""
-    def cf(u):
-        return np.atleast_1d(mgf_q(params, state, premia,
-                                   1j * np.asarray(u), tau_days))
-    return cf
+def _group_prices(params: ModelParams, state: MarketState,
+                  premia: RiskPremia, tau: int, S, K, option_type):
+    # one quote group: its interval, then one cos_price call at rate params.r
+    a, b = cos_interval(params, state, premia, tau)
+    return cos_price(lambda u: mgf_q(params, state, premia, 1j * u, tau),
+                     S, K, params.r, tau, option_type, a, b)
 
 
-def model_atm_iv(params: ModelParams, nu1: float, maturity_days: int = 252,
-                 state: MarketState | None = None) -> float:
+def model_atm_iv(params: ModelParams, nu1: float, maturity_days: int,
+                 state: MarketState) -> float:
     """Annualized at-the-money implied vol generated by the model."""
     premia = RiskPremia.arbitrage_free(nu1, params.lam)
-    a, b = cos_interval(params, state, premia, maturity_days)
-    cf = model_char_fn(params, state, premia, maturity_days)
-    price = cos_price(cf, 1.0, 1.0, params.r, maturity_days, "call", a, b)
+    price = _group_prices(params, state, premia, maturity_days, 1.0, 1.0,
+                          "call")
     iv_daily = implied_vol(price, 1.0, 1.0, params.r, maturity_days, "call")
     return iv_daily * np.sqrt(TRADING_DAYS)
 
@@ -219,15 +201,13 @@ class PricedQuote:
 
 
 def price_chain(params: ModelParams, nu1: float, chain: OptionChain,
-                state) -> list[PricedQuote]:
+                states) -> list[PricedQuote]:
     """Price every quote of a chain under the risk-neutral model.
 
-    Quotes are grouped by (quote_date, maturity).  Each group gets its own
-    truncation interval and one `cos_price` call, which evaluates the
-    characteristic function once and prices all the group's strikes; the
-    group's market rate replaces the model's baseline rate so discounting
-    and the risk-neutral drift stay consistent.  `state` is either a single
-    MarketState or a mapping from quote date to state.  Failures of the
+    `states` maps each quote date to its MarketState.  Quotes are grouped
+    by (quote_date, maturity, rate), and each group is priced by one
+    `cos_price` call on its own truncation interval, with the group's rate
+    as both the risk-neutral drift and the discount rate.  Failures of the
     package's own error classes are recorded on the rows instead of
     aborting the chain: a group failure (no state, recursion domain) on
     every row of the group, a strike's negative COS price or failed IV
@@ -237,37 +217,27 @@ def price_chain(params: ModelParams, nu1: float, chain: OptionChain,
     premia = RiskPremia.arbitrage_free(nu1, params.lam)
     groups: dict = {}
     for q in chain:
-        groups.setdefault((q.quote_date, q.maturity_days), []).append(q)
+        groups.setdefault((q.quote_date, q.maturity_days, q.rate),
+                          []).append(q)
 
     results = []
-    for (qdate, tau), quotes in sorted(groups.items()):
-        if isinstance(state, MarketState) or state is None:
-            st = state
-        else:
-            try:
-                st = state[qdate]
-            except KeyError:
-                for q in quotes:
-                    results.append(PricedQuote(q, np.nan, np.nan,
-                                               f"no state for {qdate}"))
-                continue
-        grp_params = replace(params, r=quotes[0].rate)
+    for (qdate, tau, rate), quotes in sorted(groups.items()):
         try:
-            a, b = cos_interval(grp_params, st, premia, tau)
-            prices = cos_price(model_char_fn(grp_params, st, premia, tau),
-                               [q.underlying for q in quotes],
-                               [q.strike for q in quotes],
-                               [q.rate for q in quotes], tau,
-                               [q.option_type for q in quotes], a, b)
+            if qdate not in states:
+                raise ValidationError(f"no state for {qdate}")
+            prices = _group_prices(
+                replace(params, r=rate), states[qdate], premia, tau,
+                [q.underlying for q in quotes], [q.strike for q in quotes],
+                [q.option_type for q in quotes])
         except LhargError as exc:
-            for q in quotes:
-                results.append(PricedQuote(q, np.nan, np.nan, str(exc)))
+            results.extend(PricedQuote(q, np.nan, np.nan, str(exc))
+                           for q in quotes)
             continue
         for q, price in zip(quotes, prices):
             try:
                 if np.isnan(price):
                     raise NumericalError("COS price NaN or below -1e-10")
-                iv = implied_vol(price, q.underlying, q.strike, q.rate, tau,
+                iv = implied_vol(price, q.underlying, q.strike, rate, tau,
                                  q.option_type) * np.sqrt(TRADING_DAYS)
                 results.append(PricedQuote(q, float(price), float(iv)))
             except LhargError as exc:

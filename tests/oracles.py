@@ -18,6 +18,7 @@ from lharg import (
     MarketState,
     ModelParams,
     expand_weights,
+    mgf_q,
     parabolic_form,
     parabolic_state,
     theta_noncentrality,
@@ -103,6 +104,12 @@ def shift_and_add(p, weights, z, horizon, premia=None):
         C[:, -1] = 0.0
         C += inc[:, None] * weights.alpha
     return A, B, C
+
+
+def model_cf(params: ModelParams, state: MarketState, premia, tau: int):
+    """Characteristic function u -> E_Q[exp(i u y_{t,tau})] from `mgf_q`,
+    in the form `lharg.pricing.cos_price` takes."""
+    return lambda u: mgf_q(params, state, premia, 1j * np.asarray(u), tau)
 
 
 def conditional_covariance(params: ModelParams, state: MarketState) -> float:

@@ -250,6 +250,30 @@ def test_misaligned_history_rejected(data_dir, tmp_path, small_model,
         assert "cover different dates" in capsys.readouterr().err
 
 
+def test_lone_history_flag_rejected(data_dir, tmp_path, small_model,
+                                   capsys):
+    # --rv without --returns, or the reverse, exits 2 naming the missing
+    # flag and writes no output
+    from lharg.io import save_params
+    fit = tmp_path / "p.txt"
+    save_params(fit, small_model)
+    commands = (
+        ["calibrate", "--params", str(fit), "--target-iv", "0.2"],
+        ["price", "--params", str(fit), "--nu1", "-2500",
+         "--chain", str(data_dir / "chain.csv")],
+        ["simulate", "--params", str(fit), "--days", "5", "--paths", "8"],
+        ["cumulants", "--params", str(fit), "--measure", "P"],
+    )
+    lone = ((["--rv", str(data_dir / "rv.csv")], "missing --returns"),
+            (["--returns", str(data_dir / "returns.csv")], "missing --rv"))
+    for argv in commands:
+        for flag, message in lone:
+            out = tmp_path / f"{argv[0]}.out"
+            assert main([*argv, *flag, "--out", str(out)]) == 2, argv + flag
+            assert message in capsys.readouterr().err
+            assert not out.exists(), argv + flag
+
+
 def test_mgf_check_smoke(data_dir, tmp_path, small_model):
     from lharg.io import save_params
     fit = tmp_path / "p.txt"

@@ -381,10 +381,11 @@ class TestCalibrateNu1:
 
     def test_rejects_silly_target(self, zmlharg):
         with pytest.raises(ValidationError):
-            calibrate_nu1(zmlharg, 0.9, 252, None)
+            calibrate_nu1(zmlharg, 0.9, 252, stationary_state(zmlharg))
 
     def test_rejects_bad_maturity(self, zmlharg):
         # an input error, not a numerical failure for the bracket search
         for maturity in (0, -5, 2.5):
             with pytest.raises(ValidationError, match="horizon"):
-                calibrate_nu1(zmlharg, 0.2, maturity)
+                calibrate_nu1(zmlharg, 0.2, maturity,
+                              stationary_state(zmlharg))

@@ -84,7 +84,7 @@ class TestTransforms:
         for z in (np.array([0.1, np.nan]), np.array([0.1j, complex(np.nan)])):
             with pytest.raises(RecursionDomainError,
                                match="1 - theta.X left") as err:
-                mgf_p(zmlharg, None, z, 22)
+                mgf_p(zmlharg, stationary_state(zmlharg), z, 22)
             assert err.value.step == 1
 
     def test_w_derivative_finite_difference(self):
@@ -269,7 +269,8 @@ class TestMgfQ:
             for nu1 in (-100.0, -3000.0, -4000.0):
                 premia = RiskPremia.arbitrage_free(nu1, params.lam)
                 for horizon in (22, 252):
-                    mgf_q(params, None, premia, np.array([0.0, 1.0]), horizon)
+                    mgf_q(params, stationary_state(params), premia,
+                          np.array([0.0, 1.0]), horizon)
                     a, b, c = seen.pop()
                     assert np.abs(a - [0.0, params.r * horizon]).max() \
                         <= 1e-15
@@ -280,9 +281,9 @@ class TestMgfQ:
         # premia off nu2 = lam + 1/2 have no risk-neutral dynamics
         bad = RiskPremia(nu1=-100.0, nu2=0.0, y_star=-100.0)
         with pytest.raises(ValidationError, match="no-arbitrage"):
-            mgf_q(plharg, None, bad, 0.5, 22)
+            mgf_q(plharg, stationary_state(plharg), bad, 0.5, 22)
         with pytest.raises(ValidationError, match="no-arbitrage"):
-            cumulants(plharg, None, 22, premia=bad)
+            cumulants(plharg, stationary_state(plharg), 22, premia=bad)
 
 
 def _one_day_cumulants(p, nc):
@@ -360,13 +361,13 @@ class TestCumulants:
     def test_finite_and_positive_variance(self, all_variants):
         for params in all_variants:
             for horizon in (5, 22, 252):
-                c = cumulants(params, None, horizon)
+                c = cumulants(params, stationary_state(params), horizon)
                 assert np.isfinite(c).all()
                 assert c.variance > 0.0
 
     def test_zero_mean_q_shape(self, zmlharg):
         premia = RiskPremia.arbitrage_free(-3375.0, zmlharg.lam)
-        c = cumulants(zmlharg, None, 22, premia=premia)
+        c = cumulants(zmlharg, stationary_state(zmlharg), 22, premia=premia)
         assert c.skewness < 0.0
         assert c.excess_kurtosis > 0.0
 
@@ -489,7 +490,8 @@ class TestAgainstShiftAndAdd:
         real = np.array([-2.0, -0.5, 0.0, 0.7, 2.0])
         for params, p, weights, premia in self._cases(all_variants):
             for horizon in self.HORIZONS:
-                a, b = cos_interval(params, None, premia, horizon)
+                a, b = cos_interval(params, stationary_state(params), premia,
+                                    horizon)
                 u = np.arange(COS_TERMS) * np.pi / (b - a)
                 for z in (real, 1j * u):
                     want = shift_and_add(p, weights, z, horizon)
@@ -520,8 +522,8 @@ class TestHorizon:
     def test_bad_horizon_rejected(self, plharg):
         for horizon in (0, -3, 2.5, None, "22"):
             with pytest.raises(ValidationError, match="horizon"):
-                mgf_p(plharg, None, 0.5, horizon)
+                mgf_p(plharg, stationary_state(plharg), 0.5, horizon)
 
     def test_numpy_integer_accepted(self, plharg):
-        assert mgf_p(plharg, None, 0.5, np.int64(22)) \
-            == mgf_p(plharg, None, 0.5, 22)
+        assert mgf_p(plharg, stationary_state(plharg), 0.5, np.int64(22)) \
+            == mgf_p(plharg, stationary_state(plharg), 0.5, 22)

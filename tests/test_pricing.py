@@ -24,13 +24,14 @@ from lharg.pricing import (
     cos_interval,
     cos_price,
     implied_vol,
-    model_char_fn,
     price_chain,
     rmse_iv,
 )
 
 import lharg.mgf as mgf_mod
 import lharg.pricing as pricing_mod
+
+from oracles import model_cf
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -114,7 +115,7 @@ class TestCosOnModel:
         st = stationary_state(zmlharg)
         tau = 126
         a, b = cos_interval(zmlharg, st, premia, tau)
-        cf = model_char_fn(zmlharg, st, premia, tau)
+        cf = model_cf(zmlharg, st, premia, tau)
         for m in (0.85, 0.95, 1.0, 1.1, 1.2):
             strike = 100.0 * m
             call = cos_price(cf, 100.0, strike, zmlharg.r, tau, "call", a, b)
@@ -127,7 +128,7 @@ class TestCosOnModel:
         st = stationary_state(zmlharg)
         for tau in (22, 252):
             a, b = cos_interval(zmlharg, st, premia, tau)
-            cf = model_char_fn(zmlharg, st, premia, tau)
+            cf = model_cf(zmlharg, st, premia, tau)
             for m in (0.8, 1.0, 1.2):
                 monkeypatch.setattr(pricing_mod, "COS_TERMS", 512)
                 p1 = cos_price(cf, 100.0, 100.0 * m, zmlharg.r, tau, "put",
@@ -147,7 +148,7 @@ class TestCosOnModel:
         cases = []
         for tau in (14, 63, 252):
             a, b = cos_interval(zmlharg, st, premia, tau)
-            cf = model_char_fn(zmlharg, st, premia, tau)
+            cf = model_cf(zmlharg, st, premia, tau)
             for m in (0.8, 0.9, 1.0, 1.1, 1.2):
                 args = (cf, 100.0, 100.0 * m, zmlharg.r, tau, "put")
                 cases.append((args, cos_price(*args, a, b),
@@ -165,7 +166,7 @@ class TestCosOnModel:
         st = stationary_state(zmlharg)
         tau = 63
         a, b = cos_interval(zmlharg, st, premia, tau)
-        phi = model_char_fn(zmlharg, st, premia, tau)(
+        phi = model_cf(zmlharg, st, premia, tau)(
             np.arange(COS_TERMS) * np.pi / (b - a))
 
         def cf(u):
@@ -193,7 +194,7 @@ class TestCosOnModel:
         st = stationary_state(zmlharg)
         tau = 63
         a, b = cos_interval(zmlharg, st, premia, tau)
-        cf = model_char_fn(zmlharg, st, premia, tau)
+        cf = model_cf(zmlharg, st, premia, tau)
         strikes = np.linspace(80.0, 120.0, 17)
         calls = [cos_price(cf, 100.0, k, zmlharg.r, tau, "call", a, b)
                  for k in strikes]
@@ -209,7 +210,7 @@ class TestCosOnModel:
         st = stationary_state(zmlharg)
         for tau in (10, 50, 160, 365):
             a, b = cos_interval(zmlharg, st, premia, tau)
-            cf = model_char_fn(zmlharg, st, premia, tau)
+            cf = model_cf(zmlharg, st, premia, tau)
             for m in (0.8, 0.9, 1.0, 1.1, 1.2):
                 kind = "call" if m >= 1.0 else "put"
                 price = cos_price(cf, 100.0, 100.0 * m, zmlharg.r, tau, kind,
@@ -226,6 +227,27 @@ class TestImpliedVol:
                 price = bs_price(100.0, 95.0, 0.01, sigma, 1.0, kind)
                 assert abs(implied_vol(price, 100.0, 95.0, 0.01, 1.0, kind)
                            - sigma) < 1e-8
+        # daily units over moneyness 0.5-2, maturities of 1-365 days and
+        # annualized vols of 5-60 %, every price strictly inside the
+        # no-arbitrage bounds: the inverted vol reprices to 1e-12 * S
+        S, r = 100.0, 1e-4
+        n_cases = 0
+        for m in np.linspace(0.5, 2.0, 11):
+            for tau in (1, 2, 5, 10, 22, 44, 63, 126, 252, 365):
+                disc_k = S * m * np.exp(-r * tau)
+                bounds = {"call": (max(S - disc_k, 0.0), S),
+                          "put": (max(disc_k - S, 0.0), disc_k)}
+                for vol in (0.05, 0.1, 0.2, 0.3, 0.45, 0.6):
+                    sigma = vol / np.sqrt(252.0)
+                    for kind, (lower, upper) in bounds.items():
+                        price = bs_price(S, S * m, r, sigma, tau, kind)
+                        if not lower < price < upper:
+                            continue
+                        iv = implied_vol(price, S, S * m, r, tau, kind)
+                        assert abs(bs_price(S, S * m, r, iv, tau, kind)
+                                   - price) <= 1e-12 * S
+                        n_cases += 1
+        assert n_cases > 1000
 
     def test_below_intrinsic_rejected(self):
         intrinsic = 100.0 - 80.0 * np.exp(-0.01)
@@ -270,30 +292,46 @@ def two_date_chain(params):
     return chain, {dates[0]: st, dates[1]: calm}
 
 
+def stationary_states(params, chain):
+    """Every quote date of the chain mapped to the stationary state."""
+    return dict.fromkeys((q.quote_date for q in chain),
+                         stationary_state(params))
+
+
 class TestPriceChain:
     def test_cf_built_once_per_maturity(self, zmlharg, monkeypatch):
-        # one cf built and called once, on the whole grid, per (date,
-        # maturity) group: no separate cf(0) call and no call per strike
-        built, grids = [], []
-        original = pricing_mod.model_char_fn
+        # the pricer calls mgf_q once, on the whole grid, per (date,
+        # maturity, rate) group: no separate cf(0) call and no call per
+        # strike
+        grids = []
+        original = pricing_mod.mgf_q
 
-        def counting(params, state, premia, tau):
-            cf = original(params, state, premia, tau)
-            built.append((id(state), tau))
+        def counting(params, state, premia, z, horizon):
+            grids.append((id(state), horizon, np.size(z)))
+            return original(params, state, premia, z, horizon)
 
-            def counted(u):
-                grids.append((id(state), tau, np.size(u)))
-                return cf(u)
-            return counted
-
-        monkeypatch.setattr(pricing_mod, "model_char_fn", counting)
+        monkeypatch.setattr(pricing_mod, "mgf_q", counting)
         chain, states = two_date_chain(zmlharg)
         rows = price_chain(zmlharg, -3375.0, chain, states)
         assert all(r.error is None for r in rows)
         groups = sorted((id(s), tau) for s in states.values()
                         for tau in (63, 126))
-        assert sorted(built) == groups
         assert sorted(grids) == [g + (COS_TERMS,) for g in groups]
+
+    def test_rates_do_not_mix_in_a_group(self, zmlharg):
+        # two quotes on one date and maturity at different rates: each
+        # prices bit for bit as in a chain of its own
+        quotes = (make_quote(0.95, 90, "put", rate=1e-4),
+                  make_quote(0.95, 90, "put", rate=3e-4))
+        states = stationary_states(zmlharg, quotes)
+        rows = price_chain(zmlharg, -3375.0, OptionChain(quotes), states)
+        assert sorted(row.quote.rate for row in rows) == [1e-4, 3e-4]
+        for row in rows:
+            alone, = price_chain(zmlharg, -3375.0, OptionChain((row.quote,)),
+                                 states)
+            assert row.error is None and alone.error is None
+            assert row.model_price == alone.model_price
+            assert row.model_iv == alone.model_iv
 
     def test_recursions_traced_once_per_group(self, zmlharg, monkeypatch):
         # under the benchmark's tracer every recursion is an mgf span: one
@@ -327,30 +365,30 @@ class TestPriceChain:
         assert metrics["pricing.recursions_per_quote"] == 8 / 12
 
     def test_self_pricing_round_trip(self, zmlharg):
-        st = stationary_state(zmlharg)
         chain = OptionChain(tuple(
             make_quote(m, tau, "call" if m >= 1 else "put")
             for tau in (30, 120) for m in (0.85, 0.95, 1.0, 1.05, 1.15)
         ))
-        first = price_chain(zmlharg, -3375.0, chain, st)
+        states = stationary_states(zmlharg, chain)
+        first = price_chain(zmlharg, -3375.0, chain, states)
         regenerated = OptionChain(tuple(
             make_quote(r.quote.moneyness, r.quote.maturity_days,
                        r.quote.option_type, mid=r.model_price)
             for r in first
         ))
-        second = price_chain(zmlharg, -3375.0, regenerated, st)
+        second = price_chain(zmlharg, -3375.0, regenerated, states)
         for a, b in zip(first, second):
             assert abs(a.model_iv - b.model_iv) < 1e-6
 
     def test_smile_steepening_vs_harg(self, harg, zmlharg):
         # identical synthetic chains: the zero-mean leverage model puts
         # more implied vol on deep OTM puts than the no-leverage model
-        st_z = stationary_state(zmlharg)
-        st_h = stationary_state(harg)
         chain = OptionChain((make_quote(0.8, 63, "put"),
                              make_quote(1.0, 63, "call")))
-        rows_z = price_chain(zmlharg, -3375.0, chain, st_z)
-        rows_h = price_chain(harg, -2794.0, chain, st_h)
+        rows_z = price_chain(zmlharg, -3375.0, chain,
+                             stationary_states(zmlharg, chain))
+        rows_h = price_chain(harg, -2794.0, chain,
+                             stationary_states(harg, chain))
         smile_z = rows_z[0].model_iv - rows_z[1].model_iv
         smile_h = rows_h[0].model_iv - rows_h[1].model_iv
         assert smile_z > smile_h
@@ -359,7 +397,8 @@ class TestPriceChain:
     def test_per_quote_failures_recorded(self, zmlharg):
         bad = make_quote(5.0, 63, "put")   # strike far above the range
         chain = OptionChain((bad, make_quote(1.0, 63, "call")))
-        rows = price_chain(zmlharg, -3375.0, chain, stationary_state(zmlharg))
+        rows = price_chain(zmlharg, -3375.0, chain,
+                           stationary_states(zmlharg, chain))
         assert rows[1].error is None
         assert rows[0].error is not None or np.isfinite(rows[0].model_price)
 
@@ -367,17 +406,18 @@ class TestPriceChain:
         # one group holds good quotes, a call so far out of the money that
         # it prices to 0 and has no IV, and a put whose COS price dips
         # below -1e-10: only those two rows fail
-        original = pricing_mod.model_char_fn
-        monkeypatch.setattr(
-            pricing_mod, "model_char_fn",
-            lambda *args: signed_density_cf(original(*args), 1e-3, -0.5,
-                                            0.01))
+        def bumped(params, state, premia, z, horizon):
+            cf = model_cf(params, state, premia, horizon)
+            return signed_density_cf(cf, 1e-3, -0.5, 0.01)(np.imag(z))
+
+        monkeypatch.setattr(pricing_mod, "mgf_q", bumped)
         chain = OptionChain((make_quote(1.0, 63, "call"),
                              make_quote(5.0, 63, "call"),
                              make_quote(0.9, 63, "put"),
                              make_quote(0.62, 63, "put"),
                              make_quote(1.0, 126, "put")))
-        rows = price_chain(zmlharg, -3375.0, chain, stationary_state(zmlharg))
+        rows = price_chain(zmlharg, -3375.0, chain,
+                           stationary_states(zmlharg, chain))
         errors = [r.error for r in rows]
         assert "outside no-arbitrage bounds" in errors[1]
         assert errors[3] == "COS price NaN or below -1e-10"
@@ -396,7 +436,7 @@ class TestPriceChain:
         for frac, message in ((0.5, "left the right half-plane"),
                               (11.0, "scale undefined")):
             rows = price_chain(zmlharg, -frac / zmlharg.theta, chain,
-                               stationary_state(zmlharg))
+                               stationary_states(zmlharg, chain))
             assert all(message in r.error and np.isnan(r.model_price)
                        for r in rows)
 
@@ -407,7 +447,8 @@ class TestPriceChain:
         monkeypatch.setattr(pricing_mod, "cos_price", broken)
         chain = OptionChain((make_quote(1.0, 63, "call"),))
         with pytest.raises(TypeError, match="bug in the pricer"):
-            price_chain(zmlharg, -3375.0, chain, stationary_state(zmlharg))
+            price_chain(zmlharg, -3375.0, chain,
+                        stationary_states(zmlharg, chain))
 
 
 class TestRmse:

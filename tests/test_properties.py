@@ -18,10 +18,10 @@ from lharg import (
     mgf_q,
 )
 from lharg.mgf import raw_cumulants
-from lharg.pricing import cos_interval, cos_price, model_char_fn
+from lharg.pricing import cos_interval, cos_price
 
 from conftest import random_state_arrays
-from oracles import risk_neutral_map, risk_neutral_state
+from oracles import model_cf, risk_neutral_map, risk_neutral_state
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=100)
 
@@ -86,7 +86,7 @@ class TestCosProperties:
         strikes = 100.0 * np.exp(c1 + np.sqrt(c2) * np.linspace(-2.5, 2.5, 11))
         a, b = cos_interval(params, state, premia, horizon)
         # one cf grid prices both rows: calls, then puts
-        calls, puts = cos_price(model_char_fn(params, state, premia, horizon),
+        calls, puts = cos_price(model_cf(params, state, premia, horizon),
                                 100.0, strikes, params.r, horizon,
                                 [["call"], ["put"]], a, b)
         parity = 100.0 - strikes * np.exp(-params.r * horizon)

@@ -120,6 +120,25 @@ def test_model_atm_iv_positional_order():
     assert list(bound.arguments) == ["params", "nu1", "maturity_days", "state"]
 
 
+def test_states_have_no_default():
+    # the conditioning state is always explicit: no public function of
+    # mgf, pricing or estimate defaults a state or a state mapping
+    scanned, defaulted = set(), []
+    for module_name in ("mgf", "pricing", "estimate"):
+        module = importlib.import_module("lharg." + module_name)
+        for name, fn in inspect.getmembers(module, inspect.isfunction):
+            if name.startswith("_") or fn.__module__ != module.__name__:
+                continue
+            for param in inspect.signature(fn).parameters.values():
+                if param.name in ("state", "states"):
+                    scanned.add(f"{module_name}.{name}")
+                    if param.default is not param.empty:
+                        defaulted.append(f"{module_name}.{name}")
+    assert {"mgf.mgf_p", "mgf.cumulants", "pricing.price_chain",
+            "pricing.model_atm_iv", "estimate.calibrate_nu1"} <= scanned
+    assert not defaulted, defaulted
+
+
 def _hook_reads(tree):
     # {traced name: argument names its HOOKS extractor reads as a["..."]}
     defs = {node.name: node for node in tree.body
