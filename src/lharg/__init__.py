@@ -21,7 +21,6 @@ from .model import (
     ModelParams,
     N_LAGS,
     ParabolicForm,
-    RiskPremia,
     expand_weights,
     filter_innovations,
     leverage,

@@ -28,7 +28,7 @@ from .mgf import cumulants, mgf_p, mgf_q
 from .model import (
     ModelParams,
     N_LAGS,
-    RiskPremia,
+    _finite_nu1,
     state_from_series,
     stationary_state,
 )
@@ -250,11 +250,10 @@ def _cmd_price(args) -> int:
 
 def _cmd_simulate(args) -> int:
     params, extras = lio.load_params(args.params)
-    premia = _q_premia(args, extras, params) if args.measure == "Q" else None
+    nu1 = _q_nu1(args, extras)
     state = _load_state(params, args.rv, args.returns)
-    paths = simulate_paths(params, state, args.days, args.paths,
-                           premia=premia, seed=args.seed,
-                           burn_in=args.burn_in)
+    paths = simulate_paths(params, state, args.days, args.paths, nu1=nu1,
+                           seed=args.seed, burn_in=args.burn_in)
     rv, y = paths.rv_paths.T, paths.y_paths.T    # one row per day
     q = np.quantile(rv, [0.05, 0.5, 0.95], axis=1)
     cells = np.column_stack([rv.mean(axis=1), rv.var(axis=1), *q,
@@ -287,25 +286,28 @@ def _horizons(text):
     return [int(c) for c in cells]
 
 
-def _nu1_premia(args, extras, params: ModelParams) -> RiskPremia | None:
-    """Premia from --nu1, else from the params file's nu1; None if neither."""
+def _nu1(args, extras) -> float | None:
+    """nu1 from --nu1, else from the params file's nu1; None if neither."""
     nu1 = args.nu1 if args.nu1 is not None else extras.get("nu1")
     if nu1 is None:
         return None
     try:
-        nu1 = float(nu1)
+        return _finite_nu1(float(nu1))
     except ValueError:
         raise ValidationError(f"nu1 must be a number, got {nu1!r}") from None
-    return RiskPremia.arbitrage_free(nu1, params.lam)
 
 
-def _q_premia(args, extras, params: ModelParams) -> RiskPremia:
-    """The premia of _nu1_premia, which a Q run cannot do without."""
-    premia = _nu1_premia(args, extras, params)
-    if premia is None:
+def _q_nu1(args, extras) -> float | None:
+    """The nu1 that the Q runs of --measure need; None for --measure P."""
+    if args.measure == "P":
+        if args.nu1 is not None:
+            raise ValidationError("--nu1 conflicts with --measure P")
+        return None
+    nu1 = _nu1(args, extras)
+    if nu1 is None:
         raise ValidationError("measure Q requires --nu1 (or a nu1 key in "
                               "the params file)")
-    return premia
+    return nu1
 
 
 def _write_csv(path, header, rows) -> None:
@@ -320,13 +322,13 @@ def _cmd_cumulants(args) -> int:
     params, extras = lio.load_params(args.params)
     horizons = _horizons(args.horizons)
     measures = ["P", "Q"] if args.measure == "both" else [args.measure]
-    premia = _q_premia(args, extras, params) if "Q" in measures else None
+    nu1 = _q_nu1(args, extras)
     state = _load_state(params, args.rv, args.returns)
     rows = []
     for measure in measures:
         for horizon in horizons:
             c = cumulants(params, state, horizon,
-                          premia=premia if measure == "Q" else None)
+                          nu1=nu1 if measure == "Q" else None)
             rows.append([horizon, measure, repr(c.mean), repr(c.variance),
                          repr(c.skewness), repr(c.excess_kurtosis)])
             print(f"T={horizon:4d} {measure}: mean={c.mean:+.6f} "
@@ -390,20 +392,17 @@ def _cmd_mgf_check(args) -> int:
     z_real = np.array([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])
     u_imag = np.array([-30.0, -10.0, -3.0, 3.0, 10.0, 30.0])
     zs = np.concatenate([z_real.astype(complex), 1j * u_imag])
-    premia = _nu1_premia(args, extras, params)
-    runs = [("P", None)] + ([("Q", premia)] if premia is not None else [])
+    nu1 = _nu1(args, extras)
+    runs = [("P", None)] + ([("Q", nu1)] if nu1 is not None else [])
     worst = 0.0
     rows = []
-    for measure, premia in runs:
+    for measure, nu1 in runs:
         ysnap, clamps = simulate_y_snapshots(
-            params, state, MATURITY_GRID, args.paths, premia=premia,
-            seed=args.seed)
+            params, state, MATURITY_GRID, args.paths, nu1=nu1, seed=args.seed)
         print(f"{measure} clamps: {clamps} noncentrality clamp events")
         for j, horizon in enumerate(MATURITY_GRID):
-            if measure == "P":
-                analytic = mgf_p(params, state, zs, horizon)
-            else:
-                analytic = mgf_q(params, state, premia, zs, horizon)
+            analytic = mgf_p(params, state, zs, horizon) if nu1 is None \
+                else mgf_q(params, state, nu1, zs, horizon)
             est, se = mc_mgf_from_samples(ysnap[:, j], zs)
             dev_re = np.abs(analytic.real - est.real) \
                 / np.maximum(se.real, 1e-300)

@@ -192,6 +192,8 @@ def estimate_lambda(returns, rv_series, r: float) -> tuple[float, float]:
     Regresses (y_t - r)/sqrt(RV_t) on sqrt(RV_t); under the return equation
     the slope is lam and the residuals are the unit-variance innovations.
     """
+    if not np.isfinite(r):
+        raise ValidationError(f"risk-free rate must be finite, got {r!r}")
     y = np.asarray(returns, dtype=float)
     rv = np.asarray(rv_series, dtype=float)
     if y.shape != rv.shape:

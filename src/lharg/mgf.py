@@ -18,13 +18,12 @@ where v(x) = theta*x / (1 - theta*x) and w(x) = log(1 - x*theta) are the
 noncentral-gamma moment transforms.
 
 The step is the same under both measures, since under an arbitrage-free
-pricing kernel the risk-neutral dynamics are again an LHARG.
-`premia=None` runs it on the physical parameters (P); arbitrage-free
-premia run it on the parameters of `model.risk_neutral_parabolic` (scale
-parameters over c, gamma + lam + 1/2, lam = -1/2), the risk-neutral Q,
-for which mgf(1) = exp(r*T) holds exactly: X is 0 every day at z = 1.
-model.py is the single home of that measure change; premia off
-no-arbitrage have no Q and raise ValidationError.
+pricing kernel the risk-neutral dynamics are again an LHARG.  `nu1=None`
+runs it on the physical parameters (P); a variance premium nu1 runs it on
+the parameters of `model.risk_neutral_parabolic` (scale parameters over
+c, gamma + lam + 1/2, lam = -1/2), the risk-neutral Q, for which
+mgf(1) = exp(r*T) holds exactly: X is 0 every day at z = 1.  model.py is
+the single home of that measure change and of its check on nu1.
 
 The recursion accepts complex z; the characteristic function is the MGF
 at z = i*u.  `_recurse` is the one implementation of the step, vectorized
@@ -54,7 +53,6 @@ from .model import (
     ModelParams,
     N_LAGS,
     ParabolicForm,
-    RiskPremia,
     _measure_form,
     expand_weights,
     parabolic_form,
@@ -108,8 +106,8 @@ def _recurse(p: ParabolicForm, weights: LagWeights, z: np.ndarray, horizon: int)
     return A, B.T, C.T
 
 
-def _evaluate(params, state, z, horizon, premia=None, log: bool = False):
-    p = _measure_form(params, premia)
+def _evaluate(params, state, z, horizon, nu1=None, log: bool = False):
+    p = _measure_form(params, nu1)
     st = parabolic_state(params, state)
     weights = expand_weights(p)
     z_arr = np.atleast_1d(np.asarray(z))
@@ -130,24 +128,23 @@ def mgf_p(params: ModelParams | ParabolicForm, state: MarketState,
 
 
 def mgf_q(params: ModelParams | ParabolicForm, state: MarketState,
-          premia: RiskPremia, z, horizon: int):
-    """MGF under the risk-neutral measure induced by the pricing kernel.
+          nu1: float, z, horizon: int):
+    """MGF under the risk-neutral measure of variance premium nu1.
 
-    Runs the physical recursion on the risk-neutral parameters that
-    `risk_neutral_parabolic` maps params to under arbitrage-free premia;
-    premia off no-arbitrage raise ValidationError, and premia with no
-    positive scale raise MappingSingularError.  The state is the physical
-    one: its parabolic leverage values are the same under both measures.
+    Runs the physical recursion on the parameters `risk_neutral_parabolic`
+    maps params to under nu1, which raises for a non-finite nu1 or one with
+    no positive scale.  The state is the physical one: its parabolic
+    leverage values are the same under both measures.
     """
-    return _evaluate(params, state, z, horizon, premia)
+    return _evaluate(params, state, z, horizon, nu1)
 
 
-def log_mgf(params, state, z, horizon, premia: RiskPremia | None = None):
-    """log E[exp(z y_{t,T})] under P (premia=None) or under the premia's Q.
+def log_mgf(params, state, z, horizon, nu1: float | None = None):
+    """log E[exp(z y_{t,T})] under P (nu1=None) or under nu1's Q.
 
     Real-argument calls stay in real arithmetic.
     """
-    return _evaluate(params, state, z, horizon, premia, log=True)
+    return _evaluate(params, state, z, horizon, nu1, log=True)
 
 
 class Cumulants(NamedTuple):
@@ -161,8 +158,8 @@ _CONTOUR_RADIUS = 0.125   # circle radius in guessed standard deviations
 
 
 def raw_cumulants(params, state, horizon: int,
-                  premia: RiskPremia | None = None) -> np.ndarray:
-    """First four cumulants of y_{t,T} (under P when premia is None) as
+                  nu1: float | None = None) -> np.ndarray:
+    """First four cumulants of y_{t,T} (under P when nu1 is None) as
     Taylor coefficients of the log-MGF g, by one FFT on a circle.
 
     On |z| = rho the 16-point trapezoidal rule for the Cauchy integral
@@ -186,7 +183,7 @@ def raw_cumulants(params, state, horizon: int,
     rho = _CONTOUR_RADIUS / np.sqrt(kappa2_guess)
 
     g = log_mgf(params, state, rho * np.exp(1j * np.pi * np.arange(9) / 8),
-                horizon, premia=premia)
+                horizon, nu1=nu1)
     if not np.all(np.isfinite(g)):
         raise NumericalError("log-MGF non-finite on the cumulant contour")
     n = np.arange(1, 5)
@@ -195,12 +192,12 @@ def raw_cumulants(params, state, horizon: int,
 
 
 def cumulants(params, state, horizon: int,
-              premia: RiskPremia | None = None) -> Cumulants:
+              nu1: float | None = None) -> Cumulants:
     """Mean, variance, skewness, and excess kurtosis of the T-day log-return
-    from the given state, under P when premia is None.
+    from the given state, under P when nu1 is None.
     """
     k1, k2, k3, k4 = (float(k) for k in
-                      raw_cumulants(params, state, horizon, premia=premia))
+                      raw_cumulants(params, state, horizon, nu1=nu1))
     if k2 <= 0.0:
         raise NumericalError(f"nonpositive variance cumulant {k2:.3g}")
     return Cumulants(

@@ -28,15 +28,15 @@ of gamma), so the engines take the state in parabolic values
 (`parabolic_state`) and need no conversion under Q; only the zero-mean
 *view* depends on gamma.
 
-This module is the single home of the P -> Q measure change: the scale
-c = 1 - theta*y_star, the shifted leverage asymmetry
-gamma* = gamma + lam + 1/2 (`_gamma_star`) and the no-arbitrage check all
-live in `risk_neutral_parabolic`, the one map from physical to
-risk-neutral parameters.  Throughout the package `premia=None` means the physical
-measure P; arbitrage-free premia select the risk-neutral Q, whose
-dynamics are again an LHARG.  `_measure_form` picks the one or the other
-for the MGF recursion and the simulator alike, so both run the same
-physical dynamics on the form it returns.
+This module is the single home of the P -> Q measure change: the kernel's
+tilt y_star, the scale c = 1 - theta*y_star and the shifted leverage
+asymmetry gamma* = gamma + lam + 1/2 (`_gamma_star`) all live in
+`risk_neutral_parabolic`, the one map from physical to risk-neutral
+parameters.  No-arbitrage pins the equity premium at lam + 1/2, so the
+variance premium nu1 is the one free premium: `nu1=None` means the
+physical measure P throughout the package, and a finite nu1 selects the
+risk-neutral Q, whose dynamics are again an LHARG.  `_measure_form` picks
+the one or the other for the MGF recursion and the simulator alike.
 """
 
 from __future__ import annotations
@@ -163,35 +163,6 @@ class MarketState:
         object.__setattr__(self, "lev", lev)
 
 
-@dataclass(frozen=True)
-class RiskPremia:
-    """Variance premium nu1 and equity premium nu2 of the pricing kernel.
-
-    y_star = -nu2*lam - nu1 + nu2^2/2 is the kernel's constant tilt, read
-    only by `risk_neutral_parabolic` to form the scale c = 1 - theta*y_star.
-    Arbitrage-free premia satisfy nu2 = lam + 1/2 (to 1e-12 relative, so a
-    nu2 computed along another rounding path still qualifies), for which
-    y_star collapses to -lam^2/2 - nu1 + 1/8; only these have a risk-neutral
-    counterpart, and every engine rejects the others.
-    """
-
-    nu1: float
-    nu2: float
-    y_star: float
-
-    def __post_init__(self):
-        if not np.isfinite((self.nu1, self.nu2, self.y_star)).all():
-            raise ValidationError(f"risk premia must be finite, got nu1 = "
-                                  f"{self.nu1!r}, nu2 = {self.nu2!r}")
-
-    @classmethod
-    def arbitrage_free(cls, nu1: float, lam: float) -> "RiskPremia":
-        return cls(nu1=nu1, nu2=lam + 0.5, y_star=-0.5 * lam**2 - nu1 + 0.125)
-
-    def is_arbitrage_free(self, lam: float) -> bool:
-        return abs(self.nu2 - (lam + 0.5)) <= 1e-12 * abs(lam + 0.5)
-
-
 def parabolic_form(params: ModelParams | ParabolicForm) -> ParabolicForm:
     """Reduce params to the canonical parabolic-leverage parameterization.
 
@@ -301,23 +272,27 @@ def _gamma_star(params: ModelParams | ParabolicForm) -> float:
     return params.gamma_lev + params.lam + 0.5
 
 
-def risk_neutral_parabolic(pform: ParabolicForm, premia: RiskPremia) -> ParabolicForm:
-    """Map the parabolic form into the equivalent risk-neutral dynamics.
+def _finite_nu1(nu1: float) -> float:
+    # nu1 itself, which must be finite: the one check of the premium
+    if not np.isfinite(nu1):
+        raise ValidationError(f"nu1 must be finite, got {nu1!r}")
+    return nu1
 
-    With c = 1 - theta*y_star the scale parameters (theta, d, betas,
-    alphas) rescale by 1/c, the shape delta is unchanged, gamma picks up
-    the full premium shift gamma + lam + 1/2, and the mapped market price
-    of risk is exactly -1/2.  Only arbitrage-free premia (nu2 = lam + 1/2)
-    have a risk-neutral counterpart; others raise ValidationError.
+
+def risk_neutral_parabolic(pform: ParabolicForm, nu1: float) -> ParabolicForm:
+    """Map the parabolic form into the risk-neutral dynamics of premium nu1.
+
+    The kernel's tilt is y_star = -lam^2/2 - nu1 + 1/8, with the equity
+    premium at lam + 1/2 where no-arbitrage pins it.  With c = 1 -
+    theta*y_star the scale parameters (theta, d, betas, alphas) rescale by
+    1/c, delta is unchanged, gamma becomes gamma + lam + 1/2 and lam -1/2.
+    A non-finite nu1 raises ValidationError, and c <= 0 MappingSingularError.
     """
-    if not premia.is_arbitrage_free(pform.lam):
-        raise ValidationError(
-            "premia violate no-arbitrage: nu2 must equal lam + 1/2"
-        )
-    c = 1.0 - pform.theta * premia.y_star
+    y_star = -0.5 * pform.lam**2 - _finite_nu1(nu1) + 0.125
+    c = 1.0 - pform.theta * y_star
     if c <= 0.0:
         raise MappingSingularError(
-            f"theta * y_star = {pform.theta * premia.y_star:.6g} >= 1; "
+            f"theta * y_star = {pform.theta * y_star:.6g} >= 1; "
             "risk-neutral scale undefined"
         )
     return ParabolicForm(
@@ -329,10 +304,10 @@ def risk_neutral_parabolic(pform: ParabolicForm, premia: RiskPremia) -> Paraboli
 
 
 def _measure_form(params: ModelParams | ParabolicForm,
-                  premia: RiskPremia | None) -> ParabolicForm:
-    # the parabolic form of the P (premia=None) or the Q dynamics
+                  nu1: float | None) -> ParabolicForm:
+    # the parabolic form of the P (nu1=None) or the Q dynamics
     p = parabolic_form(params)
-    return p if premia is None else risk_neutral_parabolic(p, premia)
+    return p if nu1 is None else risk_neutral_parabolic(p, nu1)
 
 
 def filter_innovations(returns, rv, r: float, lam: float) -> np.ndarray:

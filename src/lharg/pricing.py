@@ -34,7 +34,7 @@ from .errors import (
     ValidationError,
 )
 from .mgf import mgf_q, raw_cumulants
-from .model import MarketState, ModelParams, RiskPremia
+from .model import MarketState, ModelParams, _finite_nu1
 from .options import OPTION_TYPES, OptionChain, OptionQuote
 
 TRADING_DAYS = 252  # annualization factor for reported implied vols
@@ -43,10 +43,10 @@ COS_WIDTH = 10.0    # L in the cumulant-based truncation rule
 
 
 def cos_interval(params: ModelParams, state: MarketState,
-                 premia: RiskPremia, tau_days: int) -> tuple[float, float]:
+                 nu1: float, tau_days: int) -> tuple[float, float]:
     """Truncation interval [a, b] = c1 -/+ COS_WIDTH * sqrt(c2 + sqrt(c4))
-    from the raw cumulants of the tau-day log-return under the premia."""
-    c1, c2, _, c4 = raw_cumulants(params, state, tau_days, premia=premia)
+    from the raw cumulants of the tau-day log-return under nu1's Q."""
+    c1, c2, _, c4 = raw_cumulants(params, state, tau_days, nu1=nu1)
     half = COS_WIDTH * np.sqrt(c2 + np.sqrt(max(c4, 0.0)))
     if not (half > 0.0):
         raise NumericalError("degenerate truncation interval")
@@ -173,19 +173,17 @@ def implied_vol(price: float, S: float, K: float, r: float, tau: float,
 
 
 def _group_prices(params: ModelParams, state: MarketState,
-                  premia: RiskPremia, tau: int, S, K, option_type):
+                  nu1: float, tau: int, S, K, option_type):
     # one quote group: its interval, then one cos_price call at rate params.r
-    a, b = cos_interval(params, state, premia, tau)
-    return cos_price(lambda u: mgf_q(params, state, premia, 1j * u, tau),
+    a, b = cos_interval(params, state, nu1, tau)
+    return cos_price(lambda u: mgf_q(params, state, nu1, 1j * u, tau),
                      S, K, params.r, tau, option_type, a, b)
 
 
 def model_atm_iv(params: ModelParams, nu1: float, maturity_days: int,
                  state: MarketState) -> float:
     """Annualized at-the-money implied vol generated by the model."""
-    premia = RiskPremia.arbitrage_free(nu1, params.lam)
-    price = _group_prices(params, state, premia, maturity_days, 1.0, 1.0,
-                          "call")
+    price = _group_prices(params, state, nu1, maturity_days, 1.0, 1.0, "call")
     iv_daily = implied_vol(price, 1.0, 1.0, params.r, maturity_days, "call")
     return iv_daily * np.sqrt(TRADING_DAYS)
 
@@ -211,10 +209,11 @@ def price_chain(params: ModelParams, nu1: float, chain: OptionChain,
     package's own error classes are recorded on the rows instead of
     aborting the chain: a group failure (no state, recursion domain) on
     every row of the group, a strike's negative COS price or failed IV
-    inversion on that quote's row alone.  Any other exception is a bug and
-    propagates.
+    inversion on that quote's row alone.  A non-finite nu1 raises
+    ValidationError before any group is priced; any other exception is a
+    bug and propagates.
     """
-    premia = RiskPremia.arbitrage_free(nu1, params.lam)
+    _finite_nu1(nu1)
     groups: dict = {}
     for q in chain:
         groups.setdefault((q.quote_date, q.maturity_days, q.rate),
@@ -226,7 +225,7 @@ def price_chain(params: ModelParams, nu1: float, chain: OptionChain,
             if qdate not in states:
                 raise ValidationError(f"no state for {qdate}")
             prices = _group_prices(
-                replace(params, r=rate), states[qdate], premia, tau,
+                replace(params, r=rate), states[qdate], nu1, tau,
                 [q.underlying for q in quotes], [q.strike for q in quotes],
                 [q.option_type for q in quotes])
         except LhargError as exc:

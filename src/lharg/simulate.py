@@ -33,7 +33,6 @@ from .model import (
     MarketState,
     ModelParams,
     ParabolicForm,
-    RiskPremia,
     _measure_form,
     parabolic_state,
 )
@@ -50,7 +49,7 @@ class PathSet:
     rv_paths: np.ndarray   # (n_paths, horizon); .T is day-major
     y_paths: np.ndarray    # (n_paths, horizon); .T is day-major
     rng_seed: int
-    measure: str           # "P" (no premia) or "Q"
+    measure: str           # "P" (no nu1) or "Q"
     clamp_count: int       # noncentrality clampings over all recorded days
 
     def __post_init__(self):
@@ -130,23 +129,23 @@ def _whole(name: str, value, least: int) -> int:
 
 
 def _blocks(params: ModelParams, state: MarketState,
-            premia: RiskPremia | None, n_paths: int, seed: int, days: int):
-    """Check n_paths and seed, set up the P (premia=None) or Q dynamics
+            nu1: float | None, n_paths: int, seed: int, days: int):
+    """Check n_paths and seed, set up the P (nu1=None) or Q dynamics
     once, and return each RNG block's (rows, day steps)."""
     n_paths, seed = _whole("n_paths", n_paths, 1), _whole("seed", seed, 0)
-    p = _measure_form(params, premia)
+    p = _measure_form(params, nu1)
     st = parabolic_state(params, state)
     return [(slice(s, s + n), _day_steps(p, st, n, rng, days))
             for s, n, rng in _block_streams(seed, n_paths)]
 
 
 def simulate_paths(params: ModelParams, state: MarketState, horizon: int,
-                   n_paths: int, premia: RiskPremia | None = None,
+                   n_paths: int, nu1: float | None = None,
                    seed: int = 0, burn_in: int = 0) -> PathSet:
     """Simulate daily (RV, y) paths from the given state.
 
-    premia=None simulates the physical measure.  Arbitrage-free premia are
-    mapped into the starred Q dynamics (lam* = -1/2, shifted gamma,
+    nu1=None simulates the physical measure.  A variance premium nu1 maps
+    params into the starred Q dynamics (lam* = -1/2, shifted gamma,
     rescaled gamma parameters) by risk_neutral_parabolic; the state's
     leverage lags are converted to their measure-invariant parabolic
     values, so the same physical state seeds both measures.
@@ -156,7 +155,7 @@ def simulate_paths(params: ModelParams, state: MarketState, horizon: int,
     """
     horizon = _whole("horizon", horizon, 1)
     burn_in = _whole("burn_in", burn_in, 0)
-    blocks = _blocks(params, state, premia, n_paths, seed, burn_in + horizon)
+    blocks = _blocks(params, state, nu1, n_paths, seed, burn_in + horizon)
     rv_out = np.empty((horizon, n_paths))
     y_out = np.empty((horizon, n_paths))
     clamps = 0
@@ -168,12 +167,12 @@ def simulate_paths(params: ModelParams, state: MarketState, horizon: int,
                 clamps += c
     return PathSet(n_paths=n_paths, horizon=horizon, rv_paths=rv_out.T,
                    y_paths=y_out.T, rng_seed=seed, clamp_count=clamps,
-                   measure="P" if premia is None else "Q")
+                   measure="P" if nu1 is None else "Q")
 
 
 def simulate_y_snapshots(params: ModelParams, state: MarketState,
                          maturities, n_paths: int,
-                         premia: RiskPremia | None = None, seed: int = 0):
+                         nu1: float | None = None, seed: int = 0):
     """Cumulative log-returns y_{t,T} at selected maturities only.
 
     Memory-friendly variant of simulate_paths for large-scale MGF and
@@ -185,7 +184,7 @@ def simulate_y_snapshots(params: ModelParams, state: MarketState,
     days = np.array([_whole("maturities", m, 1) for m in maturities], int)
     if days.size == 0:
         raise ValidationError("maturities must be a nonempty list of days")
-    blocks = _blocks(params, state, premia, n_paths, seed, int(days.max()))
+    blocks = _blocks(params, state, nu1, n_paths, seed, int(days.max()))
     out = np.empty((n_paths, days.size))
     clamps = 0
     for rows, steps in blocks:

@@ -28,8 +28,8 @@ from lharg.mgf import _guarded
 
 
 def risk_neutral_map(params: ModelParams, nu1: float) -> ModelParams:
-    """Native parameters of the risk-neutral dynamics for arbitrage-free
-    premia (nu2 = lam + 1/2).
+    """Native parameters of the risk-neutral dynamics of variance premium
+    nu1, at the equity premium lam + 1/2 that no-arbitrage pins.
 
     With y* = -lam^2/2 - nu1 + 1/8 and c = 1 - theta*y*, the scale
     parameters divide by c, gamma* = gamma + lam + 1/2 and lam* = -1/2.
@@ -65,25 +65,29 @@ def risk_neutral_state(params: ModelParams, state: MarketState) -> MarketState:
         params.gamma_lev**2 - g_star**2) * state.rv)
 
 
-def shift_and_add(p, weights, z, horizon, premia=None):
+def shift_and_add(p, weights, z, horizon, nu1=None):
     """MGF coefficients (A, B, C) of the tilted recursion on the parabolic
-    form p, under the premia's Q (under P when premia is None).
+    form p, under the Q of variance premium nu1 (under P when nu1 is None).
 
     Each day shifts both (n, 22) coefficient matrices by one lag and adds
     the day's increment times the weights.  The kernel's tilt moves z to
     z - nu2 and X by -nu1, and measures each day against the constant
-    Y = y_star: the increment is v(X) - v(Y) and A gains
-    -delta*(w(X) - w(Y)) - d*v(Y), with c = 1 - theta*Y.  For
-    arbitrage-free premia it equals the physical recursion on the mapped
-    parameters, reached without the map.
+    Y = y_star = -nu2*lam - nu1 + nu2^2/2, the kernel's general tilt, at
+    the no-arbitrage equity premium nu2 = lam + 1/2: the increment is
+    v(X) - v(Y) and A gains -delta*(w(X) - w(Y)) - d*v(Y), with
+    c = 1 - theta*Y.  It equals the physical recursion on the mapped
+    parameters, reached without the map and without its collapsed y_star.
     """
     theta, delta, d, g = p.theta, p.delta, p.d, p.gamma_lev
     dtype = np.result_type(z.dtype, float)
     A = np.zeros(z.shape[0], dtype)
     B = np.zeros((z.shape[0], 22), dtype)
     C = np.zeros((z.shape[0], 22), dtype)
-    nu1, nu2, y_star = (0.0, 0.0, 0.0) if premia is None \
-        else (premia.nu1, premia.nu2, premia.y_star)
+    if nu1 is None:
+        nu1 = nu2 = y_star = 0.0
+    else:
+        nu2 = p.lam + 0.5
+        y_star = -nu2 * p.lam - nu1 + 0.5 * nu2**2
     c = 1.0 - theta * y_star
     zs = z - nu2
     for step in range(1, horizon + 1):
@@ -106,10 +110,10 @@ def shift_and_add(p, weights, z, horizon, premia=None):
     return A, B, C
 
 
-def model_cf(params: ModelParams, state: MarketState, premia, tau: int):
+def model_cf(params: ModelParams, state: MarketState, nu1, tau: int):
     """Characteristic function u -> E_Q[exp(i u y_{t,tau})] from `mgf_q`,
     in the form `lharg.pricing.cos_price` takes."""
-    return lambda u: mgf_q(params, state, premia, 1j * np.asarray(u), tau)
+    return lambda u: mgf_q(params, state, nu1, 1j * np.asarray(u), tau)
 
 
 def conditional_covariance(params: ModelParams, state: MarketState) -> float:

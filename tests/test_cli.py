@@ -162,7 +162,7 @@ def test_exit_codes(data_dir, tmp_path, small_model):
     save_params(fit, small_model)
     assert main(["calibrate", "--params", str(fit), "--target-iv", "0.69",
                  "--out", str(tmp_path / "nu1.txt")]) == 4
-    # Q simulation without premia -> validation (2)
+    # Q simulation without nu1 -> validation (2)
     assert main(["simulate", "--params", str(fit), "--days", "5",
                  "--paths", "8", "--measure", "Q",
                  "--out", str(tmp_path / "s.csv")]) == 2
@@ -184,6 +184,7 @@ def test_bad_simulator_inputs_rejected(tmp_path, small_model, capsys):
           "--horizons", "5,²", "--out", str(tmp_path / "c")], "5,²"),
         (["cumulants", "--params", str(fit), "--measure", "P",
           "--horizons", "0", "--out", str(tmp_path / "c")], "'0'"),
+        (["simulate", *base, "--nu1=-2000"], "--nu1 conflicts with --measure P"),
     )
     for argv, message in cases:
         assert main(argv) == 2, argv
@@ -218,10 +219,27 @@ def test_failed_run_leaves_no_csv(data_dir, tmp_path, small_model):
          tmp_path / "m.csv"),
         (["simulate", "--params", str(bad), "--days", "5", "--paths", "8",
           "--measure", "Q"], 2, tmp_path / "s.csv"),
+        # an explicit --nu1 that measure P would leave unused
+        (["simulate", "--params", str(fit), "--days", "5", "--paths", "8",
+          "--nu1=-2000"], 2, tmp_path / "s.csv"),
+        (["cumulants", "--params", str(fit), "--measure", "P",
+          "--nu1=-2000"], 2, tmp_path / "c.csv"),
     )
     for argv, code, out in cases:
         assert main([*argv, "--out", str(out)]) == code, argv
         assert not out.exists(), argv
+
+
+def test_non_finite_rate_rejected(data_dir, tmp_path, capsys):
+    # a nan or infinite --rate exits 2 before the fit and writes nothing
+    fit, row = tmp_path / "fit_params.txt", tmp_path / "fit_row.csv"
+    for rate in ("nan", "inf"):
+        assert main(["estimate", "--rv", str(data_dir / "rv.csv"),
+                     "--returns", str(data_dir / "returns.csv"),
+                     "--variant", "HARG", "--rate", rate,
+                     "--out", str(fit), "--csv", str(row)]) == 2, rate
+        assert "rate must be finite" in capsys.readouterr().err
+        assert not fit.exists() and not row.exists(), rate
 
 
 def test_misaligned_history_rejected(data_dir, tmp_path, small_model,
@@ -291,7 +309,7 @@ def test_mgf_check_smoke(data_dir, tmp_path, small_model):
 
 def test_mgf_check_reports_clamps(tmp_path, zmlharg, capsys):
     # zero-mean draws clamp now and then; each measure's count is printed
-    from lharg import RiskPremia, simulate_y_snapshots
+    from lharg import simulate_y_snapshots
     from lharg.cli import MATURITY_GRID
     from lharg.io import save_params
     fit = tmp_path / "p.txt"
@@ -301,11 +319,9 @@ def test_mgf_check_reports_clamps(tmp_path, zmlharg, capsys):
     assert code == 0
     out = capsys.readouterr().out
     st = stationary_state(zmlharg)
-    for measure, premia in (("P", None),
-                            ("Q", RiskPremia.arbitrage_free(-1000.0,
-                                                            zmlharg.lam))):
+    for measure, nu1 in (("P", None), ("Q", -1000.0)):
         _, clamps = simulate_y_snapshots(zmlharg, st, MATURITY_GRID, 2000,
-                                         premia=premia, seed=4)
+                                         nu1=nu1, seed=4)
         assert clamps > 0, measure
         line = f"{measure} clamps: {clamps} noncentrality clamp events"
         assert out.count(line) == 1, (measure, out)

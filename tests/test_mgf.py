@@ -11,7 +11,6 @@ from lharg import (
     ModelParams,
     ParabolicForm,
     RecursionDomainError,
-    RiskPremia,
     ValidationError,
     cumulants,
     expand_weights,
@@ -218,17 +217,15 @@ class TestMgfQ:
     def test_martingale_identity(self, all_variants):
         for params in all_variants:
             st = stationary_state(params)
-            premia = RiskPremia.arbitrage_free(-2500.0, params.lam)
             for horizon in HORIZONS:
-                val = mgf_q(params, st, premia, 1.0, horizon)
+                val = mgf_q(params, st, -2500.0, 1.0, horizon)
                 bench = np.exp(params.r * horizon)
                 assert abs(val - bench) <= 1e-10 * bench
 
     def test_normalization(self, zmlharg):
-        premia = RiskPremia.arbitrage_free(-3375.0, zmlharg.lam)
         st = stationary_state(zmlharg)
         for horizon in HORIZONS:
-            assert abs(mgf_q(zmlharg, st, premia, 0.0, horizon) - 1.0) <= 1e-12
+            assert abs(mgf_q(zmlharg, st, -3375.0, 0.0, horizon) - 1.0) <= 1e-12
 
     def test_equals_mapped_physical_recursion(self, all_variants):
         # mgf_q against the two independent routes to Q of `oracles`: the
@@ -237,7 +234,6 @@ class TestMgfQ:
         rng = np.random.default_rng(31)
         for params in all_variants:
             nu1 = float(rng.uniform(-4000.0, -100.0))
-            premia = RiskPremia.arbitrage_free(nu1, params.lam)
             st = stationary_state(params)
             p, sp = parabolic_form(params), parabolic_state(params, st)
             q_params = risk_neutral_map(params, nu1)
@@ -245,9 +241,9 @@ class TestMgfQ:
             for _ in range(15):
                 z = complex(rng.uniform(-2.5, 2.5), rng.uniform(-20, 20))
                 horizon = int(rng.integers(1, 253))
-                direct = mgf_q(params, st, premia, z, horizon)
+                direct = mgf_q(params, st, nu1, z, horizon)
                 a, b, c = shift_and_add(p, expand_weights(p), np.array([z]),
-                                        horizon, premia)
+                                        horizon, nu1)
                 tilted = np.exp(a[0] + b[0] @ sp.rv + c[0] @ sp.lev)
                 assert abs(direct - tilted) <= 1e-12 * abs(direct)
                 mapped = mgf_p(q_params, q_state, z, horizon)
@@ -267,23 +263,14 @@ class TestMgfQ:
         monkeypatch.setattr(mgf, "_recurse", spy)
         for params in all_variants:
             for nu1 in (-100.0, -3000.0, -4000.0):
-                premia = RiskPremia.arbitrage_free(nu1, params.lam)
                 for horizon in (22, 252):
-                    mgf_q(params, stationary_state(params), premia,
+                    mgf_q(params, stationary_state(params), nu1,
                           np.array([0.0, 1.0]), horizon)
                     a, b, c = seen.pop()
                     assert np.abs(a - [0.0, params.r * horizon]).max() \
                         <= 1e-15
                     assert np.abs(b).max() <= 1e-15
                     assert np.abs(c).max() <= 1e-15
-
-    def test_rejects_premia_off_no_arbitrage(self, plharg):
-        # premia off nu2 = lam + 1/2 have no risk-neutral dynamics
-        bad = RiskPremia(nu1=-100.0, nu2=0.0, y_star=-100.0)
-        with pytest.raises(ValidationError, match="no-arbitrage"):
-            mgf_q(plharg, stationary_state(plharg), bad, 0.5, 22)
-        with pytest.raises(ValidationError, match="no-arbitrage"):
-            cumulants(plharg, stationary_state(plharg), 22, premia=bad)
 
 
 def _one_day_cumulants(p, nc):
@@ -299,12 +286,11 @@ def _one_day_cumulants(p, nc):
     return series.coef[1:5] * np.array([1.0, 2.0, 6.0, 24.0])
 
 
-def _circle_cumulants(params, state, horizon, premia, rho, points=64):
+def _circle_cumulants(params, state, horizon, nu1, rho, points=64):
     """k1..k4 from the trapezoidal Cauchy integral of the log-MGF on the
     full circle |z| = rho, by a plain forward FFT of `points` values."""
     z = rho * np.exp(2j * np.pi * np.arange(points) / points)
-    coef = np.fft.fft(log_mgf(params, state, z, horizon, premia=premia)) \
-        / points
+    coef = np.fft.fft(log_mgf(params, state, z, horizon, nu1=nu1)) / points
     n = np.arange(1, 5)
     return coef[n].real * np.array([1.0, 2.0, 6.0, 24.0]) / rho ** n
 
@@ -321,13 +307,12 @@ class TestCumulants:
             rv, eps = random_state_arrays(rng, scale)
             states.append(MarketState(rv=rv, lev=np.asarray(
                 leverage(eps, rv, zmlharg.gamma_lev, "ZM-LHARG"))))
-        q = RiskPremia.arbitrage_free(-3000.0, zmlharg.lam)
         worst = 0.0
         for st in states:
-            for premia in (None, q):
+            for nu1 in (None, -3000.0):
                 for horizon in (1, 5, 14, 63, 252):
-                    k = raw_cumulants(zmlharg, st, horizon, premia=premia)
-                    ref = _circle_cumulants(zmlharg, st, horizon, premia,
+                    k = raw_cumulants(zmlharg, st, horizon, nu1=nu1)
+                    ref = _circle_cumulants(zmlharg, st, horizon, nu1,
                                             0.25 / np.sqrt(k[1]))
                     sd_n = np.sqrt(ref[1]) ** np.arange(1, 5)
                     worst = max(worst, float(np.max(np.abs(k - ref) / sd_n)))
@@ -344,16 +329,15 @@ class TestCumulants:
             for st in (stationary_state(params), drawn):
                 for nu1 in (None, -3000.0):
                     if nu1 is None:
-                        premia, law, law_state = None, params, st
+                        law, law_state = params, st
                     else:
-                        premia = RiskPremia.arbitrage_free(nu1, params.lam)
                         law = risk_neutral_map(params, nu1)
                         law_state = risk_neutral_state(params, st)
                     p = parabolic_form(law)
                     nc = theta_noncentrality(p, expand_weights(p),
                                              parabolic_state(law, law_state))
                     exact = _one_day_cumulants(p, nc)
-                    k = raw_cumulants(params, st, 1, premia=premia)
+                    k = raw_cumulants(params, st, 1, nu1=nu1)
                     rel = np.abs(k - exact) / np.abs(exact)
                     assert rel[:2].max() <= 1e-11
                     assert rel[2:].max() <= 1e-8
@@ -366,8 +350,7 @@ class TestCumulants:
                 assert c.variance > 0.0
 
     def test_zero_mean_q_shape(self, zmlharg):
-        premia = RiskPremia.arbitrage_free(-3375.0, zmlharg.lam)
-        c = cumulants(zmlharg, stationary_state(zmlharg), 22, premia=premia)
+        c = cumulants(zmlharg, stationary_state(zmlharg), 22, nu1=-3375.0)
         assert c.skewness < 0.0
         assert c.excess_kurtosis > 0.0
 
@@ -404,7 +387,7 @@ class TestVarianceGammaOracle:
     """Zero loadings make RV iid Gamma(delta, theta): the T-day return is
     variance-gamma with the closed-form MGF
     e^{zrT} (1 - theta (lam z + z^2/2))^{-delta T} under P, and the same
-    form with theta/c and lam = -1/2 under arbitrage-free premia."""
+    form with theta/c and lam = -1/2 under the variance premium nu1."""
 
     NU1 = -2500.0
     ZS = np.array([-2.0, -0.5, 0.7, 2.0, 0.5 + 3j, -1.0 - 8j, 25j, -40j])
@@ -419,9 +402,8 @@ class TestVarianceGammaOracle:
         )
 
     def _q_law(self, vg):
-        premia = RiskPremia.arbitrage_free(self.NU1, vg.lam)
         c = 1.0 - vg.theta * (-0.5 * vg.lam**2 - self.NU1 + 0.125)
-        return premia, vg.theta / c, -0.5
+        return vg.theta / c, -0.5
 
     @staticmethod
     def _log_oracle(z, horizon, r, theta, delta, lam):
@@ -438,22 +420,22 @@ class TestVarianceGammaOracle:
 
     def test_mgf_q(self, vg):
         st = stationary_state(vg)
-        premia, theta_q, lam_q = self._q_law(vg)
+        theta_q, lam_q = self._q_law(vg)
         for horizon in (1, 22, 252):
             exact = np.exp(self._log_oracle(self.ZS, horizon, vg.r, theta_q,
                                             vg.delta, lam_q))
-            got = mgf_q(vg, st, premia, self.ZS, horizon)
+            got = mgf_q(vg, st, self.NU1, self.ZS, horizon)
             assert np.max(np.abs(got - exact) / np.abs(exact)) <= 1e-12
-            logs = log_mgf(vg, st, self.ZS, horizon, premia=premia)
+            logs = log_mgf(vg, st, self.ZS, horizon, nu1=self.NU1)
             assert np.max(np.abs(np.exp(logs) - exact) / np.abs(exact)) <= 1e-12
 
     def test_raw_cumulants(self, vg):
         st = stationary_state(vg)
-        premia, theta_q, lam_q = self._q_law(vg)
+        theta_q, lam_q = self._q_law(vg)
         for given, theta, lam in ((None, vg.theta, vg.lam),
-                                  (premia, theta_q, lam_q)):
+                                  (self.NU1, theta_q, lam_q)):
             for horizon in (1, 22, 252):
-                k = raw_cumulants(vg, st, horizon, premia=given)
+                k = raw_cumulants(vg, st, horizon, nu1=given)
                 exact = horizon * _one_day_cumulants(
                     replace(vg, theta=theta, lam=lam), 0.0)
                 rel = np.abs(k - exact) / np.abs(exact)
@@ -480,17 +462,16 @@ class TestAgainstShiftAndAdd:
 
     def _cases(self, all_variants):
         for params in all_variants:
-            q = RiskPremia.arbitrage_free(self.NU1, params.lam)
-            for premia in (None, q):
-                p = _measure_form(params, premia)
-                yield params, p, expand_weights(p), premia
+            for nu1 in (None, self.NU1):
+                p = _measure_form(params, nu1)
+                yield params, p, expand_weights(p), nu1
 
     def test_coefficients_match(self, all_variants):
         # real z, and the COS grid u_k = k*pi/(b-a), k < COS_TERMS, as i*u
         real = np.array([-2.0, -0.5, 0.0, 0.7, 2.0])
-        for params, p, weights, premia in self._cases(all_variants):
+        for params, p, weights, nu1 in self._cases(all_variants):
             for horizon in self.HORIZONS:
-                a, b = cos_interval(params, stationary_state(params), premia,
+                a, b = cos_interval(params, stationary_state(params), nu1,
                                     horizon)
                 u = np.arange(COS_TERMS) * np.pi / (b - a)
                 for z in (real, 1j * u):

@@ -1,5 +1,7 @@
 """Parameter containers, lag expansion, leverage kernels, measure change."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from lharg import (
     MarketState,
     ModelParams,
     ParabolicForm,
-    RiskPremia,
     ValidationError,
     MappingSingularError,
     expand_weights,
@@ -17,6 +18,7 @@ from lharg import (
     mgf_q,
     parabolic_form,
     parabolic_state,
+    simulate_paths,
     state_from_series,
     stationarity_margin,
     stationary_mean_rv,
@@ -24,15 +26,17 @@ from lharg import (
     theta_noncentrality,
 )
 from lharg.model import risk_neutral_parabolic
+from lharg.options import OptionChain
+from lharg.pricing import price_chain
 
 from conftest import random_state_arrays
 from oracles import risk_neutral_map, risk_neutral_state
+from test_pricing import make_quote
 
 
 def _q_form(params, nu1):
-    # the package's one P -> Q map, at arbitrage-free premia
-    return risk_neutral_parabolic(parabolic_form(params),
-                                  RiskPremia.arbitrage_free(nu1, params.lam))
+    # the package's one P -> Q map
+    return risk_neutral_parabolic(parabolic_form(params), nu1)
 
 
 class TestModelParams:
@@ -163,40 +167,33 @@ class TestThetaNoncentrality:
 
 
 class TestNoArbitrage:
-    def test_values(self):
-        assert RiskPremia.arbitrage_free(-100.0, 2.005).nu2 == 2.505
-        assert RiskPremia.arbitrage_free(-100.0, 0.0).nu2 == 0.5
-        assert RiskPremia.arbitrage_free(-100.0, -0.5).nu2 == 0.0
-
-    def test_arbitrage_free_premia_identity(self):
+    def test_arbitrage_free_premia_identity(self, plharg):
+        # the map's tilt is the kernel's general one at the no-arbitrage
+        # equity premium nu2 = lam + 1/2
         rng = np.random.default_rng(3)
         for _ in range(20):
             lam = rng.uniform(-3, 3)
             nu1 = rng.uniform(-5000, 100)
-            premia = RiskPremia.arbitrage_free(nu1, lam)
-            assert premia.nu2 - lam - 0.5 == 0.0
-            assert premia.is_arbitrage_free(lam)
-            # the stored tilt agrees with the general formula
-            # y_star = -nu2*lam - nu1 + nu2^2/2 at nu2 = lam + 1/2
-            general = -(lam + 0.5) * lam - nu1 + 0.5 * (lam + 0.5) ** 2
-            assert abs(premia.y_star - general) < 1e-9 * abs(general)
+            p = replace(parabolic_form(plharg), lam=lam)
+            nu2 = lam + 0.5
+            general = -nu2 * lam - nu1 + 0.5 * nu2**2
+            expected = p.theta / (1.0 - p.theta * general)
+            got = risk_neutral_parabolic(p, nu1).theta
+            assert abs(got - expected) <= 1e-12 * expected
 
-    def test_non_finite_rejected(self):
+    def test_non_finite_rejected(self, plharg):
+        st = stationary_state(plharg)
+        quote = make_quote(1.0, 63, "call")
         for nu1 in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValidationError, match="finite"):
-                RiskPremia.arbitrage_free(nu1, 2.005)
-        with pytest.raises(ValidationError, match="finite"):
-            RiskPremia(nu1=-100.0, nu2=np.nan, y_star=np.nan)
-
-    def test_rounding_tolerated(self):
-        # (lam + 1/4) + 1/4 rounds differently from lam + 1/2 at lam = 0.08
-        lam = 0.08
-        nu2 = (lam + 0.25) + 0.25
-        assert nu2 != lam + 0.5
-        assert RiskPremia(nu1=-100.0, nu2=nu2, y_star=100.0) \
-            .is_arbitrage_free(lam)
-        off = RiskPremia(nu1=-100.0, nu2=lam + 0.5 + 1e-6, y_star=100.0)
-        assert not off.is_arbitrage_free(lam)
+                risk_neutral_parabolic(parabolic_form(plharg), nu1)
+            with pytest.raises(ValidationError, match="finite"):
+                mgf_q(plharg, st, nu1, 0.5, 22)
+            with pytest.raises(ValidationError, match="finite"):
+                simulate_paths(plharg, st, 10, 10, nu1=nu1)
+            with pytest.raises(ValidationError, match="finite"):
+                price_chain(plharg, nu1, OptionChain((quote,)),
+                            {quote.quote_date: st})
 
 
 class TestRiskNeutralMap:
@@ -229,17 +226,6 @@ class TestRiskNeutralMap:
         nu1 = 0.125 - 0.5 * plharg.lam**2 - 1.1 / plharg.theta
         with pytest.raises(MappingSingularError):
             _q_form(plharg, nu1)
-
-    def test_rejects_premia_off_no_arbitrage(self, plharg):
-        # nu2 != lam + 1/2 has no risk-neutral counterpart, even at nu2 = 0
-        p = parabolic_form(plharg)
-        for nu2 in (0.0, plharg.lam, plharg.lam + 0.5 + 1e-9):
-            bad = RiskPremia(nu1=-100.0, nu2=nu2,
-                             y_star=-nu2 * plharg.lam + 100.0 + 0.5 * nu2**2)
-            with pytest.raises(ValidationError, match="no-arbitrage"):
-                risk_neutral_parabolic(p, bad)
-        good = RiskPremia.arbitrage_free(-100.0, plharg.lam)
-        assert risk_neutral_parabolic(p, good).lam == -0.5
 
     def test_zero_mean_native_form_preserved(self, zmlharg):
         q = risk_neutral_map(zmlharg, -3375.0)
@@ -316,9 +302,8 @@ class TestRiskNeutralState:
         # parabolic leverage is measure-invariant: the mapped parameters
         # take the physical state as it stands
         st = stationary_state(plharg)
-        premia = RiskPremia.arbitrage_free(-3375.0, plharg.lam)
         for z in (0.5, 1j * 10.0):
-            direct = mgf_q(plharg, st, premia, z, 22)
+            direct = mgf_q(plharg, st, -3375.0, z, 22)
             mapped = mgf_p(_q_form(plharg, -3375.0), st, z, 22)
             assert abs(direct - mapped) <= 1e-12 * abs(direct)
 

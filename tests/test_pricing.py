@@ -12,7 +12,6 @@ from lharg import (
     InversionDomainError,
     MarketState,
     NumericalError,
-    RiskPremia,
     ValidationError,
     stationary_state,
 )
@@ -111,11 +110,11 @@ class TestCosAgainstBlackScholes:
 
 class TestCosOnModel:
     def test_put_call_parity(self, zmlharg):
-        premia = RiskPremia.arbitrage_free(-3375.0, zmlharg.lam)
+        nu1 = -3375.0
         st = stationary_state(zmlharg)
         tau = 126
-        a, b = cos_interval(zmlharg, st, premia, tau)
-        cf = model_cf(zmlharg, st, premia, tau)
+        a, b = cos_interval(zmlharg, st, nu1, tau)
+        cf = model_cf(zmlharg, st, nu1, tau)
         for m in (0.85, 0.95, 1.0, 1.1, 1.2):
             strike = 100.0 * m
             call = cos_price(cf, 100.0, strike, zmlharg.r, tau, "call", a, b)
@@ -124,11 +123,11 @@ class TestCosOnModel:
             assert abs(call - put - parity) < 1e-8
 
     def test_doubling_terms_converged(self, zmlharg, monkeypatch):
-        premia = RiskPremia.arbitrage_free(-3375.0, zmlharg.lam)
+        nu1 = -3375.0
         st = stationary_state(zmlharg)
         for tau in (22, 252):
-            a, b = cos_interval(zmlharg, st, premia, tau)
-            cf = model_cf(zmlharg, st, premia, tau)
+            a, b = cos_interval(zmlharg, st, nu1, tau)
+            cf = model_cf(zmlharg, st, nu1, tau)
             for m in (0.8, 1.0, 1.2):
                 monkeypatch.setattr(pricing_mod, "COS_TERMS", 512)
                 p1 = cos_price(cf, 100.0, 100.0 * m, zmlharg.r, tau, "put",
@@ -143,12 +142,12 @@ class TestCosOnModel:
         # on an interval 1.6x as wide about the same centre.  Puts only: a
         # call's payoff coefficients grow like exp(b), and on the wide
         # interval their roundoff reaches 1e-11 at tau = 252
-        premia = RiskPremia.arbitrage_free(-3000.0, zmlharg.lam)
+        nu1 = -3000.0
         st = stationary_state(zmlharg)
         cases = []
         for tau in (14, 63, 252):
-            a, b = cos_interval(zmlharg, st, premia, tau)
-            cf = model_cf(zmlharg, st, premia, tau)
+            a, b = cos_interval(zmlharg, st, nu1, tau)
+            cf = model_cf(zmlharg, st, nu1, tau)
             for m in (0.8, 0.9, 1.0, 1.1, 1.2):
                 args = (cf, 100.0, 100.0 * m, zmlharg.r, tau, "put")
                 cases.append((args, cos_price(*args, a, b),
@@ -162,11 +161,11 @@ class TestCosOnModel:
         # one call on a strike array equals one scalar call per strike,
         # also for strikes beyond [a, b] that take the zero-price branches:
         # calls with log(K/S) >= b and puts with log(K/S) <= a
-        premia = RiskPremia.arbitrage_free(-3375.0, zmlharg.lam)
+        nu1 = -3375.0
         st = stationary_state(zmlharg)
         tau = 63
-        a, b = cos_interval(zmlharg, st, premia, tau)
-        phi = model_cf(zmlharg, st, premia, tau)(
+        a, b = cos_interval(zmlharg, st, nu1, tau)
+        phi = model_cf(zmlharg, st, nu1, tau)(
             np.arange(COS_TERMS) * np.pi / (b - a))
 
         def cf(u):
@@ -190,11 +189,11 @@ class TestCosOnModel:
                       ["call", "straddle", "put"], a, b)
 
     def test_monotone_in_strike(self, zmlharg):
-        premia = RiskPremia.arbitrage_free(-3375.0, zmlharg.lam)
+        nu1 = -3375.0
         st = stationary_state(zmlharg)
         tau = 63
-        a, b = cos_interval(zmlharg, st, premia, tau)
-        cf = model_cf(zmlharg, st, premia, tau)
+        a, b = cos_interval(zmlharg, st, nu1, tau)
+        cf = model_cf(zmlharg, st, nu1, tau)
         strikes = np.linspace(80.0, 120.0, 17)
         calls = [cos_price(cf, 100.0, k, zmlharg.r, tau, "call", a, b)
                  for k in strikes]
@@ -206,11 +205,11 @@ class TestCosOnModel:
     def test_iv_surface_inside_box(self, zmlharg):
         # annualized model IVs stay in (0, 0.7) on the filtered
         # moneyness/maturity box
-        premia = RiskPremia.arbitrage_free(-3375.0, zmlharg.lam)
+        nu1 = -3375.0
         st = stationary_state(zmlharg)
         for tau in (10, 50, 160, 365):
-            a, b = cos_interval(zmlharg, st, premia, tau)
-            cf = model_cf(zmlharg, st, premia, tau)
+            a, b = cos_interval(zmlharg, st, nu1, tau)
+            cf = model_cf(zmlharg, st, nu1, tau)
             for m in (0.8, 0.9, 1.0, 1.1, 1.2):
                 kind = "call" if m >= 1.0 else "put"
                 price = cos_price(cf, 100.0, 100.0 * m, zmlharg.r, tau, kind,
@@ -306,9 +305,9 @@ class TestPriceChain:
         grids = []
         original = pricing_mod.mgf_q
 
-        def counting(params, state, premia, z, horizon):
+        def counting(params, state, nu1, z, horizon):
             grids.append((id(state), horizon, np.size(z)))
-            return original(params, state, premia, z, horizon)
+            return original(params, state, nu1, z, horizon)
 
         monkeypatch.setattr(pricing_mod, "mgf_q", counting)
         chain, states = two_date_chain(zmlharg)
@@ -406,8 +405,8 @@ class TestPriceChain:
         # one group holds good quotes, a call so far out of the money that
         # it prices to 0 and has no IV, and a put whose COS price dips
         # below -1e-10: only those two rows fail
-        def bumped(params, state, premia, z, horizon):
-            cf = model_cf(params, state, premia, horizon)
+        def bumped(params, state, nu1, z, horizon):
+            cf = model_cf(params, state, nu1, horizon)
             return signed_density_cf(cf, 1e-3, -0.5, 0.01)(np.imag(z))
 
         monkeypatch.setattr(pricing_mod, "mgf_q", bumped)

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from lharg import (
     MarketState,
-    RiskPremia,
     leverage,
     mgf_p,
     mgf_q,
@@ -46,18 +45,16 @@ class TestMgfProperties:
     def test_normalization(self, all_variants, v, seed, scale, horizon, nu1):
         params = all_variants[v]
         state = _state(params, seed, scale)
-        premia = RiskPremia.arbitrage_free(nu1, params.lam)
         assert abs(mgf_p(params, state, 0.0, horizon) - 1.0) <= 1e-12
-        assert abs(mgf_q(params, state, premia, 0.0, horizon) - 1.0) <= 1e-12
+        assert abs(mgf_q(params, state, nu1, 0.0, horizon) - 1.0) <= 1e-12
 
     @PROPERTY
     @given(VARIANT, SEED, SCALE, HORIZON, NU1)
     def test_martingale(self, all_variants, v, seed, scale, horizon, nu1):
         params = all_variants[v]
         state = _state(params, seed, scale)
-        premia = RiskPremia.arbitrage_free(nu1, params.lam)
         bench = np.exp(params.r * horizon)
-        val = mgf_q(params, state, premia, 1.0, horizon)
+        val = mgf_q(params, state, nu1, 1.0, horizon)
         assert abs(val - bench) <= 1e-10 * bench
 
     @PROPERTY
@@ -66,8 +63,7 @@ class TestMgfProperties:
                                               scale, horizon, nu1, z):
         params = all_variants[v]
         state = _state(params, seed, scale)
-        premia = RiskPremia.arbitrage_free(nu1, params.lam)
-        direct = mgf_q(params, state, premia, z, horizon)
+        direct = mgf_q(params, state, nu1, z, horizon)
         mapped = mgf_p(risk_neutral_map(params, nu1),
                        risk_neutral_state(params, state), z, horizon)
         assert abs(direct - mapped) <= 1e-12 * abs(direct)
@@ -81,12 +77,11 @@ class TestCosProperties:
         # strikes spread over +-2.5 standard deviations of the log-return
         params = all_variants[v]
         state = _state(params, seed, scale)
-        premia = RiskPremia.arbitrage_free(nu1, params.lam)
-        c1, c2, _, _ = raw_cumulants(params, state, horizon, premia=premia)
+        c1, c2, _, _ = raw_cumulants(params, state, horizon, nu1=nu1)
         strikes = 100.0 * np.exp(c1 + np.sqrt(c2) * np.linspace(-2.5, 2.5, 11))
-        a, b = cos_interval(params, state, premia, horizon)
+        a, b = cos_interval(params, state, nu1, horizon)
         # one cf grid prices both rows: calls, then puts
-        calls, puts = cos_price(model_cf(params, state, premia, horizon),
+        calls, puts = cos_price(model_cf(params, state, nu1, horizon),
                                 100.0, strikes, params.r, horizon,
                                 [["call"], ["put"]], a, b)
         parity = 100.0 - strikes * np.exp(-params.r * horizon)

@@ -173,3 +173,27 @@ def test_tracer_hooks_read_real_parameters():
             assert name in params, f"{dotted} has no parameter {name!r}"
             checked.add(name)
     assert {"n_paths", "horizon", "maturities", "z"} <= checked
+
+
+def test_nu1_is_the_only_premium():
+    # the variance premium is one float named nu1 everywhere: no premia
+    # container in the package, and no public parameter called premia
+    import lharg
+
+    assert not hasattr(lharg, "RiskPremia")
+    scanned, named = set(), []
+    for module_name in ("mgf", "pricing", "simulate", "model"):
+        module = importlib.import_module("lharg." + module_name)
+        assert not hasattr(module, "RiskPremia"), module_name
+        for name, fn in inspect.getmembers(module, inspect.isfunction):
+            if name.startswith("_") or fn.__module__ != module.__name__:
+                continue
+            params = inspect.signature(fn).parameters
+            if "nu1" in params:
+                scanned.add(f"{module_name}.{name}")
+            if "premia" in params:
+                named.append(f"{module_name}.{name}")
+    assert {"mgf.mgf_q", "mgf.cumulants", "pricing.cos_interval",
+            "simulate.simulate_paths",
+            "model.risk_neutral_parabolic"} <= scanned
+    assert not named, named

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from lharg import (
-    RiskPremia,
     ValidationError,
     expand_weights,
     filter_innovations,
@@ -95,19 +94,10 @@ class TestSimulatePaths:
         se = block_means.std() / np.sqrt(len(block_means))
         assert abs(block_means.mean() - oracle) < 3.0 * se
 
-    def test_q_requires_arbitrage_free_premia(self, plharg):
-        st = stationary_state(plharg)
-        bad = RiskPremia(nu1=-100.0, nu2=0.0, y_star=100.0)
-        with pytest.raises(ValidationError):
-            simulate_paths(plharg, st, 10, 10, premia=bad)
-        with pytest.raises(ValidationError):
-            simulate_y_snapshots(plharg, st, [5], 10, premia=bad)
-
     def test_q_path_level_martingale(self, zmlharg):
-        premia = RiskPremia.arbitrage_free(-3375.0, zmlharg.lam)
         st = stationary_state(zmlharg)
         ysnap, _ = simulate_y_snapshots(zmlharg, st, [126], 100000,
-                                        premia=premia, seed=21)
+                                        nu1=-3375.0, seed=21)
         w = np.exp(ysnap[:, 0] - zmlharg.r * 126)
         se = w.std() / np.sqrt(w.size)
         assert abs(w.mean() - 1.0) < 3.0 * se
@@ -148,13 +138,12 @@ class TestSimulatePaths:
         # draws, block by block, in the requested column order
         monkeypatch.setattr(simulate, "DEFAULT_BLOCK", 7)
         st = stationary_state(zmlharg)
-        premia = RiskPremia.arbitrage_free(-3375.0, zmlharg.lam)
-        for prem in (None, premia):
-            paths = simulate_paths(zmlharg, st, 30, 20, premia=prem, seed=5)
+        for nu1 in (None, -3375.0):
+            paths = simulate_paths(zmlharg, st, 30, 20, nu1=nu1, seed=5)
             cum = np.cumsum(paths.y_paths, axis=1)
             for maturities in ([1, 10, 30], [30, 3, 12], [7, 30, 7, 1]):
                 ysnap, clamps = simulate_y_snapshots(
-                    zmlharg, st, maturities, 20, premia=prem, seed=5)
+                    zmlharg, st, maturities, 20, nu1=nu1, seed=5)
                 m = np.array(maturities)
                 assert np.array_equal(ysnap, cum[:, m - 1])
                 assert clamps == paths.clamp_count
@@ -271,12 +260,11 @@ class TestAgainstShiftAndAdd:
         # integer Poisson draw, which a last-bit change flips with
         # probability of order 1e-16 per draw
         monkeypatch.setattr(simulate, "DEFAULT_BLOCK", 600)
-        premia = RiskPremia.arbitrage_free(-1000.0, zmlharg.lam)
         cases = ((plharg, None, False), (zmlharg, None, True),
-                 (zmlharg, premia, True))
-        for params, prem, clamping in cases:
+                 (zmlharg, -1000.0, True))
+        for params, nu1, clamping in cases:
             run = dict(state=stationary_state(params), horizon=250,
-                       n_paths=1000, premia=prem, seed=3, burn_in=2000)
+                       n_paths=1000, nu1=nu1, seed=3, burn_in=2000)
             ring = simulate_paths(params, **run)
             with monkeypatch.context() as m:
                 m.setattr(simulate, "_day_steps", _shift_and_add)
