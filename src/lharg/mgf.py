@@ -26,12 +26,22 @@ mgf(1) = exp(r*T) holds exactly: X is 0 every day at z = 1.  model.py is
 the single home of that measure change and of its check on nu1.
 
 The recursion accepts complex z; the characteristic function is the MGF
-at z = i*u.  `_recurse` is the one implementation of the step, vectorized
+at z = i*u.  `_steps` is the one implementation of the step, vectorized
 across a whole z-grid in one pass.  Unrolled over T days the step gives
 B_i = sum_j beta_{i+j-1} inc[T+1-j], zero past lag 22 (C_j likewise with
 alpha), where inc[s] is day s's v(X).  So the loop keeps a ring of the
-last 22 increments and forms B_1 and C_1 in one weight product per day;
-the full B and C are formed once, after the last day, as a Hankel product.
+last 22 increments and forms B_1 and C_1 in one weight product per day,
+a real (2, 22) x (22, 2n) product on the float view of a complex ring (the
+weights are real); the full B and C are formed once, after the last day,
+as a Hankel product.
+
+The step map does not depend on the day, so the coefficients for horizon
+T are the loop's iterates after T days, and one pass serves many horizons
+(`_log_mgf_segments`): z-segments sorted longest horizon first, each
+point at its own rate (r enters only A's daily z*r); on the day a
+segment's horizon ends its B and C are formed and dotted with its state,
+and its columns drop off the end of the active prefix.  A segment whose
+point leaves the domain fails alone.  `_recurse` is the one-segment case.
 
 The cumulants kappa_n of y_{t,T} are the Taylor coefficients of the log-MGF
 at z = 0, times n!.  `raw_cumulants` reads the first four from one FFT of
@@ -64,46 +74,153 @@ from .model import (
 def _guarded(values: np.ndarray, step: int, what: str) -> None:
     # Per-step branch guard: arguments of the logs must stay in the right
     # half-plane (which also keeps |arg| < pi/2, the principal branch);
-    # raise instead of silently wrapping the branch.  NaN fails too.
-    if not (values.real > 0.0).all():
+    # raise instead of silently wrapping the branch.  NaN fails too, and
+    # an empty array passes.
+    if not values.real.min(initial=np.inf) > 0.0:
         raise RecursionDomainError(step, f"{what} left the right half-plane")
 
 
-def _recurse(p: ParabolicForm, weights: LagWeights, z: np.ndarray, horizon: int):
-    """Run the backward recursion for a vector of z values.
-
-    Returns (A, B, C) with shapes (n,), (n, 22), (n, 22).
-    """
+def _check_horizon(horizon) -> None:
     if not isinstance(horizon, (int, np.integer)) or horizon < 1:
         raise ValidationError(f"horizon must be a positive whole number of "
                               f"days, got {horizon!r}")
+
+
+def _steps(p: ParabolicForm, weights: LagWeights, z: np.ndarray, r,
+           segments):
+    """The backward loop over consecutive segments of z.
+
+    `segments` lists (size, horizon) pairs, horizons non-increasing and
+    sizes adding up to len(z); r is the rate, a scalar or one per point.
+    Yields (segment index, (A, B, C)) on the day the segment's horizon
+    ends, or (segment index, RecursionDomainError) on the day one of its
+    points leaves the domain; the other segments go on without it.
+    """
     theta, delta, d = p.theta, p.delta, p.d
     g = p.gamma_lev
     dtype = np.result_type(z.dtype, float)
     lin, quad, lev = z * p.lam, 0.5 * z * z, g * g - 2.0 * g * z
-    a_day = z * p.r
+    a_day = z * r
     # ring[s % 22] holds day s's increment; rolled[s % 22] lines the
-    # [beta; alpha] rows up with the ring after day s
+    # [beta; alpha] rows up with the ring after day s.  The weights are
+    # real, so the day's product runs on the ring's float view.
     lags = np.arange(N_LAGS)
     w = np.stack([weights.beta, weights.alpha])
-    rolled = np.stack([w[:, (s - lags) % N_LAGS] for s in lags]).astype(dtype)
-    ring = np.zeros((N_LAGS, z.shape[0]), dtype)
-    A = np.zeros(z.shape[0], dtype)
-    for step in range(1, horizon + 1):
-        B1, C1 = rolled[(step - 1) % N_LAGS] @ ring
-        den = 1.0 - 2.0 * C1
-        _guarded(den, step, "1 - 2*C_1")
-        X = lin + B1 + (quad + lev * C1) / den
-        one_minus = 1.0 - theta * X
-        _guarded(one_minus, step, "1 - theta*X")
-        v_x = theta * X / one_minus
-        A += a_day - 0.5 * np.log(den) - delta * np.log(one_minus) + d * v_x
-        ring[step % N_LAGS] = v_x
+    rolled = np.stack([w[:, (s - lags) % N_LAGS] for s in lags])
     # B[:, i] = sum_j beta[i + j] inc[T - j], 0-based and zero past lag 22,
     # likewise C: a Hankel product with the increments newest first
-    padded = np.concatenate([w, np.zeros_like(w)], axis=1)
-    B, C = padded[:, lags[:, None] + lags] @ ring[(horizon - lags) % N_LAGS]
-    return A, B.T, C.T
+    hankel = np.concatenate([w, np.zeros_like(w)], axis=1)[:, lags[:, None]
+                                                           + lags]
+    ring = np.zeros((N_LAGS, z.shape[0]), dtype)
+    flat = ring.view(float)
+    A = np.zeros(z.shape[0], dtype)
+    # live segments (index, first column, end column, horizon): the
+    # columns up to the last one's end are the active prefix
+    stops = np.cumsum([size for size, _ in segments], dtype=int)
+    live = [(k, stop - size, stop, h)
+            for k, ((size, h), stop) in enumerate(zip(segments, stops))]
+    step = 1
+    while live:
+        B1, C1 = (rolled[(step - 1) % N_LAGS] @ flat).view(dtype)
+        den = 1.0 - 2.0 * C1
+        try:
+            _guarded(den, step, "1 - 2*C_1")
+            X = lin + B1 + (quad + lev * C1) / den
+            tx = theta * X
+            one_minus = 1.0 - tx
+            _guarded(one_minus, step, "1 - theta*X")
+        except RecursionDomainError as exc:
+            # a segment with a point outside fails alone: zeroed, its
+            # columns stay at z = 0, where X = 0 every day, until the
+            # prefix drops them; then the day is done again
+            bad = ~(den.real > 0.0)
+            if not bad.any():
+                bad = ~(one_minus.real > 0.0)
+            failed = [seg for seg in live if bad[seg[1]:seg[2]].any()]
+            for _, lo, hi, _ in failed:
+                for v in (ring, A, lin, quad, lev, a_day):
+                    v[..., lo:hi] = 0.0
+            live = [seg for seg in live if seg not in failed]
+            for k, *_ in failed:
+                yield k, exc
+            continue
+        v_x = tx / one_minus
+        A += a_day - 0.5 * np.log(den) - delta * np.log(one_minus) + d * v_x
+        ring[step % N_LAGS] = v_x
+        while live and live[-1][3] == step:
+            k, lo, hi, _ = live.pop()
+            # B and C as transposed views of one (2, 22, m) product: B @ rv
+            # on a contiguous copy would round differently
+            yield k, (A[lo:hi], *(hankel @ ring[(step - lags) % N_LAGS,
+                                                lo:hi]).transpose(0, 2, 1))
+            ring, A, lin, quad, lev, a_day = (
+                v[..., :lo] for v in (ring, A, lin, quad, lev, a_day))
+            flat = ring.view(float)
+        step += 1
+
+
+def _recurse(p: ParabolicForm, weights: LagWeights, z: np.ndarray,
+             horizon: int):
+    """Run the backward recursion for a vector of z values.
+
+    Returns (A, B, C) with shapes (n,), (n, 22), (n, 22).
+    """
+    _check_horizon(horizon)
+    (_, out), = _steps(p, weights, z, p.r, [(z.shape[0], horizon)])
+    if isinstance(out, RecursionDomainError):
+        raise out
+    return out
+
+
+def _exponent(coefficients, st: MarketState) -> np.ndarray:
+    # the log-MGF A + B @ rv + C @ lev on the parabolic state st
+    A, B, C = coefficients
+    return A + B @ st.rv + C @ st.lev
+
+
+_PASS_POINTS = 1024   # z-points per shared pass: bounds the ring and temporaries
+
+
+def _log_mgf_segments(params, nu1: float | None, segments) -> list:
+    """log-MGF values of (z, horizon, rate, state) segments, under P when
+    nu1 is None, each at its own rate.
+
+    The segments share backward passes, longest horizon first, in chunks
+    of consecutive segments of up to _PASS_POINTS points (a longer one runs
+    alone), and each segment's coefficients are dotted with its state on
+    the day its horizon ends.  Returns, in the order given, each segment's
+    values or the error that failed it alone: a bad horizon, or its
+    recursion leaving the domain.  Errors of the measure map raise.
+    """
+    p = _measure_form(params, nu1)
+    weights = expand_weights(p)
+    out: list = [None] * len(segments)
+    order = []
+    for k, (_, horizon, _, _) in enumerate(segments):
+        try:
+            _check_horizon(horizon)
+            order.append(k)
+        except ValidationError as exc:
+            out[k] = exc
+    order.sort(key=lambda k: -segments[k][1])
+    chunks, points = [], 0
+    for k in order:
+        size = len(segments[k][0])
+        if not chunks or points + size > _PASS_POINTS:
+            chunks.append([])
+            points = 0
+        chunks[-1].append(k)
+        points += size
+    for chunk in chunks:
+        parts = [segments[k] for k in chunk]
+        z = np.concatenate([zk for zk, _, _, _ in parts])
+        r = np.concatenate([np.full(len(zk), rate) for zk, _, rate, _ in parts])
+        for j, res in _steps(p, weights, z, r,
+                             [(len(zk), h) for zk, h, _, _ in parts]):
+            out[chunk[j]] = res if isinstance(res, RecursionDomainError) \
+                else _exponent(res, parabolic_state(params, parts[j][3]))
+            del res     # frees this B and C before the pass forms the next
+    return out
 
 
 def _evaluate(params, state, z, horizon, nu1=None, log: bool = False):
@@ -112,8 +229,7 @@ def _evaluate(params, state, z, horizon, nu1=None, log: bool = False):
     weights = expand_weights(p)
     z_arr = np.atleast_1d(np.asarray(z))
     scalar = np.ndim(z) == 0
-    A, B, C = _recurse(p, weights, z_arr, horizon)
-    expo = A + B @ st.rv + C @ st.lev
+    expo = _exponent(_recurse(p, weights, z_arr, horizon), st)
     out = expo if log else np.exp(expo)
     return out[0] if scalar else out
 
@@ -157,6 +273,26 @@ class Cumulants(NamedTuple):
 _CONTOUR_RADIUS = 0.125   # circle radius in guessed standard deviations
 
 
+def _contour(params, state, horizon: int):
+    # the radius rho of raw_cumulants' circle and its 9 upper-half points
+    p = parabolic_form(params)
+    nc = theta_noncentrality(p, expand_weights(p), parabolic_state(params, state))
+    kappa2_guess = horizon * p.theta * (p.delta + max(nc, 0.0))
+    if not np.isfinite(kappa2_guess) or kappa2_guess <= 0.0:
+        kappa2_guess = 1.0
+    rho = _CONTOUR_RADIUS / np.sqrt(kappa2_guess)
+    return rho, rho * np.exp(1j * np.pi * np.arange(9) / 8)
+
+
+def _contour_cumulants(g: np.ndarray, rho: float) -> np.ndarray:
+    # kappa_1..kappa_4 from the log-MGF g on the points of _contour
+    if not np.all(np.isfinite(g)):
+        raise NumericalError("log-MGF non-finite on the cumulant contour")
+    n = np.arange(1, 5)
+    return np.fft.irfft(np.conj(g), 16)[n] * np.array([1.0, 2.0, 6.0, 24.0]) \
+        / rho ** n
+
+
 def raw_cumulants(params, state, horizon: int,
                   nu1: float | None = None) -> np.ndarray:
     """First four cumulants of y_{t,T} (under P when nu1 is None) as
@@ -175,20 +311,9 @@ def raw_cumulants(params, state, horizon: int,
     nearest singularity of g, a zero of 1 - theta*X, so the aliasing stays
     below that roundoff even when kappa2 runs several times past its guess.
     """
-    p = parabolic_form(params)
-    nc = theta_noncentrality(p, expand_weights(p), parabolic_state(params, state))
-    kappa2_guess = horizon * p.theta * (p.delta + max(nc, 0.0))
-    if not np.isfinite(kappa2_guess) or kappa2_guess <= 0.0:
-        kappa2_guess = 1.0
-    rho = _CONTOUR_RADIUS / np.sqrt(kappa2_guess)
-
-    g = log_mgf(params, state, rho * np.exp(1j * np.pi * np.arange(9) / 8),
-                horizon, nu1=nu1)
-    if not np.all(np.isfinite(g)):
-        raise NumericalError("log-MGF non-finite on the cumulant contour")
-    n = np.arange(1, 5)
-    return np.fft.irfft(np.conj(g), 16)[n] * np.array([1.0, 2.0, 6.0, 24.0]) \
-        / rho ** n
+    rho, z = _contour(params, state, horizon)
+    return _contour_cumulants(log_mgf(params, state, z, horizon, nu1=nu1),
+                              rho)
 
 
 def cumulants(params, state, horizon: int,

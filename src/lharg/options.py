@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import datetime as dt
+import math
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
@@ -39,6 +40,12 @@ class OptionQuote:
                                   f"got {self.option_type!r}")
         if self.maturity_days <= 0:
             raise ValidationError("maturity must be positive")
+        # the sign checks below are all False for NaN; market_iv may be None
+        for name in ("strike", "underlying", "mid_price", "rate",
+                     "market_iv"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value!r}")
         if self.strike <= 0.0 or self.underlying <= 0.0:
             raise ValidationError("strike and underlying must be positive")
         if self.mid_price < 0.0:

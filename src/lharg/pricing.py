@@ -18,11 +18,19 @@ cf(0) = 1 check from phi(u_0) (u_0 = 0), and broadcasts over strikes and
 option types at one rate; each strike's price is its row of the
 (strikes, N) payoff coefficients times the N density coefficients.
 `price_chain` makes one such call per (quote_date, maturity, rate) group.
+
+The recursion's step map does not depend on the day, so the coefficients
+of every maturity are iterates of one backward loop.  `price_chain` (and
+`model_atm_iv`, its one-group case) therefore runs the recursion twice per
+chain, not twice per group: one shared pass over every group's 9-point
+cumulant contour, which sets each group's interval, then one over every
+group's N-point cf grid, each point at its group's rate and each group's
+coefficients dotted with its own date's state (`mgf._log_mgf_segments`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
@@ -33,7 +41,12 @@ from .errors import (
     NumericalError,
     ValidationError,
 )
-from .mgf import mgf_q, raw_cumulants
+from .mgf import (
+    _contour,
+    _contour_cumulants,
+    _log_mgf_segments,
+    raw_cumulants,
+)
 from .model import MarketState, ModelParams, _finite_nu1
 from .options import OPTION_TYPES, OptionChain, OptionQuote
 
@@ -46,11 +59,20 @@ def cos_interval(params: ModelParams, state: MarketState,
                  nu1: float, tau_days: int) -> tuple[float, float]:
     """Truncation interval [a, b] = c1 -/+ COS_WIDTH * sqrt(c2 + sqrt(c4))
     from the raw cumulants of the tau-day log-return under nu1's Q."""
-    c1, c2, _, c4 = raw_cumulants(params, state, tau_days, nu1=nu1)
+    return _truncation(raw_cumulants(params, state, tau_days, nu1=nu1))
+
+
+def _truncation(kappas) -> tuple[float, float]:
+    c1, c2, _, c4 = kappas
     half = COS_WIDTH * np.sqrt(c2 + np.sqrt(max(c4, 0.0)))
     if not (half > 0.0):
         raise NumericalError("degenerate truncation interval")
     return c1 - half, c1 + half
+
+
+def _cos_grid(a: float, b: float) -> np.ndarray:
+    # the u_k = k*pi/(b-a), k < COS_TERMS, that cos_price evaluates cf on
+    return np.arange(COS_TERMS) * np.pi / (b - a)
 
 
 def _chi_psi(u: np.ndarray, a: float, c: np.ndarray, d: np.ndarray):
@@ -85,9 +107,9 @@ def cos_price(cf, S, K, r, tau_days: int, option_type, a: float, b: float):
     """
     if not b > a:
         raise ValidationError("truncation interval requires b > a")
-    u = np.arange(COS_TERMS) * np.pi / (b - a)
+    u = _cos_grid(a, b)
     phi = np.asarray(cf(u), dtype=complex)
-    if abs(phi[0] - 1.0) > 1e-10:
+    if not abs(phi[0] - 1.0) <= 1e-10:
         raise ValidationError("characteristic function is not normalized")
     dens = (2.0 / (b - a)) * np.real(phi * np.exp(-1j * u * a))
     dens[0] *= 0.5
@@ -172,18 +194,45 @@ def implied_vol(price: float, S: float, K: float, r: float, tau: float,
                         rtol=4.0 * np.finfo(float).eps))
 
 
-def _group_prices(params: ModelParams, state: MarketState,
-                  nu1: float, tau: int, S, K, option_type):
-    # one quote group: its interval, then one cos_price call at rate params.r
-    a, b = cos_interval(params, state, nu1, tau)
-    return cos_price(lambda u: mgf_q(params, state, nu1, 1j * u, tau),
-                     S, K, params.r, tau, option_type, a, b)
+def _price_groups(params: ModelParams, nu1: float, groups) -> list:
+    """Prices of quote groups (tau, rate, state, S, K, option_type), each
+    on its own truncation interval at its own rate, from two shared
+    passes of the recursion: one over every group's cumulant contour, then
+    one over every group's cf grid.  Returns, per group, cos_price's result
+    or the package error that failed the group; errors of the measure map
+    raise.
+    """
+    contours = [_contour(params, st, tau) for tau, _, st, *_ in groups]
+    logs = _log_mgf_segments(params, nu1, [
+        (z, *group[:3]) for (_, z), group in zip(contours, groups)])
+    out: list = []
+    for (rho, _), g in zip(contours, logs):
+        try:
+            out.append(g if isinstance(g, LhargError)
+                       else _truncation(_contour_cumulants(g, rho)))
+        except LhargError as exc:
+            out.append(exc)
+    todo = [k for k, ab in enumerate(out) if not isinstance(ab, LhargError)]
+    logs = _log_mgf_segments(params, nu1, [
+        (1j * _cos_grid(*out[k]), *groups[k][:3]) for k in todo])
+    for k, g in zip(todo, logs):
+        tau, rate, _, S, K, kind = groups[k]
+        try:
+            # the grid pass ran on the u_k that cos_price evaluates cf on
+            out[k] = g if isinstance(g, LhargError) else cos_price(
+                lambda u, phi=np.exp(g): phi, S, K, rate, tau, kind, *out[k])
+        except LhargError as exc:
+            out[k] = exc
+    return out
 
 
 def model_atm_iv(params: ModelParams, nu1: float, maturity_days: int,
                  state: MarketState) -> float:
     """Annualized at-the-money implied vol generated by the model."""
-    price = _group_prices(params, state, nu1, maturity_days, 1.0, 1.0, "call")
+    price, = _price_groups(params, nu1, [(maturity_days, params.r, state,
+                                          1.0, 1.0, "call")])
+    if isinstance(price, LhargError):
+        raise price
     iv_daily = implied_vol(price, 1.0, 1.0, params.r, maturity_days, "call")
     return iv_daily * np.sqrt(TRADING_DAYS)
 
@@ -205,11 +254,12 @@ def price_chain(params: ModelParams, nu1: float, chain: OptionChain,
     `states` maps each quote date to its MarketState.  Quotes are grouped
     by (quote_date, maturity, rate), and each group is priced by one
     `cos_price` call on its own truncation interval, with the group's rate
-    as both the risk-neutral drift and the discount rate.  Failures of the
-    package's own error classes are recorded on the rows instead of
-    aborting the chain: a group failure (no state, recursion domain) on
-    every row of the group, a strike's negative COS price or failed IV
-    inversion on that quote's row alone.  A non-finite nu1 raises
+    as both the risk-neutral drift and the discount rate.  The groups'
+    contours and cf grids come from two shared passes of the recursion
+    (`_price_groups`).  Failures of the package's own error classes are
+    recorded on the rows instead of aborting the chain: a group failure
+    (no state, recursion domain) on every row of the group, a strike's
+    negative COS price or failed IV inversion on that quote's row alone.  A non-finite nu1 raises
     ValidationError before any group is priced; any other exception is a
     bug and propagates.
     """
@@ -218,18 +268,27 @@ def price_chain(params: ModelParams, nu1: float, chain: OptionChain,
     for q in chain:
         groups.setdefault((q.quote_date, q.maturity_days, q.rate),
                           []).append(q)
+    keys = sorted(groups)
+    live, batch = [], []
+    for qdate, tau, rate in keys:
+        if qdate in states:
+            quotes = groups[qdate, tau, rate]
+            live.append((qdate, tau, rate))
+            batch.append((tau, rate, states[qdate],
+                          [q.underlying for q in quotes],
+                          [q.strike for q in quotes],
+                          [q.option_type for q in quotes]))
+    try:
+        priced = dict(zip(live, _price_groups(params, nu1, batch)))
+    except LhargError as exc:       # the measure map fails every group
+        priced = dict.fromkeys(live, exc)
 
     results = []
-    for (qdate, tau, rate), quotes in sorted(groups.items()):
-        try:
-            if qdate not in states:
-                raise ValidationError(f"no state for {qdate}")
-            prices = _group_prices(
-                replace(params, r=rate), states[qdate], nu1, tau,
-                [q.underlying for q in quotes], [q.strike for q in quotes],
-                [q.option_type for q in quotes])
-        except LhargError as exc:
-            results.extend(PricedQuote(q, np.nan, np.nan, str(exc))
+    for key in keys:
+        (qdate, tau, rate), quotes = key, groups[key]
+        prices = priced.get(key, ValidationError(f"no state for {qdate}"))
+        if isinstance(prices, LhargError):
+            results.extend(PricedQuote(q, np.nan, np.nan, str(prices))
                            for q in quotes)
             continue
         for q, price in zip(quotes, prices):

@@ -1,6 +1,7 @@
 """CSV loaders, serialization round trips, params-file parsing, option filter."""
 
 import datetime as dt
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -168,6 +169,19 @@ class TestParamsFile:
         with pytest.raises(ValidationError,
                            match=r":3: bad delta value '1.3x'"):
             load_params(path)
+
+
+class TestOptionQuote:
+    def test_non_finite_numbers_rejected(self):
+        # NaN passes every sign check, so each number is checked for
+        # finiteness first; a missing market_iv stays allowed
+        good = make_quote(1.0, 63, "call", market_iv=0.2)
+        assert replace(good, market_iv=None).market_iv is None
+        for name in ("strike", "underlying", "mid_price", "rate",
+                     "market_iv"):
+            for bad in (np.nan, np.inf, -np.inf):
+                with pytest.raises(ValidationError, match=f"{name} must be"):
+                    replace(good, **{name: bad})
 
 
 class TestFilterOptions:

@@ -508,3 +508,77 @@ class TestHorizon:
     def test_numpy_integer_accepted(self, plharg):
         assert mgf_p(plharg, stationary_state(plharg), 0.5, np.int64(22)) \
             == mgf_p(plharg, stationary_state(plharg), 0.5, 22)
+
+
+class TestSharedPass:
+    """`_log_mgf_segments` runs many (z, horizon, rate, state) segments
+    through shared backward passes; each segment's values are bit for bit
+    those of one `_recurse` call on its own, and a failure stays its own."""
+
+    @staticmethod
+    def _alone(params, nu1, segment):
+        z, horizon, rate, state = segment
+        p = _measure_form(replace(params, r=rate), nu1)
+        sp = parabolic_state(params, state)
+        a, b, c = _recurse(p, expand_weights(p), z, horizon)
+        return a + b @ sp.rv + c @ sp.lev
+
+    def test_equals_one_recursion_per_segment(self, zmlharg):
+        # repeated and distinct horizons, contour-sized and grid-sized
+        # segments, three rates, two states, real and complex arguments;
+        # the 1100-point grid runs in a pass of its own
+        rng = np.random.default_rng(5)
+        st = stationary_state(zmlharg)
+        states = (st, MarketState(rv=0.5 * st.rv, lev=st.lev))
+        layout = ((9, 63), (512, 14), (9, 252), (512, 63), (1100, 30),
+                  (9, 14), (512, 252), (3, 1))
+        for kind in (float, complex):
+            segments = []
+            for i, (size, horizon) in enumerate(layout):
+                z = rng.uniform(-2.0, 2.0, size).astype(kind)
+                if kind is complex:
+                    z += 1j * rng.uniform(-40.0, 40.0, size)
+                segments.append((z, horizon, (0.0, 1e-4, 3e-4)[i % 3],
+                                 states[i % 2]))
+            for nu1 in (None, -3000.0):
+                got = mgf._log_mgf_segments(zmlharg, nu1, segments)
+                for segment, values in zip(segments, got):
+                    want = self._alone(zmlharg, nu1, segment)
+                    assert values.dtype == want.dtype
+                    assert np.array_equal(values, want)
+
+    def test_failures_stay_per_segment(self, zmlharg):
+        # a large real z crosses the pole at a step of its own; only its
+        # segment fails, with the error its own recursion raises, and a
+        # bad horizon fails only its segment
+        st = stationary_state(zmlharg)
+        grid = 1j * np.linspace(0.0, 60.0, 512)
+        segments = [(grid, 126, 1e-4, st),
+                    (np.r_[grid[:100], 100.0, grid[100:]], 126, 1e-4, st),
+                    (grid, 63, 2e-4, st),
+                    (np.r_[grid[:4], 150.0, grid[4:8]], 22, 1e-4, st),
+                    (grid, 0, 1e-4, st), (grid[:9], 252, 1e-4, st)]
+        got = mgf._log_mgf_segments(zmlharg, -3000.0, segments)
+        for segment, values in zip(segments, got):
+            try:
+                want = self._alone(zmlharg, -3000.0, segment)
+            except (RecursionDomainError, ValidationError) as exc:
+                assert type(values) is type(exc)
+                assert str(values) == str(exc)
+                continue
+            assert np.array_equal(values, want)
+        assert str(got[1]) == "step 34: 1 - theta*X left the right half-plane"
+        assert str(got[3]) == "step 11: 1 - 2*C_1 left the right half-plane"
+        assert isinstance(got[4], ValidationError)
+        assert all(isinstance(got[k], np.ndarray) for k in (0, 2, 5))
+
+    def test_empty_z(self, zmlharg):
+        # no points is no work, not an error, alone or beside others
+        st = stationary_state(zmlharg)
+        empty = np.array([], dtype=complex)
+        assert mgf_p(zmlharg, st, empty, 22).shape == (0,)
+        assert mgf_q(zmlharg, st, -3000.0, empty, 22).shape == (0,)
+        got = mgf._log_mgf_segments(zmlharg, -3000.0, [
+            (empty, 63, 1e-4, st), (np.array([0.5j]), 22, 1e-4, st),
+            (empty, 22, 1e-4, st)])
+        assert [g.shape for g in got] == [(0,), (1,), (0,)]

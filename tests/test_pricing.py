@@ -2,6 +2,7 @@
 
 import datetime as dt
 import importlib.util
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -12,7 +13,9 @@ from lharg import (
     InversionDomainError,
     MarketState,
     NumericalError,
+    RecursionDomainError,
     ValidationError,
+    mgf_q,
     stationary_state,
 )
 from lharg.options import OptionChain, OptionQuote
@@ -85,6 +88,14 @@ class TestCosAgainstBlackScholes:
         with pytest.raises(ValidationError, match="not normalized"):
             cos_price(lambda u: 2.0 * np.ones_like(np.asarray(u)), 100.0,
                       100.0, 0.0, 1, "call", a, b)
+
+    def test_nan_cf_rejected(self):
+        # a NaN cf(0) fails the normalization check, for one strike or many
+        a, b = bs_interval(0.2, 0.0, 1.0)
+        for strikes in (100.0, [90.0, 100.0]):
+            with pytest.raises(ValidationError, match="not normalized"):
+                cos_price(lambda u: np.full(np.shape(u), np.nan + 0j), 100.0,
+                          strikes, 0.0, 1, "put", a, b)
 
     def test_empty_interval_rejected(self):
         a, b = bs_interval(0.2, 0.0, 1.0)
@@ -279,13 +290,13 @@ def make_quote(m, tau, kind, qdate=dt.date(2004, 6, 9), spot=1000.0,
     )
 
 
-def two_date_chain(params):
-    # two quote dates x maturities 63 and 126 x three strikes, each date
-    # with its own state
+def two_date_chain(params, maturities=(63, 126)):
+    # two quote dates x the maturities x three strikes, each date with its
+    # own state
     dates = (dt.date(2004, 6, 9), dt.date(2004, 6, 10))
     chain = OptionChain(tuple(
         make_quote(m, tau, "call" if m >= 1 else "put", qdate=d)
-        for d in dates for tau in (63, 126) for m in (0.9, 1.0, 1.1)))
+        for d in dates for tau in maturities for m in (0.9, 1.0, 1.1)))
     st = stationary_state(params)
     calm = MarketState(rv=0.5 * st.rv, lev=st.lev)
     return chain, {dates[0]: st, dates[1]: calm}
@@ -299,23 +310,26 @@ def stationary_states(params, chain):
 
 class TestPriceChain:
     def test_cf_built_once_per_maturity(self, zmlharg, monkeypatch):
-        # the pricer calls mgf_q once, on the whole grid, per (date,
-        # maturity, rate) group: no separate cf(0) call and no call per
-        # strike
-        grids = []
-        original = pricing_mod.mgf_q
+        # the pricer makes two shared passes per chain: one over every
+        # (date, maturity, rate) group's 9-point cumulant contour, then one
+        # over every group's whole cf grid; no separate cf(0) evaluation
+        # and no evaluation per strike
+        passes = []
+        original = pricing_mod._log_mgf_segments
 
-        def counting(params, state, nu1, z, horizon):
-            grids.append((id(state), horizon, np.size(z)))
-            return original(params, state, nu1, z, horizon)
+        def counting(params, nu1, segments):
+            passes.append(sorted((id(st), tau, np.size(z))
+                                 for z, tau, _, st in segments))
+            return original(params, nu1, segments)
 
-        monkeypatch.setattr(pricing_mod, "mgf_q", counting)
+        monkeypatch.setattr(pricing_mod, "_log_mgf_segments", counting)
         chain, states = two_date_chain(zmlharg)
         rows = price_chain(zmlharg, -3375.0, chain, states)
         assert all(r.error is None for r in rows)
         groups = sorted((id(s), tau) for s in states.values()
                         for tau in (63, 126))
-        assert sorted(grids) == [g + (COS_TERMS,) for g in groups]
+        assert passes == [[g + (9,) for g in groups],
+                          [g + (COS_TERMS,) for g in groups]]
 
     def test_rates_do_not_mix_in_a_group(self, zmlharg):
         # two quotes on one date and maturity at different rates: each
@@ -332,21 +346,22 @@ class TestPriceChain:
             assert row.model_price == alone.model_price
             assert row.model_iv == alone.model_iv
 
-    def test_recursions_traced_once_per_group(self, zmlharg, monkeypatch):
-        # under the benchmark's tracer every recursion is an mgf span: one
-        # mgf_q for the cf grid and one raw_cumulants for the interval per
-        # group, and the layer self times add up to the command's wall
+    def test_traced_chain_shares_its_passes(self, zmlharg, monkeypatch):
+        # under the benchmark's tracer the chain's recursion runs in shared
+        # passes, one for the 4 contours (36 points) and two for the 4 grids
+        # (1024 points each), outside any mgf span; the layer self times
+        # still add up to the command's wall
         spec = importlib.util.spec_from_file_location("tracing", TRACING)
         tracing = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(tracing)
-        recursions = []
-        original = mgf_mod._recurse
+        passes = []
+        original = mgf_mod._steps
 
-        def counting(*args, **kwargs):
-            recursions.append(args[3])
-            return original(*args, **kwargs)
+        def counting(p, weights, z, r, segments):
+            passes.append(len(z))
+            return original(p, weights, z, r, segments)
 
-        monkeypatch.setattr(mgf_mod, "_recurse", counting)
+        monkeypatch.setattr(mgf_mod, "_steps", counting)
         chain, states = two_date_chain(zmlharg)
         rec = tracing.Recorder()
         with rec.installed(), rec.command_span("price"):
@@ -354,14 +369,11 @@ class TestPriceChain:
         assert not [name for name in rec.missing
                     if name.startswith(("mgf.", "pricing."))]
         assert rec.check_additivity() == []
+        assert passes == [36, 2 * COS_TERMS, 2 * COS_TERMS]
         calls = Counter(span[0] for span in rec.spans)
-        assert sum(calls[name] for name in tracing.MGF_CALLS) \
-            == len(recursions) == 8
-        assert calls["mgf.mgf_q"] == calls["mgf.raw_cumulants"] == 4
         assert calls["pricing.cos_price"] == 4
         metrics = tracing.layer_metrics(rec)
         assert metrics["pricing.quotes"] == len(rows) == 12
-        assert metrics["pricing.recursions_per_quote"] == 8 / 12
 
     def test_self_pricing_round_trip(self, zmlharg):
         chain = OptionChain(tuple(
@@ -405,11 +417,12 @@ class TestPriceChain:
         # one group holds good quotes, a call so far out of the money that
         # it prices to 0 and has no IV, and a put whose COS price dips
         # below -1e-10: only those two rows fail
-        def bumped(params, state, nu1, z, horizon):
-            cf = model_cf(params, state, nu1, horizon)
-            return signed_density_cf(cf, 1e-3, -0.5, 0.01)(np.imag(z))
+        original = pricing_mod.cos_price
 
-        monkeypatch.setattr(pricing_mod, "mgf_q", bumped)
+        def bumped(cf, *args):
+            return original(signed_density_cf(cf, 1e-3, -0.5, 0.01), *args)
+
+        monkeypatch.setattr(pricing_mod, "cos_price", bumped)
         chain = OptionChain((make_quote(1.0, 63, "call"),
                              make_quote(5.0, 63, "call"),
                              make_quote(0.9, 63, "put"),
@@ -438,6 +451,50 @@ class TestPriceChain:
                                stationary_states(zmlharg, chain))
             assert all(message in r.error and np.isnan(r.model_price)
                        for r in rows)
+
+    def test_domain_failures_stay_per_group(self, zmlharg):
+        # at theta*y_star = 0.35 the longer groups leave the recursion's
+        # domain, on the contour or on the grid, each at its own step: each
+        # failing row carries the error a call of the public per-group
+        # route raises, and every other group prices as in a chain alone
+        nu1 = -0.35 / zmlharg.theta
+        chain, states = two_date_chain(zmlharg, (14, 30, 63, 126, 252))
+        rows = price_chain(zmlharg, nu1, chain, states)
+        failed = set()
+        for row in rows:
+            q = row.quote
+            state = states[q.quote_date]
+            try:
+                a, b = cos_interval(zmlharg, state, nu1, q.maturity_days)
+                mgf_q(zmlharg, state, nu1,
+                      1j * np.arange(COS_TERMS) * np.pi / (b - a),
+                      q.maturity_days)
+            except RecursionDomainError as exc:
+                failed.add(str(exc))
+                assert row.error == str(exc) and np.isnan(row.model_price)
+                continue
+            alone, = price_chain(zmlharg, nu1, OptionChain((q,)), states)
+            assert row.error is None and alone.error is None
+            assert row.model_price == alone.model_price
+        assert any("1 - 2*C_1 left" in e for e in failed)
+        assert any("1 - theta*X left" in e for e in failed)
+        assert 0 < sum(r.error is None for r in rows) < len(rows)
+
+    def test_memory_bounded_by_the_pass_size(self, zmlharg):
+        # 2 dates x 8 maturities: the 16 cf grids (8192 points) run in
+        # passes of at most 1024 points, which peak near 1.5 MB here; one
+        # 8192-point pass would peak above 5 MB
+        chain, states = two_date_chain(
+            zmlharg, (14, 30, 45, 63, 91, 126, 182, 252))
+        price_chain(zmlharg, -3375.0, chain, states)     # warm caches
+        tracemalloc.start()
+        try:
+            rows = price_chain(zmlharg, -3375.0, chain, states)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(r.error is None for r in rows)
+        assert peak < 3e6
 
     def test_programming_errors_propagate(self, zmlharg, monkeypatch):
         def broken(*args, **kwargs):

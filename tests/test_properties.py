@@ -6,17 +6,23 @@ variant's own convention.  Bounds are those of the deterministic tests in
 test_mgf.py and test_pricing.py.
 """
 
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lharg import (
     MarketState,
+    RecursionDomainError,
+    expand_weights,
     leverage,
     mgf_p,
     mgf_q,
+    parabolic_state,
 )
-from lharg.mgf import raw_cumulants
+from lharg.mgf import _log_mgf_segments, _recurse, raw_cumulants
+from lharg.model import _measure_form
 from lharg.pricing import cos_interval, cos_price
 
 from conftest import random_state_arrays
@@ -29,6 +35,12 @@ SEED = st.integers(0, 2**32 - 1)
 SCALE = st.floats(2e-5, 4e-4)                # mean lag variance
 HORIZON = st.integers(1, 60)
 NU1 = st.floats(-4000.0, -100.0)
+# (size, horizon, rate, poison): contour- or grid-sized, horizons that
+# repeat, and maybe one real point large enough to cross the pole
+SEGMENT = st.tuples(st.sampled_from((9, 512)),
+                    st.sampled_from((1, 14, 22, 23, 30, 63)),
+                    st.sampled_from((0.0, 1e-4, 3e-4)),
+                    st.sampled_from((None, None, 100.0, 150.0)))
 Z = st.one_of(st.floats(-2.5, 2.5).map(complex),
               st.floats(-20.0, 20.0).map(lambda u: 1j * u))
 
@@ -90,3 +102,35 @@ class TestCosProperties:
         assert np.all(np.diff(puts) > 0.0)
         for prices in (calls, puts):
             assert np.all(np.diff(np.diff(prices) / np.diff(strikes)) > 0.0)
+
+
+class TestSharedPassProperties:
+    @PROPERTY
+    @given(VARIANT, SEED, SCALE, st.one_of(st.none(), NU1), st.booleans(),
+           st.lists(SEGMENT, min_size=1, max_size=6))
+    def test_equals_one_recursion_per_segment(self, all_variants, v, seed,
+                                              scale, nu1, complex_z, specs):
+        # each segment of a shared pass, at its own rate and state, is bit
+        # for bit one recursion of its own, or fails with that one's error
+        params = all_variants[v]
+        rng = np.random.default_rng(seed)
+        segments = []
+        for i, (size, horizon, rate, poison) in enumerate(specs):
+            z = rng.uniform(-2.5, 2.5, size)
+            if complex_z:
+                z = z + 1j * rng.uniform(-40.0, 40.0, size)
+            if poison is not None:
+                z[rng.integers(size)] = poison
+            segments.append((z, horizon, rate, _state(params, seed + i, scale)))
+        got = _log_mgf_segments(params, nu1, segments)
+        p = _measure_form(params, nu1)
+        for (z, horizon, rate, state), values in zip(segments, got):
+            sp = parabolic_state(params, state)
+            try:
+                a, b, c = _recurse(replace(p, r=rate), expand_weights(p), z,
+                                   horizon)
+            except RecursionDomainError as exc:
+                assert isinstance(values, RecursionDomainError)
+                assert str(values) == str(exc)
+                continue
+            assert np.array_equal(values, a + b @ sp.rv + c @ sp.lev)
