@@ -24,7 +24,7 @@ from .errors import (
     ValidationError,
 )
 from .estimate import calibrate_nu1, mle_fit
-from .mgf import cumulants, mgf_p, mgf_q
+from .mgf import cumulants, log_mgf
 from .model import (
     ModelParams,
     N_LAGS,
@@ -401,8 +401,7 @@ def _cmd_mgf_check(args) -> int:
             params, state, MATURITY_GRID, args.paths, nu1=nu1, seed=args.seed)
         print(f"{measure} clamps: {clamps} noncentrality clamp events")
         for j, horizon in enumerate(MATURITY_GRID):
-            analytic = mgf_p(params, state, zs, horizon) if nu1 is None \
-                else mgf_q(params, state, nu1, zs, horizon)
+            analytic = np.exp(log_mgf(params, state, zs, horizon, nu1=nu1))
             est, se = mc_mgf_from_samples(ysnap[:, j], zs)
             dev_re = np.abs(analytic.real - est.real) \
                 / np.maximum(se.real, 1e-300)

@@ -41,7 +41,8 @@ T are the loop's iterates after T days, and one pass serves many horizons
 point at its own rate (r enters only A's daily z*r); on the day a
 segment's horizon ends its B and C are formed and dotted with its state,
 and its columns drop off the end of the active prefix.  A segment whose
-point leaves the domain fails alone.  `_recurse` is the one-segment case.
+point leaves the domain fails alone.  It is the one route into the loop:
+`mgf_p`, `mgf_q` and `log_mgf` are its one-segment case.
 
 The cumulants kappa_n of y_{t,T} are the Taylor coefficients of the log-MGF
 at z = 0, times n!.  `raw_cumulants` reads the first four from one FFT of
@@ -56,7 +57,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericalError, RecursionDomainError, ValidationError
+from .errors import (
+    LhargError,
+    NumericalError,
+    RecursionDomainError,
+    ValidationError,
+)
 from .model import (
     LagWeights,
     MarketState,
@@ -159,25 +165,6 @@ def _steps(p: ParabolicForm, weights: LagWeights, z: np.ndarray, r,
         step += 1
 
 
-def _recurse(p: ParabolicForm, weights: LagWeights, z: np.ndarray,
-             horizon: int):
-    """Run the backward recursion for a vector of z values.
-
-    Returns (A, B, C) with shapes (n,), (n, 22), (n, 22).
-    """
-    _check_horizon(horizon)
-    (_, out), = _steps(p, weights, z, p.r, [(z.shape[0], horizon)])
-    if isinstance(out, RecursionDomainError):
-        raise out
-    return out
-
-
-def _exponent(coefficients, st: MarketState) -> np.ndarray:
-    # the log-MGF A + B @ rv + C @ lev on the parabolic state st
-    A, B, C = coefficients
-    return A + B @ st.rv + C @ st.lev
-
-
 _PASS_POINTS = 1024   # z-points per shared pass: bounds the ring and temporaries
 
 
@@ -217,21 +204,25 @@ def _log_mgf_segments(params, nu1: float | None, segments) -> list:
         r = np.concatenate([np.full(len(zk), rate) for zk, _, rate, _ in parts])
         for j, res in _steps(p, weights, z, r,
                              [(len(zk), h) for zk, h, _, _ in parts]):
-            out[chunk[j]] = res if isinstance(res, RecursionDomainError) \
-                else _exponent(res, parabolic_state(params, parts[j][3]))
-            del res     # frees this B and C before the pass forms the next
+            if not isinstance(res, RecursionDomainError):
+                # the log-MGF A + B @ rv + C @ lev on the segment's state;
+                # rebinding res frees this B and C before the pass forms
+                # the next
+                st = parabolic_state(params, parts[j][3])
+                res = res[0] + res[1] @ st.rv + res[2] @ st.lev
+            out[chunk[j]] = res
     return out
 
 
 def _evaluate(params, state, z, horizon, nu1=None, log: bool = False):
-    p = _measure_form(params, nu1)
-    st = parabolic_state(params, state)
-    weights = expand_weights(p)
-    z_arr = np.atleast_1d(np.asarray(z))
-    scalar = np.ndim(z) == 0
-    expo = _exponent(_recurse(p, weights, z_arr, horizon), st)
-    out = expo if log else np.exp(expo)
-    return out[0] if scalar else out
+    # one segment of the shared pass, at the rate of params
+    out, = _log_mgf_segments(params, nu1, [(np.atleast_1d(z), horizon,
+                                            params.r, state)])
+    if isinstance(out, LhargError):
+        raise out
+    if not log:
+        out = np.exp(out)
+    return out[0] if np.ndim(z) == 0 else out
 
 
 def mgf_p(params: ModelParams | ParabolicForm, state: MarketState,
@@ -275,6 +266,7 @@ _CONTOUR_RADIUS = 0.125   # circle radius in guessed standard deviations
 
 def _contour(params, state, horizon: int):
     # the radius rho of raw_cumulants' circle and its 9 upper-half points
+    _check_horizon(horizon)
     p = parabolic_form(params)
     nc = theta_noncentrality(p, expand_weights(p), parabolic_state(params, state))
     kappa2_guess = horizon * p.theta * (p.delta + max(nc, 0.0))

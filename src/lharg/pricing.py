@@ -4,7 +4,7 @@ utilities, and implied-volatility error metrics.
 The COS pricer (Fang & Oosterlee 2008) expands the density of the T-day
 log-return y in COS_TERMS cosine terms on the truncation interval
 [a, b] = c1 -/+ COS_WIDTH*sqrt(c2 + sqrt(c4)) built from the model's
-risk-neutral cumulants (`cos_interval`).  With phi the characteristic
+risk-neutral cumulants (`_truncation`).  With phi the characteristic
 function of y and u_k = k*pi/(b-a), the density coefficients are
 
     A_k = 2/(b-a) * Re[ phi(u_k) exp(-i u_k a) ],
@@ -41,12 +41,7 @@ from .errors import (
     NumericalError,
     ValidationError,
 )
-from .mgf import (
-    _contour,
-    _contour_cumulants,
-    _log_mgf_segments,
-    raw_cumulants,
-)
+from .mgf import _contour, _contour_cumulants, _log_mgf_segments
 from .model import MarketState, ModelParams, _finite_nu1
 from .options import OPTION_TYPES, OptionChain, OptionQuote
 
@@ -55,14 +50,8 @@ COS_TERMS = 512     # N, the number of cosine terms
 COS_WIDTH = 10.0    # L in the cumulant-based truncation rule
 
 
-def cos_interval(params: ModelParams, state: MarketState,
-                 nu1: float, tau_days: int) -> tuple[float, float]:
-    """Truncation interval [a, b] = c1 -/+ COS_WIDTH * sqrt(c2 + sqrt(c4))
-    from the raw cumulants of the tau-day log-return under nu1's Q."""
-    return _truncation(raw_cumulants(params, state, tau_days, nu1=nu1))
-
-
 def _truncation(kappas) -> tuple[float, float]:
+    # [a, b] = c1 -/+ COS_WIDTH * sqrt(c2 + sqrt(c4)) from the raw cumulants
     c1, c2, _, c4 = kappas
     half = COS_WIDTH * np.sqrt(c2 + np.sqrt(max(c4, 0.0)))
     if not (half > 0.0):
@@ -96,7 +85,8 @@ def cos_price(cf, S, K, r, tau_days: int, option_type, a: float, b: float):
     over the full maturity.  It is called once, on the grid u_k =
     k*pi/(b-a), k < COS_TERMS, and its value at u_0 = 0 must be 1 within
     1e-10.  The density is expanded on the truncation interval [a, b],
-    which must satisfy b > a (see cos_interval).
+    which must satisfy b > a; `price_chain` sets it from the model's
+    cumulants.
 
     r is one scalar rate, in the time unit of tau_days.  S, K and
     option_type broadcast against each other like the arguments of a numpy
@@ -199,20 +189,25 @@ def _price_groups(params: ModelParams, nu1: float, groups) -> list:
     on its own truncation interval at its own rate, from two shared
     passes of the recursion: one over every group's cumulant contour, then
     one over every group's cf grid.  Returns, per group, cos_price's result
-    or the package error that failed the group; errors of the measure map
-    raise.
+    or the package error that failed the group alone (a bad maturity, a
+    recursion leaving its domain); errors of the measure map raise.
     """
-    contours = [_contour(params, st, tau) for tau, _, st, *_ in groups]
-    logs = _log_mgf_segments(params, nu1, [
-        (z, *group[:3]) for (_, z), group in zip(contours, groups)])
     out: list = []
-    for (rho, _), g in zip(contours, logs):
+    for tau, _, st, *_ in groups:
         try:
-            out.append(g if isinstance(g, LhargError)
-                       else _truncation(_contour_cumulants(g, rho)))
+            out.append(_contour(params, st, tau))
         except LhargError as exc:
             out.append(exc)
-    todo = [k for k, ab in enumerate(out) if not isinstance(ab, LhargError)]
+    todo = [k for k, c in enumerate(out) if not isinstance(c, LhargError)]
+    logs = _log_mgf_segments(params, nu1, [
+        (out[k][1], *groups[k][:3]) for k in todo])
+    for k, g in zip(todo, logs):
+        try:
+            out[k] = g if isinstance(g, LhargError) \
+                else _truncation(_contour_cumulants(g, out[k][0]))
+        except LhargError as exc:
+            out[k] = exc
+    todo = [k for k in todo if not isinstance(out[k], LhargError)]
     logs = _log_mgf_segments(params, nu1, [
         (1j * _cos_grid(*out[k]), *groups[k][:3]) for k in todo])
     for k, g in zip(todo, logs):
@@ -258,10 +253,10 @@ def price_chain(params: ModelParams, nu1: float, chain: OptionChain,
     contours and cf grids come from two shared passes of the recursion
     (`_price_groups`).  Failures of the package's own error classes are
     recorded on the rows instead of aborting the chain: a group failure
-    (no state, recursion domain) on every row of the group, a strike's
-    negative COS price or failed IV inversion on that quote's row alone.  A non-finite nu1 raises
-    ValidationError before any group is priced; any other exception is a
-    bug and propagates.
+    (no state, bad maturity, recursion domain) on every row of the group,
+    a strike's negative COS price or failed IV inversion on that quote's
+    row alone.  A non-finite nu1 raises ValidationError before any group
+    is priced; any other exception is a bug and propagates.
     """
     _finite_nu1(nu1)
     groups: dict = {}

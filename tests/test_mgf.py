@@ -26,14 +26,23 @@ from lharg import (
     theta_noncentrality,
 )
 from lharg import mgf
-from lharg.mgf import _guarded, _recurse, log_mgf, raw_cumulants
+from lharg.mgf import _guarded, log_mgf, raw_cumulants
 from lharg.model import _measure_form
-from lharg.pricing import COS_TERMS, cos_interval
+from lharg.pricing import COS_TERMS, _truncation, model_atm_iv
 
 from conftest import random_state_arrays
 from oracles import risk_neutral_map, risk_neutral_state, shift_and_add
 
 HORIZONS = (1, 5, 22, 63, 126, 252)
+
+
+def _coefficients(p, weights, z, horizon):
+    """(A, B, C) of z after `horizon` days: the kernel loop `mgf._steps`
+    run on z as one segment at the rate of p, raising its domain error."""
+    (_, out), = mgf._steps(p, weights, z, p.r, [(z.shape[0], horizon)])
+    if isinstance(out, RecursionDomainError):
+        raise out
+    return out
 
 
 def _one_step(z, theta=1e-5, delta=1.5, lam=0.0):
@@ -46,7 +55,7 @@ def _one_step(z, theta=1e-5, delta=1.5, lam=0.0):
     p = ParabolicForm(theta=theta, delta=delta, d=0.0, beta_d=1.0,
                       beta_w=0.0, beta_m=0.0, alpha_d=0.0, alpha_w=0.0,
                       alpha_m=0.0, gamma_lev=0.0, lam=lam, r=0.0)
-    a, b, _ = _recurse(p, expand_weights(p), np.atleast_1d(z), 1)
+    a, b, _ = _coefficients(p, expand_weights(p), np.atleast_1d(z), 1)
     return b[0, 0], -a[0] / delta
 
 
@@ -112,7 +121,7 @@ class TestStepP:
     def test_zero_argument_stays_zero(self, zmlharg):
         params = zmlharg.__class__(**{**zmlharg.__dict__, "r": 0.0})
         p = parabolic_form(params)
-        a, b, c = _recurse(p, expand_weights(p), np.zeros(1), 1)
+        a, b, c = _coefficients(p, expand_weights(p), np.zeros(1), 1)
         assert np.max(np.abs(a)) == 0.0
         assert np.max(np.abs(b)) == 0.0
         assert np.max(np.abs(c)) == 0.0
@@ -121,8 +130,8 @@ class TestStepP:
         p = parabolic_form(plharg)
         weights = expand_weights(p)
         z = np.array([0.7])
-        _, b1, c1 = _recurse(p, weights, z, 1)
-        _, b2, _ = _recurse(p, weights, z, 2)
+        _, b1, c1 = _coefficients(p, weights, z, 1)
+        _, b2, _ = _coefficients(p, weights, z, 2)
         b1, c1, b2 = b1[0], c1[0], b2[0]
         g = p.gamma_lev
         den = 1.0 - 2.0 * c1[0]
@@ -136,7 +145,7 @@ class TestStepP:
 
     def test_harg_c_identically_zero(self, harg):
         p = parabolic_form(harg)
-        _, _, c = _recurse(p, expand_weights(p), np.array([1.3]), 30)
+        _, _, c = _coefficients(p, expand_weights(p), np.array([1.3]), 30)
         assert np.max(np.abs(c)) == 0.0
 
     def test_one_step_matches_mc(self, zmlharg):
@@ -199,9 +208,8 @@ class TestMgfP:
         eps = (paths.y_paths - pform.r - pform.lam * paths.rv_paths) \
             / np.sqrt(paths.rv_paths)
         lev = (eps - pform.gamma_lev * np.sqrt(paths.rv_paths)) ** 2
-        from lharg.mgf import _recurse
-        a, b, c = _recurse(pform, expand_weights(pform),
-                           np.array([z], dtype=complex), total - split)
+        a, b, c = _coefficients(pform, expand_weights(pform),
+                                np.array([z], dtype=complex), total - split)
         # per-path state: most recent simulated day first
         rv_lags = paths.rv_paths[:, ::-1][:, :22]
         lev_lags = lev[:, ::-1][:, :22]
@@ -255,12 +263,14 @@ class TestMgfQ:
         # coefficients mgf_q runs on are (0, 0, 0) and (rT, 0, 0); a tilt
         # cancelling X against Y at the scale of |nu1| leaves rounding in B
         seen = []
+        original = mgf._steps
 
         def spy(*args):
-            seen.append(_recurse(*args))
-            return seen[-1]
+            for k, out in original(*args):
+                seen.append(out)
+                yield k, out
 
-        monkeypatch.setattr(mgf, "_recurse", spy)
+        monkeypatch.setattr(mgf, "_steps", spy)
         for params in all_variants:
             for nu1 in (-100.0, -3000.0, -4000.0):
                 for horizon in (22, 252):
@@ -452,7 +462,7 @@ def _domain_error(recursion, *args):
 
 
 class TestAgainstShiftAndAdd:
-    """`_recurse` keeps a ring of the last 22 increments; the plain
+    """`mgf._steps` keeps a ring of the last 22 increments; the plain
     shift-and-add loop of `oracles`, run untilted, is its reference on the
     physical form and on the risk-neutral one that the package maps to, at
     horizons on both sides of the ring's wrap."""
@@ -471,12 +481,12 @@ class TestAgainstShiftAndAdd:
         real = np.array([-2.0, -0.5, 0.0, 0.7, 2.0])
         for params, p, weights, nu1 in self._cases(all_variants):
             for horizon in self.HORIZONS:
-                a, b = cos_interval(params, stationary_state(params), nu1,
-                                    horizon)
+                a, b = _truncation(raw_cumulants(
+                    params, stationary_state(params), horizon, nu1=nu1))
                 u = np.arange(COS_TERMS) * np.pi / (b - a)
                 for z in (real, 1j * u):
                     want = shift_and_add(p, weights, z, horizon)
-                    got = _recurse(p, weights, z, horizon)
+                    got = _coefficients(p, weights, z, horizon)
                     for w, g in zip(want, got):
                         assert g.shape == w.shape
                         bound = np.where(np.abs(w) < 1.0, 1e-13,
@@ -490,7 +500,7 @@ class TestAgainstShiftAndAdd:
             for z in np.linspace(30.0, 130.0, 11):
                 z = np.array([z])
                 want = _domain_error(shift_and_add, p, weights, z, 252)
-                got = _domain_error(_recurse, p, weights, z, 252)
+                got = _domain_error(_coefficients, p, weights, z, 252)
                 assert (got is None) == (want is None)
                 if want is not None:
                     assert got.step == want.step
@@ -501,9 +511,16 @@ class TestAgainstShiftAndAdd:
 
 class TestHorizon:
     def test_bad_horizon_rejected(self, plharg):
-        for horizon in (0, -3, 2.5, None, "22"):
-            with pytest.raises(ValidationError, match="horizon"):
-                mgf_p(plharg, stationary_state(plharg), 0.5, horizon)
+        # every entry point checks the horizon before any arithmetic on it
+        st = stationary_state(plharg)
+        calls = (lambda h: mgf_p(plharg, st, 0.5, h),
+                 lambda h: cumulants(plharg, st, h),
+                 lambda h: raw_cumulants(plharg, st, h, nu1=-3000.0),
+                 lambda h: model_atm_iv(plharg, -3000.0, h, st))
+        for call in calls:
+            for horizon in (0, -3, 2.5, None, "22"):
+                with pytest.raises(ValidationError, match="horizon"):
+                    call(horizon)
 
     def test_numpy_integer_accepted(self, plharg):
         assert mgf_p(plharg, stationary_state(plharg), 0.5, np.int64(22)) \
@@ -513,15 +530,14 @@ class TestHorizon:
 class TestSharedPass:
     """`_log_mgf_segments` runs many (z, horizon, rate, state) segments
     through shared backward passes; each segment's values are bit for bit
-    those of one `_recurse` call on its own, and a failure stays its own."""
+    those of a call on that segment alone, and a failure stays its own."""
 
     @staticmethod
     def _alone(params, nu1, segment):
-        z, horizon, rate, state = segment
-        p = _measure_form(replace(params, r=rate), nu1)
-        sp = parabolic_state(params, state)
-        a, b, c = _recurse(p, expand_weights(p), z, horizon)
-        return a + b @ sp.rv + c @ sp.lev
+        out, = mgf._log_mgf_segments(params, nu1, [segment])
+        if isinstance(out, Exception):
+            raise out
+        return out
 
     def test_equals_one_recursion_per_segment(self, zmlharg):
         # repeated and distinct horizons, contour-sized and grid-sized

@@ -16,14 +16,16 @@ from lharg import (
     RecursionDomainError,
     ValidationError,
     mgf_q,
+    simulate_y_snapshots,
     stationary_state,
 )
+from lharg.mgf import raw_cumulants
 from lharg.options import OptionChain, OptionQuote
 from lharg.pricing import (
     COS_TERMS,
     COS_WIDTH,
+    _truncation,
     bs_price,
-    cos_interval,
     cos_price,
     implied_vol,
     price_chain,
@@ -124,7 +126,7 @@ class TestCosOnModel:
         nu1 = -3375.0
         st = stationary_state(zmlharg)
         tau = 126
-        a, b = cos_interval(zmlharg, st, nu1, tau)
+        a, b = _truncation(raw_cumulants(zmlharg, st, tau, nu1=nu1))
         cf = model_cf(zmlharg, st, nu1, tau)
         for m in (0.85, 0.95, 1.0, 1.1, 1.2):
             strike = 100.0 * m
@@ -134,16 +136,17 @@ class TestCosOnModel:
             assert abs(call - put - parity) < 1e-8
 
     def test_doubling_terms_converged(self, zmlharg, monkeypatch):
+        # the shipped COS_TERMS against twice as many terms
         nu1 = -3375.0
         st = stationary_state(zmlharg)
         for tau in (22, 252):
-            a, b = cos_interval(zmlharg, st, nu1, tau)
+            a, b = _truncation(raw_cumulants(zmlharg, st, tau, nu1=nu1))
             cf = model_cf(zmlharg, st, nu1, tau)
             for m in (0.8, 1.0, 1.2):
-                monkeypatch.setattr(pricing_mod, "COS_TERMS", 512)
+                monkeypatch.setattr(pricing_mod, "COS_TERMS", COS_TERMS)
                 p1 = cos_price(cf, 100.0, 100.0 * m, zmlharg.r, tau, "put",
                                a, b)
-                monkeypatch.setattr(pricing_mod, "COS_TERMS", 1024)
+                monkeypatch.setattr(pricing_mod, "COS_TERMS", 2 * COS_TERMS)
                 p2 = cos_price(cf, 100.0, 100.0 * m, zmlharg.r, tau, "put",
                                a, b)
                 assert abs(p1 - p2) < 1e-8
@@ -157,7 +160,7 @@ class TestCosOnModel:
         st = stationary_state(zmlharg)
         cases = []
         for tau in (14, 63, 252):
-            a, b = cos_interval(zmlharg, st, nu1, tau)
+            a, b = _truncation(raw_cumulants(zmlharg, st, tau, nu1=nu1))
             cf = model_cf(zmlharg, st, nu1, tau)
             for m in (0.8, 0.9, 1.0, 1.1, 1.2):
                 args = (cf, 100.0, 100.0 * m, zmlharg.r, tau, "put")
@@ -175,7 +178,7 @@ class TestCosOnModel:
         nu1 = -3375.0
         st = stationary_state(zmlharg)
         tau = 63
-        a, b = cos_interval(zmlharg, st, nu1, tau)
+        a, b = _truncation(raw_cumulants(zmlharg, st, tau, nu1=nu1))
         phi = model_cf(zmlharg, st, nu1, tau)(
             np.arange(COS_TERMS) * np.pi / (b - a))
 
@@ -203,7 +206,7 @@ class TestCosOnModel:
         nu1 = -3375.0
         st = stationary_state(zmlharg)
         tau = 63
-        a, b = cos_interval(zmlharg, st, nu1, tau)
+        a, b = _truncation(raw_cumulants(zmlharg, st, tau, nu1=nu1))
         cf = model_cf(zmlharg, st, nu1, tau)
         strikes = np.linspace(80.0, 120.0, 17)
         calls = [cos_price(cf, 100.0, k, zmlharg.r, tau, "call", a, b)
@@ -219,7 +222,7 @@ class TestCosOnModel:
         nu1 = -3375.0
         st = stationary_state(zmlharg)
         for tau in (10, 50, 160, 365):
-            a, b = cos_interval(zmlharg, st, nu1, tau)
+            a, b = _truncation(raw_cumulants(zmlharg, st, tau, nu1=nu1))
             cf = model_cf(zmlharg, st, nu1, tau)
             for m in (0.8, 0.9, 1.0, 1.1, 1.2):
                 kind = "call" if m >= 1.0 else "put"
@@ -228,6 +231,38 @@ class TestCosOnModel:
                 iv = implied_vol(price, 100.0, 100.0 * m, zmlharg.r, tau,
                                  kind) * np.sqrt(252.0)
                 assert 0.0 < iv < 0.7
+
+
+class TestCosAgainstMonteCarlo:
+    """COS prices from the shared passes against discounted Monte Carlo
+    payoffs under Q: a wrong truncation interval, cosine coefficient or
+    measure would pass every MGF check, but not this one.  The simulator
+    shares only the Q map with the recursion."""
+
+    NU1 = -3000.0
+    MATURITIES = (14, 63)
+    MONEYNESS = np.array([0.9, 0.95, 1.0, 1.05, 1.1])
+    N_PATHS = 40_000
+
+    def test_prices_within_four_se(self, all_variants):
+        kinds = np.where(self.MONEYNESS < 1.0, "put", "call")
+        for params in all_variants:
+            st = stationary_state(params)
+            ysnap, _ = simulate_y_snapshots(params, st, self.MATURITIES,
+                                            self.N_PATHS, nu1=self.NU1,
+                                            seed=5)
+            prices = pricing_mod._price_groups(params, self.NU1, [
+                (tau, params.r, st, 1.0, self.MONEYNESS, kinds)
+                for tau in self.MATURITIES])
+            for j, tau in enumerate(self.MATURITIES):
+                growth = np.exp(ysnap[:, j])[:, None]
+                payoff = np.exp(-params.r * tau) * np.where(
+                    kinds == "call", np.maximum(growth - self.MONEYNESS, 0.0),
+                    np.maximum(self.MONEYNESS - growth, 0.0))
+                mean = payoff.mean(axis=0)
+                se = payoff.std(axis=0, ddof=1) / np.sqrt(self.N_PATHS)
+                assert np.all(np.abs(prices[j] - mean) <= 4.0 * se), \
+                    (params.variant, tau, (prices[j] - mean) / se)
 
 
 class TestImpliedVol:
@@ -348,9 +383,10 @@ class TestPriceChain:
 
     def test_traced_chain_shares_its_passes(self, zmlharg, monkeypatch):
         # under the benchmark's tracer the chain's recursion runs in shared
-        # passes, one for the 4 contours (36 points) and two for the 4 grids
-        # (1024 points each), outside any mgf span; the layer self times
-        # still add up to the command's wall
+        # passes, one for the 4 contours (36 points) and as many as the 4
+        # grids of COS_TERMS points need at _PASS_POINTS points a pass,
+        # outside any mgf span; the layer self times still add up to the
+        # command's wall
         spec = importlib.util.spec_from_file_location("tracing", TRACING)
         tracing = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(tracing)
@@ -369,7 +405,9 @@ class TestPriceChain:
         assert not [name for name in rec.missing
                     if name.startswith(("mgf.", "pricing."))]
         assert rec.check_additivity() == []
-        assert passes == [36, 2 * COS_TERMS, 2 * COS_TERMS]
+        per_pass = max(1, mgf_mod._PASS_POINTS // COS_TERMS)
+        assert passes == [36] + [COS_TERMS * min(per_pass, 4 - k)
+                                 for k in range(0, 4, per_pass)]
         calls = Counter(span[0] for span in rec.spans)
         assert calls["pricing.cos_price"] == 4
         metrics = tracing.layer_metrics(rec)
@@ -452,6 +490,20 @@ class TestPriceChain:
             assert all(message in r.error and np.isnan(r.model_price)
                        for r in rows)
 
+    def test_bad_maturity_fails_its_group_alone(self, zmlharg):
+        # OptionQuote accepts a fractional maturity, which the recursion
+        # cannot run: that group fails on its rows, the other prices as in
+        # a chain of its own
+        good = make_quote(1.0, 63, "call")
+        chain = OptionChain((make_quote(0.95, 30.5, "put"), good))
+        states = stationary_states(zmlharg, chain)
+        rows = price_chain(zmlharg, -3375.0, chain, states)
+        alone, = price_chain(zmlharg, -3375.0, OptionChain((good,)), states)
+        assert "horizon must be a positive whole number" in rows[0].error
+        assert np.isnan(rows[0].model_price)
+        assert rows[1].error is None
+        assert rows[1].model_price == alone.model_price
+
     def test_domain_failures_stay_per_group(self, zmlharg):
         # at theta*y_star = 0.35 the longer groups leave the recursion's
         # domain, on the contour or on the grid, each at its own step: each
@@ -465,7 +517,8 @@ class TestPriceChain:
             q = row.quote
             state = states[q.quote_date]
             try:
-                a, b = cos_interval(zmlharg, state, nu1, q.maturity_days)
+                a, b = _truncation(raw_cumulants(zmlharg, state,
+                                                 q.maturity_days, nu1=nu1))
                 mgf_q(zmlharg, state, nu1,
                       1j * np.arange(COS_TERMS) * np.pi / (b - a),
                       q.maturity_days)

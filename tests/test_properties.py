@@ -6,24 +6,13 @@ variant's own convention.  Bounds are those of the deterministic tests in
 test_mgf.py and test_pricing.py.
 """
 
-from dataclasses import replace
-
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lharg import (
-    MarketState,
-    RecursionDomainError,
-    expand_weights,
-    leverage,
-    mgf_p,
-    mgf_q,
-    parabolic_state,
-)
-from lharg.mgf import _log_mgf_segments, _recurse, raw_cumulants
-from lharg.model import _measure_form
-from lharg.pricing import cos_interval, cos_price
+from lharg import MarketState, leverage, mgf_p, mgf_q
+from lharg.mgf import _log_mgf_segments, raw_cumulants
+from lharg.pricing import _truncation, cos_price
 
 from conftest import random_state_arrays
 from oracles import model_cf, risk_neutral_map, risk_neutral_state
@@ -89,9 +78,10 @@ class TestCosProperties:
         # strikes spread over +-2.5 standard deviations of the log-return
         params = all_variants[v]
         state = _state(params, seed, scale)
-        c1, c2, _, _ = raw_cumulants(params, state, horizon, nu1=nu1)
+        kappas = raw_cumulants(params, state, horizon, nu1=nu1)
+        c1, c2 = kappas[:2]
         strikes = 100.0 * np.exp(c1 + np.sqrt(c2) * np.linspace(-2.5, 2.5, 11))
-        a, b = cos_interval(params, state, nu1, horizon)
+        a, b = _truncation(kappas)
         # one cf grid prices both rows: calls, then puts
         calls, puts = cos_price(model_cf(params, state, nu1, horizon),
                                 100.0, strikes, params.r, horizon,
@@ -111,7 +101,7 @@ class TestSharedPassProperties:
     def test_equals_one_recursion_per_segment(self, all_variants, v, seed,
                                               scale, nu1, complex_z, specs):
         # each segment of a shared pass, at its own rate and state, is bit
-        # for bit one recursion of its own, or fails with that one's error
+        # for bit the segment passed alone, or fails with that call's error
         params = all_variants[v]
         rng = np.random.default_rng(seed)
         segments = []
@@ -123,14 +113,10 @@ class TestSharedPassProperties:
                 z[rng.integers(size)] = poison
             segments.append((z, horizon, rate, _state(params, seed + i, scale)))
         got = _log_mgf_segments(params, nu1, segments)
-        p = _measure_form(params, nu1)
-        for (z, horizon, rate, state), values in zip(segments, got):
-            sp = parabolic_state(params, state)
-            try:
-                a, b, c = _recurse(replace(p, r=rate), expand_weights(p), z,
-                                   horizon)
-            except RecursionDomainError as exc:
-                assert isinstance(values, RecursionDomainError)
-                assert str(values) == str(exc)
-                continue
-            assert np.array_equal(values, a + b @ sp.rv + c @ sp.lev)
+        for segment, values in zip(segments, got):
+            alone, = _log_mgf_segments(params, nu1, [segment])
+            if isinstance(alone, Exception):
+                assert type(values) is type(alone)
+                assert str(values) == str(alone)
+            else:
+                assert np.array_equal(values, alone)

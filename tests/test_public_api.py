@@ -193,7 +193,51 @@ def test_nu1_is_the_only_premium():
                 scanned.add(f"{module_name}.{name}")
             if "premia" in params:
                 named.append(f"{module_name}.{name}")
-    assert {"mgf.mgf_q", "mgf.cumulants", "pricing.cos_interval",
+    assert {"mgf.mgf_q", "mgf.cumulants", "pricing.model_atm_iv",
             "simulate.simulate_paths",
             "model.risk_neutral_parabolic"} <= scanned
     assert not named, named
+
+
+def _names_read(tree, skip=None):
+    # every name a module reads, as a bare name or as an attribute,
+    # outside the definition `skip`
+    skipped = set(map(id, ast.walk(skip))) if skip is not None else set()
+    names = set()
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_no_orphan_public_names():
+    # a public function or class of the package is read somewhere else in
+    # src/, re-exported by lharg/__init__, or named by the benchmark's
+    # tracer or checks; otherwise nothing uses it and it should go
+    trees = {path: ast.parse(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    bench = {name.split(".")[1] for name in _expected_names()}
+    bench |= _names_read(ast.parse(CHECKS.read_text()))
+    exported = _names_read(trees[SRC / "__init__.py"])
+    defined, orphans = 0, []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    or node.name.startswith("_"):
+                continue
+            defined += 1
+            if node.name in exported or node.name in bench:
+                continue
+            if not any(node.name in _names_read(other,
+                                                node if other is tree
+                                                else None)
+                       for other in trees.values()):
+                orphans.append(f"{path.name}:{node.lineno} {node.name}")
+    assert defined > 30
+    assert not orphans, orphans
