@@ -16,7 +16,6 @@ from .errors import (
     ValidationError,
 )
 from .model import (
-    LagWeights,
     MarketState,
     ModelParams,
     N_LAGS,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import datetime as dt
 import struct
 import sys
 
@@ -48,6 +47,10 @@ MATURITY_GRID = (1, 5, 22, 63, 126, 252)
 
 _M_BUCKETS = ((0.8, 0.9), (0.9, 0.98), (0.98, 1.02), (1.02, 1.1), (1.1, 1.2))
 _TAU_BUCKETS = ((0, 50), (50, 90), (90, 160), (160, 10**9))
+
+# the columns `price` writes and `evaluate` reads
+_PRICED_COLUMNS = (*lio.CHAIN_COLUMNS, "market_iv", "model_price", "model_iv",
+                   "error")
 
 
 def _positive_int(text):
@@ -230,8 +233,7 @@ def _cmd_price(args) -> int:
         chain = report.chain
     states = _chain_states(params, chain, args.rv, args.returns)
     rows = price_chain(params, args.nu1, chain, states)
-    _write_csv(args.out, [*lio.CHAIN_COLUMNS, "market_iv", "model_price",
-                          "model_iv", "error"], [
+    _write_csv(args.out, _PRICED_COLUMNS, [
         [q.quote_date.isoformat(), q.expiry_date.isoformat(), repr(q.strike),
          q.option_type, repr(q.mid_price), repr(q.underlying), repr(q.rate),
          "" if q.market_iv is None else repr(q.market_iv),
@@ -347,22 +349,24 @@ def _in_m_bucket(m, lo, hi):
 
 
 def _cmd_evaluate(args) -> int:
+    # rows that failed to price or carry no IV are skipped; any other
+    # malformed row fails the command at its path:line
+    path, _, records = lio._read_rows(args.results, _PRICED_COLUMNS)
     rows = []
-    with open(args.results, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for record in reader:
-            if record.get("error"):
-                continue
-            try:
-                market_iv = float(record["market_iv"])
-                model_iv = float(record["model_iv"])
-                m = float(record["strike"]) / float(record["underlying"])
-                tau = (dt.date.fromisoformat(record["expiry_date"])
-                       - dt.date.fromisoformat(record["quote_date"])).days
-            except (KeyError, ValueError, TypeError):
-                continue
-            if np.isfinite(market_iv) and np.isfinite(model_iv):
-                rows.append((m, tau, market_iv, model_iv))
+    for line, row in records:
+        if len(row) < len(_PRICED_COLUMNS) - 1:
+            raise ValidationError(f"{path}:{line}: expected at least "
+                                  f"{len(_PRICED_COLUMNS) - 1} columns")
+        cell = dict(zip(_PRICED_COLUMNS, row))
+        if cell.get("error") or not cell["market_iv"].strip() \
+                or not cell["model_iv"].strip():
+            continue
+        strike, spot, market_iv, model_iv = (
+            lio._parse_float(cell[c], path, line, c)
+            for c in ("strike", "underlying", "market_iv", "model_iv"))
+        tau = (lio._parse_date(cell["expiry_date"], path, line)
+               - lio._parse_date(cell["quote_date"], path, line)).days
+        rows.append((strike / spot, tau, market_iv, model_iv))
     if not rows:
         raise ValidationError(f"no usable rows in {args.results}")
     panels = []

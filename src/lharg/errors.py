@@ -1,8 +1,11 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and its one check of
+whole-number arguments (day counts, path counts, seeds).
 
 The CLI maps these onto exit codes: validation problems exit with 2,
 numerical failures with 3, infeasible calibrations with 4.
 """
+
+from numbers import Integral
 
 
 class LhargError(Exception):
@@ -11,6 +14,15 @@ class LhargError(Exception):
 
 class ValidationError(LhargError):
     """Bad inputs: schema violations, impossible parameters, malformed state."""
+
+
+def _whole(name: str, value, least: int) -> int:
+    # value as an int, if it is a whole number (numpy integers included) of
+    # at least `least`; a float, string or None raises naming the argument
+    if not isinstance(value, Integral) or value < least:
+        raise ValidationError(f"{name} must be a whole number >= {least}, "
+                              f"got {value!r}")
+    return int(value)
 
 
 class NumericalError(LhargError):

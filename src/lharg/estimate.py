@@ -56,6 +56,7 @@ from .model import (
     parabolic_form,
     stationarity_margin,
 )
+from .pricing import model_atm_iv
 
 DEFAULT_K_MAX = 90
 _POSITIVE_FLOOR = 1e-8   # lower bound of theta and delta over their start
@@ -80,9 +81,9 @@ class FitResult:
 _NAMES = ("theta", "delta", "beta_d", "beta_w", "beta_m",
           "alpha_d", "alpha_w", "alpha_m", "gamma_lev")
 # (22, 3): a window of 22 values, oldest first, to its lag-1 value, mean of
-# lags 2-5 and mean of lags 6-22
-_HAR_MEANS = np.column_stack([_spread_lags(np.empty(N_LAGS), *unit)[::-1]
-                              for unit in np.eye(3)])
+# lags 2-5 and mean of lags 6-22; C-contiguous, as a strided view changes
+# BLAS's reduction order and so the fits
+_HAR_MEANS = np.ascontiguousarray(_spread_lags(np.eye(3)).T[::-1])
 
 
 def _har_aggregates(series: np.ndarray) -> np.ndarray:
@@ -349,7 +350,6 @@ def calibrate_nu1(params: ModelParams, target_iv: float,
     """
     if not (0.0 < target_iv < 0.7):
         raise ValidationError("target IV must lie in (0, 0.7)")
-    from .pricing import model_atm_iv
 
     fixed_point = 0.125 - 0.5 * params.lam**2
     p = parabolic_form(params)

@@ -17,12 +17,13 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ValidationError
+from .model import ModelParams
 from .options import OptionChain, OptionQuote
 from .pricing import TRADING_DAYS, implied_vol
 
@@ -157,9 +158,7 @@ def load_option_chain(path) -> OptionChain:
     return OptionChain(tuple(quotes))
 
 
-PARAM_FIELDS = ("variant", "theta", "delta", "d", "beta_d", "beta_w",
-                "beta_m", "alpha_d", "alpha_w", "alpha_m", "gamma_lev",
-                "lam", "r")
+PARAM_FIELDS = tuple(f.name for f in fields(ModelParams))
 
 
 def save_params(path, params, extras: dict | None = None) -> None:
@@ -174,8 +173,6 @@ def save_params(path, params, extras: dict | None = None) -> None:
 
 def load_params(path):
     """Read a parameter file; returns (ModelParams, dict-of-extras)."""
-    from .model import ModelParams
-
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"params file not found: {path}")

@@ -62,9 +62,9 @@ from .errors import (
     NumericalError,
     RecursionDomainError,
     ValidationError,
+    _whole,
 )
 from .model import (
-    LagWeights,
     MarketState,
     ModelParams,
     N_LAGS,
@@ -86,15 +86,9 @@ def _guarded(values: np.ndarray, step: int, what: str) -> None:
         raise RecursionDomainError(step, f"{what} left the right half-plane")
 
 
-def _check_horizon(horizon) -> None:
-    if not isinstance(horizon, (int, np.integer)) or horizon < 1:
-        raise ValidationError(f"horizon must be a positive whole number of "
-                              f"days, got {horizon!r}")
-
-
-def _steps(p: ParabolicForm, weights: LagWeights, z: np.ndarray, r,
-           segments):
-    """The backward loop over consecutive segments of z.
+def _steps(p: ParabolicForm, w: np.ndarray, z: np.ndarray, r, segments):
+    """The backward loop over consecutive segments of z, with the
+    `expand_weights` rows w of p.
 
     `segments` lists (size, horizon) pairs, horizons non-increasing and
     sizes adding up to len(z); r is the rate, a scalar or one per point.
@@ -111,7 +105,6 @@ def _steps(p: ParabolicForm, weights: LagWeights, z: np.ndarray, r,
     # [beta; alpha] rows up with the ring after day s.  The weights are
     # real, so the day's product runs on the ring's float view.
     lags = np.arange(N_LAGS)
-    w = np.stack([weights.beta, weights.alpha])
     rolled = np.stack([w[:, (s - lags) % N_LAGS] for s in lags])
     # B[:, i] = sum_j beta[i + j] inc[T - j], 0-based and zero past lag 22,
     # likewise C: a Hankel product with the increments newest first
@@ -180,12 +173,12 @@ def _log_mgf_segments(params, nu1: float | None, segments) -> list:
     recursion leaving the domain.  Errors of the measure map raise.
     """
     p = _measure_form(params, nu1)
-    weights = expand_weights(p)
+    w = expand_weights(p)
     out: list = [None] * len(segments)
     order = []
     for k, (_, horizon, _, _) in enumerate(segments):
         try:
-            _check_horizon(horizon)
+            _whole("horizon", horizon, 1)
             order.append(k)
         except ValidationError as exc:
             out[k] = exc
@@ -202,7 +195,7 @@ def _log_mgf_segments(params, nu1: float | None, segments) -> list:
         parts = [segments[k] for k in chunk]
         z = np.concatenate([zk for zk, _, _, _ in parts])
         r = np.concatenate([np.full(len(zk), rate) for zk, _, rate, _ in parts])
-        for j, res in _steps(p, weights, z, r,
+        for j, res in _steps(p, w, z, r,
                              [(len(zk), h) for zk, h, _, _ in parts]):
             if not isinstance(res, RecursionDomainError):
                 # the log-MGF A + B @ rv + C @ lev on the segment's state;
@@ -266,9 +259,9 @@ _CONTOUR_RADIUS = 0.125   # circle radius in guessed standard deviations
 
 def _contour(params, state, horizon: int):
     # the radius rho of raw_cumulants' circle and its 9 upper-half points
-    _check_horizon(horizon)
+    _whole("horizon", horizon, 1)
     p = parabolic_form(params)
-    nc = theta_noncentrality(p, expand_weights(p), parabolic_state(params, state))
+    nc = theta_noncentrality(p, parabolic_state(params, state))
     kappa2_guess = horizon * p.theta * (p.delta + max(nc, 0.0))
     if not np.isfinite(kappa2_guess) or kappa2_guess <= 0.0:
         kappa2_guess = 1.0

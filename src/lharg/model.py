@@ -13,6 +13,12 @@ leverage through daily / weekly / monthly factors:
 
     Theta_t = d + sum_i beta_i RV[t+1-i] + sum_j alpha_j lev[t+1-j]
 
+The daily, weekly and monthly loadings spread evenly over 1, 4 and 17
+lags; `expand_weights` returns the (2, 22) rows [beta; alpha].  One
+parameter list serves every form: `ParabolicForm` is `ModelParams`
+without the variant tag, and `parabolic_form`, the Q map and the
+params-file keys are read off the dataclass fields.
+
 Three variants are supported:
 
     HARG      no leverage (all alphas zero),
@@ -41,7 +47,7 @@ the one or the other for the MGF recursion and the simulator alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -50,6 +56,7 @@ from .errors import MappingSingularError, ValidationError
 N_LAGS = 22
 WEEKLY_LAGS = 4     # lags 2..5 share beta_w / 4
 MONTHLY_LAGS = 17   # lags 6..22 share beta_m / 17
+_HAR_SPANS = (1, WEEKLY_LAGS, MONTHLY_LAGS)   # lags per HAR factor
 
 VARIANTS = ("HARG", "P-LHARG", "ZM-LHARG")
 
@@ -126,18 +133,6 @@ class ParabolicForm:
 
 
 @dataclass(frozen=True)
-class LagWeights:
-    """Per-lag weights of the 22-lag expansion of the heterogeneous factors."""
-
-    beta: np.ndarray   # (22,), beta[0] pairs with today's RV
-    alpha: np.ndarray  # (22,)
-
-    def __post_init__(self):
-        if len(self.beta) != N_LAGS or len(self.alpha) != N_LAGS:
-            raise ValidationError("lag weights must have exactly 22 entries")
-
-
-@dataclass(frozen=True)
 class MarketState:
     """The 22 most recent daily realized variances and leverage values.
 
@@ -171,23 +166,15 @@ def parabolic_form(params: ModelParams | ParabolicForm) -> ParabolicForm:
     """
     if isinstance(params, ParabolicForm):
         return params
+    p = ParabolicForm(**{f.name: getattr(params, f.name)
+                         for f in fields(ParabolicForm)})
     if not params.is_zero_mean:
-        return ParabolicForm(
-            theta=params.theta, delta=params.delta, d=params.d,
-            beta_d=params.beta_d, beta_w=params.beta_w, beta_m=params.beta_m,
-            alpha_d=params.alpha_d, alpha_w=params.alpha_w, alpha_m=params.alpha_m,
-            gamma_lev=params.gamma_lev, lam=params.lam, r=params.r,
-        )
-    g2 = params.gamma_lev**2
-    return ParabolicForm(
-        theta=params.theta, delta=params.delta,
-        d=-(params.alpha_d + params.alpha_w + params.alpha_m),
-        beta_d=params.beta_d - params.alpha_d * g2,
-        beta_w=params.beta_w - params.alpha_w * g2,
-        beta_m=params.beta_m - params.alpha_m * g2,
-        alpha_d=params.alpha_d, alpha_w=params.alpha_w, alpha_m=params.alpha_m,
-        gamma_lev=params.gamma_lev, lam=params.lam, r=params.r,
-    )
+        return p
+    g2 = p.gamma_lev**2
+    return replace(p, d=-(p.alpha_d + p.alpha_w + p.alpha_m),
+                   beta_d=p.beta_d - p.alpha_d * g2,
+                   beta_w=p.beta_w - p.alpha_w * g2,
+                   beta_m=p.beta_m - p.alpha_m * g2)
 
 
 def parabolic_state(params: ModelParams | ParabolicForm,
@@ -202,25 +189,22 @@ def parabolic_state(params: ModelParams | ParabolicForm,
     return MarketState(rv=state.rv, lev=state.lev + g2 * state.rv + 1.0)
 
 
-def expand_weights(params: ModelParams | ParabolicForm) -> LagWeights:
-    """Spread the daily/weekly/monthly loadings over the 22 individual lags.
+def expand_weights(params: ModelParams | ParabolicForm) -> np.ndarray:
+    """The (2, 22) rows [beta; alpha] of per-lag weights.
 
     Lag 1 carries the daily loading, lags 2-5 share the weekly loading in
-    four equal parts, lags 6-22 share the monthly loading in seventeen.
+    four equal parts, lags 6-22 share the monthly loading in seventeen;
+    column 0 pairs with today's values.
     """
-    beta = _spread_lags(np.empty(N_LAGS), params.beta_d, params.beta_w,
-                        params.beta_m)
-    alpha = _spread_lags(np.empty(N_LAGS), params.alpha_d, params.alpha_w,
-                         params.alpha_m)
-    return LagWeights(beta=beta, alpha=alpha)
+    return _spread_lags(np.array([
+        [params.beta_d, params.beta_w, params.beta_m],
+        [params.alpha_d, params.alpha_w, params.alpha_m]]))
 
 
-def _spread_lags(out: np.ndarray, daily, weekly, monthly) -> np.ndarray:
-    # the 22-lag fill, in place: shared by expand_weights and the likelihood
-    out[0] = daily
-    out[1:1 + WEEKLY_LAGS] = weekly / WEEKLY_LAGS
-    out[1 + WEEKLY_LAGS:] = monthly / MONTHLY_LAGS
-    return out
+def _spread_lags(loadings: np.ndarray) -> np.ndarray:
+    # (..., 3) daily/weekly/monthly loadings to their (..., 22) lag weights:
+    # shared by expand_weights and the likelihood
+    return np.repeat(loadings / _HAR_SPANS, _HAR_SPANS, axis=-1)
 
 
 def leverage(eps, rv, gamma_lev: float, variant: str):
@@ -245,14 +229,16 @@ def leverage(eps, rv, gamma_lev: float, variant: str):
 
 
 def theta_noncentrality(params: ModelParams | ParabolicForm,
-                        weights: LagWeights, state: MarketState) -> float:
-    """Noncentrality of tomorrow's variance draw given the current 22-lag state.
+                        state: MarketState) -> float:
+    """Noncentrality of tomorrow's variance draw given the current 22-lag
+    state: d plus the `expand_weights` rows dotted with its rv and leverage.
 
     The leverage entries of `state` must follow the convention of `params`.
     May be negative for the zero-mean variant; negativity is reported by the
     callers that cannot tolerate it, not here.
     """
-    return float(params.d + weights.beta @ state.rv + weights.alpha @ state.lev)
+    beta, alpha = expand_weights(params)
+    return float(params.d + beta @ state.rv + alpha @ state.lev)
 
 
 def stationarity_margin(params: ModelParams | ParabolicForm) -> float:
@@ -279,6 +265,11 @@ def _finite_nu1(nu1: float) -> float:
     return nu1
 
 
+# the fields risk_neutral_parabolic divides by the scale c
+_SCALE_FIELDS = ("theta", "d", "beta_d", "beta_w", "beta_m",
+                 "alpha_d", "alpha_w", "alpha_m")
+
+
 def risk_neutral_parabolic(pform: ParabolicForm, nu1: float) -> ParabolicForm:
     """Map the parabolic form into the risk-neutral dynamics of premium nu1.
 
@@ -295,12 +286,8 @@ def risk_neutral_parabolic(pform: ParabolicForm, nu1: float) -> ParabolicForm:
             f"theta * y_star = {pform.theta * y_star:.6g} >= 1; "
             "risk-neutral scale undefined"
         )
-    return ParabolicForm(
-        theta=pform.theta / c, delta=pform.delta, d=pform.d / c,
-        beta_d=pform.beta_d / c, beta_w=pform.beta_w / c, beta_m=pform.beta_m / c,
-        alpha_d=pform.alpha_d / c, alpha_w=pform.alpha_w / c, alpha_m=pform.alpha_m / c,
-        gamma_lev=_gamma_star(pform), lam=-0.5, r=pform.r,
-    )
+    return replace(pform, **{n: getattr(pform, n) / c for n in _SCALE_FIELDS},
+                   gamma_lev=_gamma_star(pform), lam=-0.5)
 
 
 def _measure_form(params: ModelParams | ParabolicForm,

@@ -6,7 +6,7 @@ import datetime as dt
 import math
 from dataclasses import dataclass, field
 
-from .errors import ValidationError
+from .errors import ValidationError, _whole
 
 OPTION_TYPES = ("call", "put")
 
@@ -38,8 +38,7 @@ class OptionQuote:
         if self.option_type not in OPTION_TYPES:
             raise ValidationError(f"option type must be call or put, "
                                   f"got {self.option_type!r}")
-        if self.maturity_days <= 0:
-            raise ValidationError("maturity must be positive")
+        _whole("maturity_days", self.maturity_days, 1)
         # the sign checks below are all False for NaN; market_iv may be None
         for name in ("strike", "underlying", "mid_price", "rate",
                      "market_iv"):

@@ -253,7 +253,7 @@ def price_chain(params: ModelParams, nu1: float, chain: OptionChain,
     contours and cf grids come from two shared passes of the recursion
     (`_price_groups`).  Failures of the package's own error classes are
     recorded on the rows instead of aborting the chain: a group failure
-    (no state, bad maturity, recursion domain) on every row of the group,
+    (no state, recursion domain) on every row of the group,
     a strike's negative COS price or failed IV inversion on that quote's
     row alone.  A non-finite nu1 raises ValidationError before any group
     is priced; any other exception is a bug and propagates.

@@ -25,11 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _whole
 from .model import (
-    MONTHLY_LAGS,
     N_LAGS,
     WEEKLY_LAGS,
+    _HAR_SPANS,
     MarketState,
     ModelParams,
     ParabolicForm,
@@ -99,7 +99,7 @@ def _day_steps(p: ParabolicForm, st, n: int, rng, days: int):
     adds lag1 - lag5 to S_w and lag5 - lag22 to S_m before it is lag 1.
     """
     coef = np.array([p.beta_d, p.alpha_d, p.beta_w, p.alpha_w, p.beta_m,
-                     p.alpha_m]) / np.repeat([1, WEEKLY_LAGS, MONTHLY_LAGS], 2)
+                     p.alpha_m]) / np.repeat(_HAR_SPANS, 2)
     ring = np.stack([st.rv, st.lev], axis=1)[:, :, None].repeat(n, axis=2)
     agg = np.add.reduceat(ring, [0, 1, 1 + WEEKLY_LAGS]).reshape(6, n)
     head = 0
@@ -119,13 +119,6 @@ def _day_steps(p: ParabolicForm, st, n: int, rng, days: int):
         agg[0] = rv_new
         agg[1] = (eps - p.gamma_lev * vol) ** 2
         ring[head] = agg[0:2]
-
-
-def _whole(name: str, value, least: int) -> int:
-    if not isinstance(value, (int, np.integer)) or value < least:
-        raise ValidationError(f"{name} must be a whole number >= {least}, "
-                              f"got {value!r}")
-    return int(value)
 
 
 def _blocks(params: ModelParams, state: MarketState,

@@ -17,7 +17,6 @@ from lharg import (
     MappingSingularError,
     MarketState,
     ModelParams,
-    expand_weights,
     mgf_q,
     parabolic_form,
     parabolic_state,
@@ -103,10 +102,10 @@ def shift_and_add(p, weights, z, horizon, nu1=None):
             - delta * (np.log(one_minus) - np.log(c)) + d * inc
         B[:, :-1] = B[:, 1:]
         B[:, -1] = 0.0
-        B += inc[:, None] * weights.beta
+        B += inc[:, None] * weights[0]
         C[:, :-1] = C[:, 1:]
         C[:, -1] = 0.0
-        C += inc[:, None] * weights.alpha
+        C += inc[:, None] * weights[1]
     return A, B, C
 
 
@@ -120,7 +119,7 @@ def conditional_covariance(params: ModelParams, state: MarketState) -> float:
     """Cov(y_t, RV_{t+1} | F_{t-1}) = -2 theta^2 alpha_d gamma (delta + Theta)
     on the parabolic form, exact when lam = 0."""
     p = parabolic_form(params)
-    nc = theta_noncentrality(p, expand_weights(p), parabolic_state(params, state))
+    nc = theta_noncentrality(p, parabolic_state(params, state))
     return -2.0 * p.theta**2 * p.alpha_d * p.gamma_lev * (p.delta + nc)
 
 

@@ -292,6 +292,36 @@ def test_lone_history_flag_rejected(data_dir, tmp_path, small_model,
             assert not out.exists(), argv + flag
 
 
+def test_evaluate_rejects_malformed_rows(tmp_path, capsys):
+    # only rows that failed to price or carry no IV are skipped; a bad
+    # number, a bad date or a short row exits 2 at its path:line
+    header = ("quote_date,expiry_date,strike,type,mid_price,underlying,rate,"
+              "market_iv,model_price,model_iv,error")
+    good = "2010-01-04,2010-03-05,1100.0,call,5.0,1000.0,0.0001,0.2,5.1,0.21,"
+    skipped = ("2010-01-04,2010-03-05,900.0,put,5.0,1000.0,0.0001,0.2,"
+               "nan,nan,COS price NaN or below -1e-10",
+               "2010-01-04,2010-03-05,950.0,put,5.0,1000.0,0.0001,,5.1,0.2,")
+    results, out = tmp_path / "priced.csv", tmp_path / "panels.csv"
+    results.write_text("\n".join([header, good, *skipped]) + "\n")
+    assert main(["evaluate", "--results", str(results),
+                 "--out", str(out)]) == 0
+    panel, = out.read_text().splitlines()[1:]
+    assert panel.startswith("1.02,1.1,50,90,1,")    # the good row alone
+    capsys.readouterr()
+    bad_rows = (
+        (good.replace("1100.0", "12O0.0"), "bad strike value '12O0.0'"),
+        (good.replace("2010-01-04", "2010-13-01"), "bad date '2010-13-01'"),
+        (good.replace("0.2,5.1,0.21,", "0.2"), "expected at least 10"),
+    )
+    for row, message in bad_rows:
+        out.unlink(missing_ok=True)
+        results.write_text("\n".join([header, good, row, *skipped]) + "\n")
+        assert main(["evaluate", "--results", str(results),
+                     "--out", str(out)]) == 2, row
+        assert f"{results}:3: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_mgf_check_smoke(data_dir, tmp_path, small_model):
     from lharg.io import save_params
     fit = tmp_path / "p.txt"

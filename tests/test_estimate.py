@@ -68,7 +68,7 @@ def lag_noncentrality(params, rv, eps):
     """Theta for observations 22..n-1 from the 22 expanded lag weights."""
     w = expand_weights(params)
     lev = leverage(eps, rv, params.gamma_lev, params.variant)
-    return np.array([w.beta @ rv[t - 1::-1][:22] + w.alpha @ lev[t - 1::-1][:22]
+    return np.array([w[0] @ rv[t - 1::-1][:22] + w[1] @ lev[t - 1::-1][:22]
                      for t in range(22, len(rv))])
 
 

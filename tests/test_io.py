@@ -183,6 +183,15 @@ class TestOptionQuote:
                 with pytest.raises(ValidationError, match=f"{name} must be"):
                     replace(good, **{name: bad})
 
+    def test_bad_maturity_rejected(self):
+        # the recursion runs whole days only: a fractional, string or
+        # missing maturity fails at the quote, naming the field
+        good = make_quote(1.0, 63, "call")
+        assert replace(good, maturity_days=np.int64(63)).maturity_days == 63
+        for bad in (30.5, "22", None, 0):
+            with pytest.raises(ValidationError, match="maturity_days"):
+                replace(good, maturity_days=bad)
+
 
 class TestFilterOptions:
     def test_short_maturity_excluded(self):

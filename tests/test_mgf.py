@@ -140,8 +140,8 @@ class TestStepP:
         vx = p.theta * x / (1.0 - p.theta * x)
         # B_i picks up the shifted next coefficient plus v(X)*beta_i
         for i in range(21):
-            assert abs(b2[i] - (b1[i + 1] + vx * weights.beta[i])) < 1e-15
-        assert abs(b2[21] - vx * weights.beta[21]) < 1e-18
+            assert abs(b2[i] - (b1[i + 1] + vx * weights[0, i])) < 1e-15
+        assert abs(b2[21] - vx * weights[0, 21]) < 1e-18
 
     def test_harg_c_identically_zero(self, harg):
         p = parabolic_form(harg)
@@ -154,7 +154,7 @@ class TestStepP:
         st = stationary_state(zmlharg)
         p = parabolic_form(zmlharg)
         sp = parabolic_state(zmlharg, st)
-        nc = theta_noncentrality(p, expand_weights(p), sp)
+        nc = theta_noncentrality(p, sp)
         rng = np.random.default_rng(101)
         n = 10**6
         rv = sample_noncentral_gamma(p.delta, nc, p.theta, rng, size=n)
@@ -344,8 +344,8 @@ class TestCumulants:
                         law = risk_neutral_map(params, nu1)
                         law_state = risk_neutral_state(params, st)
                     p = parabolic_form(law)
-                    nc = theta_noncentrality(p, expand_weights(p),
-                                             parabolic_state(law, law_state))
+                    nc = theta_noncentrality(
+                        p, parabolic_state(law, law_state))
                     exact = _one_day_cumulants(p, nc)
                     k = raw_cumulants(params, st, 1, nu1=nu1)
                     rel = np.abs(k - exact) / np.abs(exact)
@@ -368,7 +368,7 @@ class TestCumulants:
         # kappa1 at T=1 equals r + lam * E[RV_{t+1}|state] exactly
         st = stationary_state(plharg)
         p = parabolic_form(plharg)
-        nc = theta_noncentrality(p, expand_weights(p), st)
+        nc = theta_noncentrality(p, st)
         exact = p.r + p.lam * p.theta * (p.delta + nc)
         k = raw_cumulants(plharg, st, 1)
         assert abs(k[0] - exact) <= 1e-10 * max(abs(exact), 1e-6)

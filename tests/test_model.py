@@ -1,6 +1,6 @@
 """Parameter containers, lag expansion, leverage kernels, measure change."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -25,7 +25,8 @@ from lharg import (
     stationary_state,
     theta_noncentrality,
 )
-from lharg.model import risk_neutral_parabolic
+from lharg.io import PARAM_FIELDS
+from lharg.model import _SCALE_FIELDS, risk_neutral_parabolic
 from lharg.options import OptionChain
 from lharg.pricing import price_chain
 
@@ -65,20 +66,45 @@ class TestModelParams:
                         gamma_lev=0.0, lam=0.0, r=0.0)
 
 
+class TestFieldsCarriedThrough:
+    def test_every_field_carried_through(self, harg, plharg, zmlharg):
+        # the params-file keys, the parabolic form and the Q map are read
+        # off the dataclass fields: each field is kept, or rescaled by the
+        # map's c, none is dropped or swapped
+        names = tuple(f.name for f in fields(ParabolicForm))
+        assert PARAM_FIELDS == ("variant", *names)
+        for params in (harg, plharg):
+            p = parabolic_form(params)
+            for name in names:
+                assert getattr(p, name) == getattr(params, name), name
+        scaled = {"theta", "d", "beta_d", "beta_w", "beta_m",
+                  "alpha_d", "alpha_w", "alpha_m"}
+        assert set(_SCALE_FIELDS) == scaled
+        nu1 = -3375.0
+        p = parabolic_form(zmlharg)     # d != 0 on the zero-mean reduction
+        q = risk_neutral_parabolic(p, nu1)
+        c = 1.0 - p.theta * (-0.5 * p.lam**2 - nu1 + 0.125)
+        for name in names:
+            if name in scaled:
+                assert getattr(q, name) == getattr(p, name) / c, name
+        assert (q.delta, q.r) == (p.delta, p.r)
+        assert (q.gamma_lev, q.lam) == (p.gamma_lev + p.lam + 0.5, -0.5)
+
+
 class TestExpandWeights:
     def test_weekly_split(self, zmlharg):
         w = expand_weights(zmlharg)
         # 2.542e4 / 4 = 6355 on lags 2..5
-        assert np.allclose(w.beta[1:5], 6355.0)
+        assert np.allclose(w[0, 1:5], 6355.0)
 
     def test_daily_passthrough(self, zmlharg):
-        assert expand_weights(zmlharg).beta[0] == 3.382e4
+        assert expand_weights(zmlharg)[0, 0] == 3.382e4
 
     def test_monthly_split(self, zmlharg):
         w = expand_weights(zmlharg)
         # 1.338e4 / 17 = 787.0588...
-        assert np.allclose(w.beta[5:], 13380.0 / 17.0)
-        assert abs(w.beta[5] - 787.0588235294118) < 1e-9
+        assert np.allclose(w[0, 5:], 13380.0 / 17.0)
+        assert abs(w[0, 5] - 787.0588235294118) < 1e-9
 
     def test_sums_recover_factor_loadings(self, all_variants):
         rng = np.random.default_rng(42)
@@ -86,15 +112,15 @@ class TestExpandWeights:
             w = expand_weights(params)
             total_b = params.beta_d + params.beta_w + params.beta_m
             total_a = params.alpha_d + params.alpha_w + params.alpha_m
-            assert abs(w.beta.sum() - total_b) <= 1e-12 * max(total_b, 1.0)
-            assert abs(w.alpha.sum() - total_a) <= 1e-12 * max(total_a, 1.0)
+            assert abs(w[0].sum() - total_b) <= 1e-12 * max(total_b, 1.0)
+            assert abs(w[1].sum() - total_a) <= 1e-12 * max(total_a, 1.0)
         for _ in range(50):
             bd, bw, bm = rng.uniform(0.0, 5e4, 3)
             p = ParabolicForm(theta=1e-5, delta=1.0, d=0.0, beta_d=bd,
                               beta_w=bw, beta_m=bm, alpha_d=0.1, alpha_w=0.2,
                               alpha_m=0.3, gamma_lev=100.0, lam=0.0, r=0.0)
             w = expand_weights(p)
-            assert abs(w.beta.sum() - (bd + bw + bm)) \
+            assert abs(w[0].sum() - (bd + bw + bm)) \
                 <= 1e-12 * max(bd + bw + bm, 1.0)
 
 
@@ -128,7 +154,7 @@ class TestThetaNoncentrality:
                           beta_w=1e4, beta_m=1e4, alpha_d=0.1, alpha_w=0.1,
                           alpha_m=0.1, gamma_lev=50.0, lam=0.0, r=0.0)
         state = MarketState(rv=np.zeros(22), lev=np.zeros(22))
-        assert theta_noncentrality(p, expand_weights(p), state) == 0.37
+        assert theta_noncentrality(p, state) == 0.37
 
     def test_zero_mean_matches_parabolic_reduction(self, zmlharg):
         rng = np.random.default_rng(7)
@@ -136,10 +162,9 @@ class TestThetaNoncentrality:
             rv, eps = random_state_arrays(rng)
             lev_zm = leverage(eps, rv, zmlharg.gamma_lev, "ZM-LHARG")
             state = MarketState(rv=rv, lev=np.asarray(lev_zm))
-            native = theta_noncentrality(zmlharg, expand_weights(zmlharg),
-                                         state)
+            native = theta_noncentrality(zmlharg, state)
             pform = parabolic_form(zmlharg)
-            reduced = theta_noncentrality(pform, expand_weights(pform),
+            reduced = theta_noncentrality(pform,
                                           parabolic_state(zmlharg, state))
             assert abs(native - reduced) <= 1e-12 * max(abs(native), 1.0)
 
@@ -154,7 +179,7 @@ class TestThetaNoncentrality:
         assert abs(stationary_mean_rv(zmlharg) - mean_oracle) \
             <= 1e-12 * mean_oracle
         st = stationary_state(zmlharg)
-        nc = theta_noncentrality(zmlharg, expand_weights(zmlharg), st)
+        nc = theta_noncentrality(zmlharg, st)
         assert abs(nc - nc_oracle) <= 1e-10 * nc_oracle
 
     def test_can_be_negative_for_zero_mean(self, zmlharg):
@@ -162,7 +187,7 @@ class TestThetaNoncentrality:
         rv = np.full(22, 1e-6)
         lev = np.full(22, -1.0)
         state = MarketState(rv=rv, lev=lev)
-        nc = theta_noncentrality(zmlharg, expand_weights(zmlharg), state)
+        nc = theta_noncentrality(zmlharg, state)
         assert nc < 0.0
 
 

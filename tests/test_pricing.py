@@ -490,20 +490,6 @@ class TestPriceChain:
             assert all(message in r.error and np.isnan(r.model_price)
                        for r in rows)
 
-    def test_bad_maturity_fails_its_group_alone(self, zmlharg):
-        # OptionQuote accepts a fractional maturity, which the recursion
-        # cannot run: that group fails on its rows, the other prices as in
-        # a chain of its own
-        good = make_quote(1.0, 63, "call")
-        chain = OptionChain((make_quote(0.95, 30.5, "put"), good))
-        states = stationary_states(zmlharg, chain)
-        rows = price_chain(zmlharg, -3375.0, chain, states)
-        alone, = price_chain(zmlharg, -3375.0, OptionChain((good,)), states)
-        assert "horizon must be a positive whole number" in rows[0].error
-        assert np.isnan(rows[0].model_price)
-        assert rows[1].error is None
-        assert rows[1].model_price == alone.model_price
-
     def test_domain_failures_stay_per_group(self, zmlharg):
         # at theta*y_star = 0.35 the longer groups leave the recursion's
         # domain, on the contour or on the grid, each at its own step: each

@@ -241,3 +241,21 @@ def test_no_orphan_public_names():
                 orphans.append(f"{path.name}:{node.lineno} {node.name}")
     assert defined > 30
     assert not orphans, orphans
+
+
+def test_no_function_level_package_imports():
+    # the package's modules import each other at module level only: an
+    # import of lharg inside a function, relative or absolute, hides a
+    # dependency (there is no import cycle to break); lazy third-party
+    # imports stay allowed
+    nested = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            nested += [f"{path.name}:{node.lineno} in {fn.name}"
+                       for node in ast.walk(fn)
+                       if isinstance(node, ast.ImportFrom) and (
+                           node.level or node.module.startswith("lharg"))]
+    assert not nested, nested

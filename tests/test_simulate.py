@@ -236,7 +236,7 @@ def _shift_and_add(p, st, n, rng, days):
     rv_buf = np.repeat(st.rv[:, None], n, axis=1)    # (22, n), row i = lag i+1
     lev_buf = np.repeat(st.lev[:, None], n, axis=1)
     for _ in range(days):
-        nc = p.d + weights.beta @ rv_buf + weights.alpha @ lev_buf
+        nc = p.d + weights[0] @ rv_buf + weights[1] @ lev_buf
         neg = nc < 0.0
         clamps = int(np.count_nonzero(neg))
         nc[neg] = 0.0
