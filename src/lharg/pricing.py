@@ -26,6 +26,15 @@ chain, not twice per group: one shared pass over every group's 9-point
 cumulant contour, which sets each group's interval, then one over every
 group's N-point cf grid, each point at its group's rate and each group's
 coefficients dotted with its own date's state (`mgf._log_mgf_segments`).
+At N = 256, one 1024-point pass of the recursion holds 4 groups' grids.
+
+N = 256 is the floor that the tail of phi allows.  Over P-LHARG and
+ZM-LHARG states with rv lags at scales 1e-6 to 1e-3, maturities of 10 to
+365 days and nu1 in {-2000, -3000}, the dropped terms max|phi(u_k)|,
+k >= 256, stayed below 9e-14; they are largest on calm 10-day states and
+below 1e-15 from 14 days on.  At k in [192, 256) they reached 2.5e-11, so
+192 terms are too few.  `tests/test_pricing.py::TestCosTermsGate` holds
+that tail below 1e-12, and the N- and 2N-term prices within 1e-12 * K.
 """
 
 from __future__ import annotations
@@ -46,7 +55,8 @@ from .model import MarketState, ModelParams, _finite_nu1
 from .options import OPTION_TYPES, OptionChain, OptionQuote
 
 TRADING_DAYS = 252  # annualization factor for reported implied vols
-COS_TERMS = 512     # N, the number of cosine terms
+COS_TERMS = 256     # N, the number of cosine terms: the floor of the tail
+                    # of phi (module docstring, TestCosTermsGate)
 COS_WIDTH = 10.0    # L in the cumulant-based truncation rule
 
 

@@ -16,6 +16,7 @@ from lharg import (
     stationary_state,
 )
 from lharg.estimate import (
+    _HAR_MEANS,
     _NAMES,
     _natural_terms,
     _sandwich_errors,
@@ -237,7 +238,11 @@ class TestMleFit:
 
     def test_fit_short_of_the_wall_not_converged(self, zmlharg):
         # here the last restart meets the wall again without gaining, while
-        # a derivative-free search climbs on to 2459.146: not converged
+        # a derivative-free search climbs on to 2459.146: not converged.
+        # The stopping point moves with BLAS's reduction order in the HAR
+        # aggregates: a strided _HAR_MEANS of the same values stops at
+        # 2458.4308
+        assert _HAR_MEANS.flags.c_contiguous
         rv, y = make_history(zmlharg, 300, seed=1)
         fit = mle_fit(rv, y, zmlharg.r, "ZM-LHARG")
         assert fit.converged is False

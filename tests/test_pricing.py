@@ -15,6 +15,7 @@ from lharg import (
     NumericalError,
     RecursionDomainError,
     ValidationError,
+    leverage,
     mgf_q,
     simulate_y_snapshots,
     stationary_state,
@@ -35,6 +36,7 @@ from lharg.pricing import (
 import lharg.mgf as mgf_mod
 import lharg.pricing as pricing_mod
 
+from conftest import random_state_arrays
 from oracles import model_cf
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -143,13 +145,14 @@ class TestCosOnModel:
             a, b = _truncation(raw_cumulants(zmlharg, st, tau, nu1=nu1))
             cf = model_cf(zmlharg, st, nu1, tau)
             for m in (0.8, 1.0, 1.2):
-                monkeypatch.setattr(pricing_mod, "COS_TERMS", COS_TERMS)
-                p1 = cos_price(cf, 100.0, 100.0 * m, zmlharg.r, tau, "put",
-                               a, b)
-                monkeypatch.setattr(pricing_mod, "COS_TERMS", 2 * COS_TERMS)
-                p2 = cos_price(cf, 100.0, 100.0 * m, zmlharg.r, tau, "put",
-                               a, b)
-                assert abs(p1 - p2) < 1e-8
+                for kind in ("put", "call"):
+                    args = (cf, 100.0, 100.0 * m, zmlharg.r, tau, kind, a, b)
+                    monkeypatch.setattr(pricing_mod, "COS_TERMS", COS_TERMS)
+                    p1 = cos_price(*args)
+                    monkeypatch.setattr(pricing_mod, "COS_TERMS",
+                                        2 * COS_TERMS)
+                    p2 = cos_price(*args)
+                    assert abs(p1 - p2) < 1e-12 * 100.0 * m
 
     def test_truncation_against_wide_reference(self, zmlharg, monkeypatch):
         # the cumulant truncation rule at COS_TERMS terms against 4096 terms
@@ -231,6 +234,81 @@ class TestCosOnModel:
                 iv = implied_vol(price, 100.0, 100.0 * m, zmlharg.r, tau,
                                  kind) * np.sqrt(252.0)
                 assert 0.0 < iv < 0.7
+
+
+class TestCosTermsGate:
+    """COS_TERMS against the characteristic function it drops.
+
+    N cosine terms leave out phi(u_k) for k >= N.  Over P-LHARG and
+    ZM-LHARG states with rv lags at scales 1e-6 to 1e-3, maturities of 10
+    to 365 days and nu1 in {-2000, -3000}, the dropped terms
+    N <= k < 2N must stay below BOUND in modulus, and N- and 2N-term
+    prices must agree within BOUND * K.  The tail is largest on calm
+    10-day states: there, at N = 256, it measured below 9e-14, and
+    k in [192, 256) reached 1.6e-11 to 2.5e-11."""
+
+    BOUND = 1e-12
+    SCALES = (1e-6, 1e-5, 1.1e-4, 1e-3)
+    NU1S = (-2000.0, -3000.0)
+    MATURITIES = (10, 14, 30, 63, 126, 252, 365)
+
+    @pytest.fixture(scope="class")
+    def grids(self, plharg, zmlharg):
+        # (variant, scale, nu1, tau) -> (params, a, b, phi on the first
+        # 2*COS_TERMS u_k of its interval), one shared pass per (params, nu1)
+        out = {}
+        for params in (plharg, zmlharg):
+            rng = np.random.default_rng(31)
+            states = {}
+            for scale in self.SCALES:
+                rv, eps = random_state_arrays(rng, scale)
+                states[scale] = MarketState(rv=rv, lev=np.asarray(leverage(
+                    eps, rv, params.gamma_lev, params.variant)))
+            for nu1 in self.NU1S:
+                cases = [(scale, tau, *_truncation(raw_cumulants(
+                    params, st, tau, nu1=nu1)))
+                    for scale, st in states.items() for tau in self.MATURITIES]
+                logs = mgf_mod._log_mgf_segments(params, nu1, [
+                    (1j * np.arange(2 * COS_TERMS) * np.pi / (b - a), tau,
+                     params.r, states[scale]) for scale, tau, a, b in cases])
+                for (scale, tau, a, b), g in zip(cases, logs):
+                    out[params.variant, scale, nu1, tau] = (
+                        params, a, b, np.exp(g))
+        return out
+
+    def test_dropped_tail_below_bound(self, grids):
+        tail = {key: np.abs(phi[COS_TERMS:]).max()
+                for key, (*_, phi) in grids.items()}
+        worst = max(tail, key=tail.get)
+        assert tail[worst] < self.BOUND, (worst, tail[worst])
+
+    def test_doubling_terms_agrees(self, grids, monkeypatch):
+        # calls checked on their own: their payoff coefficients grow like
+        # exp(b), so parity with the puts would not bound their error
+        strikes = 100.0 * np.linspace(0.8, 1.2, 9)
+        gaps = {}
+        for key, (params, a, b, phi) in grids.items():
+            for kind in ("put", "call"):
+                prices = []
+                for n in (COS_TERMS, 2 * COS_TERMS):
+                    monkeypatch.setattr(pricing_mod, "COS_TERMS", n)
+                    prices.append(cos_price(lambda u: phi[:len(u)], 100.0,
+                                            strikes, params.r, key[-1], kind,
+                                            a, b))
+                gaps[key + (kind,)] = np.max(np.abs(prices[0] - prices[1])
+                                             / strikes)
+        worst = max(gaps, key=gaps.get)
+        assert gaps[worst] < self.BOUND, (worst, gaps[worst])
+
+    def test_three_quarters_fails_the_gate(self, grids):
+        # the gate has teeth: a quarter fewer terms drops a tail above the
+        # bound on the calm 10-day P-LHARG state.  This also holds
+        # COS_TERMS at that floor: a larger N fails here until the bound
+        # or the states change with it
+        n = 3 * COS_TERMS // 4
+        for nu1 in self.NU1S:
+            *_, phi = grids["P-LHARG", 1e-6, nu1, 10]
+            assert np.abs(phi[n:2 * n]).max() > self.BOUND, nu1
 
 
 class TestCosAgainstMonteCarlo:
