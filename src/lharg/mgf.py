@@ -40,15 +40,17 @@ T are the loop's iterates after T days, and one pass serves many horizons
 (`_log_mgf_segments`): z-segments sorted longest horizon first, each
 point at its own rate (r enters only A's daily z*r); on the day a
 segment's horizon ends its B and C are formed and dotted with its state,
-and its columns drop off the end of the active prefix.  A segment whose
-point leaves the domain fails alone.  It is the one route into the loop:
-`mgf_p`, `mgf_q` and `log_mgf` are its one-segment case.
+and its columns drop off the end of the active prefix.  A pass that
+leaves the domain raises, and its unfinished segments run again, each
+alone, so a segment fails alone with its own step and message.  It is the
+one route into the loop: `mgf_p`, `mgf_q` and `log_mgf` are its
+one-segment case.
 
 The cumulants kappa_n of y_{t,T} are the Taylor coefficients of the log-MGF
 at z = 0, times n!.  `raw_cumulants` reads the first four from one FFT of
 the log-MGF on a circle around the origin (a discretized Cauchy integral),
 so they come from one complex-argument call of the same recursion, with no
-difference step to tune.
+difference step to tune: the one-segment case of `_cumulant_segments`.
 """
 
 from __future__ import annotations
@@ -61,7 +63,6 @@ from .errors import (
     LhargError,
     NumericalError,
     RecursionDomainError,
-    ValidationError,
     _whole,
 )
 from .model import (
@@ -93,8 +94,8 @@ def _steps(p: ParabolicForm, w: np.ndarray, z: np.ndarray, r, segments):
     `segments` lists (size, horizon) pairs, horizons non-increasing and
     sizes adding up to len(z); r is the rate, a scalar or one per point.
     Yields (segment index, (A, B, C)) on the day the segment's horizon
-    ends, or (segment index, RecursionDomainError) on the day one of its
-    points leaves the domain; the other segments go on without it.
+    ends, and raises RecursionDomainError on the day a point of a segment
+    not yet yielded leaves the domain.
     """
     theta, delta, d = p.theta, p.delta, p.d
     g = p.gamma_lev
@@ -113,45 +114,29 @@ def _steps(p: ParabolicForm, w: np.ndarray, z: np.ndarray, r, segments):
     ring = np.zeros((N_LAGS, z.shape[0]), dtype)
     flat = ring.view(float)
     A = np.zeros(z.shape[0], dtype)
-    # live segments (index, first column, end column, horizon): the
-    # columns up to the last one's end are the active prefix
+    # live segments (index, first column, horizon): the columns before
+    # the last one's first are the active prefix
     stops = np.cumsum([size for size, _ in segments], dtype=int)
-    live = [(k, stop - size, stop, h)
+    live = [(k, stop - size, h)
             for k, ((size, h), stop) in enumerate(zip(segments, stops))]
     step = 1
     while live:
         B1, C1 = (rolled[(step - 1) % N_LAGS] @ flat).view(dtype)
         den = 1.0 - 2.0 * C1
-        try:
-            _guarded(den, step, "1 - 2*C_1")
-            X = lin + B1 + (quad + lev * C1) / den
-            tx = theta * X
-            one_minus = 1.0 - tx
-            _guarded(one_minus, step, "1 - theta*X")
-        except RecursionDomainError as exc:
-            # a segment with a point outside fails alone: zeroed, its
-            # columns stay at z = 0, where X = 0 every day, until the
-            # prefix drops them; then the day is done again
-            bad = ~(den.real > 0.0)
-            if not bad.any():
-                bad = ~(one_minus.real > 0.0)
-            failed = [seg for seg in live if bad[seg[1]:seg[2]].any()]
-            for _, lo, hi, _ in failed:
-                for v in (ring, A, lin, quad, lev, a_day):
-                    v[..., lo:hi] = 0.0
-            live = [seg for seg in live if seg not in failed]
-            for k, *_ in failed:
-                yield k, exc
-            continue
+        _guarded(den, step, "1 - 2*C_1")
+        X = lin + B1 + (quad + lev * C1) / den
+        tx = theta * X
+        one_minus = 1.0 - tx
+        _guarded(one_minus, step, "1 - theta*X")
         v_x = tx / one_minus
         A += a_day - 0.5 * np.log(den) - delta * np.log(one_minus) + d * v_x
         ring[step % N_LAGS] = v_x
-        while live and live[-1][3] == step:
-            k, lo, hi, _ = live.pop()
+        while live and live[-1][2] == step:
+            k, lo, _ = live.pop()
             # B and C as transposed views of one (2, 22, m) product: B @ rv
             # on a contiguous copy would round differently
-            yield k, (A[lo:hi], *(hankel @ ring[(step - lags) % N_LAGS,
-                                                lo:hi]).transpose(0, 2, 1))
+            yield k, (A[lo:], *(hankel @ ring[(step - lags) % N_LAGS,
+                                              lo:]).transpose(0, 2, 1))
             ring, A, lin, quad, lev, a_day = (
                 v[..., :lo] for v in (ring, A, lin, quad, lev, a_day))
             flat = ring.view(float)
@@ -165,24 +150,20 @@ def _log_mgf_segments(params, nu1: float | None, segments) -> list:
     """log-MGF values of (z, horizon, rate, state) segments, under P when
     nu1 is None, each at its own rate.
 
-    The segments share backward passes, longest horizon first, in chunks
-    of consecutive segments of up to _PASS_POINTS points (a longer one runs
-    alone), and each segment's coefficients are dotted with its state on
-    the day its horizon ends.  Returns, in the order given, each segment's
-    values or the error that failed it alone: a bad horizon, or its
-    recursion leaving the domain.  Errors of the measure map raise.
+    A bad horizon raises ValidationError before any pass.  The segments
+    share backward passes, longest horizon first, in chunks of up to
+    _PASS_POINTS points (a longer segment runs alone), and each segment's
+    coefficients are dotted with its state on the day its horizon ends.
+    When a chunk's pass leaves the domain, the segments it had not finished
+    run again, each alone.  Returns, in the order given, each segment's
+    values or the RecursionDomainError of its own recursion.  Errors of
+    the measure map raise.
     """
+    for _, horizon, _, _ in segments:
+        _whole("horizon", horizon, 1)
     p = _measure_form(params, nu1)
     w = expand_weights(p)
-    out: list = [None] * len(segments)
-    order = []
-    for k, (_, horizon, _, _) in enumerate(segments):
-        try:
-            _whole("horizon", horizon, 1)
-            order.append(k)
-        except ValidationError as exc:
-            out[k] = exc
-    order.sort(key=lambda k: -segments[k][1])
+    order = sorted(range(len(segments)), key=lambda k: -segments[k][1])
     chunks, points = [], 0
     for k in order:
         size = len(segments[k][0])
@@ -191,19 +172,26 @@ def _log_mgf_segments(params, nu1: float | None, segments) -> list:
             points = 0
         chunks[-1].append(k)
         points += size
+    out: list = [None] * len(segments)
     for chunk in chunks:
         parts = [segments[k] for k in chunk]
         z = np.concatenate([zk for zk, _, _, _ in parts])
         r = np.concatenate([np.full(len(zk), rate) for zk, _, rate, _ in parts])
-        for j, res in _steps(p, w, z, r,
-                             [(len(zk), h) for zk, h, _, _ in parts]):
-            if not isinstance(res, RecursionDomainError):
+        try:
+            for j, res in _steps(p, w, z, r,
+                                 [(len(zk), h) for zk, h, _, _ in parts]):
                 # the log-MGF A + B @ rv + C @ lev on the segment's state;
                 # rebinding res frees this B and C before the pass forms
                 # the next
                 st = parabolic_state(params, parts[j][3])
                 res = res[0] + res[1] @ st.rv + res[2] @ st.lev
-            out[chunk[j]] = res
+                out[chunk[j]] = res
+        except RecursionDomainError as exc:
+            if len(chunk) == 1:
+                out[chunk[0]] = exc
+            else:
+                # the segments not yet done join the queue, each alone
+                chunks.extend([k] for k in chunk if out[k] is None)
     return out
 
 
@@ -257,31 +245,44 @@ class Cumulants(NamedTuple):
 _CONTOUR_RADIUS = 0.125   # circle radius in guessed standard deviations
 
 
-def _contour(params, state, horizon: int):
-    # the radius rho of raw_cumulants' circle and its 9 upper-half points
-    _whole("horizon", horizon, 1)
+def _cumulant_segments(params, nu1: float | None, segments) -> list:
+    """kappa_1..kappa_4 of (horizon, rate, state) segments, under P when
+    nu1 is None, from one shared pass over their `raw_cumulants` circles.
+    Returns, in the order given, each segment's cumulants or the error
+    that failed it alone; a bad horizon and errors of the measure map raise.
+    """
     p = parabolic_form(params)
-    nc = theta_noncentrality(p, parabolic_state(params, state))
-    kappa2_guess = horizon * p.theta * (p.delta + max(nc, 0.0))
-    if not np.isfinite(kappa2_guess) or kappa2_guess <= 0.0:
-        kappa2_guess = 1.0
-    rho = _CONTOUR_RADIUS / np.sqrt(kappa2_guess)
-    return rho, rho * np.exp(1j * np.pi * np.arange(9) / 8)
-
-
-def _contour_cumulants(g: np.ndarray, rho: float) -> np.ndarray:
-    # kappa_1..kappa_4 from the log-MGF g on the points of _contour
-    if not np.all(np.isfinite(g)):
-        raise NumericalError("log-MGF non-finite on the cumulant contour")
+    radii = []
+    for horizon, _, state in segments:
+        nc = theta_noncentrality(p, parabolic_state(params, state))
+        kappa2_guess = (_whole("horizon", horizon, 1) * p.theta
+                        * (p.delta + max(nc, 0.0)))
+        if not np.isfinite(kappa2_guess) or kappa2_guess <= 0.0:
+            kappa2_guess = 1.0
+        radii.append(_CONTOUR_RADIUS / np.sqrt(kappa2_guess))
+    # the 9 upper-half points of each circle |z| = rho
+    circle = np.exp(1j * np.pi * np.arange(9) / 8)
+    logs = _log_mgf_segments(params, nu1, [
+        (rho * circle, *seg) for rho, seg in zip(radii, segments)])
     n = np.arange(1, 5)
-    return np.fft.irfft(np.conj(g), 16)[n] * np.array([1.0, 2.0, 6.0, 24.0]) \
-        / rho ** n
+    out: list = []
+    for rho, g in zip(radii, logs):
+        if isinstance(g, LhargError):
+            out.append(g)
+        elif not np.all(np.isfinite(g)):
+            out.append(NumericalError(
+                "log-MGF non-finite on the cumulant contour"))
+        else:
+            out.append(np.fft.irfft(np.conj(g), 16)[n]
+                       * np.array([1.0, 2.0, 6.0, 24.0]) / rho ** n)
+    return out
 
 
 def raw_cumulants(params, state, horizon: int,
                   nu1: float | None = None) -> np.ndarray:
     """First four cumulants of y_{t,T} (under P when nu1 is None) as
-    Taylor coefficients of the log-MGF g, by one FFT on a circle.
+    Taylor coefficients of the log-MGF g, by one FFT on a circle: the
+    one-segment case of `_cumulant_segments`, at the rate of params.
 
     On |z| = rho the 16-point trapezoidal rule for the Cauchy integral
     returns kappa_n rho^n / n! plus aliasing of order kappa_{n+16} rho^(n+16)
@@ -296,9 +297,10 @@ def raw_cumulants(params, state, horizon: int,
     nearest singularity of g, a zero of 1 - theta*X, so the aliasing stays
     below that roundoff even when kappa2 runs several times past its guess.
     """
-    rho, z = _contour(params, state, horizon)
-    return _contour_cumulants(log_mgf(params, state, z, horizon, nu1=nu1),
-                              rho)
+    out, = _cumulant_segments(params, nu1, [(horizon, params.r, state)])
+    if isinstance(out, LhargError):
+        raise out
+    return out
 
 
 def cumulants(params, state, horizon: int,

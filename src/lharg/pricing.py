@@ -23,9 +23,11 @@ The recursion's step map does not depend on the day, so the coefficients
 of every maturity are iterates of one backward loop.  `price_chain` (and
 `model_atm_iv`, its one-group case) therefore runs the recursion twice per
 chain, not twice per group: one shared pass over every group's 9-point
-cumulant contour, which sets each group's interval, then one over every
-group's N-point cf grid, each point at its group's rate and each group's
-coefficients dotted with its own date's state (`mgf._log_mgf_segments`).
+cumulant contour, which sets each group's interval
+(`mgf._cumulant_segments`), then one over every group's N-point cf grid
+(`mgf._log_mgf_segments`), each point at its group's rate and each
+group's coefficients dotted with its own date's state.  A group whose
+recursion leaves the domain fails alone, in either pass.
 At N = 256, one 1024-point pass of the recursion holds 4 groups' grids.
 
 N = 256 is the floor that the tail of phi allows.  Over P-LHARG and
@@ -50,7 +52,7 @@ from .errors import (
     NumericalError,
     ValidationError,
 )
-from .mgf import _contour, _contour_cumulants, _log_mgf_segments
+from .mgf import _cumulant_segments, _log_mgf_segments
 from .model import MarketState, ModelParams, _finite_nu1
 from .options import OPTION_TYPES, OptionChain, OptionQuote
 
@@ -199,25 +201,18 @@ def _price_groups(params: ModelParams, nu1: float, groups) -> list:
     on its own truncation interval at its own rate, from two shared
     passes of the recursion: one over every group's cumulant contour, then
     one over every group's cf grid.  Returns, per group, cos_price's result
-    or the package error that failed the group alone (a bad maturity, a
-    recursion leaving its domain); errors of the measure map raise.
+    or the package error that failed the group alone (a recursion leaving
+    its domain, a degenerate interval); a bad maturity and errors of the
+    measure map raise.
     """
-    out: list = []
-    for tau, _, st, *_ in groups:
-        try:
-            out.append(_contour(params, st, tau))
-        except LhargError as exc:
-            out.append(exc)
+    out = _cumulant_segments(params, nu1, [g[:3] for g in groups])
+    for k, kappas in enumerate(out):
+        if not isinstance(kappas, LhargError):
+            try:
+                out[k] = _truncation(kappas)
+            except LhargError as exc:
+                out[k] = exc
     todo = [k for k, c in enumerate(out) if not isinstance(c, LhargError)]
-    logs = _log_mgf_segments(params, nu1, [
-        (out[k][1], *groups[k][:3]) for k in todo])
-    for k, g in zip(todo, logs):
-        try:
-            out[k] = g if isinstance(g, LhargError) \
-                else _truncation(_contour_cumulants(g, out[k][0]))
-        except LhargError as exc:
-            out[k] = exc
-    todo = [k for k in todo if not isinstance(out[k], LhargError)]
     logs = _log_mgf_segments(params, nu1, [
         (1j * _cos_grid(*out[k]), *groups[k][:3]) for k in todo])
     for k, g in zip(todo, logs):
@@ -263,10 +258,11 @@ def price_chain(params: ModelParams, nu1: float, chain: OptionChain,
     contours and cf grids come from two shared passes of the recursion
     (`_price_groups`).  Failures of the package's own error classes are
     recorded on the rows instead of aborting the chain: a group failure
-    (no state, recursion domain) on every row of the group,
-    a strike's negative COS price or failed IV inversion on that quote's
-    row alone.  A non-finite nu1 raises ValidationError before any group
-    is priced; any other exception is a bug and propagates.
+    (no state, recursion domain, degenerate interval) on every row of the
+    group, an error of the measure map on every row, and a strike's
+    negative COS price or failed IV inversion on that quote's row alone.
+    A non-finite nu1 raises ValidationError before any group is priced;
+    any other exception is a bug and propagates.
     """
     _finite_nu1(nu1)
     groups: dict = {}

@@ -40,8 +40,6 @@ def _coefficients(p, weights, z, horizon):
     """(A, B, C) of z after `horizon` days: the kernel loop `mgf._steps`
     run on z as one segment at the rate of p, raising its domain error."""
     (_, out), = mgf._steps(p, weights, z, p.r, [(z.shape[0], horizon)])
-    if isinstance(out, RecursionDomainError):
-        raise out
     return out
 
 
@@ -453,6 +451,24 @@ class TestVarianceGammaOracle:
                 assert rel[2:].max() <= 1e-6
 
 
+def _no_pass(*args):
+    raise AssertionError("a pass of the recursion ran")
+
+
+def _recorded_passes(monkeypatch):
+    """The (size, horizon) segments of every pass of `mgf._steps` from now
+    on, one list per pass."""
+    passes = []
+    original = mgf._steps
+
+    def spy(p, weights, z, r, segments):
+        passes.append(list(segments))
+        return original(p, weights, z, r, segments)
+
+    monkeypatch.setattr(mgf, "_steps", spy)
+    return passes
+
+
 def _domain_error(recursion, *args):
     try:
         recursion(*args)
@@ -565,28 +581,68 @@ class TestSharedPass:
 
     def test_failures_stay_per_segment(self, zmlharg):
         # a large real z crosses the pole at a step of its own; only its
-        # segment fails, with the error its own recursion raises, and a
-        # bad horizon fails only its segment
+        # segment fails, with the error its own recursion raises
         st = stationary_state(zmlharg)
         grid = 1j * np.linspace(0.0, 60.0, 512)
         segments = [(grid, 126, 1e-4, st),
                     (np.r_[grid[:100], 100.0, grid[100:]], 126, 1e-4, st),
                     (grid, 63, 2e-4, st),
                     (np.r_[grid[:4], 150.0, grid[4:8]], 22, 1e-4, st),
-                    (grid, 0, 1e-4, st), (grid[:9], 252, 1e-4, st)]
+                    (grid[:9], 252, 1e-4, st)]
         got = mgf._log_mgf_segments(zmlharg, -3000.0, segments)
         for segment, values in zip(segments, got):
             try:
                 want = self._alone(zmlharg, -3000.0, segment)
-            except (RecursionDomainError, ValidationError) as exc:
+            except RecursionDomainError as exc:
                 assert type(values) is type(exc)
                 assert str(values) == str(exc)
                 continue
             assert np.array_equal(values, want)
         assert str(got[1]) == "step 34: 1 - theta*X left the right half-plane"
         assert str(got[3]) == "step 11: 1 - 2*C_1 left the right half-plane"
-        assert isinstance(got[4], ValidationError)
-        assert all(isinstance(got[k], np.ndarray) for k in (0, 2, 5))
+        assert all(isinstance(got[k], np.ndarray) for k in (0, 2, 4))
+
+    def test_bad_horizon_fails_the_batch_first(self, zmlharg, monkeypatch):
+        # a bad horizon anywhere in the batch raises before any pass runs,
+        # in the log-MGF and in the cumulant batch
+        monkeypatch.setattr(mgf, "_steps", _no_pass)
+        st = stationary_state(zmlharg)
+        for horizon in (0, 2.5, "22", None):
+            with pytest.raises(ValidationError, match="horizon"):
+                mgf._log_mgf_segments(zmlharg, -3000.0, [
+                    (np.array([0.5j]), h, 1e-4, st) for h in (22, horizon)])
+            with pytest.raises(ValidationError, match="horizon"):
+                mgf._cumulant_segments(zmlharg, -3000.0, [
+                    (h, 1e-4, st) for h in (22, horizon)])
+
+    def test_clean_batch_one_pass_per_chunk(self, zmlharg, monkeypatch):
+        # sorted longest first, the segments fill chunks of up to
+        # _PASS_POINTS points; when no point fails, each chunk is one pass
+        assert mgf._PASS_POINTS == 1024
+        passes = _recorded_passes(monkeypatch)
+        st = stationary_state(zmlharg)
+        grid = 1j * np.linspace(0.0, 60.0, 512)
+        mgf._log_mgf_segments(zmlharg, -3000.0, [
+            (grid, 126, 1e-4, st), (grid, 63, 1e-4, st), (grid, 22, 2e-4, st),
+            (grid[:9], 252, 1e-4, st), (grid[:9], 14, 1e-4, st)])
+        assert passes == [[(9, 252), (512, 126)], [(512, 63), (512, 22)],
+                          [(9, 14)]]
+
+    def test_failed_chunk_reruns_unfinished_segments(self, zmlharg,
+                                                     monkeypatch):
+        # the point at z = 100 leaves the domain at step 34: its chunk's
+        # pass stops there, the 22-day segment is already done, and each
+        # of the other three runs once more alone, the failing one too
+        passes = _recorded_passes(monkeypatch)
+        st = stationary_state(zmlharg)
+        grid = 1j * np.linspace(0.0, 60.0, 9)
+        got = mgf._log_mgf_segments(zmlharg, -3000.0, [
+            (grid, 63, 1e-4, st), (np.r_[grid, 100.0], 126, 1e-4, st),
+            (grid, 22, 1e-4, st), (grid, 252, 1e-4, st)])
+        assert passes == [[(9, 252), (10, 126), (9, 63), (9, 22)],
+                          [(9, 252)], [(10, 126)], [(9, 63)]]
+        assert str(got[1]) == "step 34: 1 - theta*X left the right half-plane"
+        assert all(isinstance(got[k], np.ndarray) for k in (0, 2, 3))
 
     def test_empty_z(self, zmlharg):
         # no points is no work, not an error, alone or beside others
@@ -598,3 +654,49 @@ class TestSharedPass:
             (empty, 63, 1e-4, st), (np.array([0.5j]), 22, 1e-4, st),
             (empty, 22, 1e-4, st)])
         assert [g.shape for g in got] == [(0,), (1,), (0,)]
+
+
+class TestCumulantSegments:
+    """`_cumulant_segments` runs many (horizon, rate, state) contours
+    through one shared pass; each segment's kappa_1..kappa_4 are bit for bit
+    those of `raw_cumulants` alone at that rate, and a failure stays its
+    own."""
+
+    @staticmethod
+    def _segments(params):
+        st = stationary_state(params)
+        states = (st, MarketState(rv=0.5 * st.rv, lev=st.lev))
+        return [(horizon, (0.0, 1e-4, 3e-4)[i % 3], states[i % 2])
+                for i, horizon in enumerate((14, 30, 63, 126, 252, 1, 63))]
+
+    def test_equals_raw_cumulants_alone(self, all_variants, monkeypatch):
+        passes = _recorded_passes(monkeypatch)
+        for params in all_variants:
+            segments = self._segments(params)
+            for nu1 in (None, -3000.0):
+                got = mgf._cumulant_segments(params, nu1, segments)
+                assert len(passes) == 1
+                for (horizon, rate, state), kappas in zip(segments, got):
+                    want = raw_cumulants(replace(params, r=rate), state,
+                                         horizon, nu1=nu1)
+                    assert np.array_equal(kappas, want)
+                passes.clear()
+
+    def test_failures_stay_per_segment(self, zmlharg):
+        # at theta*y_star = 0.35 the longer contours leave the domain: each
+        # fails with the error raw_cumulants raises on it alone, and the
+        # others stay bit for bit
+        nu1 = -0.35 / zmlharg.theta
+        segments = self._segments(zmlharg)
+        got = mgf._cumulant_segments(zmlharg, nu1, segments)
+        for (horizon, rate, state), kappas in zip(segments, got):
+            params = replace(zmlharg, r=rate)
+            try:
+                want = raw_cumulants(params, state, horizon, nu1=nu1)
+            except RecursionDomainError as exc:
+                assert type(kappas) is type(exc)
+                assert str(kappas) == str(exc)
+                continue
+            assert np.array_equal(kappas, want)
+        failed = sum(isinstance(k, RecursionDomainError) for k in got)
+        assert 0 < failed < len(got)

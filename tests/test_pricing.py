@@ -426,15 +426,17 @@ class TestPriceChain:
         # the pricer makes two shared passes per chain: one over every
         # (date, maturity, rate) group's 9-point cumulant contour, then one
         # over every group's whole cf grid; no separate cf(0) evaluation
-        # and no evaluation per strike
+        # and no evaluation per strike; the contour pass runs inside
+        # mgf._cumulant_segments, the grid pass from pricing
         passes = []
-        original = pricing_mod._log_mgf_segments
+        original = mgf_mod._log_mgf_segments
 
         def counting(params, nu1, segments):
             passes.append(sorted((id(st), tau, np.size(z))
                                  for z, tau, _, st in segments))
             return original(params, nu1, segments)
 
+        monkeypatch.setattr(mgf_mod, "_log_mgf_segments", counting)
         monkeypatch.setattr(pricing_mod, "_log_mgf_segments", counting)
         chain, states = two_date_chain(zmlharg)
         rows = price_chain(zmlharg, -3375.0, chain, states)
