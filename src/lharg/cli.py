@@ -19,7 +19,6 @@ from . import io as lio
 from .errors import (
     CalibrationInfeasibleError,
     LhargError,
-    NumericalError,
     ValidationError,
 )
 from .estimate import calibrate_nu1, mle_fit
@@ -449,7 +448,7 @@ def main(argv=None) -> int:
     except CalibrationInfeasibleError as exc:
         print(f"calibration infeasible: {exc}", file=sys.stderr)
         return 4
-    except (NumericalError, LhargError) as exc:
+    except LhargError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

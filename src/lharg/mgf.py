@@ -41,10 +41,10 @@ T are the loop's iterates after T days, and one pass serves many horizons
 point at its own rate (r enters only A's daily z*r); on the day a
 segment's horizon ends its B and C are formed and dotted with its state,
 and its columns drop off the end of the active prefix.  A pass that
-leaves the domain raises, and its unfinished segments run again, each
-alone, so a segment fails alone with its own step and message.  It is the
-one route into the loop: `mgf_p`, `mgf_q` and `log_mgf` are its
-one-segment case.
+leaves the domain raises the RecursionDomainError of the first point to
+leave it, with that point's step and message, which its segment raises
+alone too.  It is the one route into the loop: `mgf_p`, `mgf_q` and
+`log_mgf` are its one-segment case.
 
 The cumulants kappa_n of y_{t,T} are the Taylor coefficients of the log-MGF
 at z = 0, times n!.  `raw_cumulants` reads the first four from one FFT of
@@ -59,12 +59,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    LhargError,
-    NumericalError,
-    RecursionDomainError,
-    _whole,
-)
+from .errors import NumericalError, RecursionDomainError, _whole
 from .model import (
     MarketState,
     ModelParams,
@@ -148,16 +143,14 @@ _PASS_POINTS = 1024   # z-points per shared pass: bounds the ring and temporarie
 
 def _log_mgf_segments(params, nu1: float | None, segments) -> list:
     """log-MGF values of (z, horizon, rate, state) segments, under P when
-    nu1 is None, each at its own rate.
+    nu1 is None, each at its own rate, in the order given.
 
     A bad horizon raises ValidationError before any pass.  The segments
     share backward passes, longest horizon first, in chunks of up to
     _PASS_POINTS points (a longer segment runs alone), and each segment's
     coefficients are dotted with its state on the day its horizon ends.
-    When a chunk's pass leaves the domain, the segments it had not finished
-    run again, each alone.  Returns, in the order given, each segment's
-    values or the RecursionDomainError of its own recursion.  Errors of
-    the measure map raise.
+    A pass that leaves the domain raises the RecursionDomainError that the
+    failing segment raises alone; errors of the measure map raise too.
     """
     for _, horizon, _, _ in segments:
         _whole("horizon", horizon, 1)
@@ -177,21 +170,14 @@ def _log_mgf_segments(params, nu1: float | None, segments) -> list:
         parts = [segments[k] for k in chunk]
         z = np.concatenate([zk for zk, _, _, _ in parts])
         r = np.concatenate([np.full(len(zk), rate) for zk, _, rate, _ in parts])
-        try:
-            for j, res in _steps(p, w, z, r,
-                                 [(len(zk), h) for zk, h, _, _ in parts]):
-                # the log-MGF A + B @ rv + C @ lev on the segment's state;
-                # rebinding res frees this B and C before the pass forms
-                # the next
-                st = parabolic_state(params, parts[j][3])
-                res = res[0] + res[1] @ st.rv + res[2] @ st.lev
-                out[chunk[j]] = res
-        except RecursionDomainError as exc:
-            if len(chunk) == 1:
-                out[chunk[0]] = exc
-            else:
-                # the segments not yet done join the queue, each alone
-                chunks.extend([k] for k in chunk if out[k] is None)
+        for j, res in _steps(p, w, z, r,
+                             [(len(zk), h) for zk, h, _, _ in parts]):
+            # the log-MGF A + B @ rv + C @ lev on the segment's state;
+            # rebinding res frees this B and C before the pass forms the
+            # next
+            st = parabolic_state(params, parts[j][3])
+            res = res[0] + res[1] @ st.rv + res[2] @ st.lev
+            out[chunk[j]] = res
     return out
 
 
@@ -199,8 +185,6 @@ def _evaluate(params, state, z, horizon, nu1=None, log: bool = False):
     # one segment of the shared pass, at the rate of params
     out, = _log_mgf_segments(params, nu1, [(np.atleast_1d(z), horizon,
                                             params.r, state)])
-    if isinstance(out, LhargError):
-        raise out
     if not log:
         out = np.exp(out)
     return out[0] if np.ndim(z) == 0 else out
@@ -247,9 +231,9 @@ _CONTOUR_RADIUS = 0.125   # circle radius in guessed standard deviations
 
 def _cumulant_segments(params, nu1: float | None, segments) -> list:
     """kappa_1..kappa_4 of (horizon, rate, state) segments, under P when
-    nu1 is None, from one shared pass over their `raw_cumulants` circles.
-    Returns, in the order given, each segment's cumulants or the error
-    that failed it alone; a bad horizon and errors of the measure map raise.
+    nu1 is None, in the order given, from one shared pass over their
+    `raw_cumulants` circles.  Raises what that pass raises, and
+    NumericalError for a log-MGF non-finite on a circle.
     """
     p = parabolic_form(params)
     radii = []
@@ -267,14 +251,10 @@ def _cumulant_segments(params, nu1: float | None, segments) -> list:
     n = np.arange(1, 5)
     out: list = []
     for rho, g in zip(radii, logs):
-        if isinstance(g, LhargError):
-            out.append(g)
-        elif not np.all(np.isfinite(g)):
-            out.append(NumericalError(
-                "log-MGF non-finite on the cumulant contour"))
-        else:
-            out.append(np.fft.irfft(np.conj(g), 16)[n]
-                       * np.array([1.0, 2.0, 6.0, 24.0]) / rho ** n)
+        if not np.all(np.isfinite(g)):
+            raise NumericalError("log-MGF non-finite on the cumulant contour")
+        out.append(np.fft.irfft(np.conj(g), 16)[n]
+                   * np.array([1.0, 2.0, 6.0, 24.0]) / rho ** n)
     return out
 
 
@@ -297,10 +277,7 @@ def raw_cumulants(params, state, horizon: int,
     nearest singularity of g, a zero of 1 - theta*X, so the aliasing stays
     below that roundoff even when kappa2 runs several times past its guess.
     """
-    out, = _cumulant_segments(params, nu1, [(horizon, params.r, state)])
-    if isinstance(out, LhargError):
-        raise out
-    return out
+    return _cumulant_segments(params, nu1, [(horizon, params.r, state)])[0]
 
 
 def cumulants(params, state, horizon: int,

@@ -27,8 +27,9 @@ Three variants are supported:
 
 The zero-mean variant reduces algebraically to the parabolic form with
 d = -(alpha_d + alpha_w + alpha_m) and beta_l -> beta_l - alpha_l*gamma^2;
-all numerical engines (MGF recursion, simulator, likelihood) work on that
-canonical parabolic form.  Parabolic leverage values are invariant under
+the MGF recursion and the simulator work on that canonical parabolic form,
+the likelihood (`estimate._natural_terms`) on the variant's own leverage
+and loadings.  Parabolic leverage values are invariant under
 the measure change (the shift of the innovation exactly offsets the shift
 of gamma), so the engines take the state in parabolic values
 (`parabolic_state`) and need no conversion under Q; only the zero-mean

@@ -26,8 +26,9 @@ chain, not twice per group: one shared pass over every group's 9-point
 cumulant contour, which sets each group's interval
 (`mgf._cumulant_segments`), then one over every group's N-point cf grid
 (`mgf._log_mgf_segments`), each point at its group's rate and each
-group's coefficients dotted with its own date's state.  A group whose
-recursion leaves the domain fails alone, in either pass.
+group's coefficients dotted with its own date's state.  A pass that
+leaves the domain raises, and `price_chain` then prices each group alone,
+so a failing group fails alone with its own error.
 At N = 256, one 1024-point pass of the recursion holds 4 groups' grids.
 
 N = 256 is the floor that the tail of phi allows.  Over P-LHARG and
@@ -197,33 +198,21 @@ def implied_vol(price: float, S: float, K: float, r: float, tau: float,
 
 
 def _price_groups(params: ModelParams, nu1: float, groups) -> list:
-    """Prices of quote groups (tau, rate, state, S, K, option_type), each
-    on its own truncation interval at its own rate, from two shared
-    passes of the recursion: one over every group's cumulant contour, then
-    one over every group's cf grid.  Returns, per group, cos_price's result
-    or the package error that failed the group alone (a recursion leaving
-    its domain, a degenerate interval); a bad maturity and errors of the
-    measure map raise.
+    """Prices of quote groups (tau, rate, state, S, K, option_type), in
+    the order given, each on its own truncation interval at its own rate,
+    from two shared passes of the recursion: one over every group's
+    cumulant contour, then one over every group's cf grid.  Raises the
+    first package error met: a bad maturity, the measure map, a recursion
+    leaving its domain, a degenerate interval.
     """
-    out = _cumulant_segments(params, nu1, [g[:3] for g in groups])
-    for k, kappas in enumerate(out):
-        if not isinstance(kappas, LhargError):
-            try:
-                out[k] = _truncation(kappas)
-            except LhargError as exc:
-                out[k] = exc
-    todo = [k for k, c in enumerate(out) if not isinstance(c, LhargError)]
+    intervals = [_truncation(kappas) for kappas in
+                 _cumulant_segments(params, nu1, [g[:3] for g in groups])]
     logs = _log_mgf_segments(params, nu1, [
-        (1j * _cos_grid(*out[k]), *groups[k][:3]) for k in todo])
-    for k, g in zip(todo, logs):
-        tau, rate, _, S, K, kind = groups[k]
-        try:
-            # the grid pass ran on the u_k that cos_price evaluates cf on
-            out[k] = g if isinstance(g, LhargError) else cos_price(
-                lambda u, phi=np.exp(g): phi, S, K, rate, tau, kind, *out[k])
-        except LhargError as exc:
-            out[k] = exc
-    return out
+        (1j * _cos_grid(*ab), *g[:3]) for ab, g in zip(intervals, groups)])
+    # the grid pass ran on the u_k that cos_price evaluates cf on
+    return [cos_price(lambda u, phi=np.exp(g): phi, S, K, rate, tau, kind, *ab)
+            for g, ab, (tau, rate, _, S, K, kind) in zip(logs, intervals,
+                                                         groups)]
 
 
 def model_atm_iv(params: ModelParams, nu1: float, maturity_days: int,
@@ -231,8 +220,6 @@ def model_atm_iv(params: ModelParams, nu1: float, maturity_days: int,
     """Annualized at-the-money implied vol generated by the model."""
     price, = _price_groups(params, nu1, [(maturity_days, params.r, state,
                                           1.0, 1.0, "call")])
-    if isinstance(price, LhargError):
-        raise price
     iv_daily = implied_vol(price, 1.0, 1.0, params.r, maturity_days, "call")
     return iv_daily * np.sqrt(TRADING_DAYS)
 
@@ -257,36 +244,41 @@ def price_chain(params: ModelParams, nu1: float, chain: OptionChain,
     as both the risk-neutral drift and the discount rate.  The groups'
     contours and cf grids come from two shared passes of the recursion
     (`_price_groups`).  Failures of the package's own error classes are
-    recorded on the rows instead of aborting the chain: a group failure
-    (no state, recursion domain, degenerate interval) on every row of the
-    group, an error of the measure map on every row, and a strike's
-    negative COS price or failed IV inversion on that quote's row alone.
-    A non-finite nu1 raises ValidationError before any group is priced;
-    any other exception is a bug and propagates.
+    recorded on the rows instead of aborting the chain.  When the shared
+    passes raise one, each group is priced again alone, so a group failure
+    (no state, measure map, recursion domain, degenerate interval) lands
+    on every row of that group only, with the error of the group alone; a
+    strike's negative COS price or failed IV inversion lands on that
+    quote's row alone.  A non-finite nu1 raises ValidationError before any
+    group is priced; any other exception is a bug and propagates.
     """
     _finite_nu1(nu1)
     groups: dict = {}
     for q in chain:
         groups.setdefault((q.quote_date, q.maturity_days, q.rate),
                           []).append(q)
-    keys = sorted(groups)
-    live, batch = [], []
-    for qdate, tau, rate in keys:
+    groups = {key: groups[key] for key in sorted(groups)}
+    batch = {}
+    for (qdate, tau, rate), quotes in groups.items():
         if qdate in states:
-            quotes = groups[qdate, tau, rate]
-            live.append((qdate, tau, rate))
-            batch.append((tau, rate, states[qdate],
-                          [q.underlying for q in quotes],
-                          [q.strike for q in quotes],
-                          [q.option_type for q in quotes]))
+            batch[qdate, tau, rate] = (
+                tau, rate, states[qdate], [q.underlying for q in quotes],
+                [q.strike for q in quotes], [q.option_type for q in quotes])
     try:
-        priced = dict(zip(live, _price_groups(params, nu1, batch)))
-    except LhargError as exc:       # the measure map fails every group
-        priced = dict.fromkeys(live, exc)
+        priced = dict(zip(batch, _price_groups(params, nu1,
+                                               list(batch.values()))))
+    except LhargError:
+        # the only place a failure is isolated: each group alone
+        priced = {}
+        for key, group in batch.items():
+            try:
+                priced[key] = _price_groups(params, nu1, [group])[0]
+            except LhargError as exc:
+                priced[key] = exc
 
     results = []
-    for key in keys:
-        (qdate, tau, rate), quotes = key, groups[key]
+    for key, quotes in groups.items():
+        qdate, tau, rate = key
         prices = priced.get(key, ValidationError(f"no state for {qdate}"))
         if isinstance(prices, LhargError):
             results.extend(PricedQuote(q, np.nan, np.nan, str(prices))

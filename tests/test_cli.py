@@ -1,5 +1,6 @@
 """End-to-end command-line checks on small synthetic inputs."""
 
+import csv
 import datetime as dt
 import re
 import struct
@@ -12,7 +13,7 @@ import pytest
 
 from lharg import ModelParams, simulate_paths, stationary_state
 from lharg.cli import PATHSET_MAGIC, PATHSET_VERSION, main
-from lharg.io import DatedSeries, load_params
+from lharg.io import DatedSeries, load_params, save_params
 from lharg.options import OptionChain
 
 from oracles import write_option_chain, write_series
@@ -290,6 +291,64 @@ def test_lone_history_flag_rejected(data_dir, tmp_path, small_model,
             assert main([*argv, *flag, "--out", str(out)]) == 2, argv + flag
             assert message in capsys.readouterr().err
             assert not out.exists(), argv + flag
+
+
+FIRST_DAY = dt.date(2000, 1, 3)    # the first date of data_dir's history
+
+
+def _price_quotes(data_dir, tmp_path, small_model, quotes, *flags):
+    # `lharg price` on the quotes with data_dir's history; (exit code,
+    # output path)
+    fit, chain = tmp_path / "p.txt", tmp_path / "chain.csv"
+    save_params(fit, small_model)
+    write_option_chain(chain, OptionChain(quotes))
+    out = tmp_path / "priced.csv"
+    out.unlink(missing_ok=True)
+    code = main(["price", "--params", str(fit), "--nu1", "-2500",
+                 "--chain", str(chain), "--rv", str(data_dir / "rv.csv"),
+                 "--returns", str(data_dir / "returns.csv"), *flags,
+                 "--out", str(out)])
+    return code, out
+
+
+def test_price_history_must_cover_quote_dates(data_dir, tmp_path,
+                                              small_model, capsys):
+    # a quote date outside the history, or one with fewer than 22
+    # observations up to it, exits 2 naming the date and writes nothing
+    early = FIRST_DAY + dt.timedelta(days=20)
+    cases = ((dt.date(1999, 6, 1),
+              "no RV history for quote date 1999-06-01"),
+             (early, f"fewer than 22 observations before {early}"))
+    for qdate, message in cases:
+        quote = make_quote(1.0, 40, "call", qdate=qdate, mid=20.0,
+                           market_iv=0.2)
+        code, out = _price_quotes(data_dir, tmp_path, small_model, (quote,))
+        assert code == 2, qdate
+        assert message in capsys.readouterr().err
+        assert not out.exists(), qdate
+
+
+def test_price_no_filter_prices_screened_rows(data_dir, tmp_path,
+                                             small_model):
+    # in-the-money quotes fail the OTM screen: a default run drops them,
+    # and --no-filter prices them with the rest
+    qdate = FIRST_DAY + dt.timedelta(days=1499)
+    quotes = tuple(make_quote(m, 40, kind, qdate=qdate, mid=120.0,
+                              market_iv=0.2)
+                   for m, kind in ((0.9, "call"), (1.0, "call"),
+                                   (1.1, "put")))
+    for flags, kept in (((), [(1000.0, "call")]),
+                        (("--no-filter",), [(900.0, "call"),
+                                            (1000.0, "call"),
+                                            (1100.0, "put")])):
+        code, out = _price_quotes(data_dir, tmp_path, small_model, quotes,
+                                  *flags)
+        assert code == 0, flags
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert sorted((float(r["strike"]), r["type"]) for r in rows) == kept
+        assert all(r["error"] == "" and float(r["model_price"]) > 0.0
+                   for r in rows)
 
 
 def test_evaluate_rejects_malformed_rows(tmp_path, capsys):

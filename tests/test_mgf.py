@@ -551,8 +551,6 @@ class TestSharedPass:
     @staticmethod
     def _alone(params, nu1, segment):
         out, = mgf._log_mgf_segments(params, nu1, [segment])
-        if isinstance(out, Exception):
-            raise out
         return out
 
     def test_equals_one_recursion_per_segment(self, zmlharg):
@@ -580,27 +578,31 @@ class TestSharedPass:
                     assert np.array_equal(values, want)
 
     def test_failures_stay_per_segment(self, zmlharg):
-        # a large real z crosses the pole at a step of its own; only its
-        # segment fails, with the error its own recursion raises
+        # a large real z crosses the pole at a step of its own: wherever
+        # its segment sits in a batch, the batch raises the error that
+        # segment raises alone; without it the batch runs clean
         st = stationary_state(zmlharg)
         grid = 1j * np.linspace(0.0, 60.0, 512)
-        segments = [(grid, 126, 1e-4, st),
-                    (np.r_[grid[:100], 100.0, grid[100:]], 126, 1e-4, st),
-                    (grid, 63, 2e-4, st),
-                    (np.r_[grid[:4], 150.0, grid[4:8]], 22, 1e-4, st),
-                    (grid[:9], 252, 1e-4, st)]
-        got = mgf._log_mgf_segments(zmlharg, -3000.0, segments)
-        for segment, values in zip(segments, got):
-            try:
-                want = self._alone(zmlharg, -3000.0, segment)
-            except RecursionDomainError as exc:
-                assert type(values) is type(exc)
-                assert str(values) == str(exc)
-                continue
-            assert np.array_equal(values, want)
-        assert str(got[1]) == "step 34: 1 - theta*X left the right half-plane"
-        assert str(got[3]) == "step 11: 1 - 2*C_1 left the right half-plane"
-        assert all(isinstance(got[k], np.ndarray) for k in (0, 2, 4))
+        clean = [(grid, 126, 1e-4, st), (grid, 63, 2e-4, st),
+                 (grid[:9], 252, 1e-4, st)]
+        poisoned = {
+            "step 34: 1 - theta*X left the right half-plane":
+                (np.r_[grid[:100], 100.0, grid[100:]], 126, 1e-4, st),
+            "step 11: 1 - 2*C_1 left the right half-plane":
+                (np.r_[grid[:4], 150.0, grid[4:8]], 22, 1e-4, st)}
+        for message, bad in poisoned.items():
+            with pytest.raises(RecursionDomainError) as alone:
+                self._alone(zmlharg, -3000.0, bad)
+            assert str(alone.value) == message
+            for at in range(len(clean) + 1):
+                with pytest.raises(RecursionDomainError) as batch:
+                    mgf._log_mgf_segments(zmlharg, -3000.0,
+                                          clean[:at] + [bad] + clean[at:])
+                assert str(batch.value) == message
+        got = mgf._log_mgf_segments(zmlharg, -3000.0, clean)
+        for segment, values in zip(clean, got):
+            assert np.array_equal(values,
+                                  self._alone(zmlharg, -3000.0, segment))
 
     def test_bad_horizon_fails_the_batch_first(self, zmlharg, monkeypatch):
         # a bad horizon anywhere in the batch raises before any pass runs,
@@ -627,22 +629,6 @@ class TestSharedPass:
             (grid[:9], 252, 1e-4, st), (grid[:9], 14, 1e-4, st)])
         assert passes == [[(9, 252), (512, 126)], [(512, 63), (512, 22)],
                           [(9, 14)]]
-
-    def test_failed_chunk_reruns_unfinished_segments(self, zmlharg,
-                                                     monkeypatch):
-        # the point at z = 100 leaves the domain at step 34: its chunk's
-        # pass stops there, the 22-day segment is already done, and each
-        # of the other three runs once more alone, the failing one too
-        passes = _recorded_passes(monkeypatch)
-        st = stationary_state(zmlharg)
-        grid = 1j * np.linspace(0.0, 60.0, 9)
-        got = mgf._log_mgf_segments(zmlharg, -3000.0, [
-            (grid, 63, 1e-4, st), (np.r_[grid, 100.0], 126, 1e-4, st),
-            (grid, 22, 1e-4, st), (grid, 252, 1e-4, st)])
-        assert passes == [[(9, 252), (10, 126), (9, 63), (9, 22)],
-                          [(9, 252)], [(10, 126)], [(9, 63)]]
-        assert str(got[1]) == "step 34: 1 - theta*X left the right half-plane"
-        assert all(isinstance(got[k], np.ndarray) for k in (0, 2, 3))
 
     def test_empty_z(self, zmlharg):
         # no points is no work, not an error, alone or beside others
@@ -683,20 +669,25 @@ class TestCumulantSegments:
                 passes.clear()
 
     def test_failures_stay_per_segment(self, zmlharg):
-        # at theta*y_star = 0.35 the longer contours leave the domain: each
-        # fails with the error raw_cumulants raises on it alone, and the
-        # others stay bit for bit
+        # at theta*y_star = 0.35 the longer contours leave the domain: a
+        # batch that holds one of them raises the error raw_cumulants
+        # raises on it alone, and a batch of the others stays bit for bit
         nu1 = -0.35 / zmlharg.theta
-        segments = self._segments(zmlharg)
-        got = mgf._cumulant_segments(zmlharg, nu1, segments)
-        for (horizon, rate, state), kappas in zip(segments, got):
+        clean, failing = [], []
+        for horizon, rate, state in self._segments(zmlharg):
             params = replace(zmlharg, r=rate)
             try:
                 want = raw_cumulants(params, state, horizon, nu1=nu1)
             except RecursionDomainError as exc:
-                assert type(kappas) is type(exc)
-                assert str(kappas) == str(exc)
+                failing.append(((horizon, rate, state), str(exc)))
                 continue
+            clean.append(((horizon, rate, state), want))
+        assert clean and failing
+        got = mgf._cumulant_segments(zmlharg, nu1, [seg for seg, _ in clean])
+        for (_, want), kappas in zip(clean, got):
             assert np.array_equal(kappas, want)
-        failed = sum(isinstance(k, RecursionDomainError) for k in got)
-        assert 0 < failed < len(got)
+        for segment, message in failing:
+            with pytest.raises(RecursionDomainError) as batch:
+                mgf._cumulant_segments(zmlharg, nu1,
+                                       [seg for seg, _ in clean] + [segment])
+            assert str(batch.value) == message

@@ -599,6 +599,26 @@ class TestPriceChain:
         assert any("1 - theta*X left" in e for e in failed)
         assert 0 < sum(r.error is None for r in rows) < len(rows)
 
+    def test_failures_reprice_each_group_alone(self, zmlharg, monkeypatch):
+        # a clean chain is one call of the shared pipeline; when that call
+        # raises, every group is priced once more, alone
+        calls = []
+        original = pricing_mod._price_groups
+
+        def spy(params, nu1, groups):
+            calls.append(len(groups))
+            return original(params, nu1, groups)
+
+        monkeypatch.setattr(pricing_mod, "_price_groups", spy)
+        chain, states = two_date_chain(zmlharg, (14, 30, 63, 126, 252))
+        rows = price_chain(zmlharg, -3375.0, chain, states)
+        assert all(r.error is None for r in rows)
+        assert calls == [10]
+        calls.clear()
+        rows = price_chain(zmlharg, -0.35 / zmlharg.theta, chain, states)
+        assert 0 < sum(r.error is None for r in rows) < len(rows)
+        assert calls == [10] + [1] * 10
+
     def test_memory_bounded_by_the_pass_size(self, zmlharg):
         # 2 dates x 8 maturities: the 16 cf grids (8192 points) run in
         # passes of at most 1024 points, which peak near 1.5 MB here; one
