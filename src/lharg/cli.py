@@ -213,8 +213,8 @@ def _chain_states(params: ModelParams, chain: OptionChain, rv_path,
         if i is None:
             raise ValidationError(f"no RV history for quote date {q.quote_date}")
         if i + 1 < N_LAGS:
-            raise ValidationError(
-                f"fewer than {N_LAGS} observations before {q.quote_date}")
+            raise ValidationError(f"fewer than {N_LAGS} observations up to "
+                                  f"and including {q.quote_date}")
         states[q.quote_date] = state_from_series(
             params, rv.values[:i + 1], ret.values[:i + 1])
     return states

@@ -2,7 +2,7 @@
 utilities, and implied-volatility error metrics.
 
 The COS pricer (Fang & Oosterlee 2008) expands the density of the T-day
-log-return y in COS_TERMS cosine terms on the truncation interval
+log-return y in N cosine terms on the truncation interval
 [a, b] = c1 -/+ COS_WIDTH*sqrt(c2 + sqrt(c4)) built from the model's
 risk-neutral cumulants (`_truncation`).  With phi the characteristic
 function of y and u_k = k*pi/(b-a), the density coefficients are
@@ -13,11 +13,11 @@ and the discounted expected payoff of a strike-K option reduces to closed
 cosine integrals of K*(exp(y + x) - 1) over the in-the-money region, with
 x = log(S/K).  Keeping the expansion in y (rather than log(S_T/K)) lets
 one characteristic-function pass on the shared u-grid price every strike
-of a maturity: `cos_price` evaluates its cf once per call, reads the
+of a maturity: `cos_price` takes phi(u_k), k < N = len(phi), reads the
 cf(0) = 1 check from phi(u_0) (u_0 = 0), and broadcasts over strikes and
 option types at one rate; each strike's price is its row of the
 (strikes, N) payoff coefficients times the N density coefficients.
-`price_chain` makes one such call per (quote_date, maturity, rate) group.
+`_price_groups` picks N = COS_TERMS, and makes one such call per group.
 
 The recursion's step map does not depend on the day, so the coefficients
 of every maturity are iterates of one backward loop.  `price_chain` (and
@@ -72,9 +72,9 @@ def _truncation(kappas) -> tuple[float, float]:
     return c1 - half, c1 + half
 
 
-def _cos_grid(a: float, b: float) -> np.ndarray:
-    # the u_k = k*pi/(b-a), k < COS_TERMS, that cos_price evaluates cf on
-    return np.arange(COS_TERMS) * np.pi / (b - a)
+def _cos_grid(a: float, b: float, n: int) -> np.ndarray:
+    # the u_k = k*pi/(b-a), k < n, of an n-term expansion on [a, b]
+    return np.arange(n) * np.pi / (b - a)
 
 
 def _chi_psi(u: np.ndarray, a: float, c: np.ndarray, d: np.ndarray):
@@ -91,15 +91,13 @@ def _chi_psi(u: np.ndarray, a: float, c: np.ndarray, d: np.ndarray):
     return chi, psi
 
 
-def cos_price(cf, S, K, r, tau_days: int, option_type, a: float, b: float):
+def cos_price(phi, S, K, r, tau_days: int, option_type, a: float, b: float):
     """Discounted expected payoff of European options by cosine expansion.
 
-    cf must be the (vectorized) characteristic function of the log-return
-    over the full maturity.  It is called once, on the grid u_k =
-    k*pi/(b-a), k < COS_TERMS, and its value at u_0 = 0 must be 1 within
-    1e-10.  The density is expanded on the truncation interval [a, b],
-    which must satisfy b > a; `price_chain` sets it from the model's
-    cumulants.
+    phi is the characteristic function of the log-return over the whole
+    maturity on `_cos_grid(a, b, N)`, N = len(phi) > 0 cosine terms: a 1-D
+    array with phi[0] = 1 within 1e-10.  [a, b], b > a, is the truncation
+    interval of the density, which `price_chain` sets from the cumulants.
 
     r is one scalar rate, in the time unit of tau_days.  S, K and
     option_type broadcast against each other like the arguments of a numpy
@@ -110,10 +108,12 @@ def cos_price(cf, S, K, r, tau_days: int, option_type, a: float, b: float):
     """
     if not b > a:
         raise ValidationError("truncation interval requires b > a")
-    u = _cos_grid(a, b)
-    phi = np.asarray(cf(u), dtype=complex)
+    phi = np.asarray(phi, dtype=complex)
+    if phi.ndim != 1 or not phi.size:
+        raise ValidationError("phi must be a non-empty 1-D array")
     if not abs(phi[0] - 1.0) <= 1e-10:
         raise ValidationError("characteristic function is not normalized")
+    u = _cos_grid(a, b, phi.size)
     dens = (2.0 / (b - a)) * np.real(phi * np.exp(-1j * u * a))
     dens[0] *= 0.5
 
@@ -208,9 +208,9 @@ def _price_groups(params: ModelParams, nu1: float, groups) -> list:
     intervals = [_truncation(kappas) for kappas in
                  _cumulant_segments(params, nu1, [g[:3] for g in groups])]
     logs = _log_mgf_segments(params, nu1, [
-        (1j * _cos_grid(*ab), *g[:3]) for ab, g in zip(intervals, groups)])
-    # the grid pass ran on the u_k that cos_price evaluates cf on
-    return [cos_price(lambda u, phi=np.exp(g): phi, S, K, rate, tau, kind, *ab)
+        (1j * _cos_grid(*ab, COS_TERMS), *g[:3])
+        for ab, g in zip(intervals, groups)])
+    return [cos_price(np.exp(g), S, K, rate, tau, kind, *ab)
             for g, ab, (tau, rate, _, S, K, kind) in zip(logs, intervals,
                                                          groups)]
 

@@ -314,11 +314,13 @@ def _price_quotes(data_dir, tmp_path, small_model, quotes, *flags):
 def test_price_history_must_cover_quote_dates(data_dir, tmp_path,
                                               small_model, capsys):
     # a quote date outside the history, or one with fewer than 22
-    # observations up to it, exits 2 naming the date and writes nothing
+    # observations up to and including it (index 20), exits 2 naming the
+    # date and writes nothing; index 21, the first date with 22, prices
     early = FIRST_DAY + dt.timedelta(days=20)
     cases = ((dt.date(1999, 6, 1),
               "no RV history for quote date 1999-06-01"),
-             (early, f"fewer than 22 observations before {early}"))
+             (early, "fewer than 22 observations up to and including "
+                     f"{early}"))
     for qdate, message in cases:
         quote = make_quote(1.0, 40, "call", qdate=qdate, mid=20.0,
                            market_iv=0.2)
@@ -326,6 +328,13 @@ def test_price_history_must_cover_quote_dates(data_dir, tmp_path,
         assert code == 2, qdate
         assert message in capsys.readouterr().err
         assert not out.exists(), qdate
+    first = make_quote(1.0, 40, "call", qdate=early + dt.timedelta(days=1),
+                       mid=20.0, market_iv=0.2)
+    code, out = _price_quotes(data_dir, tmp_path, small_model, (first,))
+    assert code == 0
+    with open(out, newline="") as fh:
+        row, = csv.DictReader(fh)
+    assert row["error"] == "" and float(row["model_price"]) > 0.0
 
 
 def test_price_no_filter_prices_screened_rows(data_dir, tmp_path,

@@ -28,7 +28,7 @@ from lharg import (
 from lharg import mgf
 from lharg.mgf import _guarded, log_mgf, raw_cumulants
 from lharg.model import _measure_form
-from lharg.pricing import COS_TERMS, _truncation, model_atm_iv
+from lharg.pricing import COS_TERMS, _cos_grid, _truncation, model_atm_iv
 
 from conftest import random_state_arrays
 from oracles import risk_neutral_map, risk_neutral_state, shift_and_add
@@ -499,7 +499,7 @@ class TestAgainstShiftAndAdd:
             for horizon in self.HORIZONS:
                 a, b = _truncation(raw_cumulants(
                     params, stationary_state(params), horizon, nu1=nu1))
-                u = np.arange(COS_TERMS) * np.pi / (b - a)
+                u = _cos_grid(a, b, COS_TERMS)
                 for z in (real, 1j * u):
                     want = shift_and_add(p, weights, z, horizon)
                     got = _coefficients(p, weights, z, horizon)

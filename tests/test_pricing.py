@@ -4,6 +4,7 @@ import datetime as dt
 import importlib.util
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from lharg.options import OptionChain, OptionQuote
 from lharg.pricing import (
     COS_TERMS,
     COS_WIDTH,
+    _cos_grid,
     _truncation,
     bs_price,
     cos_price,
@@ -37,7 +39,7 @@ import lharg.mgf as mgf_mod
 import lharg.pricing as pricing_mod
 
 from conftest import random_state_arrays
-from oracles import model_cf
+from oracles import lewis_calls, model_cf
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -50,14 +52,13 @@ def bs_cf(sigma, r, tau):
     return cf
 
 
-def signed_density_cf(cf, eps, mean, sd):
-    # (1 + eps) f - eps N(mean, sd^2): still normalized, but negative near
-    # mean, so a put whose payoff covers that dip prices below zero
-    def bumped(u):
-        u = np.asarray(u)
-        return (1.0 + eps) * cf(u) - eps * np.exp(1j * u * mean
-                                                  - 0.5 * (sd * u) ** 2)
-    return bumped
+def signed_density(phi, a, b, eps, mean, sd):
+    # (1 + eps) f - eps N(mean, sd^2) on phi's grid: still normalized, but
+    # negative near mean, so a put whose payoff covers that dip prices
+    # below zero
+    u = _cos_grid(a, b, len(phi))
+    return (1.0 + eps) * phi - eps * np.exp(1j * u * mean
+                                            - 0.5 * (sd * u) ** 2)
 
 
 def bs_interval(sigma, r, tau):
@@ -71,56 +72,69 @@ class TestCosAgainstBlackScholes:
     def test_atm_call_value(self):
         # closed form: 100*(2*Phi(0.1)-1) = 7.965567455...
         a, b = bs_interval(0.2, 0.0, 1.0)
-        price = cos_price(bs_cf(0.2, 0.0, 1.0), 100.0, 100.0, 0.0, 1, "call",
-                          a, b)
+        phi = bs_cf(0.2, 0.0, 1.0)(_cos_grid(a, b, COS_TERMS))
+        price = cos_price(phi, 100.0, 100.0, 0.0, 1, "call", a, b)
         assert abs(price - 7.9655674554) < 1e-6
         assert abs(price - bs_price(100.0, 100.0, 0.0, 0.2, 1.0, "call")) < 1e-8
 
     def test_strike_grid_both_types(self):
         sigma, r, tau = 0.25, 0.0002, 126.0
         a, b = bs_interval(sigma / np.sqrt(252), r, tau)
-        cf = bs_cf(sigma / np.sqrt(252), r, tau)
+        phi = bs_cf(sigma / np.sqrt(252), r, tau)(_cos_grid(a, b, COS_TERMS))
         for strike in (70.0, 90.0, 100.0, 115.0, 140.0):
             for kind in ("call", "put"):
-                got = cos_price(cf, 100.0, strike, r, 126, kind, a, b)
+                got = cos_price(phi, 100.0, strike, r, 126, kind, a, b)
                 ref = bs_price(100.0, strike, r, sigma / np.sqrt(252), tau,
                                kind)
                 assert abs(got - ref) < 1e-7
 
     def test_unnormalized_cf_rejected(self):
+        # phi[0] off 1, and a phi that is empty or not 1-D, for one strike
+        # or many
         a, b = bs_interval(0.2, 0.0, 1.0)
-        with pytest.raises(ValidationError, match="not normalized"):
-            cos_price(lambda u: 2.0 * np.ones_like(np.asarray(u)), 100.0,
-                      100.0, 0.0, 1, "call", a, b)
+        phi = bs_cf(0.2, 0.0, 1.0)(_cos_grid(a, b, COS_TERMS))
+        cases = ((2.0 * phi, "not normalized"),
+                 (phi[:0], "non-empty 1-D"),
+                 (np.stack([phi, phi]), "non-empty 1-D"),
+                 (phi[:, None], "non-empty 1-D"),
+                 (phi[0], "non-empty 1-D"))
+        for bad, message in cases:
+            for strikes in (100.0, [90.0, 100.0]):
+                with pytest.raises(ValidationError, match=message):
+                    cos_price(bad, 100.0, strikes, 0.0, 1, "call", a, b)
 
     def test_nan_cf_rejected(self):
-        # a NaN cf(0) fails the normalization check, for one strike or many
+        # a NaN phi[0] fails the normalization check, alone or with every
+        # other value NaN, for one strike or many
         a, b = bs_interval(0.2, 0.0, 1.0)
-        for strikes in (100.0, [90.0, 100.0]):
-            with pytest.raises(ValidationError, match="not normalized"):
-                cos_price(lambda u: np.full(np.shape(u), np.nan + 0j), 100.0,
-                          strikes, 0.0, 1, "put", a, b)
+        phi = bs_cf(0.2, 0.0, 1.0)(_cos_grid(a, b, COS_TERMS))
+        phi[0] = np.nan
+        for bad in (phi, np.full(COS_TERMS, np.nan + 0j)):
+            for strikes in (100.0, [90.0, 100.0]):
+                with pytest.raises(ValidationError, match="not normalized"):
+                    cos_price(bad, 100.0, strikes, 0.0, 1, "put", a, b)
 
     def test_empty_interval_rejected(self):
         a, b = bs_interval(0.2, 0.0, 1.0)
+        phi = bs_cf(0.2, 0.0, 1.0)(_cos_grid(a, b, COS_TERMS))
         for lo, hi in ((b, a), (a, a), (np.nan, b)):
             with pytest.raises(ValidationError, match="b > a"):
-                cos_price(bs_cf(0.2, 0.0, 1.0), 100.0, 100.0, 0.0, 1, "call",
-                          lo, hi)
+                cos_price(phi, 100.0, 100.0, 0.0, 1, "call", lo, hi)
 
     def test_negative_price_fails_alone(self):
         # a strike whose expansion dips below -1e-10 is NaN in an array
         # result, and the others keep their prices; alone it raises
         a, b = bs_interval(0.2, 0.0, 1.0)
-        cf = signed_density_cf(bs_cf(0.2, 0.0, 1.0), 1e-3, -0.7, 0.01)
+        phi = signed_density(bs_cf(0.2, 0.0, 1.0)(_cos_grid(a, b, COS_TERMS)),
+                             a, b, 1e-3, -0.7, 0.01)
         strikes = np.array([40.0, 52.0, 100.0])
-        prices = cos_price(cf, 100.0, strikes, 0.0, 1, "put", a, b)
+        prices = cos_price(phi, 100.0, strikes, 0.0, 1, "put", a, b)
         assert np.isnan(prices[1])
         assert prices[[0, 2]].tolist() == [
-            cos_price(cf, 100.0, k, 0.0, 1, "put", a, b)
+            cos_price(phi, 100.0, k, 0.0, 1, "put", a, b)
             for k in (40.0, 100.0)]
         with pytest.raises(NumericalError, match="below -1e-10"):
-            cos_price(cf, 100.0, 52.0, 0.0, 1, "put", a, b)
+            cos_price(phi, 100.0, 52.0, 0.0, 1, "put", a, b)
 
 
 class TestCosOnModel:
@@ -129,50 +143,48 @@ class TestCosOnModel:
         st = stationary_state(zmlharg)
         tau = 126
         a, b = _truncation(raw_cumulants(zmlharg, st, tau, nu1=nu1))
-        cf = model_cf(zmlharg, st, nu1, tau)
+        phi = model_cf(zmlharg, st, nu1, tau)(_cos_grid(a, b, COS_TERMS))
         for m in (0.85, 0.95, 1.0, 1.1, 1.2):
             strike = 100.0 * m
-            call = cos_price(cf, 100.0, strike, zmlharg.r, tau, "call", a, b)
-            put = cos_price(cf, 100.0, strike, zmlharg.r, tau, "put", a, b)
+            call = cos_price(phi, 100.0, strike, zmlharg.r, tau, "call", a, b)
+            put = cos_price(phi, 100.0, strike, zmlharg.r, tau, "put", a, b)
             parity = 100.0 - strike * np.exp(-zmlharg.r * tau)
             assert abs(call - put - parity) < 1e-8
 
-    def test_doubling_terms_converged(self, zmlharg, monkeypatch):
-        # the shipped COS_TERMS against twice as many terms
+    def test_doubling_terms_converged(self, zmlharg):
+        # the shipped COS_TERMS against twice as many terms: the first
+        # COS_TERMS and all 2*COS_TERMS values of one grid
         nu1 = -3375.0
         st = stationary_state(zmlharg)
         for tau in (22, 252):
             a, b = _truncation(raw_cumulants(zmlharg, st, tau, nu1=nu1))
-            cf = model_cf(zmlharg, st, nu1, tau)
+            phi = model_cf(zmlharg, st, nu1, tau)(
+                _cos_grid(a, b, 2 * COS_TERMS))
             for m in (0.8, 1.0, 1.2):
                 for kind in ("put", "call"):
-                    args = (cf, 100.0, 100.0 * m, zmlharg.r, tau, kind, a, b)
-                    monkeypatch.setattr(pricing_mod, "COS_TERMS", COS_TERMS)
-                    p1 = cos_price(*args)
-                    monkeypatch.setattr(pricing_mod, "COS_TERMS",
-                                        2 * COS_TERMS)
-                    p2 = cos_price(*args)
+                    p1, p2 = (cos_price(phi[:n], 100.0, 100.0 * m, zmlharg.r,
+                                        tau, kind, a, b)
+                              for n in (COS_TERMS, 2 * COS_TERMS))
                     assert abs(p1 - p2) < 1e-12 * 100.0 * m
 
-    def test_truncation_against_wide_reference(self, zmlharg, monkeypatch):
+    def test_truncation_against_wide_reference(self, zmlharg):
         # the cumulant truncation rule at COS_TERMS terms against 4096 terms
         # on an interval 1.6x as wide about the same centre.  Puts only: a
         # call's payoff coefficients grow like exp(b), and on the wide
         # interval their roundoff reaches 1e-11 at tau = 252
         nu1 = -3000.0
         st = stationary_state(zmlharg)
-        cases = []
+        strikes = 100.0 * np.array([0.8, 0.9, 1.0, 1.1, 1.2])
         for tau in (14, 63, 252):
             a, b = _truncation(raw_cumulants(zmlharg, st, tau, nu1=nu1))
+            mid, half = 0.5 * (a + b), 0.8 * (b - a)
             cf = model_cf(zmlharg, st, nu1, tau)
-            for m in (0.8, 0.9, 1.0, 1.1, 1.2):
-                args = (cf, 100.0, 100.0 * m, zmlharg.r, tau, "put")
-                cases.append((args, cos_price(*args, a, b),
-                              0.5 * (a + b), 0.8 * (b - a)))
-        monkeypatch.setattr(pricing_mod, "COS_TERMS", 4096)
-        for args, price, mid, half in cases:
-            reference = cos_price(*args, mid - half, mid + half)
-            assert abs(price - reference) < 1e-11
+            shipped, reference = (
+                cos_price(cf(_cos_grid(lo, hi, n)), 100.0, strikes,
+                          zmlharg.r, tau, "put", lo, hi)
+                for lo, hi, n in ((a, b, COS_TERMS),
+                                  (mid - half, mid + half, 4096)))
+            assert np.all(np.abs(shipped - reference) < 1e-11)
 
     def test_batch_equals_loop(self, zmlharg):
         # one call on a strike array equals one scalar call per strike,
@@ -182,27 +194,22 @@ class TestCosOnModel:
         st = stationary_state(zmlharg)
         tau = 63
         a, b = _truncation(raw_cumulants(zmlharg, st, tau, nu1=nu1))
-        phi = model_cf(zmlharg, st, nu1, tau)(
-            np.arange(COS_TERMS) * np.pi / (b - a))
-
-        def cf(u):
-            return phi
-
+        phi = model_cf(zmlharg, st, nu1, tau)(_cos_grid(a, b, COS_TERMS))
         strikes = 100.0 * np.exp(np.r_[a - 0.5, b + 0.5,
                                        np.linspace(a, b, 25)])
         kinds = np.where(strikes > 100.0, "call", "put")
         for kind in ("call", "put", kinds):
-            batch = cos_price(cf, 100.0, strikes, zmlharg.r, tau, kind, a, b)
+            batch = cos_price(phi, 100.0, strikes, zmlharg.r, tau, kind, a, b)
             kind = np.broadcast_to(kind, strikes.shape)
-            loop = [cos_price(cf, 100.0, k, zmlharg.r, tau, t, a, b)
+            loop = [cos_price(phi, 100.0, k, zmlharg.r, tau, t, a, b)
                     for k, t in zip(strikes, kind)]
             assert batch.shape == strikes.shape
             assert all(type(price) is float for price in loop)
             assert np.all(np.abs(batch - loop) <= 1e-15 * np.abs(loop))
-        assert cos_price(cf, 100.0, strikes[:2], zmlharg.r, tau,
+        assert cos_price(phi, 100.0, strikes[:2], zmlharg.r, tau,
                          ["put", "call"], a, b).tolist() == [0.0, 0.0]
         with pytest.raises(ValidationError, match="'straddle'"):
-            cos_price(cf, 100.0, strikes[:3], zmlharg.r, tau,
+            cos_price(phi, 100.0, strikes[:3], zmlharg.r, tau,
                       ["call", "straddle", "put"], a, b)
 
     def test_monotone_in_strike(self, zmlharg):
@@ -210,11 +217,11 @@ class TestCosOnModel:
         st = stationary_state(zmlharg)
         tau = 63
         a, b = _truncation(raw_cumulants(zmlharg, st, tau, nu1=nu1))
-        cf = model_cf(zmlharg, st, nu1, tau)
+        phi = model_cf(zmlharg, st, nu1, tau)(_cos_grid(a, b, COS_TERMS))
         strikes = np.linspace(80.0, 120.0, 17)
-        calls = [cos_price(cf, 100.0, k, zmlharg.r, tau, "call", a, b)
+        calls = [cos_price(phi, 100.0, k, zmlharg.r, tau, "call", a, b)
                  for k in strikes]
-        puts = [cos_price(cf, 100.0, k, zmlharg.r, tau, "put", a, b)
+        puts = [cos_price(phi, 100.0, k, zmlharg.r, tau, "put", a, b)
                 for k in strikes]
         assert np.all(np.diff(calls) < 0.0)
         assert np.all(np.diff(puts) > 0.0)
@@ -226,10 +233,10 @@ class TestCosOnModel:
         st = stationary_state(zmlharg)
         for tau in (10, 50, 160, 365):
             a, b = _truncation(raw_cumulants(zmlharg, st, tau, nu1=nu1))
-            cf = model_cf(zmlharg, st, nu1, tau)
+            phi = model_cf(zmlharg, st, nu1, tau)(_cos_grid(a, b, COS_TERMS))
             for m in (0.8, 0.9, 1.0, 1.1, 1.2):
                 kind = "call" if m >= 1.0 else "put"
-                price = cos_price(cf, 100.0, 100.0 * m, zmlharg.r, tau, kind,
+                price = cos_price(phi, 100.0, 100.0 * m, zmlharg.r, tau, kind,
                                   a, b)
                 iv = implied_vol(price, 100.0, 100.0 * m, zmlharg.r, tau,
                                  kind) * np.sqrt(252.0)
@@ -237,15 +244,17 @@ class TestCosOnModel:
 
 
 class TestCosTermsGate:
-    """COS_TERMS against the characteristic function it drops.
+    """COS_TERMS, the N that `_price_groups` picks for its cf grids,
+    against the characteristic function it drops.
 
-    N cosine terms leave out phi(u_k) for k >= N.  Over P-LHARG and
-    ZM-LHARG states with rv lags at scales 1e-6 to 1e-3, maturities of 10
-    to 365 days and nu1 in {-2000, -3000}, the dropped terms
-    N <= k < 2N must stay below BOUND in modulus, and N- and 2N-term
-    prices must agree within BOUND * K.  The tail is largest on calm
-    10-day states: there, at N = 256, it measured below 9e-14, and
-    k in [192, 256) reached 1.6e-11 to 2.5e-11."""
+    `cos_price` expands in N = len(phi) cosine terms, so it leaves out
+    phi(u_k) for k >= N; the tests pass it the first N or all 2N values of
+    one 2N-point grid.  Over P-LHARG and ZM-LHARG states with rv lags at
+    scales 1e-6 to 1e-3, maturities of 10 to 365 days and nu1 in
+    {-2000, -3000}, the dropped terms N <= k < 2N must stay below BOUND in
+    modulus, and N- and 2N-term prices must agree within BOUND * K.  The
+    tail is largest on calm 10-day states: there, at N = 256, it measured
+    below 9e-14, and k in [192, 256) reached 1.6e-11 to 2.5e-11."""
 
     BOUND = 1e-12
     SCALES = (1e-6, 1e-5, 1.1e-4, 1e-3)
@@ -269,8 +278,8 @@ class TestCosTermsGate:
                     params, st, tau, nu1=nu1)))
                     for scale, st in states.items() for tau in self.MATURITIES]
                 logs = mgf_mod._log_mgf_segments(params, nu1, [
-                    (1j * np.arange(2 * COS_TERMS) * np.pi / (b - a), tau,
-                     params.r, states[scale]) for scale, tau, a, b in cases])
+                    (1j * _cos_grid(a, b, 2 * COS_TERMS), tau, params.r,
+                     states[scale]) for scale, tau, a, b in cases])
                 for (scale, tau, a, b), g in zip(cases, logs):
                     out[params.variant, scale, nu1, tau] = (
                         params, a, b, np.exp(g))
@@ -282,19 +291,16 @@ class TestCosTermsGate:
         worst = max(tail, key=tail.get)
         assert tail[worst] < self.BOUND, (worst, tail[worst])
 
-    def test_doubling_terms_agrees(self, grids, monkeypatch):
+    def test_doubling_terms_agrees(self, grids):
         # calls checked on their own: their payoff coefficients grow like
         # exp(b), so parity with the puts would not bound their error
         strikes = 100.0 * np.linspace(0.8, 1.2, 9)
         gaps = {}
         for key, (params, a, b, phi) in grids.items():
             for kind in ("put", "call"):
-                prices = []
-                for n in (COS_TERMS, 2 * COS_TERMS):
-                    monkeypatch.setattr(pricing_mod, "COS_TERMS", n)
-                    prices.append(cos_price(lambda u: phi[:len(u)], 100.0,
-                                            strikes, params.r, key[-1], kind,
-                                            a, b))
+                prices = [cos_price(phi[:n], 100.0, strikes, params.r, key[-1],
+                                    kind, a, b)
+                          for n in (COS_TERMS, 2 * COS_TERMS)]
                 gaps[key + (kind,)] = np.max(np.abs(prices[0] - prices[1])
                                              / strikes)
         worst = max(gaps, key=gaps.get)
@@ -341,6 +347,41 @@ class TestCosAgainstMonteCarlo:
                 se = payoff.std(axis=0, ddof=1) / np.sqrt(self.N_PATHS)
                 assert np.all(np.abs(prices[j] - mean) <= 4.0 * se), \
                     (params.variant, tau, (prices[j] - mean) / se)
+
+
+class TestCosAgainstLewis:
+    """COS prices from the shared passes against Lewis's Fourier formula
+    (`oracles.lewis_calls`), which integrates the tilted recursion's MGF
+    off the imaginary axis: it shares neither `mgf._steps` nor `cos_price`
+    with the pricer, and at 1e-12 * K it sees what a few Monte Carlo
+    standard errors cannot, such as a discount one day off.  Each maturity
+    has its own rate, so a group priced at another group's rate shows
+    too."""
+
+    NU1 = -3000.0
+    CASES = ((14, 1e-4), (63, 2e-4), (252, 0.5e-4))     # (days, daily rate)
+    MONEYNESS = np.linspace(0.8, 1.2, 9)
+
+    def test_prices_within_1e12_of_the_strike(self, zmlharg):
+        # calls against the formula, puts against it through parity
+        st = stationary_state(zmlharg)
+        strikes = np.r_[self.MONEYNESS, self.MONEYNESS]
+        kinds = np.repeat(["call", "put"], self.MONEYNESS.size)
+        prices = pricing_mod._price_groups(zmlharg, self.NU1, [
+            (tau, rate, st, 1.0, strikes, kinds) for tau, rate in self.CASES])
+        for (tau, rate), got in zip(self.CASES, prices):
+            at_rate = replace(zmlharg, r=rate)
+            calls, tail = lewis_calls(at_rate, st, self.NU1, tau, 1.0,
+                                      self.MONEYNESS)
+            # the quadrature is resolved: the MGF has died out where the
+            # integral stops, and twice the panels move no price by 1e-13
+            assert tail < 1e-13, (tau, tail)
+            finer, _ = lewis_calls(at_rate, st, self.NU1, tau, 1.0,
+                                   self.MONEYNESS, panels=128)
+            assert np.max(np.abs(finer - calls)) < 1e-13, tau
+            puts = calls - 1.0 + self.MONEYNESS * np.exp(-rate * tau)
+            gap = np.abs(got - np.r_[calls, puts]) / strikes
+            assert gap.max() < 1e-12, (tau, gap.max())
 
 
 class TestImpliedVol:
@@ -537,8 +578,10 @@ class TestPriceChain:
         # below -1e-10: only those two rows fail
         original = pricing_mod.cos_price
 
-        def bumped(cf, *args):
-            return original(signed_density_cf(cf, 1e-3, -0.5, 0.01), *args)
+        def bumped(phi, *args):
+            # args end with the interval (a, b) that phi's grid is built on
+            return original(signed_density(phi, *args[-2:], 1e-3, -0.5, 0.01),
+                            *args)
 
         monkeypatch.setattr(pricing_mod, "cos_price", bumped)
         chain = OptionChain((make_quote(1.0, 63, "call"),
@@ -585,8 +628,7 @@ class TestPriceChain:
             try:
                 a, b = _truncation(raw_cumulants(zmlharg, state,
                                                  q.maturity_days, nu1=nu1))
-                mgf_q(zmlharg, state, nu1,
-                      1j * np.arange(COS_TERMS) * np.pi / (b - a),
+                mgf_q(zmlharg, state, nu1, 1j * _cos_grid(a, b, COS_TERMS),
                       q.maturity_days)
             except RecursionDomainError as exc:
                 failed.add(str(exc))

@@ -23,7 +23,7 @@ from lharg import (
     mgf_q,
 )
 from lharg.mgf import _log_mgf_segments, raw_cumulants
-from lharg.pricing import _truncation, cos_price
+from lharg.pricing import COS_TERMS, _cos_grid, _truncation, cos_price
 
 from conftest import random_state_arrays
 from oracles import model_cf, risk_neutral_map, risk_neutral_state
@@ -96,8 +96,8 @@ class TestCosProperties:
         strikes = 100.0 * np.exp(c1 + np.sqrt(c2) * np.linspace(-2.5, 2.5, 11))
         a, b = _truncation(kappas)
         # one cf grid prices both rows: calls, then puts
-        calls, puts = cos_price(model_cf(params, state, nu1, horizon),
-                                100.0, strikes, params.r, horizon,
+        phi = model_cf(params, state, nu1, horizon)(_cos_grid(a, b, COS_TERMS))
+        calls, puts = cos_price(phi, 100.0, strikes, params.r, horizon,
                                 [["call"], ["put"]], a, b)
         parity = 100.0 - strikes * np.exp(-params.r * horizon)
         assert np.max(np.abs(calls - puts - parity)) < 1e-8
