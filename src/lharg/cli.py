@@ -32,7 +32,7 @@ from .model import (
 )
 from .options import FILTER_RULES, OptionChain, filter_options
 from .pricing import price_chain, rmse_iv
-from .simulate import mc_mgf_from_samples, simulate_paths, simulate_y_snapshots
+from .simulate import _snapshot_runs, mc_mgf_from_samples, simulate_paths
 
 PATHSET_MAGIC = b"LHPS"
 PATHSET_VERSION = 1
@@ -255,10 +255,11 @@ def _cmd_simulate(args) -> int:
     state = _load_state(params, args.rv, args.returns)
     paths = simulate_paths(params, state, args.days, args.paths, nu1=nu1,
                            seed=args.seed, burn_in=args.burn_in)
-    rv, y = paths.rv_paths.T, paths.y_paths.T    # one row per day
-    q = np.quantile(rv, [0.05, 0.5, 0.95], axis=1)
-    cells = np.column_stack([rv.mean(axis=1), rv.var(axis=1), *q,
-                             y.mean(axis=1), y.var(axis=1)])
+    # one day-row at a time: whole-matrix axis=1 reductions would allocate
+    # (horizon, n_paths) temporaries
+    cells = ([r.mean(), r.var(), *np.quantile(r, [0.05, 0.5, 0.95]),
+              s.mean(), s.var()]
+             for r, s in zip(paths.rv_paths.T, paths.y_paths.T))
     _write_csv(args.out, ["day", "rv_mean", "rv_var", "rv_q05", "rv_q50",
                           "rv_q95", "y_mean", "y_var"],
                ([t + 1] + [repr(float(c)) for c in row]
@@ -397,11 +398,14 @@ def _cmd_mgf_check(args) -> int:
     zs = np.concatenate([z_real.astype(complex), 1j * u_imag])
     nu1 = _nu1(args, extras)
     runs = [("P", None)] + ([("Q", nu1)] if nu1 is not None else [])
+    # the P and Q runs are simulate_y_snapshots' runs at the same seed,
+    # drained together on the free CPUs; the report below takes them in
+    # run order, so its rows and lines do not depend on the scheduling
+    snaps = _snapshot_runs(params, state, MATURITY_GRID, args.paths,
+                           [nu1 for _, nu1 in runs], args.seed)
     worst = 0.0
     rows = []
-    for measure, nu1 in runs:
-        ysnap, clamps = simulate_y_snapshots(
-            params, state, MATURITY_GRID, args.paths, nu1=nu1, seed=args.seed)
+    for (measure, nu1), (ysnap, clamps) in zip(runs, snaps):
         print(f"{measure} clamps: {clamps} noncentrality clamp events")
         for j, horizon in enumerate(MATURITY_GRID):
             analytic = np.exp(log_mgf(params, state, zs, horizon, nu1=nu1))

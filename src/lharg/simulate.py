@@ -17,11 +17,25 @@ PCG64 stream spawned as SeedSequence(seed).spawn(...)[b] and fills a fixed
 range of rows, so a fixed seed reproduces the same paths bit for bit.
 n_paths, horizon and maturities must be positive and burn_in and seed
 nonnegative integers; other inputs raise ValidationError before any work.
+
+Each block's day loop, and in _snapshot_runs each (run, block) pair's, is
+one job of _drain, which runs the jobs concurrently: numpy's draws and
+array arithmetic release the interpreter lock.  Outputs do not depend on
+the scheduling, because each job owns its generator and its output columns
+and the clamp counts are summed after the join.  Checks and the measure
+set-up run on the calling thread before any worker starts, and workers run
+only this module's private code and numpy.  The calling thread runs job 0
+itself, so a single-block run starts no thread: each worker thread leaves
+behind a malloc arena of about 10 MB after a 20 000-path run.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+from collections import deque
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -132,6 +146,72 @@ def _blocks(params: ModelParams, state: MarketState,
             for s, n, rng in _block_streams(seed, n_paths)]
 
 
+def _drain(jobs):
+    """Call every job, a callable of no arguments; return the results in
+    job order.
+
+    The calling thread runs job 0 while at most os.cpu_count() - 1 worker
+    threads start on jobs 1, 2, ...; each thread then takes the next job
+    left.  After a failure no further job starts, and once every thread has
+    stopped the failure with the lowest job index re-raises here.
+    """
+    todo = deque(enumerate(jobs))
+    results, errors = [None] * len(jobs), {}
+
+    def run(i, job):
+        try:
+            results[i] = job()
+        except Exception as exc:
+            errors[i] = exc
+            todo.clear()
+
+    def work():
+        while True:
+            try:
+                item = todo.popleft()
+            except IndexError:
+                return
+            run(*item)
+
+    first = todo.popleft()
+    threads = [threading.Thread(target=work)
+               for _ in range(min(len(todo), (os.cpu_count() or 1) - 1))]
+    for t in threads:
+        t.start()
+    try:
+        run(*first)
+        work()
+    finally:
+        todo.clear()            # an interrupt here starts no further job
+        for t in threads:
+            t.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
+def _record_paths(steps, rv_out, y_out, burn_in):
+    # one block's days into its columns of the day-major matrices
+    clamps = 0
+    for day, (rv, y, c) in enumerate(steps, start=-burn_in):
+        if day >= 0:
+            rv_out[day] = rv
+            y_out[day] = y
+            clamps += c
+    return clamps
+
+
+def _record_snapshots(steps, out, days):
+    # one block's running sums into its rows of out, column j at days[j]
+    y_running = np.zeros(out.shape[0])
+    clamps = 0
+    for day, (_, y, c) in enumerate(steps, start=1):
+        y_running += y
+        out[:, days == day] = y_running[:, None]
+        clamps += c
+    return clamps
+
+
 def simulate_paths(params: ModelParams, state: MarketState, horizon: int,
                    n_paths: int, nu1: float | None = None,
                    seed: int = 0, burn_in: int = 0) -> PathSet:
@@ -151,15 +231,11 @@ def simulate_paths(params: ModelParams, state: MarketState, horizon: int,
     blocks = _blocks(params, state, nu1, n_paths, seed, burn_in + horizon)
     rv_out = np.empty((horizon, n_paths))
     y_out = np.empty((horizon, n_paths))
-    clamps = 0
-    for rows, steps in blocks:
-        for day, (rv, y, c) in enumerate(steps, start=-burn_in):
-            if day >= 0:
-                rv_out[day, rows] = rv
-                y_out[day, rows] = y
-                clamps += c
+    clamps = _drain([partial(_record_paths, steps, rv_out[:, rows],
+                             y_out[:, rows], burn_in)
+                     for rows, steps in blocks])
     return PathSet(n_paths=n_paths, horizon=horizon, rv_paths=rv_out.T,
-                   y_paths=y_out.T, rng_seed=seed, clamp_count=clamps,
+                   y_paths=y_out.T, rng_seed=seed, clamp_count=sum(clamps),
                    measure="P" if nu1 is None else "Q")
 
 
@@ -174,19 +250,23 @@ def simulate_y_snapshots(params: ModelParams, state: MarketState,
     order; a repeated maturity fills each of its columns.  Paths and
     clamps match simulate_paths over max(maturities) days at the same seed.
     """
+    return _snapshot_runs(params, state, maturities, n_paths, [nu1], seed)[0]
+
+
+def _snapshot_runs(params, state, maturities, n_paths, nu1s, seed):
+    """simulate_y_snapshots for each nu1 of nu1s, every run's blocks
+    drained together; returns one (ysnap, clamp_count) per run."""
     days = np.array([_whole("maturities", m, 1) for m in maturities], int)
     if days.size == 0:
         raise ValidationError("maturities must be a nonempty list of days")
-    blocks = _blocks(params, state, nu1, n_paths, seed, int(days.max()))
-    out = np.empty((n_paths, days.size))
-    clamps = 0
-    for rows, steps in blocks:
-        y_running = np.zeros(rows.stop - rows.start)
-        for day, (_, y, c) in enumerate(steps, start=1):
-            y_running += y
-            out[rows, days == day] = y_running[:, None]
-            clamps += c
-    return out, clamps
+    runs = [_blocks(params, state, nu1, n_paths, seed, int(days.max()))
+            for nu1 in nu1s]
+    outs = [np.empty((n_paths, days.size)) for _ in runs]
+    clamps = iter(_drain([partial(_record_snapshots, steps, out[rows], days)
+                          for out, blocks in zip(outs, runs)
+                          for rows, steps in blocks]))
+    return [(out, sum(next(clamps) for _ in blocks))
+            for out, blocks in zip(outs, runs)]
 
 
 def mc_mgf_from_samples(y_total: np.ndarray, z_grid):

@@ -2,22 +2,25 @@
 
 import csv
 import datetime as dt
+import importlib.util
 import re
 import struct
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lharg import ModelParams, simulate_paths, stationary_state
+from lharg import cli
 from lharg.cli import PATHSET_MAGIC, PATHSET_VERSION, main
 from lharg.io import DatedSeries, load_params, save_params
 from lharg.options import OptionChain
 
 from oracles import write_option_chain, write_series
-from test_pricing import make_quote
+from test_pricing import TRACING, make_quote
 
 
 @pytest.fixture(scope="module")
@@ -423,6 +426,40 @@ def test_mgf_check_reports_clamps(tmp_path, zmlharg, capsys):
         assert clamps > 0, measure
         line = f"{measure} clamps: {clamps} noncentrality clamp events"
         assert out.count(line) == 1, (measure, out)
+
+
+def test_traced_mgf_check_spans_stay_on_the_main_thread(tmp_path, zmlharg):
+    # the benchmark's tracer keeps one span stack, so a public function
+    # called off the main thread would nest its span under another
+    # thread's; the P and Q runs share the CPUs below every traced call
+    spec = importlib.util.spec_from_file_location("tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    opened_on = []
+
+    class ThreadRecorder(tracing.Recorder):
+        def _wrap(self, fn, name):
+            traced = super()._wrap(fn, name)
+
+            def wrapper(*args, **kwargs):
+                opened_on.append(threading.get_ident())
+                return traced(*args, **kwargs)
+            return wrapper
+
+    fit = tmp_path / "p.txt"
+    save_params(fit, zmlharg, extras={"nu1": -1000.0})
+    rec = ThreadRecorder()
+    with rec.installed(), rec.command_span("mgf-check"):
+        code = cli.main(["mgf-check", "--params", str(fit), "--paths", "2000",
+                         "--seed", "4", "--out", str(tmp_path / "check.csv")])
+    assert code == 0
+    assert rec.check_additivity() == []
+    names = [span[0] for span in rec.spans]
+    assert "simulate.mc_mgf_from_samples" in names
+    for name, _, _, parent, _, _ in rec.spans:
+        if name == "simulate.simulate_y_snapshots" and parent is not None:
+            assert not names[parent].startswith("simulate."), names[parent]
+    assert opened_on and set(opened_on) == {threading.main_thread().ident}
 
 
 def test_cli_import_skips_scipy_stats():

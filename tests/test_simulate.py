@@ -1,11 +1,14 @@
 """Noncentral-gamma sampling, path dynamics, and Monte Carlo estimators."""
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from lharg import (
+    NumericalError,
     ValidationError,
     expand_weights,
     filter_innovations,
@@ -273,6 +276,81 @@ class TestAgainstShiftAndAdd:
             assert np.array_equal(ring.y_paths, ref.y_paths)
             assert ring.clamp_count == ref.clamp_count
             assert (ring.clamp_count > 0) == clamping
+
+
+def _drained_in_turn(params, st, nu1, n_paths, seed, days):
+    # every block's day loop in the calling thread, one after another
+    rv = np.empty((days, n_paths))
+    y = np.empty((days, n_paths))
+    clamps = 0
+    for rows, steps in simulate._blocks(params, st, nu1, n_paths, seed, days):
+        for day, (r, s, c) in enumerate(steps):
+            rv[day, rows] = r
+            y[day, rows] = s
+            clamps += c
+    return rv.T, y.T, clamps
+
+
+class TestConcurrentBlocks:
+    @pytest.mark.parametrize("cpus", [1, 2, 6])
+    def test_same_as_blocks_in_turn(self, zmlharg, monkeypatch, cpus):
+        # 3 blocks a run, on no worker, one, and more workers than cores
+        # with a short switch interval: bit for bit the blocks drained one
+        # after another, clamps included
+        monkeypatch.setattr(simulate, "DEFAULT_BLOCK", 700)
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: cpus)
+        st = stationary_state(zmlharg)
+        maturities = [252, 1, 63, 252]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = simulate._snapshot_runs(zmlharg, st, maturities, 2000,
+                                           [None, -3375.0], 4)
+            for nu1, (ysnap, clamps) in zip([None, -3375.0], runs):
+                rv, y, ref_clamps = _drained_in_turn(zmlharg, st, nu1, 2000,
+                                                     4, 252)
+                paths = simulate_paths(zmlharg, st, 252, 2000, nu1=nu1,
+                                       seed=4)
+                assert np.array_equal(paths.rv_paths, rv)
+                assert np.array_equal(paths.y_paths, y)
+                assert paths.clamp_count == ref_clamps > 0
+                cum = np.cumsum(y, axis=1)
+                assert np.array_equal(ysnap, cum[:, np.array(maturities) - 1])
+                assert clamps == ref_clamps
+                alone = simulate_y_snapshots(zmlharg, st, maturities, 2000,
+                                             nu1=nu1, seed=4)
+                assert np.array_equal(alone[0], ysnap)
+                assert alone[1] == clamps
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_failed_job_raises_in_caller(self, zmlharg, monkeypatch):
+        # the Q run's day loop fails on a worker thread: its error re-raises
+        # in the caller, and no thread outlives the call
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+        original = simulate._day_steps
+        created, failed_on = [], []
+
+        def failing(*args):
+            job = len(created)
+            created.append(job)
+
+            def steps():
+                if job == 1:
+                    failed_on.append(threading.get_ident())
+                    raise NumericalError("day step failed")
+                yield from original(*args)
+            return steps()
+
+        monkeypatch.setattr(simulate, "_day_steps", failing)
+        st = stationary_state(zmlharg)
+        before = threading.active_count()
+        with pytest.raises(NumericalError, match="day step failed"):
+            simulate._snapshot_runs(zmlharg, st, [5, 10], 50,
+                                    [None, -3375.0], 1)
+        assert threading.active_count() == before
+        assert created == [0, 1]
+        assert failed_on and failed_on[0] != threading.get_ident()
 
 
 class TestMcMgf:
