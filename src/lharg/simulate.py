@@ -18,22 +18,25 @@ range of rows, so a fixed seed reproduces the same paths bit for bit.
 n_paths, horizon and maturities must be positive and burn_in and seed
 nonnegative integers; other inputs raise ValidationError before any work.
 
-Each block's day loop, and in _snapshot_runs each (run, block) pair's, is
-one job of _drain, which runs the jobs concurrently: numpy's draws and
-array arithmetic release the interpreter lock.  Outputs do not depend on
-the scheduling, because each job owns its generator and its output columns
-and the clamp counts are summed after the join.  Checks and the measure
-set-up run on the calling thread before any worker starts, and workers run
-only this module's private code and numpy.  The calling thread runs job 0
-itself, so a single-block run starts no thread: each worker thread leaves
-behind a malloc arena of about 10 MB after a 20 000-path run.
+_snapshot_runs simulates several runs that share a seed, one per nu1 (P
+and Q for mgf-check); each run is one job of _drain, which runs the jobs
+concurrently: numpy's draws and array arithmetic release the interpreter
+lock.  A job drains its run's blocks one after another, so a call holds one
+block's working set per run at a time, as many as it has runs.  Outputs do
+not depend on the scheduling, because each job owns its generators and its
+output array and the clamp counts are summed per run after the join.
+Checks and the measure set-up run on the calling thread before any worker
+starts, and workers run only this module's private code and numpy.  The
+calling thread runs job 0 itself and at most min(runs, CPUs) - 1 worker
+threads take the rest (CPUs as the process's affinity allows), so a
+one-run call such as simulate_y_snapshots starts no thread: each worker
+thread leaves behind a malloc arena of about 10 MB after a 20 000-path run.
 """
 
 from __future__ import annotations
 
 import os
-import threading
-from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -146,69 +149,45 @@ def _blocks(params: ModelParams, state: MarketState,
             for s, n, rng in _block_streams(seed, n_paths)]
 
 
+def _cpus():
+    # CPUs this process may run on, not the host's count
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:          # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _drain(jobs):
     """Call every job, a callable of no arguments; return the results in
     job order.
 
-    The calling thread runs job 0 while at most os.cpu_count() - 1 worker
-    threads start on jobs 1, 2, ...; each thread then takes the next job
-    left.  After a failure no further job starts, and once every thread has
-    stopped the failure with the lowest job index re-raises here.
+    The calling thread runs job 0 while at most _cpus() - 1 pool threads
+    take jobs 1, 2, ...; with no spare CPU the jobs run in turn here.  A
+    failure re-raises here, the lowest job index first, after the jobs not
+    yet started are cancelled and the running ones have stopped.
     """
-    todo = deque(enumerate(jobs))
-    results, errors = [None] * len(jobs), {}
-
-    def run(i, job):
+    workers = min(len(jobs) - 1, _cpus() - 1)
+    if workers < 1:
+        return [job() for job in jobs]
+    with ThreadPoolExecutor(workers) as pool:
+        rest = [pool.submit(job) for job in jobs[1:]]
         try:
-            results[i] = job()
-        except Exception as exc:
-            errors[i] = exc
-            todo.clear()
-
-    def work():
-        while True:
-            try:
-                item = todo.popleft()
-            except IndexError:
-                return
-            run(*item)
-
-    first = todo.popleft()
-    threads = [threading.Thread(target=work)
-               for _ in range(min(len(todo), (os.cpu_count() or 1) - 1))]
-    for t in threads:
-        t.start()
-    try:
-        run(*first)
-        work()
-    finally:
-        todo.clear()            # an interrupt here starts no further job
-        for t in threads:
-            t.join()
-    if errors:
-        raise errors[min(errors)]
-    return results
+            return [jobs[0]()] + [f.result() for f in rest]
+        except BaseException:
+            for f in rest:
+                f.cancel()
+            raise
 
 
-def _record_paths(steps, rv_out, y_out, burn_in):
-    # one block's days into its columns of the day-major matrices
+def _record_snapshots(blocks, out, days):
+    # one run's blocks in turn: running sums into out, column j at days[j]
     clamps = 0
-    for day, (rv, y, c) in enumerate(steps, start=-burn_in):
-        if day >= 0:
-            rv_out[day] = rv
-            y_out[day] = y
+    for rows, steps in blocks:
+        y_running = np.zeros(rows.stop - rows.start)
+        for day, (_, y, c) in enumerate(steps, start=1):
+            y_running += y
+            out[rows, days == day] = y_running[:, None]
             clamps += c
-    return clamps
-
-
-def _record_snapshots(steps, out, days):
-    # one block's running sums into its rows of out, column j at days[j]
-    y_running = np.zeros(out.shape[0])
-    clamps = 0
-    for day, (_, y, c) in enumerate(steps, start=1):
-        y_running += y
-        out[:, days == day] = y_running[:, None]
-        clamps += c
     return clamps
 
 
@@ -231,11 +210,15 @@ def simulate_paths(params: ModelParams, state: MarketState, horizon: int,
     blocks = _blocks(params, state, nu1, n_paths, seed, burn_in + horizon)
     rv_out = np.empty((horizon, n_paths))
     y_out = np.empty((horizon, n_paths))
-    clamps = _drain([partial(_record_paths, steps, rv_out[:, rows],
-                             y_out[:, rows], burn_in)
-                     for rows, steps in blocks])
+    clamps = 0
+    for rows, steps in blocks:
+        for day, (rv, y, c) in enumerate(steps, start=-burn_in):
+            if day >= 0:
+                rv_out[day, rows] = rv
+                y_out[day, rows] = y
+                clamps += c
     return PathSet(n_paths=n_paths, horizon=horizon, rv_paths=rv_out.T,
-                   y_paths=y_out.T, rng_seed=seed, clamp_count=sum(clamps),
+                   y_paths=y_out.T, rng_seed=seed, clamp_count=clamps,
                    measure="P" if nu1 is None else "Q")
 
 
@@ -254,19 +237,17 @@ def simulate_y_snapshots(params: ModelParams, state: MarketState,
 
 
 def _snapshot_runs(params, state, maturities, n_paths, nu1s, seed):
-    """simulate_y_snapshots for each nu1 of nu1s, every run's blocks
-    drained together; returns one (ysnap, clamp_count) per run."""
+    """simulate_y_snapshots for each nu1 of nu1s, the runs drained
+    together; returns one (ysnap, clamp_count) per run."""
     days = np.array([_whole("maturities", m, 1) for m in maturities], int)
     if days.size == 0:
         raise ValidationError("maturities must be a nonempty list of days")
     runs = [_blocks(params, state, nu1, n_paths, seed, int(days.max()))
             for nu1 in nu1s]
     outs = [np.empty((n_paths, days.size)) for _ in runs]
-    clamps = iter(_drain([partial(_record_snapshots, steps, out[rows], days)
-                          for out, blocks in zip(outs, runs)
-                          for rows, steps in blocks]))
-    return [(out, sum(next(clamps) for _ in blocks))
-            for out, blocks in zip(outs, runs)]
+    clamps = _drain([partial(_record_snapshots, blocks, out, days)
+                     for blocks, out in zip(runs, outs)])
+    return list(zip(outs, clamps))
 
 
 def mc_mgf_from_samples(y_total: np.ndarray, z_grid):

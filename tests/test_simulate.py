@@ -291,14 +291,14 @@ def _drained_in_turn(params, st, nu1, n_paths, seed, days):
     return rv.T, y.T, clamps
 
 
-class TestConcurrentBlocks:
+class TestConcurrentRuns:
     @pytest.mark.parametrize("cpus", [1, 2, 6])
     def test_same_as_blocks_in_turn(self, zmlharg, monkeypatch, cpus):
-        # 3 blocks a run, on no worker, one, and more workers than cores
-        # with a short switch interval: bit for bit the blocks drained one
+        # 3 blocks a run, on no worker, one, and more CPUs than runs with
+        # a short switch interval: bit for bit the blocks drained one
         # after another, clamps included
         monkeypatch.setattr(simulate, "DEFAULT_BLOCK", 700)
-        monkeypatch.setattr(simulate.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(simulate, "_cpus", lambda: cpus)
         st = stationary_state(zmlharg)
         maturities = [252, 1, 63, 252]
         interval = sys.getswitchinterval()
@@ -327,7 +327,7 @@ class TestConcurrentBlocks:
     def test_failed_job_raises_in_caller(self, zmlharg, monkeypatch):
         # the Q run's day loop fails on a worker thread: its error re-raises
         # in the caller, and no thread outlives the call
-        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(simulate, "_cpus", lambda: 2)
         original = simulate._day_steps
         created, failed_on = [], []
 
@@ -351,6 +351,37 @@ class TestConcurrentBlocks:
         assert threading.active_count() == before
         assert created == [0, 1]
         assert failed_on and failed_on[0] != threading.get_ident()
+
+    def test_blocks_of_a_run_held_one_at_a_time(self, zmlharg, monkeypatch):
+        # a run drains its 10 blocks in turn, so the call holds about one
+        # block's working set per run, as with 1 block a run
+        monkeypatch.setattr(simulate, "DEFAULT_BLOCK", 500)
+        monkeypatch.setattr(simulate, "_cpus", lambda: 4)
+        st = stationary_state(zmlharg)
+        simulate_y_snapshots(zmlharg, st, [5], 10)    # warm caches
+        for nu1s in ([None], [None, -3375.0]):
+            peaks = []
+            for n_paths in (500, 5000):
+                tracemalloc.start()
+                try:
+                    runs = simulate._snapshot_runs(zmlharg, st, [1, 21, 63],
+                                                   n_paths, nu1s, 3)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                peaks.append(peak - sum(out.nbytes for out, _ in runs))
+            assert peaks[1] <= 1.5 * peaks[0], (nu1s, peaks)
+
+    def test_one_run_starts_no_thread(self, zmlharg, monkeypatch):
+        def no_pool(*args):
+            raise AssertionError("a one-run call started a thread pool")
+
+        monkeypatch.setattr(simulate, "DEFAULT_BLOCK", 500)
+        monkeypatch.setattr(simulate, "_cpus", lambda: 4)
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", no_pool)
+        ysnap, _ = simulate_y_snapshots(zmlharg, stationary_state(zmlharg),
+                                        [5, 10], 2000, seed=3)
+        assert ysnap.shape == (2000, 2)
 
 
 class TestMcMgf:
