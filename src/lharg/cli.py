@@ -4,6 +4,10 @@ Subcommands: estimate, calibrate, price, simulate, cumulants, evaluate,
 mgf-check.  Every command writes machine-readable CSV (or a params file)
 and prints a human summary; exit codes are 0 on success, 2 for validation
 errors, 3 for numerical failures, 4 for infeasible calibrations.
+
+The measure follows the variance premium nu1, taken from --nu1, else the
+params file's nu1 key: `simulate` runs Q when nu1 is known and P when not;
+`cumulants` and `mgf-check` report P, then Q when nu1 is known.
 """
 
 from __future__ import annotations
@@ -33,6 +37,8 @@ from .model import (
 from .options import FILTER_RULES, OptionChain, filter_options
 from .pricing import price_chain, rmse_iv
 from .simulate import _snapshot_runs, mc_mgf_from_samples, simulate_paths
+
+_NU1_HELP = "selects measure Q; default: the params file's nu1, else P"
 
 PATHSET_MAGIC = b"LHPS"
 PATHSET_VERSION = 1
@@ -104,9 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", required=True)
     p.add_argument("--days", type=_positive_int, default=252)
     p.add_argument("--paths", type=_positive_int, default=10000)
-    p.add_argument("--measure", choices=["P", "Q"], default="P")
-    p.add_argument("--nu1", type=float,
-                   help="for measure Q; default: the params file's nu1")
+    p.add_argument("--nu1", type=float, help=_NU1_HELP)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--burn-in", type=int, default=0)
     p.add_argument("--rv", help="RV CSV for the start state")
@@ -116,9 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cumulants", help="cumulant term structure")
     p.add_argument("--params", required=True)
-    p.add_argument("--measure", choices=["P", "Q", "both"], default="both")
-    p.add_argument("--nu1", type=float,
-                   help="for measure Q; default: the params file's nu1")
+    p.add_argument("--nu1", type=float, help=_NU1_HELP)
     p.add_argument("--horizons", default="5,22,63,126,252",
                    help="comma-separated day counts")
     p.add_argument("--rv", help="RV CSV for the conditioning state")
@@ -132,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mgf-check", help="MC vs analytic MGF validation")
     p.add_argument("--params", required=True)
-    p.add_argument("--nu1", type=float, help="enables the Q-measure check")
+    p.add_argument("--nu1", type=float, help=_NU1_HELP)
     p.add_argument("--paths", type=_positive_int, default=100000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="mgf_check.csv")
@@ -251,7 +253,7 @@ def _cmd_price(args) -> int:
 
 def _cmd_simulate(args) -> int:
     params, extras = lio.load_params(args.params)
-    nu1 = _q_nu1(args, extras)
+    nu1 = _nu1(args, extras)
     state = _load_state(params, args.rv, args.returns)
     paths = simulate_paths(params, state, args.days, args.paths, nu1=nu1,
                            seed=args.seed, burn_in=args.burn_in)
@@ -299,17 +301,9 @@ def _nu1(args, extras) -> float | None:
         raise ValidationError(f"nu1 must be a number, got {nu1!r}") from None
 
 
-def _q_nu1(args, extras) -> float | None:
-    """The nu1 that the Q runs of --measure need; None for --measure P."""
-    if args.measure == "P":
-        if args.nu1 is not None:
-            raise ValidationError("--nu1 conflicts with --measure P")
-        return None
-    nu1 = _nu1(args, extras)
-    if nu1 is None:
-        raise ValidationError("measure Q requires --nu1 (or a nu1 key in "
-                              "the params file)")
-    return nu1
+def _runs(nu1) -> list[tuple[str, float | None]]:
+    """The (measure, nu1) runs to report: P, then Q when nu1 is known."""
+    return [("P", None)] + ([("Q", nu1)] if nu1 is not None else [])
 
 
 def _write_csv(path, header, rows) -> None:
@@ -323,14 +317,12 @@ def _write_csv(path, header, rows) -> None:
 def _cmd_cumulants(args) -> int:
     params, extras = lio.load_params(args.params)
     horizons = _horizons(args.horizons)
-    measures = ["P", "Q"] if args.measure == "both" else [args.measure]
-    nu1 = _q_nu1(args, extras)
+    runs = _runs(_nu1(args, extras))
     state = _load_state(params, args.rv, args.returns)
     rows = []
-    for measure in measures:
+    for measure, nu1 in runs:
         for horizon in horizons:
-            c = cumulants(params, state, horizon,
-                          nu1=nu1 if measure == "Q" else None)
+            c = cumulants(params, state, horizon, nu1=nu1)
             rows.append([horizon, measure, repr(c.mean), repr(c.variance),
                          repr(c.skewness), repr(c.excess_kurtosis)])
             print(f"T={horizon:4d} {measure}: mean={c.mean:+.6f} "
@@ -396,8 +388,7 @@ def _cmd_mgf_check(args) -> int:
     z_real = np.array([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])
     u_imag = np.array([-30.0, -10.0, -3.0, 3.0, 10.0, 30.0])
     zs = np.concatenate([z_real.astype(complex), 1j * u_imag])
-    nu1 = _nu1(args, extras)
-    runs = [("P", None)] + ([("Q", nu1)] if nu1 is not None else [])
+    runs = _runs(_nu1(args, extras))
     # the P and Q runs are simulate_y_snapshots' runs at the same seed,
     # drained together on the free CPUs; the report below takes them in
     # run order, so its rows and lines do not depend on the scheduling

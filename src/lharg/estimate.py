@@ -99,6 +99,11 @@ def _natural_terms(variant, rv, eps, k_max, clamp_floor):
 
     `terms(x)` returns (terms, scores); `terms(x, scores=False)` the terms.
     """
+    # the 22-lag warm-up leaves no transition to score on shorter histories
+    if rv.size < N_LAGS + 1:
+        raise ValidationError(
+            f"need at least {N_LAGS + 1} observations, got {rv.size}"
+        )
     f_rv = _har_aggregates(rv)
     obs = rv[N_LAGS:]
     log_x = np.log(obs)
@@ -167,10 +172,6 @@ def loglik_terms(params: ModelParams, rv_series, eps_series,
     eps = np.asarray(eps_series, dtype=float)
     if rv.shape != eps.shape:
         raise ValidationError("rv and eps series must be aligned")
-    if rv.size < N_LAGS + 1:
-        raise ValidationError(
-            f"need at least {N_LAGS + 1} observations, got {rv.size}"
-        )
     if np.any(rv <= 0.0):
         raise ValidationError("likelihood requires strictly positive variances")
     names = _NAMES[:5] if params.variant == "HARG" else _NAMES
@@ -249,9 +250,9 @@ def mle_fit(rv_series, returns, r: float, variant: str,
     y = np.asarray(returns, dtype=float)
     lam_hat, lam_se = estimate_lambda(y, rv, r)
     eps = filter_innovations(y, rv, r, lam_hat)
+    per_obs = _natural_terms(variant, rv, eps, k_max, clamp_floor)
     x0 = _initial_guess(variant, rv)
     scale = np.abs(x0)
-    per_obs = _natural_terms(variant, rv, eps, k_max, clamp_floor)
 
     wall_hits = 0
 

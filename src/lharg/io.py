@@ -125,10 +125,6 @@ def load_option_chain(path) -> OptionChain:
             raise ValidationError(f"{path}:{line}: expected at least 7 columns")
         qdate = _parse_date(row[0], path, line)
         edate = _parse_date(row[1], path, line)
-        tau = (edate - qdate).days
-        if tau <= 0:
-            raise ValidationError(
-                f"{path}:{line}: expiry {edate} not after quote date {qdate}")
         strike = _parse_float(row[2], path, line, "strike")
         opt_type = row[3].strip().lower()
         mid = _parse_float(row[4], path, line, "mid_price")
@@ -139,15 +135,16 @@ def load_option_chain(path) -> OptionChain:
             market_iv = _parse_float(row[7], path, line, "market_iv")
         try:
             quote = OptionQuote(
-                quote_date=qdate, expiry_date=edate, maturity_days=tau,
-                strike=strike, option_type=opt_type, mid_price=mid,
-                underlying=under, rate=rate, market_iv=market_iv,
+                quote_date=qdate, expiry_date=edate, strike=strike,
+                option_type=opt_type, mid_price=mid, underlying=under,
+                rate=rate, market_iv=market_iv,
             )
         except ValidationError as exc:
             raise ValidationError(f"{path}:{line}: {exc}") from None
         if quote.market_iv is None:
             try:
-                iv_daily = implied_vol(mid, under, strike, rate, tau, opt_type)
+                iv_daily = implied_vol(mid, under, strike, rate,
+                                      quote.maturity_days, opt_type)
             except ValidationError as exc:
                 raise ValidationError(
                     f"{path}:{line}: cannot imply vol from mid price: {exc}"

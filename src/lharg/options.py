@@ -6,7 +6,7 @@ import datetime as dt
 import math
 from dataclasses import dataclass, field
 
-from .errors import ValidationError, _whole
+from .errors import ValidationError
 
 OPTION_TYPES = ("call", "put")
 
@@ -26,7 +26,6 @@ class OptionQuote:
 
     quote_date: dt.date
     expiry_date: dt.date
-    maturity_days: int
     strike: float
     option_type: str     # "call" | "put"
     mid_price: float
@@ -35,10 +34,12 @@ class OptionQuote:
     market_iv: float | None = None   # annualized decimal vol
 
     def __post_init__(self):
+        if self.expiry_date <= self.quote_date:
+            raise ValidationError(f"expiry {self.expiry_date} not after "
+                                  f"quote date {self.quote_date}")
         if self.option_type not in OPTION_TYPES:
             raise ValidationError(f"option type must be call or put, "
                                   f"got {self.option_type!r}")
-        _whole("maturity_days", self.maturity_days, 1)
         # the sign checks below are all False for NaN; market_iv may be None
         for name in ("strike", "underlying", "mid_price", "rate",
                      "market_iv"):
@@ -49,6 +50,11 @@ class OptionQuote:
             raise ValidationError("strike and underlying must be positive")
         if self.mid_price < 0.0:
             raise ValidationError("mid price must be nonnegative")
+
+    @property
+    def maturity_days(self) -> int:
+        """Calendar days from the quote date to expiry."""
+        return (self.expiry_date - self.quote_date).days
 
     @property
     def moneyness(self) -> float:

@@ -16,7 +16,8 @@ import pytest
 from lharg import ModelParams, simulate_paths, stationary_state
 from lharg import cli
 from lharg.cli import PATHSET_MAGIC, PATHSET_VERSION, main
-from lharg.io import DatedSeries, load_params, save_params
+from lharg.io import (DatedSeries, load_params, load_returns, load_rv_series,
+                      save_params)
 from lharg.options import OptionChain
 
 from oracles import write_option_chain, write_series
@@ -66,8 +67,7 @@ def test_estimate_then_downstream(data_dir, small_model):
     header = row_path.read_text().splitlines()[0]
     assert header.startswith("lambda,theta,delta,beta_d")
 
-    code = main(["cumulants", "--params", str(fit_path), "--measure", "P",
-                 "--horizons", "22,63",
+    code = main(["cumulants", "--params", str(fit_path), "--horizons", "22,63",
                  "--out", str(data_dir / "cumulants.csv")])
     assert code == 0
     lines = (data_dir / "cumulants.csv").read_text().splitlines()
@@ -84,6 +84,53 @@ def test_estimate_then_downstream(data_dir, small_model):
                  "--out", str(data_dir / "panels.csv")])
     assert code == 0
     assert (data_dir / "panels.csv").read_text().count("\n") >= 2
+
+
+def test_minimal_invocations(data_dir, tmp_path, monkeypatch):
+    # each subcommand runs with its required flags alone (plus a small
+    # --paths) and writes its default outputs to the working directory;
+    # cumulants on estimate's params file, which holds no nu1, reports P
+    monkeypatch.chdir(tmp_path)
+    rv, ret = str(data_dir / "rv.csv"), str(data_dir / "returns.csv")
+    commands = (
+        (["estimate", "--rv", rv, "--returns", ret],
+         ("fit_params.txt", "fit_row.csv")),
+        (["calibrate", "--params", "fit_params.txt", "--target-iv", "0.2"],
+         ("nu1.txt",)),
+        (["price", "--params", "fit_params.txt", "--nu1", "-2500",
+          "--chain", str(data_dir / "chain.csv")], ("priced_chain.csv",)),
+        (["simulate", "--params", "fit_params.txt", "--paths", "64"],
+         ("simulation_summary.csv",)),
+        (["cumulants", "--params", "fit_params.txt"], ("cumulants.csv",)),
+        (["evaluate", "--results", "priced_chain.csv"], ("rmse_panels.csv",)),
+        (["mgf-check", "--params", "fit_params.txt", "--paths", "64"],
+         ("mgf_check.csv",)),
+    )
+    for argv, outputs in commands:
+        assert main(argv) == 0, argv[0]
+        assert all((tmp_path / name).exists() for name in outputs), argv[0]
+    with open(tmp_path / "cumulants.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["measure"] for r in rows] == ["P"] * 5
+
+
+def test_estimate_needs_a_warm_up_history(data_dir, tmp_path, capsys):
+    # a history too short for one transition after the 22-lag warm-up
+    # exits 2 naming the count, before any fit starts
+    rv, ret = (load_rv_series(data_dir / "rv.csv"),
+               load_returns(data_dir / "returns.csv"))
+    for n in (10, 22):
+        rv_path, ret_path = tmp_path / "rv.csv", tmp_path / "returns.csv"
+        write_series(rv_path, DatedSeries(rv.dates[:n], rv.values[:n]), "rv")
+        write_series(ret_path, DatedSeries(ret.dates[:n], ret.values[:n]),
+                     "log_return")
+        fit, row = tmp_path / "fit.txt", tmp_path / "row.csv"
+        assert main(["estimate", "--rv", str(rv_path),
+                     "--returns", str(ret_path), "--out", str(fit),
+                     "--csv", str(row)]) == 2, n
+        assert f"need at least 23 observations, got {n}" \
+            in capsys.readouterr().err
+        assert not fit.exists() and not row.exists(), n
 
 
 def test_simulate_with_dump(data_dir, small_model, tmp_path):
@@ -118,19 +165,21 @@ def test_simulate_with_dump(data_dir, small_model, tmp_path):
 
 
 def test_simulate_q_reads_params_file_nu1(tmp_path, small_model):
-    # simulate --measure Q takes nu1 from the params file when --nu1 is
-    # absent, as cumulants and mgf-check do
+    # simulate runs Q on the params file's nu1 when --nu1 is absent, as
+    # cumulants and mgf-check do, and P when neither gives a nu1
     from lharg.io import save_params
     fit, keyed = tmp_path / "p.txt", tmp_path / "keyed.txt"
     save_params(fit, small_model)
     save_params(keyed, small_model, extras={"nu1": -2500.0})
-    q = ["simulate", "--days", "5", "--paths", "32", "--seed", "4",
-         "--measure", "Q"]
+    sim = ["simulate", "--days", "5", "--paths", "32", "--seed", "4"]
     flag, key = tmp_path / "flag.csv", tmp_path / "key.csv"
-    assert main([*q, "--params", str(fit), "--nu1", "-2500",
+    plain = tmp_path / "plain.csv"
+    assert main([*sim, "--params", str(fit), "--nu1", "-2500",
                  "--out", str(flag)]) == 0
-    assert main([*q, "--params", str(keyed), "--out", str(key)]) == 0
+    assert main([*sim, "--params", str(keyed), "--out", str(key)]) == 0
+    assert main([*sim, "--params", str(fit), "--out", str(plain)]) == 0
     assert key.read_bytes() == flag.read_bytes()
+    assert plain.read_bytes() != flag.read_bytes()
 
 
 def test_csv_cells_are_plain_floats(tmp_path, small_model):
@@ -166,10 +215,6 @@ def test_exit_codes(data_dir, tmp_path, small_model):
     save_params(fit, small_model)
     assert main(["calibrate", "--params", str(fit), "--target-iv", "0.69",
                  "--out", str(tmp_path / "nu1.txt")]) == 4
-    # Q simulation without nu1 -> validation (2)
-    assert main(["simulate", "--params", str(fit), "--days", "5",
-                 "--paths", "8", "--measure", "Q",
-                 "--out", str(tmp_path / "s.csv")]) == 2
 
 
 def test_bad_simulator_inputs_rejected(tmp_path, small_model, capsys):
@@ -178,17 +223,14 @@ def test_bad_simulator_inputs_rejected(tmp_path, small_model, capsys):
     fit = tmp_path / "p.txt"
     save_params(fit, small_model)
     base = ["--params", str(fit), "--paths", "8", "--out", str(tmp_path / "o")]
+    cum = ["cumulants", "--params", str(fit), "--out", str(tmp_path / "c")]
     cases = (
         (["simulate", *base, "--days", "5", "--burn-in", "-3"], "burn_in.*-3"),
         (["simulate", *base, "--days", "5", "--seed", "-1"], "seed.*-1"),
         (["mgf-check", *base, "--seed", "-1"], "seed.*-1"),
-        (["cumulants", "--params", str(fit), "--measure", "P",
-          "--horizons", "5,x", "--out", str(tmp_path / "c")], "5,x"),
-        (["cumulants", "--params", str(fit), "--measure", "P",
-          "--horizons", "5,²", "--out", str(tmp_path / "c")], "5,²"),
-        (["cumulants", "--params", str(fit), "--measure", "P",
-          "--horizons", "0", "--out", str(tmp_path / "c")], "'0'"),
-        (["simulate", *base, "--nu1=-2000"], "--nu1 conflicts with --measure P"),
+        ([*cum, "--horizons", "5,x"], "5,x"),
+        ([*cum, "--horizons", "5,²"], "5,²"),
+        ([*cum, "--horizons", "0"], "'0'"),
     )
     for argv, message in cases:
         assert main(argv) == 2, argv
@@ -200,18 +242,17 @@ def test_failed_run_leaves_no_csv(data_dir, tmp_path, small_model):
     fit, bad = tmp_path / "p.txt", tmp_path / "bad.txt"
     save_params(fit, small_model)
     save_params(bad, small_model, extras={"nu1": "abc"})
-    sim_q = ["simulate", "--params", str(fit), "--days", "5", "--paths", "8",
-             "--measure", "Q"]
+    sim = ["simulate", "--params", str(fit), "--days", "5", "--paths", "8"]
     chain = ["price", "--params", str(fit), "--chain",
              str(data_dir / "chain.csv")]
     cases = (
         (["mgf-check", "--params", str(fit), "--paths", "8", "--seed", "-1"],
          2, tmp_path / "m.csv"),
-        (["cumulants", "--params", str(fit), "--measure", "both",
-          "--nu1=-1e9"], 3, tmp_path / "c.csv"),
+        (["cumulants", "--params", str(fit), "--nu1=-1e9"], 3,
+         tmp_path / "c.csv"),
         # a nan, infinite or non-numeric nu1, from --nu1 or the params file
-        ([*sim_q, "--nu1", "nan"], 2, tmp_path / "s.csv"),
-        ([*sim_q, "--nu1", "inf"], 2, tmp_path / "s.csv"),
+        ([*sim, "--nu1", "nan"], 2, tmp_path / "s.csv"),
+        ([*sim, "--nu1", "inf"], 2, tmp_path / "s.csv"),
         ([*chain, "--nu1", "nan"], 2, tmp_path / "p.csv"),
         ([*chain, "--nu1=-inf"], 2, tmp_path / "p.csv"),
         (["cumulants", "--params", str(fit), "--nu1", "nan"], 2,
@@ -221,13 +262,8 @@ def test_failed_run_leaves_no_csv(data_dir, tmp_path, small_model):
          2, tmp_path / "m.csv"),
         (["mgf-check", "--params", str(bad), "--paths", "8"], 2,
          tmp_path / "m.csv"),
-        (["simulate", "--params", str(bad), "--days", "5", "--paths", "8",
-          "--measure", "Q"], 2, tmp_path / "s.csv"),
-        # an explicit --nu1 that measure P would leave unused
-        (["simulate", "--params", str(fit), "--days", "5", "--paths", "8",
-          "--nu1=-2000"], 2, tmp_path / "s.csv"),
-        (["cumulants", "--params", str(fit), "--measure", "P",
-          "--nu1=-2000"], 2, tmp_path / "c.csv"),
+        (["simulate", "--params", str(bad), "--days", "5", "--paths", "8"],
+         2, tmp_path / "s.csv"),
     )
     for argv, code, out in cases:
         assert main([*argv, "--out", str(out)]) == code, argv
@@ -284,7 +320,7 @@ def test_lone_history_flag_rejected(data_dir, tmp_path, small_model,
         ["price", "--params", str(fit), "--nu1", "-2500",
          "--chain", str(data_dir / "chain.csv")],
         ["simulate", "--params", str(fit), "--days", "5", "--paths", "8"],
-        ["cumulants", "--params", str(fit), "--measure", "P"],
+        ["cumulants", "--params", str(fit)],
     )
     lone = ((["--rv", str(data_dir / "rv.csv")], "missing --returns"),
             (["--returns", str(data_dir / "returns.csv")], "missing --rv"))

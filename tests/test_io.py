@@ -104,7 +104,8 @@ class TestChainLoading:
         path.write_text(
             "quote_date,expiry_date,strike,type,mid_price,underlying,rate\n"
             "2004-06-09,2004-06-01,1000.0,call,25.0,1000.0,1e-4\n")
-        with pytest.raises(ValidationError, match=":2:"):
+        with pytest.raises(ValidationError, match=":2: expiry 2004-06-01 "
+                                                  "not after quote date"):
             load_option_chain(path)
 
     def test_bad_type_cites_line(self, tmp_path):
@@ -184,13 +185,16 @@ class TestOptionQuote:
                     replace(good, **{name: bad})
 
     def test_bad_maturity_rejected(self):
-        # the recursion runs whole days only: a fractional, string or
-        # missing maturity fails at the quote, naming the field
+        # the maturity is read off the two dates: an expiry on or before
+        # the quote date fails at the quote, naming both dates
         good = make_quote(1.0, 63, "call")
-        assert replace(good, maturity_days=np.int64(63)).maturity_days == 63
-        for bad in (30.5, "22", None, 0):
-            with pytest.raises(ValidationError, match="maturity_days"):
-                replace(good, maturity_days=bad)
+        assert good.maturity_days == 63
+        for days in (0, -5):
+            expiry = good.quote_date + dt.timedelta(days=days)
+            with pytest.raises(ValidationError,
+                               match=f"expiry {expiry} not after quote "
+                                     f"date {good.quote_date}"):
+                replace(good, expiry_date=expiry)
 
 
 class TestFilterOptions:

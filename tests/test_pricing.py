@@ -439,8 +439,8 @@ def make_quote(m, tau, kind, qdate=dt.date(2004, 6, 9), spot=1000.0,
                rate=1e-4, mid=1.0, market_iv=None):
     return OptionQuote(
         quote_date=qdate, expiry_date=qdate + dt.timedelta(days=tau),
-        maturity_days=tau, strike=spot * m, option_type=kind, mid_price=mid,
-        underlying=spot, rate=rate, market_iv=market_iv,
+        strike=spot * m, option_type=kind, mid_price=mid, underlying=spot,
+        rate=rate, market_iv=market_iv,
     )
 
 
