@@ -28,6 +28,10 @@ dTheta/dbeta and dTheta/dalpha are the RV and leverage aggregates, and
 dTheta/dgamma is alpha . the aggregates of d lev/d gamma, which is
 -2 sqrt(RV)(eps - gamma sqrt(RV)) in parabolic and -2 eps sqrt(RV) in
 zero-mean form.
+
+scipy serves the likelihood (gammaln, digamma) and the fit (L-BFGS-B) and
+is imported where they run, so the commands that never fit start without
+it; the calibration's root search is `pricing._brent`.
 """
 
 from __future__ import annotations
@@ -36,8 +40,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import optimize
-from scipy.special import digamma, gammaln
 
 from .errors import (
     CalibrationInfeasibleError,
@@ -56,7 +58,7 @@ from .model import (
     parabolic_form,
     stationarity_margin,
 )
-from .pricing import model_atm_iv
+from .pricing import _brent, model_atm_iv
 
 DEFAULT_K_MAX = 90
 _POSITIVE_FLOOR = 1e-8   # lower bound of theta and delta over their start
@@ -99,6 +101,8 @@ def _natural_terms(variant, rv, eps, k_max, clamp_floor):
 
     `terms(x)` returns (terms, scores); `terms(x, scores=False)` the terms.
     """
+    from scipy.special import digamma, gammaln
+
     # the 22-lag warm-up leaves no transition to score on shorter histories
     if rv.size < N_LAGS + 1:
         raise ValidationError(
@@ -244,10 +248,21 @@ def mle_fit(rv_series, returns, r: float, variant: str,
     likelihood still rises toward Theta = 0 is reported as not converged.
     `FitResult.iterations` counts L-BFGS-B iterations over all runs, each
     taking one or more likelihood-and-score evaluations.  Robust standard
-    errors come from `_sandwich_errors`.
+    errors come from `_sandwich_errors`.  A history needs one transition
+    more than the variant has parameters after the 22-lag warm-up (28
+    observations for HARG, 32 for the LHARG variants), or ValidationError.
     """
+    from scipy import optimize
+
     rv = np.asarray(rv_series, dtype=float)
     y = np.asarray(returns, dtype=float)
+    # after the 22-lag warm-up, one transition more than the variant has
+    # parameters: fewer leave the fit underdetermined
+    n_min = N_LAGS + (5 if variant == "HARG" else len(_NAMES)) + 1
+    if rv.size < n_min:
+        raise ValidationError(
+            f"{variant} needs at least {n_min} observations, got {rv.size}"
+        )
     lam_hat, lam_se = estimate_lambda(y, rv, r)
     eps = filter_innovations(y, rv, r, lam_hat)
     per_obs = _natural_terms(variant, rv, eps, k_max, clamp_floor)
@@ -396,4 +411,4 @@ def calibrate_nu1(params: ModelParams, target_iv: float,
             sorted((f(low) + target_iv, f(high) + target_iv))
         raise CalibrationInfeasibleError(iv_low=ends[0], iv_high=ends[1],
                                          target=target_iv)
-    return float(nu1_of(optimize.brentq(f, *bracket, xtol=3e-12)))
+    return float(nu1_of(_brent(f, *bracket, xtol=3e-12)))

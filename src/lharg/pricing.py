@@ -38,14 +38,19 @@ k >= 256, stayed below 9e-14; they are largest on calm 10-day states and
 below 1e-15 from 14 days on.  At k in [192, 256) they reached 2.5e-11, so
 192 terms are too few.  `tests/test_pricing.py::TestCosTermsGate` holds
 that tail below 1e-12, and the N- and 2N-term prices within 1e-12 * K.
+
+Pricing needs numpy alone: the normal CDF of `bs_price` is the standard
+library's erfc, and `_brent`, a port of scipy's brentq, inverts it.  scipy
+is left to the likelihood and the fit (`estimate`).
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import (
     InversionDomainError,
@@ -142,9 +147,16 @@ def cos_price(phi, S, K, r, tau_days: int, option_type, a: float, b: float):
     return price.reshape(shape) if shape else float(price[0])
 
 
+def _norm_cdf(x: float) -> float:
+    # the standard normal CDF, within 2e-14 relative of mpmath's on
+    # [-10, 10] (TestNormCdf), as close as scipy's ndtr
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
 def bs_price(S: float, K: float, r: float, sigma: float, tau: float,
              option_type: str) -> float:
-    """Black-Scholes value; r, sigma, and tau must share one time unit."""
+    """Black-Scholes value of one option; r, sigma, and tau must share one
+    time unit."""
     if min(S, K, tau) <= 0.0 or sigma < 0.0:
         raise ValidationError("bs_price requires positive S, K, tau and "
                               "nonnegative sigma")
@@ -158,14 +170,80 @@ def bs_price(S: float, K: float, r: float, sigma: float, tau: float,
     d1 = (np.log(S / K) + (r + 0.5 * sigma**2) * tau) / srt
     d2 = d1 - srt
     if option_type == "call":
-        return float(S * ndtr(d1) - K * np.exp(-r * tau) * ndtr(d2))
-    return float(K * np.exp(-r * tau) * ndtr(-d2) - S * ndtr(-d1))
+        return float(S * _norm_cdf(d1) - K * np.exp(-r * tau) * _norm_cdf(d2))
+    return float(K * np.exp(-r * tau) * _norm_cdf(-d2) - S * _norm_cdf(-d1))
+
+
+def _brent(f, xa: float, xb: float, xtol: float) -> float:
+    """A root of f between xa and xb, where f must change sign, by Brent's
+    method as scipy's brentq runs it (scipy/optimize/Zeros/brentq.c) at its
+    default rtol and iteration limit: the same points, so the same root
+    and the same number of evaluations.
+
+    It stops when the bracket is narrower than xtol + rtol*|x|, rtol being
+    4 machine epsilons.  The ends and f's values are cast to float.  A NaN
+    value, ends of one sign and 100 steps without convergence raise
+    NumericalError.
+    """
+    rtol = 4.0 * sys.float_info.epsilon
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise NumericalError(f"root search: f({x!r}) is NaN")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise NumericalError(f"root search: f({xpre!r}) = {fpre:.6g} and "
+                             f"f({xcur!r}) = {fcur:.6g} share a sign")
+    # xcur is the best point, xpre the previous one and xblk the far end
+    # of the bracket; scur is the last step and spre the one before it
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.nan     # bisect unless interpolation proposes a step
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            # C divides by zero to inf or NaN, which fails the step test
+            # below; a Python float raises instead, so it keeps the NaN
+            try:
+                if xpre == xblk:    # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:               # inverse quadratic
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) \
+                        / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                pass
+        limit = 3.0 * abs(sbis) - delta
+        if 2.0 * abs(stry) < (abs(spre) if abs(spre) < limit else limit):
+            spre, scur = scur, stry     # a good short step
+        else:
+            spre = scur = sbis          # bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else math.copysign(delta, sbis)
+        fcur = value(xcur)
+    raise NumericalError(f"root search did not converge; last x {xcur!r}")
 
 
 def implied_vol(price: float, S: float, K: float, r: float, tau: float,
                 option_type: str) -> float:
-    """Invert Black-Scholes by one Brent solve on [1e-12, hi], with hi
-    doubled from 1/sqrt(tau) until it prices above the target.
+    """Invert Black-Scholes by one Brent solve (`_brent`) on [1e-12, hi],
+    with hi doubled from 1/sqrt(tau) until it prices above the target.
 
     Brent stops at a relative tolerance of 4 machine epsilons in sigma,
     about 1e-12 in price; xtol lies below rtol times the low end, so it
@@ -183,8 +261,6 @@ def implied_vol(price: float, S: float, K: float, r: float, tau: float,
             f"({lower:.6g}, {upper:.6g})"
         )
 
-    from scipy.optimize import brentq
-
     def f(sig):
         return bs_price(S, K, r, sig, tau, option_type) - price
 
@@ -193,8 +269,7 @@ def implied_vol(price: float, S: float, K: float, r: float, tau: float,
         hi *= 2.0
         if hi > 1e6:
             raise NumericalError("implied vol bracket expansion failed")
-    return float(brentq(f, 1e-12, hi, xtol=1e-30,
-                        rtol=4.0 * np.finfo(float).eps))
+    return _brent(f, 1e-12, hi, xtol=1e-30)
 
 
 def _price_groups(params: ModelParams, nu1: float, groups) -> list:

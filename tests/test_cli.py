@@ -3,6 +3,7 @@
 import csv
 import datetime as dt
 import importlib.util
+import json
 import re
 import struct
 import subprocess
@@ -115,22 +116,33 @@ def test_minimal_invocations(data_dir, tmp_path, monkeypatch):
 
 
 def test_estimate_needs_a_warm_up_history(data_dir, tmp_path, capsys):
-    # a history too short for one transition after the 22-lag warm-up
-    # exits 2 naming the count, before any fit starts
+    # after the 22-lag warm-up, one transition more than the variant's
+    # parameters (5 for HARG, 9 for ZM-LHARG): a shorter history exits 2
+    # naming the floor, before any fit starts, and one at the floor fits
     rv, ret = (load_rv_series(data_dir / "rv.csv"),
                load_returns(data_dir / "returns.csv"))
-    for n in (10, 22):
-        rv_path, ret_path = tmp_path / "rv.csv", tmp_path / "returns.csv"
-        write_series(rv_path, DatedSeries(rv.dates[:n], rv.values[:n]), "rv")
-        write_series(ret_path, DatedSeries(ret.dates[:n], ret.values[:n]),
-                     "log_return")
-        fit, row = tmp_path / "fit.txt", tmp_path / "row.csv"
-        assert main(["estimate", "--rv", str(rv_path),
-                     "--returns", str(ret_path), "--out", str(fit),
-                     "--csv", str(row)]) == 2, n
-        assert f"need at least 23 observations, got {n}" \
-            in capsys.readouterr().err
-        assert not fit.exists() and not row.exists(), n
+    for variant, floor in (("HARG", 28), ("ZM-LHARG", 32)):
+        for n in (10, floor - 1, floor):
+            rv_path, ret_path = tmp_path / "rv.csv", tmp_path / "returns.csv"
+            write_series(rv_path, DatedSeries(rv.dates[:n], rv.values[:n]),
+                         "rv")
+            write_series(ret_path, DatedSeries(ret.dates[:n], ret.values[:n]),
+                         "log_return")
+            fit, row = tmp_path / "fit.txt", tmp_path / "row.csv"
+            fit.unlink(missing_ok=True)
+            row.unlink(missing_ok=True)
+            code = main(["estimate", "--rv", str(rv_path),
+                         "--returns", str(ret_path), "--variant", variant,
+                         "--out", str(fit), "--csv", str(row)])
+            err = capsys.readouterr().err
+            if n == floor:
+                assert code == 0, (variant, err)
+                assert fit.exists() and row.exists(), variant
+                continue
+            assert code == 2, (variant, n)
+            assert f"{variant} needs at least {floor} observations, " \
+                f"got {n}" in err
+            assert not fit.exists() and not row.exists(), (variant, n)
 
 
 def test_simulate_with_dump(data_dir, small_model, tmp_path):
@@ -498,12 +510,44 @@ def test_traced_mgf_check_spans_stay_on_the_main_thread(tmp_path, zmlharg):
     assert opened_on and set(opened_on) == {threading.main_thread().ident}
 
 
-def test_cli_import_skips_scipy_stats():
-    # scipy.stats costs most of the CLI's import time and nothing needs it
-    import lharg
-    src = str(Path(lharg.__file__).resolve().parents[1])
-    code = (f"import sys; sys.path.insert(0, {src!r}); import lharg.cli; "
-            "sys.exit('scipy.stats' in sys.modules)")
+def _scipy_after(src: str, *argvs) -> list:
+    # the scipy modules that a fresh interpreter holds after importing
+    # lharg.cli and running each argv through main in turn
+    code = (f"import json, sys; sys.path.insert(0, {src!r}); import lharg.cli\n"
+            f"for argv in {list(argvs)!r}:\n"
+            "    if lharg.cli.main(argv):\n"
+            "        sys.exit(argv[0] + ' failed')\n"
+            "print(json.dumps(sorted(m for m in sys.modules\n"
+            "                        if m.split('.')[0] == 'scipy')))")
     done = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr or "scipy.stats was imported"
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_cli_runs_without_scipy(data_dir, tmp_path, small_model):
+    # scipy serves only the fit: importing the CLI and running every other
+    # command leaves it unloaded, while estimate loads it
+    import lharg
+    src = str(Path(lharg.__file__).resolve().parents[1])
+    assert _scipy_after(src) == []
+    params = tmp_path / "p.txt"
+    save_params(params, small_model, extras={"nu1": -2500.0})
+    p, out = ["--params", str(params)], str(tmp_path / "out.csv")
+    history = ["--rv", str(data_dir / "rv.csv"),
+               "--returns", str(data_dir / "returns.csv")]
+    priced = str(tmp_path / "priced.csv")
+    commands = (
+        ["simulate", *p, "--days", "5", "--paths", "32", "--out", out],
+        ["mgf-check", *p, "--paths", "64", "--out", out],
+        ["cumulants", *p, "--horizons", "5,22", "--out", out],
+        ["calibrate", *p, "--target-iv", "0.2", "--maturity", "30",
+         "--out", str(tmp_path / "nu1.txt")],
+        ["price", *p, "--nu1", "-2500", "--chain", str(data_dir / "chain.csv"),
+         *history, "--out", priced],
+        ["evaluate", "--results", priced, "--out", out],
+    )
+    assert _scipy_after(src, *commands) == []
+    fit = ["estimate", *history, "--variant", "HARG",
+           "--out", str(tmp_path / "fit.txt"), "--csv", out]
+    assert "scipy.optimize" in _scipy_after(src, fit)

@@ -358,18 +358,19 @@ class TestCalibrateNu1:
         assert err.value.iv_low < err.value.iv_high
 
     def test_bench_target_evaluations(self, zmlharg, monkeypatch):
-        # the identity split and the cache leave at most 10 IV evaluations
-        import lharg.pricing
+        # the identity split and the cache leave at most 10 IV evaluations;
+        # calibrate_nu1 calls estimate's own binding of model_atm_iv
+        import lharg.estimate
         seen = []
-        atm_iv = lharg.pricing.model_atm_iv
+        atm_iv = lharg.estimate.model_atm_iv
 
         def counted(params, nu1, *args):
             seen.append(nu1)
             return atm_iv(params, nu1, *args)
 
-        monkeypatch.setattr(lharg.pricing, "model_atm_iv", counted)
+        monkeypatch.setattr(lharg.estimate, "model_atm_iv", counted)
         calibrate_nu1(zmlharg, 0.20, 252, stationary_state(zmlharg))
-        assert len(seen) <= 10
+        assert 0 < len(seen) <= 10
         assert len(set(seen)) == len(seen)
 
     @pytest.mark.parametrize("target", [0.15, 0.22])

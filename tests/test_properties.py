@@ -6,24 +6,37 @@ variant's own convention.  Bounds are those of the deterministic tests in
 test_mgf.py and test_pricing.py.
 """
 
+import math
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from lharg import (
+    InversionDomainError,
     MarketState,
+    NumericalError,
     RecursionDomainError,
     leverage,
     mgf_p,
     mgf_q,
 )
 from lharg.mgf import _log_mgf_segments, raw_cumulants
-from lharg.pricing import COS_TERMS, _cos_grid, _truncation, cos_price
+from lharg.pricing import (
+    COS_TERMS,
+    _brent,
+    _cos_grid,
+    _truncation,
+    bs_price,
+    cos_price,
+    implied_vol,
+)
 
 from conftest import random_state_arrays
 from oracles import model_cf, risk_neutral_map, risk_neutral_state
@@ -45,6 +58,21 @@ SEGMENT = st.tuples(st.sampled_from((9, 512)),
                     st.sampled_from((None, None, 100.0, 150.0)))
 Z = st.one_of(st.floats(-2.5, 2.5).map(complex),
               st.floats(-20.0, 20.0).map(lambda u: 1j * u))
+# functions of x with root r and scale s for the root searches: smooth
+# ones; flat, stepped and quantized ones, whose repeated values force
+# bisection steps; and a cubic so small that the inverse-quadratic step's
+# denominator underflows to zero, which C divides by to inf or NaN
+ROOT_FAMILY = {
+    "cubic": lambda r, s: lambda x: s * ((x - r) ** 3 + 0.01 * (x - r)),
+    "tiny": lambda r, s: lambda x: 1e-160 * s * ((x - r) ** 3
+                                                 + 0.01 * (x - r)),
+    "tanh": lambda r, s: lambda x: math.tanh(s * (x - r)),
+    "clipped": lambda r, s: lambda x: min(max(s * (x - r), -1.0), 1.0),
+    "step": lambda r, s: lambda x: -1.0 if x < r else 1.0,
+    "quantized": lambda r, s: lambda x: math.floor(8.0 * s * (x - r)) / 8.0
+    + 1.0 / 16.0,
+}
+XTOL = st.sampled_from((1e-30, 3e-12))   # implied_vol's, calibrate_nu1's
 
 
 def _state(params, seed, scale):
@@ -140,6 +168,62 @@ class TestSharedPassProperties:
         for segment, values in zip(segments, got):
             alone, = _log_mgf_segments(params, nu1, [segment])
             assert np.array_equal(values, alone)
+
+
+def _search(solver, f, a, b, xtol):
+    # (root, or None where the solver raises; the points it evaluated)
+    points = []
+
+    def traced(x):
+        points.append(x)
+        return f(x)
+
+    try:
+        return solver(traced, a, b, xtol=xtol), points
+    except (ValueError, RuntimeError, NumericalError):
+        return None, points
+
+
+class TestBrentProperties:
+    @PROPERTY
+    @given(st.sampled_from(sorted(ROOT_FAMILY)), st.floats(-10.0, 0.0),
+           st.floats(0.01, 10.0),
+           st.one_of(st.floats(0.01, 0.99), st.floats(1.01, 1.25)),
+           st.floats(-3.0, 3.0), XTOL, st.booleans())
+    def test_matches_brentq(self, family, a, b, at, log_scale, xtol, flip):
+        # _brent evaluates the points of scipy's brentq, so it finds its
+        # root bit for bit, and raises where brentq does: a root outside
+        # the bracket (at > 1) leaves both ends of one sign
+        f = ROOT_FAMILY[family](a + at * (b - a), 10.0 ** log_scale)
+        ends = (b, a) if flip else (a, b)
+        ref, ref_points = _search(brentq, f, *ends, xtol)
+        got, points = _search(_brent, f, *ends, xtol)
+        assert points == ref_points
+        assert repr(got) == repr(ref)
+
+    @PROPERTY
+    @given(st.floats(0.8, 1.25), st.sampled_from((5, 22, 63, 252, 365)),
+           st.floats(0.05, 0.8), st.sampled_from(("call", "put")))
+    def test_implied_vol_matches_brentq(self, m, tau, vol, kind):
+        # implied_vol's search, run by brentq, gives the same bits
+        r = 1e-4
+        price = bs_price(1.0, m, r, vol / math.sqrt(252.0), tau, kind)
+        try:
+            got = implied_vol(price, 1.0, m, r, tau, kind)
+        except InversionDomainError:
+            return      # rounded onto a no-arbitrage bound
+
+        def f(sig):
+            return bs_price(1.0, m, r, sig, tau, kind) - price
+
+        hi = 1.0 / math.sqrt(tau)
+        while f(hi) < 0.0:
+            hi *= 2.0
+        assert repr(got) == repr(brentq(f, 1e-12, hi, xtol=1e-30))
+
+    def test_no_sign_change_raises(self):
+        with pytest.raises(NumericalError, match="share a sign"):
+            _brent(lambda x: x * x + 1.0, -1.0, 1.0, xtol=3e-12)
 
 
 def test_failing_property_fails_alone(tmp_path):
