@@ -7,7 +7,8 @@ errors, 3 for numerical failures, 4 for infeasible calibrations.
 
 The measure follows the variance premium nu1, taken from --nu1, else the
 params file's nu1 key: `simulate` runs Q when nu1 is known and P when not;
-`cumulants` and `mgf-check` report P, then Q when nu1 is known.
+`cumulants` and `mgf-check` report P, then Q when nu1 is known; `price`
+prices under Q and needs nu1.
 """
 
 from __future__ import annotations
@@ -80,7 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", default="ZM-LHARG",
                    choices=["HARG", "P-LHARG", "ZM-LHARG"])
     p.add_argument("--rate", type=float, default=0.0, help="daily risk-free rate")
-    p.add_argument("--kmax", type=_positive_int, default=90)
     p.add_argument("--clamp", action="store_true",
                    help="clamp nonpositive noncentrality to 1e-12 instead of "
                         "raising")
@@ -98,7 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("price", help="price an option chain by COS")
     p.add_argument("--params", required=True)
-    p.add_argument("--nu1", type=float, required=True)
+    p.add_argument("--nu1", type=float,
+                   help="variance premium; default: the params file's nu1")
     p.add_argument("--chain", required=True)
     p.add_argument("--rv", help="RV CSV for quote-date states")
     p.add_argument("--returns", help="returns CSV for quote-date states")
@@ -163,7 +164,6 @@ def _load_state(params: ModelParams, rv_path, returns_path):
 def _cmd_estimate(args) -> int:
     rv, ret = _load_history(args.rv, args.returns)
     fit = mle_fit(rv.values, ret.values, args.rate, args.variant,
-                  k_max=args.kmax,
                   clamp_floor=1e-12 if args.clamp else None)
     p = fit.params
     lio.save_params(args.out, p, extras={
@@ -180,7 +180,8 @@ def _cmd_estimate(args) -> int:
     for name in ("theta", "delta", "beta_d", "beta_w", "beta_m",
                  "alpha_d", "alpha_w", "alpha_m", "gamma_lev", "lam"):
         se = fit.std_errors.get(name)
-        se_text = f" ({se:.4g})" if se is not None else ""
+        se_text = "" if se is None else " (n/a)" if np.isnan(se) \
+            else f" ({se:.4g})"
         print(f"  {name:10s} = {getattr(p, name):.6g}{se_text}")
     print(f"  loglik     = {fit.loglik:.4f}")
     print(f"  persistence= {fit.persistence:.4f}")
@@ -223,7 +224,11 @@ def _chain_states(params: ModelParams, chain: OptionChain, rv_path,
 
 
 def _cmd_price(args) -> int:
-    params, _ = lio.load_params(args.params)
+    params, extras = lio.load_params(args.params)
+    nu1 = _nu1(args, extras)
+    if nu1 is None:
+        raise ValidationError("price needs nu1 (--nu1 or the params file's "
+                              "nu1 key)")
     chain = lio.load_option_chain(args.chain)
     if not args.no_filter:
         report = filter_options(chain)
@@ -233,7 +238,7 @@ def _cmd_price(args) -> int:
               f"(rejected: {rejected})")
         chain = report.chain
     states = _chain_states(params, chain, args.rv, args.returns)
-    rows = price_chain(params, args.nu1, chain, states)
+    rows = price_chain(params, nu1, chain, states)
     _write_csv(args.out, _PRICED_COLUMNS, [
         [q.quote_date.isoformat(), q.expiry_date.isoformat(), repr(q.strike),
          q.option_type, repr(q.mid_price), repr(q.underlying), repr(q.rate),

@@ -45,7 +45,9 @@ class MappingSingularError(NumericalError):
 
 
 class LikelihoodDomainError(NumericalError):
-    """Nonpositive noncentrality inside the likelihood.
+    """The likelihood is undefined or out of reach at an observation: its
+    noncentrality is nonpositive, or its noncentral gamma mixture needs more
+    terms than the likelihood's ceiling.
 
     Carries the 0-based observation index at which the violation occurred.
     """

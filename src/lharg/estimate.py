@@ -5,16 +5,20 @@ The variance transition density is noncentral gamma, so the sample
 log-likelihood is
 
     sum_t [ -RV_t/theta - Theta_{t-1}
-            + log sum_{k=0}^{90} RV_t^(delta+k-1) Theta_{t-1}^k
-                                 / (theta^(delta+k) Gamma(delta+k) k!) ]
+            + log sum_{k>=0} RV_t^(delta+k-1) Theta_{t-1}^k
+                             / (theta^(delta+k) Gamma(delta+k) k!) ]
 
-with the Poisson mixture truncated at the 90th order and accumulated in
-log-space.  The k = 0 term is essential: it carries the x^(delta-1)
-behavior of the density near zero, and dropping it visibly biases the
-shape estimate on samples containing low-variance days.  The market price
-of risk is estimated first by regressing the centred, normalized
-log-returns on realized volatility; the innovations filtered with that
-estimate feed the leverage terms of the likelihood.
+with the Poisson mixture accumulated in log-space over k = 0..n-1.  Each
+call sets n from its data: 91, doubled until the dropped tail of every
+observation is below 1e-17 of its largest term, which a closed-form bound
+checks on the observation of largest x_t Theta_{t-1}/theta.  Data that
+would need more than 2912 terms raise LikelihoodDomainError.  The k = 0
+term is essential: it carries the x^(delta-1) behavior of the density
+near zero, and dropping it visibly biases the shape estimate on samples
+containing low-variance days.  The market price of risk is estimated
+first by regressing the centred, normalized log-returns on realized
+volatility; the innovations filtered with that estimate feed the
+leverage terms of the likelihood.
 
 Theta_{t-1} is linear in the HAR aggregates (lag 1, mean of lags 2-5,
 mean of lags 6-22) of RV and of leverage, and the mixture weights give
@@ -36,6 +40,7 @@ it; the calibration's root search is `pricing._brent`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -60,7 +65,12 @@ from .model import (
 )
 from .pricing import _brent, model_atm_iv
 
-DEFAULT_K_MAX = 90
+# mixture width: 91 terms serve calm histories, and a narrower start would
+# move the fit's rounding-led path; the ceiling is about 100 MB per
+# (observations, terms) array at 4500 observations
+_K_START = 91
+_K_CEILING = _K_START * 2**5
+_LOG_TAIL = math.log(1e-17)   # dropped mixture tail, relative to the peak term
 _POSITIVE_FLOOR = 1e-8   # lower bound of theta and delta over their start
 # objective value where Theta <= 0: L-BFGS-B's line search backs off from a
 # finite wall, while an infinite value ends the run as falsely converged
@@ -73,7 +83,8 @@ class FitResult:
 
     params: ModelParams
     loglik: float
-    std_errors: dict         # per-parameter robust (sandwich) standard errors
+    std_errors: dict         # per-parameter robust (sandwich) standard
+                             # errors, NaN where not available
     persistence: float
     converged: bool
     iterations: int          # L-BFGS-B iterations, summed over restarts
@@ -94,7 +105,7 @@ def _har_aggregates(series: np.ndarray) -> np.ndarray:
     return sliding_window_view(series, N_LAGS)[:-1] @ _HAR_MEANS
 
 
-def _natural_terms(variant, rv, eps, k_max, clamp_floor):
+def _natural_terms(variant, rv, eps, clamp_floor):
     """Per-observation log-likelihood terms and their (n, p) scores as a
     function of the natural vector (theta, delta, beta_d, beta_w, beta_m[,
     alpha_d, alpha_w, alpha_m, gamma_lev]); HARG carries the first five.
@@ -112,8 +123,8 @@ def _natural_terms(variant, rv, eps, k_max, clamp_floor):
     obs = rv[N_LAGS:]
     log_x = np.log(obs)
     vol = np.sqrt(rv)
-    k = np.arange(0, k_max + 1, dtype=float)
-    log_k_fact = gammaln(k + 1.0)
+    k_all = np.arange(_K_CEILING, dtype=float)
+    log_k_fact = gammaln(k_all + 1.0)
 
     def terms(x, scores=True):
         theta, delta = x[0], x[1]
@@ -137,10 +148,28 @@ def _natural_terms(variant, rv, eps, k_max, clamp_floor):
         #     + k log Theta - lnG(k+1)
         #   = (delta-1) log x - delta log theta + k s_t - lnG(delta+k) - lnG(k+1)
         s = log_x + np.log(nc) - np.log(theta)
-        a = np.outer(s, k)
-        a -= gammaln(delta + k) + log_k_fact
-        peak = a.max(axis=1)
-        a -= peak[:, None]
+        # past the mode the term ratio rho(k) = e^s / ((delta+k)(k+1)) falls,
+        # so the terms k >= n sum to at most term(n) / (1 - rho(n)); that
+        # bound relative to the peak grows with s, so row i bounds every row
+        i = int(np.argmax(s))
+        s_i = float(s[i])
+        n = _K_START
+        while True:
+            k = k_all[:n]
+            a = np.outer(s, k)
+            a -= gammaln(delta + k) + log_k_fact[:n]
+            peak = a.max(axis=1)
+            a -= peak[:, None]
+            log_rho = s_i - math.log((delta + n) * (n + 1))
+            if log_rho < 0.0 and float(a[i, -1]) + s_i \
+                    - math.log((delta + n - 1) * n) \
+                    - math.log1p(-math.exp(log_rho)) < _LOG_TAIL:
+                break
+            if n == _K_CEILING:
+                raise LikelihoodDomainError(
+                    i + N_LAGS, f"the noncentral gamma mixture needs more "
+                    f"than {_K_CEILING} terms")
+            n *= 2
         np.exp(a, out=a)
         total = a.sum(axis=1)
         ll = (delta - 1.0) * log_x - delta * np.log(theta) - obs / theta \
@@ -165,12 +194,12 @@ def _natural_terms(variant, rv, eps, k_max, clamp_floor):
 
 
 def loglik_terms(params: ModelParams, rv_series, eps_series,
-                 k_max: int = DEFAULT_K_MAX,
                  clamp_floor: float | None = None) -> np.ndarray:
     """Per-observation log-likelihood contributions (after the 22-lag warm-up).
 
     Nonpositive noncentrality raises by default; pass clamp_floor (e.g.
     1e-12) to clamp instead, for zero-mean fits on pathological samples.
+    A mixture that needs more than 2912 terms raises too.
     """
     rv = np.asarray(rv_series, dtype=float)
     eps = np.asarray(eps_series, dtype=float)
@@ -180,16 +209,15 @@ def loglik_terms(params: ModelParams, rv_series, eps_series,
         raise ValidationError("likelihood requires strictly positive variances")
     names = _NAMES[:5] if params.variant == "HARG" else _NAMES
     x = np.array([getattr(params, name) for name in names])
-    return _natural_terms(params.variant, rv, eps, k_max, clamp_floor)(
+    return _natural_terms(params.variant, rv, eps, clamp_floor)(
         x, scores=False)
 
 
 def loglik(params: ModelParams, rv_series, eps_series,
-           k_max: int = DEFAULT_K_MAX,
            clamp_floor: float | None = None) -> float:
     """Total sample log-likelihood of the variance transitions."""
     return float(np.sum(loglik_terms(params, rv_series, eps_series,
-                                     k_max, clamp_floor)))
+                                     clamp_floor)))
 
 
 def estimate_lambda(returns, rv_series, r: float) -> tuple[float, float]:
@@ -231,7 +259,6 @@ def _initial_guess(variant, rv) -> np.ndarray:
 
 
 def mle_fit(rv_series, returns, r: float, variant: str,
-            k_max: int = DEFAULT_K_MAX,
             clamp_floor: float | None = None) -> FitResult:
     """Fit the variance dynamics of one variant by maximum likelihood.
 
@@ -248,9 +275,11 @@ def mle_fit(rv_series, returns, r: float, variant: str,
     likelihood still rises toward Theta = 0 is reported as not converged.
     `FitResult.iterations` counts L-BFGS-B iterations over all runs, each
     taking one or more likelihood-and-score evaluations.  Robust standard
-    errors come from `_sandwich_errors`.  A history needs one transition
-    more than the variant has parameters after the 22-lag warm-up (28
-    observations for HARG, 32 for the LHARG variants), or ValidationError.
+    errors come from `_sandwich_errors`; where its difference steps cross
+    the wall, the transition parameters' errors are NaN (not available)
+    and lam's stays.  A history needs one transition more than the variant
+    has parameters after the 22-lag warm-up (28 observations for HARG, 32
+    for the LHARG variants), or ValidationError.
     """
     from scipy import optimize
 
@@ -265,7 +294,7 @@ def mle_fit(rv_series, returns, r: float, variant: str,
         )
     lam_hat, lam_se = estimate_lambda(y, rv, r)
     eps = filter_innovations(y, rv, r, lam_hat)
-    per_obs = _natural_terms(variant, rv, eps, k_max, clamp_floor)
+    per_obs = _natural_terms(variant, rv, eps, clamp_floor)
     x0 = _initial_guess(variant, rv)
     scale = np.abs(x0)
 
@@ -305,7 +334,12 @@ def mle_fit(rv_series, returns, r: float, variant: str,
                "gamma_lev": 0.0, **dict(zip(names, x_hat))}
     params = ModelParams(variant=variant, d=0.0, lam=lam_hat, r=r, **natural)
 
-    std_errors = dict(zip(names, _sandwich_errors(x_hat, per_obs, scale)))
+    try:
+        errors = _sandwich_errors(x_hat, per_obs, scale)
+    except LikelihoodDomainError:
+        # a difference step leaves the likelihood's domain: not available
+        errors = np.full(x_hat.size, np.nan)
+    std_errors = dict(zip(names, errors))
     std_errors["lam"] = lam_se
 
     return FitResult(

@@ -21,6 +21,7 @@ from lharg.io import (DatedSeries, load_params, load_returns, load_rv_series,
                       save_params)
 from lharg.options import OptionChain
 
+from conftest import make_history
 from oracles import write_option_chain, write_series
 from test_pricing import TRACING, make_quote
 
@@ -194,6 +195,56 @@ def test_simulate_q_reads_params_file_nu1(tmp_path, small_model):
     assert plain.read_bytes() != flag.read_bytes()
 
 
+def test_price_reads_params_file_nu1(data_dir, tmp_path, small_model,
+                                     capsys):
+    # price takes nu1 as simulate does: --nu1, else the params file's nu1;
+    # with neither it exits 2 and writes nothing
+    fit, keyed = tmp_path / "p.txt", tmp_path / "keyed.txt"
+    save_params(fit, small_model)
+    save_params(keyed, small_model, extras={"nu1": -2500.0})
+    chain = ["price", "--chain", str(data_dir / "chain.csv")]
+    out = {name: tmp_path / f"{name}.csv"
+           for name in ("flag", "key", "override", "other", "none")}
+    runs = (("flag", fit, ["--nu1", "-2500"]), ("key", keyed, []),
+            ("override", keyed, ["--nu1", "-1000"]),
+            ("other", fit, ["--nu1", "-1000"]))
+    for name, params, flag in runs:
+        assert main([*chain, "--params", str(params), *flag,
+                     "--out", str(out[name])]) == 0, name
+    assert out["key"].read_bytes() == out["flag"].read_bytes()
+    assert out["override"].read_bytes() == out["other"].read_bytes()
+    assert out["override"].read_bytes() != out["key"].read_bytes()
+    capsys.readouterr()
+    assert main([*chain, "--params", str(fit),
+                 "--out", str(out["none"])]) == 2
+    assert "price needs nu1 (--nu1 or the params file's nu1 key)" \
+        in capsys.readouterr().err
+    assert not out["none"].exists()
+
+
+def test_estimate_at_the_wall_prints_errors_not_available(tmp_path, zmlharg,
+                                                          capsys):
+    # a short zero-mean fit whose standard errors' difference steps cross
+    # Theta = 0: the transition parameters print (n/a), lam its error
+    rv, y = make_history(zmlharg, 100, seed=7)
+    dates = [dt.date(2000, 1, 3) + dt.timedelta(days=i) for i in range(100)]
+    write_series(tmp_path / "rv.csv", DatedSeries(dates, rv), "rv")
+    write_series(tmp_path / "returns.csv", DatedSeries(dates, y),
+                 "log_return")
+    fit, row = tmp_path / "fit.txt", tmp_path / "row.csv"
+    assert main(["estimate", "--rv", str(tmp_path / "rv.csv"),
+                 "--returns", str(tmp_path / "returns.csv"),
+                 "--variant", "ZM-LHARG", "--rate", "1e-4",
+                 "--out", str(fit), "--csv", str(row)]) == 0
+    assert fit.exists() and row.exists()
+    lines = capsys.readouterr().out.splitlines()
+    for name in ("theta", "delta", "beta_d", "alpha_m", "gamma_lev"):
+        assert any(re.fullmatch(rf"  {name} += \S+ \(n/a\)", line)
+                   for line in lines), name
+    assert any(re.fullmatch(r"  lam += \S+ \([0-9.e+-]+\)", line)
+               for line in lines)
+
+
 def test_csv_cells_are_plain_floats(tmp_path, small_model):
     # every numeric cell parses with float(): no numpy scalar reprs
     from lharg.io import save_params
@@ -267,6 +318,8 @@ def test_failed_run_leaves_no_csv(data_dir, tmp_path, small_model):
         ([*sim, "--nu1", "inf"], 2, tmp_path / "s.csv"),
         ([*chain, "--nu1", "nan"], 2, tmp_path / "p.csv"),
         ([*chain, "--nu1=-inf"], 2, tmp_path / "p.csv"),
+        (["price", "--params", str(bad), "--chain",
+          str(data_dir / "chain.csv")], 2, tmp_path / "p.csv"),
         (["cumulants", "--params", str(fit), "--nu1", "nan"], 2,
          tmp_path / "c.csv"),
         (["cumulants", "--params", str(bad)], 2, tmp_path / "c.csv"),

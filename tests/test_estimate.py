@@ -1,5 +1,7 @@
 """Likelihood, market-price-of-risk regression, MLE recovery, calibration."""
 
+from dataclasses import replace
+
 import mpmath
 import numpy as np
 import pytest
@@ -75,21 +77,33 @@ def lag_noncentrality(params, rv, eps):
 
 class TestLoglik:
     def test_against_direct_summation(self, plharg):
+        # at Theta = 150 and 400 the mixture's mode lies past 91 terms
         theta, delta = plharg.theta, plharg.delta
-        for nc in (1e-6, 1e-3, 0.5, 8.0, 40.0):
+        for nc in (1e-6, 1e-3, 0.5, 8.0, 40.0, 150.0, 400.0):
             x_obs = theta * (delta + nc)   # a typical draw
             rv, eps = series_with_noncentrality(plharg, nc, x_obs)
-            terms = loglik_terms(plharg, rv, eps, k_max=500)
-            oracle = direct_log_density(x_obs, delta, nc, theta)
-            assert abs(terms[0] - oracle) < 1e-10 * max(abs(oracle), 1.0)
+            terms = loglik_terms(plharg, rv, eps)
+            oracle = direct_log_density(x_obs, delta, nc, theta,
+                                        k_terms=1500)
+            assert abs(terms[0] - oracle) < 1e-10 * max(abs(oracle), 1.0), nc
 
-    def test_bessel_form(self, plharg, zmlharg):
-        # the k_max = 90 mixture is the closed-form noncentral gamma density
+    def test_bessel_form(self, plharg, zmlharg, plharg_history,
+                         zmlharg_history):
+        # the mixture is the closed-form noncentral gamma density
         # exp(-x/theta - Theta) (x/(theta Theta))^((delta-1)/2)
         #   I_{delta-1}(2 sqrt(x Theta/theta)) / theta
-        for params, seed in ((plharg, 51), (zmlharg, 52)):
-            rv, y = make_history(params, 600, seed=seed)
+        # on short histories, and on the 4500-day ones with rv scaled by up
+        # to 4 (eps held), a high-variance regime whose mixture needs more
+        # than 91 terms
+        inputs = [(params, *make_history(params, 600, seed=seed), 1.0)
+                  for params, seed in ((plharg, 51), (zmlharg, 52))]
+        inputs += [(params, *history, c)
+                   for params, history in ((plharg, plharg_history),
+                                           (zmlharg, zmlharg_history))
+                   for c in (1.0, 2.0, 3.0, 4.0)]
+        for params, rv, y, c in inputs:
             eps = filter_innovations(y, rv, params.r, params.lam)
+            rv = rv * c
             nc = lag_noncentrality(params, rv, eps)
             x, theta, delta = rv[22:], params.theta, params.delta
             z = 2.0 * np.sqrt(x * nc / theta)
@@ -97,7 +111,8 @@ class TestLoglik:
                            + 0.5 * (delta - 1.0) * np.log(x / (theta * nc))
                            + np.log(ive(delta - 1.0, z)) + z - np.log(theta))
             terms = loglik_terms(params, rv, eps)
-            assert np.max(np.abs(np.expm1(terms - log_density))) < 1e-12
+            assert np.max(np.abs(np.expm1(terms - log_density))) < 1e-12, \
+                (params.variant, rv.size, c)
 
     def test_small_noncentrality_tends_to_plain_gamma(self, plharg):
         from scipy.stats import gamma as gamma_dist
@@ -107,19 +122,16 @@ class TestLoglik:
         plain = gamma_dist.logpdf(x_obs, plharg.delta, scale=plharg.theta)
         assert abs(terms[0] - plain) < 1e-8
 
-    def test_truncation_90_vs_200(self, plharg, plharg_history):
+    def test_mixture_past_its_ceiling_raises(self, plharg, plharg_history):
+        # at theta = 1e-9 the mixture's mode lies near 3300 terms, past the
+        # 2912-term ceiling: the error names the widest observation
         rv, y = plharg_history
         eps = filter_innovations(y, rv, plharg.r, plharg.lam)
-        a = loglik(plharg, rv, eps, k_max=90)
-        b = loglik(plharg, rv, eps, k_max=200)
-        assert abs(a - b) < 1e-10
-
-    def test_truncation_vs_300_per_observation(self, zmlharg, zmlharg_history):
-        rv, y = zmlharg_history
-        eps = filter_innovations(y, rv, zmlharg.r, zmlharg.lam)
-        a = loglik_terms(zmlharg, rv, eps, k_max=90)
-        b = loglik_terms(zmlharg, rv, eps, k_max=300)
-        assert np.max(np.abs(a - b)) < 1e-8
+        tiny = replace(plharg, theta=1e-9)
+        with pytest.raises(LikelihoodDomainError, match="2912 terms") as err:
+            loglik(tiny, rv, eps)
+        s = rv[22:] * lag_noncentrality(tiny, rv, eps)
+        assert err.value.index == int(np.argmax(s)) + 22
 
     def test_theta_perturbation_lowers_likelihood(self, plharg):
         rv, y = make_history(plharg, 100_000, seed=61)
@@ -248,6 +260,16 @@ class TestMleFit:
         assert fit.converged is False
         assert fit.loglik >= 2458.5548 - 1e-6
 
+    def test_errors_not_available_at_the_wall(self, zmlharg):
+        # this fit stops where a +-1e-5 difference step of the standard
+        # errors crosses Theta = 0: the transition parameters' errors are
+        # not available (NaN), and lam's, from the regression, stays
+        rv, y = make_history(zmlharg, 100, seed=7)
+        fit = mle_fit(rv, y, zmlharg.r, "ZM-LHARG")
+        assert np.isfinite(fit.loglik)
+        assert all(np.isnan(fit.std_errors[name]) for name in _NAMES)
+        assert 0.0 < fit.std_errors["lam"] < np.inf
+
     def test_harg_fit_smoke(self, harg):
         rv, y = make_history(harg, 3000, seed=32)
         fit = mle_fit(rv, y, harg.r, "HARG")
@@ -262,7 +284,7 @@ class TestScores:
         # each analytic score column against central differences of the
         # terms, with steps floored at a typical magnitude (alpha_m = 3.85e-6
         # in P-LHARG would otherwise move Theta by less than its rounding)
-        per_obs = _natural_terms(variant, rv, eps, 90, clamp_floor)
+        per_obs = _natural_terms(variant, rv, eps, clamp_floor)
         _, scores = per_obs(x)
         assert scores.shape == (len(rv) - 22, x.size)
         typical = np.array([1e-5, 1.0, 1e4, 1e4, 1e4, 0.1, 0.1, 0.1, 100.0])
@@ -292,7 +314,7 @@ class TestScores:
         assert nc[10] - nc[9] > 1e-3 * abs(floor)
         x = natural_vector(zmlharg)
         self.assert_scores_match("ZM-LHARG", rv, eps, x, clamp_floor=floor)
-        _, scores = _natural_terms("ZM-LHARG", rv, eps, 90, floor)(x)
+        _, scores = _natural_terms("ZM-LHARG", rv, eps, floor)(x)
         clamped = lag_noncentrality(zmlharg, rv, eps) < floor
         assert clamped.sum() == 10
         assert np.all(scores[clamped, 2:] == 0.0)
@@ -305,7 +327,7 @@ class TestSandwichErrors:
         # whose summed scores difference into the Hessian
         rv, y = make_history(plharg, 400, seed=41)
         eps = filter_innovations(y, rv, plharg.r, plharg.lam)
-        per_obs = _natural_terms("P-LHARG", rv, eps, 90, None)
+        per_obs = _natural_terms("P-LHARG", rv, eps, None)
         points = []
 
         def counted(x):
