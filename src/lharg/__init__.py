@@ -24,7 +24,6 @@ from .model import (
     filter_innovations,
     leverage,
     parabolic_form,
-    parabolic_state,
     state_from_series,
     stationarity_margin,
     stationary_mean_rv,

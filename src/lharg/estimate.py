@@ -270,9 +270,11 @@ def mle_fit(rv_series, returns, r: float, variant: str,
     1e-8 |x0| (strictly positive), beta, alpha >= 0, gamma_lev free.
     Where Theta <= 0 (possible in the zero-mean variant) the objective is
     a finite wall; a run that met it restarts from where it stopped for as
-    long as that gains.  `FitResult.converged` holds only if the run that
-    ended the restarts succeeded without meeting the wall: a fit whose
-    likelihood still rises toward Theta = 0 is reported as not converged.
+    long as that gains, and a fit that never leaves it raises the
+    likelihood's LikelihoodDomainError.  `FitResult.converged` holds only
+    if the run that ended the restarts succeeded without meeting the wall:
+    a fit whose likelihood still rises toward Theta = 0 is reported as not
+    converged.
     `FitResult.iterations` counts L-BFGS-B iterations over all runs, each
     taking one or more likelihood-and-score evaluations.  Robust standard
     errors come from `_sandwich_errors`; where its difference steps cross
@@ -329,6 +331,9 @@ def mle_fit(rv_series, returns, r: float, variant: str,
             break
         start = run.x
     x_hat = best.x * scale
+    if best.fun == _PENALTY:
+        # no run left the wall: the likelihood raises its own located error
+        per_obs(x_hat, scores=False)
     names = _NAMES[:x0.size]
     natural = {"alpha_d": 0.0, "alpha_w": 0.0, "alpha_m": 0.0,
                "gamma_lev": 0.0, **dict(zip(names, x_hat))}

@@ -68,7 +68,6 @@ from .model import (
     _measure_form,
     expand_weights,
     parabolic_form,
-    parabolic_state,
     theta_noncentrality,
 )
 
@@ -175,7 +174,7 @@ def _log_mgf_segments(params, nu1: float | None, segments) -> list:
             # the log-MGF A + B @ rv + C @ lev on the segment's state;
             # rebinding res frees this B and C before the pass forms the
             # next
-            st = parabolic_state(params, parts[j][3])
+            st = parts[j][3]
             res = res[0] + res[1] @ st.rv + res[2] @ st.lev
             out[chunk[j]] = res
     return out
@@ -238,7 +237,7 @@ def _cumulant_segments(params, nu1: float | None, segments) -> list:
     p = parabolic_form(params)
     radii = []
     for horizon, _, state in segments:
-        nc = theta_noncentrality(p, parabolic_state(params, state))
+        nc = theta_noncentrality(p, state)
         kappa2_guess = (_whole("horizon", horizon, 1) * p.theta
                         * (p.delta + max(nc, 0.0)))
         if not np.isfinite(kappa2_guess) or kappa2_guess <= 0.0:

@@ -29,11 +29,10 @@ The zero-mean variant reduces algebraically to the parabolic form with
 d = -(alpha_d + alpha_w + alpha_m) and beta_l -> beta_l - alpha_l*gamma^2;
 the MGF recursion and the simulator work on that canonical parabolic form,
 the likelihood (`estimate._natural_terms`) on the variant's own leverage
-and loadings.  Parabolic leverage values are invariant under
-the measure change (the shift of the innovation exactly offsets the shift
-of gamma), so the engines take the state in parabolic values
-(`parabolic_state`) and need no conversion under Q; only the zero-mean
-*view* depends on gamma.
+and loadings.  Parabolic leverage values are invariant under the measure
+change (the shift of the innovation exactly offsets the shift of gamma),
+so a `MarketState` holds parabolic leverage for every variant and serves
+P and Q, and every form of the parameters, as it stands.
 
 This module is the single home of the P -> Q measure change: the kernel's
 tilt y_star, the scale c = 1 - theta*y_star and the shifted leverage
@@ -137,9 +136,9 @@ class ParabolicForm:
 class MarketState:
     """The 22 most recent daily realized variances and leverage values.
 
-    Index 0 is today; index i is i days ago.  Leverage entries follow the
-    variant convention of the parameters they are paired with (parabolic
-    values for HARG / P-LHARG, zero-mean values for ZM-LHARG).
+    Index 0 is today; index i is i days ago.  Leverage entries are
+    parabolic values (eps - gamma*sqrt(RV))^2 whatever the variant, so
+    both rows must be nonnegative.
     """
 
     rv: np.ndarray   # (22,)
@@ -155,6 +154,9 @@ class MarketState:
             )
         if np.any(rv < 0.0):
             raise ValidationError("realized variances must be nonnegative")
+        if np.any(lev < 0.0):
+            raise ValidationError("parabolic leverage values must be "
+                                  "nonnegative")
         object.__setattr__(self, "rv", rv)
         object.__setattr__(self, "lev", lev)
 
@@ -176,18 +178,6 @@ def parabolic_form(params: ModelParams | ParabolicForm) -> ParabolicForm:
                    beta_d=p.beta_d - p.alpha_d * g2,
                    beta_w=p.beta_w - p.alpha_w * g2,
                    beta_m=p.beta_m - p.alpha_m * g2)
-
-
-def parabolic_state(params: ModelParams | ParabolicForm,
-                    state: MarketState) -> MarketState:
-    """Express the state's leverage lags as (measure-invariant) parabolic values.
-
-    For the zero-mean view, lev_parabolic = lev_zm + gamma^2 * rv + 1.
-    """
-    if isinstance(params, ParabolicForm) or not params.is_zero_mean:
-        return state
-    g2 = params.gamma_lev**2
-    return MarketState(rv=state.rv, lev=state.lev + g2 * state.rv + 1.0)
 
 
 def expand_weights(params: ModelParams | ParabolicForm) -> np.ndarray:
@@ -232,14 +222,15 @@ def leverage(eps, rv, gamma_lev: float, variant: str):
 def theta_noncentrality(params: ModelParams | ParabolicForm,
                         state: MarketState) -> float:
     """Noncentrality of tomorrow's variance draw given the current 22-lag
-    state: d plus the `expand_weights` rows dotted with its rv and leverage.
+    state: d plus the `expand_weights` rows dotted with its rv and leverage,
+    all of `parabolic_form(params)`, since the state's leverage is parabolic.
 
-    The leverage entries of `state` must follow the convention of `params`.
     May be negative for the zero-mean variant; negativity is reported by the
     callers that cannot tolerate it, not here.
     """
-    beta, alpha = expand_weights(params)
-    return float(params.d + beta @ state.rv + alpha @ state.lev)
+    p = parabolic_form(params)
+    beta, alpha = expand_weights(p)
+    return float(p.d + beta @ state.rv + alpha @ state.lev)
 
 
 def stationarity_margin(params: ModelParams | ParabolicForm) -> float:
@@ -333,20 +324,20 @@ def stationary_mean_rv(params: ModelParams | ParabolicForm) -> float:
 def stationary_state(params: ModelParams | ParabolicForm) -> MarketState:
     """State with every lag pinned at its unconditional mean.
 
-    Leverage lags are set to E[lev] in the convention of `params`: zero for
-    the zero-mean view, 1 + gamma^2 E[RV] for the parabolic one.
+    Leverage lags are set to the parabolic mean E[lev] = 1 + gamma^2 E[RV]
+    for every variant (the zero-mean leverage has mean zero).
     """
     m = stationary_mean_rv(params)
-    zero_mean = isinstance(params, ModelParams) and params.is_zero_mean
-    lev_mean = 0.0 if zero_mean else 1.0 + params.gamma_lev**2 * m
-    return MarketState(rv=np.full(N_LAGS, m), lev=np.full(N_LAGS, lev_mean))
+    return MarketState(rv=np.full(N_LAGS, m),
+                       lev=np.full(N_LAGS, 1.0 + params.gamma_lev**2 * m))
 
 
 def state_from_series(params: ModelParams, rv, returns) -> MarketState:
     """Build today's 22-lag state from the tail of aligned RV/return series.
 
-    Innovations are filtered with the model's own lam; requires at least
-    22 observations (no implicit padding).
+    Innovations are filtered with the model's own lam, and leverage is the
+    parabolic value (eps - gamma*sqrt(RV))^2 for every variant; requires at
+    least 22 observations (no implicit padding).
     """
     rv = np.asarray(rv, dtype=float)
     y = np.asarray(returns, dtype=float)
@@ -359,6 +350,6 @@ def state_from_series(params: ModelParams, rv, returns) -> MarketState:
     tail_rv = rv[-N_LAGS:]
     tail_y = y[-N_LAGS:]
     eps = filter_innovations(tail_y, tail_rv, params.r, params.lam)
-    lev = leverage(eps, tail_rv, params.gamma_lev, params.variant)
+    lev = leverage(eps, tail_rv, params.gamma_lev, "P-LHARG")
     # index 0 = today: reverse the chronological tail
     return MarketState(rv=tail_rv[::-1].copy(), lev=np.asarray(lev)[::-1].copy())

@@ -51,7 +51,6 @@ from .model import (
     ModelParams,
     ParabolicForm,
     _measure_form,
-    parabolic_state,
 )
 
 DEFAULT_BLOCK = 65536   # paths per RNG stream
@@ -144,8 +143,7 @@ def _blocks(params: ModelParams, state: MarketState,
     once, and return each RNG block's (rows, day steps)."""
     n_paths, seed = _whole("n_paths", n_paths, 1), _whole("seed", seed, 0)
     p = _measure_form(params, nu1)
-    st = parabolic_state(params, state)
-    return [(slice(s, s + n), _day_steps(p, st, n, rng, days))
+    return [(slice(s, s + n), _day_steps(p, state, n, rng, days))
             for s, n, rng in _block_streams(seed, n_paths)]
 
 
@@ -199,8 +197,8 @@ def simulate_paths(params: ModelParams, state: MarketState, horizon: int,
     nu1=None simulates the physical measure.  A variance premium nu1 maps
     params into the starred Q dynamics (lam* = -1/2, shifted gamma,
     rescaled gamma parameters) by risk_neutral_parabolic; the state's
-    leverage lags are converted to their measure-invariant parabolic
-    values, so the same physical state seeds both measures.
+    parabolic leverage lags are measure-invariant, so the same physical
+    state seeds both measures.
     A nonzero burn_in advances the paths that many days before recording
     (1000 days comfortably washes out the start state at the persistence
     levels of interest); clamps are counted on recorded days only.

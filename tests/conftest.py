@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from lharg import ModelParams, simulate_paths, stationary_state
+from lharg import (MarketState, ModelParams, leverage, simulate_paths,
+                   stationary_state)
 
 DAILY_RATE = 1e-4
 
@@ -65,3 +66,12 @@ def random_state_arrays(rng: np.random.Generator, scale: float = 1.1e-4):
     rv = rng.gamma(2.0, scale / 2.0, 22)
     eps = rng.standard_normal(22)
     return rv, eps
+
+
+def random_state(rng: np.random.Generator, gamma_lev: float,
+                 scale: float = 1.1e-4) -> MarketState:
+    """A random 22-lag state: `random_state_arrays` with its innovations
+    turned into parabolic leverage at gamma_lev."""
+    rv, eps = random_state_arrays(rng, scale)
+    return MarketState(rv=rv, lev=np.asarray(
+        leverage(eps, rv, gamma_lev, "P-LHARG")))

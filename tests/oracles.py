@@ -20,7 +20,6 @@ from lharg import (
     expand_weights,
     mgf_q,
     parabolic_form,
-    parabolic_state,
     theta_noncentrality,
 )
 from lharg.io import CHAIN_COLUMNS
@@ -49,20 +48,6 @@ def risk_neutral_map(params: ModelParams, nu1: float) -> ModelParams:
         alpha_d=params.alpha_d / c, alpha_w=params.alpha_w / c,
         alpha_m=params.alpha_m / c, gamma_lev=g_star, lam=-0.5,
     )
-
-
-def risk_neutral_state(params: ModelParams, state: MarketState) -> MarketState:
-    """The state in the convention of `risk_neutral_map(params, nu1)`.
-
-    Parabolic leverage is measure-invariant.  The zero-mean value
-    lev + gamma^2 rv + 1 is that invariant, so under gamma* the zero-mean
-    lags become lev + (gamma^2 - gamma*^2) rv.
-    """
-    if not params.is_zero_mean:
-        return state
-    g_star = params.gamma_lev + params.lam + 0.5
-    return MarketState(rv=state.rv, lev=state.lev + (
-        params.gamma_lev**2 - g_star**2) * state.rv)
 
 
 def shift_and_add(p, weights, z, horizon, nu1=None):
@@ -132,12 +117,11 @@ def lewis_calls(params: ModelParams, state: MarketState, nu1, tau: int,
     `panels` equal panels of 64 nodes, all in one vectorized recursion.
     """
     p = parabolic_form(params)
-    sp = parabolic_state(params, state)
     x, w = np.polynomial.legendre.leggauss(64)
     h = 20.0 / np.sqrt(10.0 * params.theta * tau) / panels
     u = (h * np.arange(panels)[:, None] + 0.5 * h * (x + 1.0)).ravel()
     a, b, c = shift_and_add(p, expand_weights(p), 0.5 + 1j * u, tau, nu1)
-    m = np.exp(a + b @ sp.rv + c @ sp.lev)
+    m = np.exp(a + b @ state.rv + c @ state.lev)
     k = np.log(S / np.asarray(K, dtype=float))
     integrand = np.real(np.exp(1j * np.outer(k, u)) * m) / (u * u + 0.25)
     integral = integrand @ np.tile(0.5 * h * w, panels)
@@ -149,7 +133,7 @@ def conditional_covariance(params: ModelParams, state: MarketState) -> float:
     """Cov(y_t, RV_{t+1} | F_{t-1}) = -2 theta^2 alpha_d gamma (delta + Theta)
     on the parabolic form, exact when lam = 0."""
     p = parabolic_form(params)
-    nc = theta_noncentrality(p, parabolic_state(params, state))
+    nc = theta_noncentrality(p, state)
     return -2.0 * p.theta**2 * p.alpha_d * p.gamma_lev * (p.delta + nc)
 
 

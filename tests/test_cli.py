@@ -222,20 +222,28 @@ def test_price_reads_params_file_nu1(data_dir, tmp_path, small_model,
     assert not out["none"].exists()
 
 
-def test_estimate_at_the_wall_prints_errors_not_available(tmp_path, zmlharg,
-                                                          capsys):
-    # a short zero-mean fit whose standard errors' difference steps cross
-    # Theta = 0: the transition parameters print (n/a), lam its error
-    rv, y = make_history(zmlharg, 100, seed=7)
-    dates = [dt.date(2000, 1, 3) + dt.timedelta(days=i) for i in range(100)]
+def _zero_mean_estimate(tmp_path, params, n_days, seed):
+    # `lharg estimate` arguments for a ZM-LHARG fit of a simulated history,
+    # and the two files it writes
+    rv, y = make_history(params, n_days, seed=seed)
+    dates = [dt.date(2000, 1, 3) + dt.timedelta(days=i)
+             for i in range(n_days)]
     write_series(tmp_path / "rv.csv", DatedSeries(dates, rv), "rv")
     write_series(tmp_path / "returns.csv", DatedSeries(dates, y),
                  "log_return")
     fit, row = tmp_path / "fit.txt", tmp_path / "row.csv"
-    assert main(["estimate", "--rv", str(tmp_path / "rv.csv"),
-                 "--returns", str(tmp_path / "returns.csv"),
-                 "--variant", "ZM-LHARG", "--rate", "1e-4",
-                 "--out", str(fit), "--csv", str(row)]) == 0
+    return (["estimate", "--rv", str(tmp_path / "rv.csv"),
+             "--returns", str(tmp_path / "returns.csv"),
+             "--variant", "ZM-LHARG", "--rate", "1e-4",
+             "--out", str(fit), "--csv", str(row)], fit, row)
+
+
+def test_estimate_at_the_wall_prints_errors_not_available(tmp_path, zmlharg,
+                                                          capsys):
+    # a short zero-mean fit whose standard errors' difference steps cross
+    # Theta = 0: the transition parameters print (n/a), lam its error
+    args, fit, row = _zero_mean_estimate(tmp_path, zmlharg, 100, seed=7)
+    assert main(args) == 0
     assert fit.exists() and row.exists()
     lines = capsys.readouterr().out.splitlines()
     for name in ("theta", "delta", "beta_d", "alpha_m", "gamma_lev"):
@@ -243,6 +251,20 @@ def test_estimate_at_the_wall_prints_errors_not_available(tmp_path, zmlharg,
                    for line in lines), name
     assert any(re.fullmatch(r"  lam += \S+ \([0-9.e+-]+\)", line)
                for line in lines)
+
+
+def test_estimate_never_off_the_wall_exits_3(tmp_path, zmlharg, capsys):
+    # a fit that cannot leave Theta <= 0 exits 3 naming the observation
+    # and writes nothing; --clamp fits the same history
+    args, fit, row = _zero_mean_estimate(tmp_path, zmlharg, 40, seed=0)
+    assert main(args) == 3
+    assert "observation 32: nonpositive noncentrality" \
+        in capsys.readouterr().err
+    assert not fit.exists() and not row.exists()
+    assert main([*args, "--clamp"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "(converged, " in lines[0]
+    assert "  loglik     = 158.2934" in lines
 
 
 def test_csv_cells_are_plain_floats(tmp_path, small_model):

@@ -260,6 +260,18 @@ class TestMleFit:
         assert fit.converged is False
         assert fit.loglik >= 2458.5548 - 1e-6
 
+    def test_fit_that_never_leaves_the_wall_raises(self, zmlharg):
+        # the HAR start already has Theta <= 0 on this history and no run
+        # leaves the wall: the likelihood's own error, located, rather than
+        # the wall's penalty reported as a fit; clamping fits it
+        rv, y = make_history(zmlharg, 40, seed=0)
+        with pytest.raises(LikelihoodDomainError) as err:
+            mle_fit(rv, y, zmlharg.r, "ZM-LHARG")
+        assert err.value.index == 32
+        fit = mle_fit(rv, y, zmlharg.r, "ZM-LHARG", clamp_floor=1e-12)
+        assert fit.converged
+        assert abs(fit.loglik - 158.2934) < 1e-4
+
     def test_errors_not_available_at_the_wall(self, zmlharg):
         # this fit stops where a +-1e-5 difference step of the standard
         # errors crosses Theta = 0: the transition parameters' errors are

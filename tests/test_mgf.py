@@ -14,11 +14,9 @@ from lharg import (
     ValidationError,
     cumulants,
     expand_weights,
-    leverage,
     mgf_p,
     mgf_q,
     parabolic_form,
-    parabolic_state,
     sample_noncentral_gamma,
     simulate_paths,
     state_from_series,
@@ -30,8 +28,8 @@ from lharg.mgf import _guarded, log_mgf, raw_cumulants
 from lharg.model import _measure_form
 from lharg.pricing import COS_TERMS, _cos_grid, _truncation, model_atm_iv
 
-from conftest import random_state_arrays
-from oracles import risk_neutral_map, risk_neutral_state, shift_and_add
+from conftest import random_state
+from oracles import risk_neutral_map, shift_and_add
 
 HORIZONS = (1, 5, 22, 63, 126, 252)
 
@@ -151,8 +149,7 @@ class TestStepP:
         # pair (RV, eps), against the single-step exponential-affine form
         st = stationary_state(zmlharg)
         p = parabolic_form(zmlharg)
-        sp = parabolic_state(zmlharg, st)
-        nc = theta_noncentrality(p, sp)
+        nc = theta_noncentrality(p, st)
         rng = np.random.default_rng(101)
         n = 10**6
         rv = sample_noncentral_gamma(p.delta, nc, p.theta, rng, size=n)
@@ -241,18 +238,18 @@ class TestMgfQ:
         for params in all_variants:
             nu1 = float(rng.uniform(-4000.0, -100.0))
             st = stationary_state(params)
-            p, sp = parabolic_form(params), parabolic_state(params, st)
+            p = parabolic_form(params)
             q_params = risk_neutral_map(params, nu1)
-            q_state = risk_neutral_state(params, st)
             for _ in range(15):
                 z = complex(rng.uniform(-2.5, 2.5), rng.uniform(-20, 20))
                 horizon = int(rng.integers(1, 253))
                 direct = mgf_q(params, st, nu1, z, horizon)
                 a, b, c = shift_and_add(p, expand_weights(p), np.array([z]),
                                         horizon, nu1)
-                tilted = np.exp(a[0] + b[0] @ sp.rv + c[0] @ sp.lev)
+                tilted = np.exp(a[0] + b[0] @ st.rv + c[0] @ st.lev)
                 assert abs(direct - tilted) <= 1e-12 * abs(direct)
-                mapped = mgf_p(q_params, q_state, z, horizon)
+                # one state serves both measures
+                mapped = mgf_p(q_params, st, z, horizon)
                 assert abs(direct - mapped) <= 1e-12 * abs(direct)
 
     def test_coefficients_exact_at_zero_and_one(self, all_variants,
@@ -310,11 +307,8 @@ class TestCumulants:
         # the 16-point contour must still match a 64-point circle at a
         # quarter of a standard deviation, in units of sd^n
         rng = np.random.default_rng(29)
-        states = []
-        for scale in (1e-6,) * 6 + (1.1e-4,) * 3:
-            rv, eps = random_state_arrays(rng, scale)
-            states.append(MarketState(rv=rv, lev=np.asarray(
-                leverage(eps, rv, zmlharg.gamma_lev, "ZM-LHARG"))))
+        states = [random_state(rng, zmlharg.gamma_lev, scale)
+                  for scale in (1e-6,) * 6 + (1.1e-4,) * 3]
         worst = 0.0
         for st in states:
             for nu1 in (None, -3000.0):
@@ -331,19 +325,13 @@ class TestCumulants:
         # (whose law is the physical one on the mapped parameters)
         rng = np.random.default_rng(23)
         for params in all_variants:
-            rv, eps = random_state_arrays(rng)
-            drawn = MarketState(rv=rv, lev=np.asarray(
-                leverage(eps, rv, params.gamma_lev, params.variant)))
+            drawn = random_state(rng, params.gamma_lev)
             for st in (stationary_state(params), drawn):
                 for nu1 in (None, -3000.0):
-                    if nu1 is None:
-                        law, law_state = params, st
-                    else:
-                        law = risk_neutral_map(params, nu1)
-                        law_state = risk_neutral_state(params, st)
+                    law = params if nu1 is None \
+                        else risk_neutral_map(params, nu1)
                     p = parabolic_form(law)
-                    nc = theta_noncentrality(
-                        p, parabolic_state(law, law_state))
+                    nc = theta_noncentrality(p, st)
                     exact = _one_day_cumulants(p, nc)
                     k = raw_cumulants(params, st, 1, nu1=nu1)
                     rel = np.abs(k - exact) / np.abs(exact)

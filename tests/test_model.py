@@ -2,6 +2,7 @@
 
 from dataclasses import fields, replace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -17,7 +18,6 @@ from lharg import (
     mgf_p,
     mgf_q,
     parabolic_form,
-    parabolic_state,
     simulate_paths,
     state_from_series,
     stationarity_margin,
@@ -31,7 +31,7 @@ from lharg.options import OptionChain
 from lharg.pricing import price_chain
 
 from conftest import random_state_arrays
-from oracles import risk_neutral_map, risk_neutral_state
+from oracles import risk_neutral_map
 from test_pricing import make_quote
 
 
@@ -157,15 +157,17 @@ class TestThetaNoncentrality:
         assert theta_noncentrality(p, state) == 0.37
 
     def test_zero_mean_matches_parabolic_reduction(self, zmlharg):
+        # the native Theta = beta . rv + alpha . lev_zm, by hand, against
+        # the reduction on the same innovations' parabolic leverage
+        beta, alpha = expand_weights(zmlharg)
         rng = np.random.default_rng(7)
         for _ in range(25):
             rv, eps = random_state_arrays(rng)
-            lev_zm = leverage(eps, rv, zmlharg.gamma_lev, "ZM-LHARG")
-            state = MarketState(rv=rv, lev=np.asarray(lev_zm))
-            native = theta_noncentrality(zmlharg, state)
-            pform = parabolic_form(zmlharg)
-            reduced = theta_noncentrality(pform,
-                                          parabolic_state(zmlharg, state))
+            native = beta @ rv + alpha @ leverage(eps, rv, zmlharg.gamma_lev,
+                                                  "ZM-LHARG")
+            state = MarketState(rv=rv, lev=np.asarray(
+                leverage(eps, rv, zmlharg.gamma_lev, "P-LHARG")))
+            reduced = theta_noncentrality(zmlharg, state)
             assert abs(native - reduced) <= 1e-12 * max(abs(native), 1.0)
 
     def test_zero_mean_stationary_value(self, zmlharg):
@@ -183,9 +185,10 @@ class TestThetaNoncentrality:
         assert abs(nc - nc_oracle) <= 1e-10 * nc_oracle
 
     def test_can_be_negative_for_zero_mean(self, zmlharg):
-        # deeply negative innovations with positive gamma push lev_zm low
+        # innovations at gamma*sqrt(RV) zero the parabolic leverage, and
+        # tiny variances leave the constant d = -sum(alpha) to dominate
         rv = np.full(22, 1e-6)
-        lev = np.full(22, -1.0)
+        lev = np.zeros(22)
         state = MarketState(rv=rv, lev=lev)
         nc = theta_noncentrality(zmlharg, state)
         assert nc < 0.0
@@ -304,6 +307,24 @@ class TestMarketState:
         with pytest.raises(ValidationError):
             MarketState(rv=rv, lev=np.zeros(22))
 
+    def test_negative_leverage_rejected(self):
+        # leverage is parabolic, so a zero-mean value below zero is an error
+        # rather than a silently different price
+        lev = np.zeros(22)
+        lev[5] = -0.3
+        with pytest.raises(ValidationError, match="leverage"):
+            MarketState(rv=np.full(22, 1e-4), lev=lev)
+
+    def test_stationary_state_one_convention(self, zmlharg):
+        # the same state whichever form of the parameters asks for it: the
+        # parabolic mean 1 + gamma^2 E[RV] of the leverage lags
+        native = stationary_state(zmlharg)
+        reduced = stationary_state(parabolic_form(zmlharg))
+        assert np.array_equal(native.rv, reduced.rv)
+        assert np.array_equal(native.lev, reduced.lev)
+        m = stationary_mean_rv(zmlharg)
+        assert np.all(native.lev == 1.0 + zmlharg.gamma_lev**2 * m)
+
     def test_short_history_rejected(self, plharg):
         rv = np.full(10, 1e-4)
         y = np.full(10, 1e-3)
@@ -321,6 +342,23 @@ class TestMarketState:
         lev_today = leverage(eps[-1], rv[-1], plharg.gamma_lev, "P-LHARG")
         assert abs(st.lev[0] - lev_today) < 1e-10
 
+    def test_state_from_series_leverage_near_its_zero(self, zmlharg):
+        # innovations within a few percent of gamma*sqrt(RV): the parabolic
+        # leverage is a small difference squared, which a sum of O(1) terms
+        # such as lev_zm + gamma^2 RV + 1 loses to cancellation
+        rng = np.random.default_rng(5)
+        rv = rng.gamma(2.0, 5e-5, 22)
+        eps = zmlharg.gamma_lev * np.sqrt(rv) \
+            * (1.0 + 3e-2 * rng.standard_normal(22))
+        y = zmlharg.r + zmlharg.lam * rv + np.sqrt(rv) * eps
+        st = state_from_series(zmlharg, rv, y)
+        filtered = filter_innovations(y, rv, zmlharg.r, zmlharg.lam)
+        with mpmath.workdps(40):
+            exact = np.array([float((mpmath.mpf(e) - mpmath.mpf(
+                zmlharg.gamma_lev) * mpmath.sqrt(mpmath.mpf(v))) ** 2)
+                for e, v in zip(filtered[::-1], rv[::-1])])
+        assert np.max(np.abs(st.lev - exact) / exact) <= 1e-12
+
 
 class TestRiskNeutralState:
     def test_parabolic_untouched(self, plharg):
@@ -331,15 +369,3 @@ class TestRiskNeutralState:
             direct = mgf_q(plharg, st, -3375.0, z, 22)
             mapped = mgf_p(_q_form(plharg, -3375.0), st, z, 22)
             assert abs(direct - mapped) <= 1e-12 * abs(direct)
-
-    def test_zero_mean_view_consistency(self, zmlharg):
-        # invariant parabolic values recovered under either gamma agree
-        rng = np.random.default_rng(13)
-        rv, eps = random_state_arrays(rng)
-        lev_zm = np.asarray(leverage(eps, rv, zmlharg.gamma_lev, "ZM-LHARG"))
-        st = MarketState(rv=rv, lev=lev_zm)
-        q = risk_neutral_map(zmlharg, -3375.0)
-        qst = risk_neutral_state(zmlharg, st)
-        inv_phys = parabolic_state(zmlharg, st).lev
-        inv_q = parabolic_state(q, qst).lev
-        assert np.max(np.abs(inv_phys - inv_q)) < 1e-9

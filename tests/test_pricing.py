@@ -17,7 +17,6 @@ from lharg import (
     NumericalError,
     RecursionDomainError,
     ValidationError,
-    leverage,
     mgf_q,
     simulate_y_snapshots,
     stationary_state,
@@ -40,7 +39,7 @@ from lharg.pricing import (
 import lharg.mgf as mgf_mod
 import lharg.pricing as pricing_mod
 
-from conftest import random_state_arrays
+from conftest import random_state
 from oracles import lewis_calls, model_cf
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -270,11 +269,8 @@ class TestCosTermsGate:
         out = {}
         for params in (plharg, zmlharg):
             rng = np.random.default_rng(31)
-            states = {}
-            for scale in self.SCALES:
-                rv, eps = random_state_arrays(rng, scale)
-                states[scale] = MarketState(rv=rv, lev=np.asarray(leverage(
-                    eps, rv, params.gamma_lev, params.variant)))
+            states = {scale: random_state(rng, params.gamma_lev, scale)
+                      for scale in self.SCALES}
             for nu1 in self.NU1S:
                 cases = [(scale, tau, *_truncation(raw_cumulants(
                     params, st, tau, nu1=nu1)))

@@ -1,8 +1,8 @@
 """The model's identities as properties over random states, horizons and z.
 
 Examples are derandomized, so every run draws the same ones.  A state is
-22 random lags from conftest.random_state_arrays, its leverage in the
-variant's own convention.  Bounds are those of the deterministic tests in
+22 random lags from conftest.random_state, its leverage parabolic as
+every state's is.  Bounds are those of the deterministic tests in
 test_mgf.py and test_pricing.py.
 """
 
@@ -20,10 +20,8 @@ from scipy.optimize import brentq
 
 from lharg import (
     InversionDomainError,
-    MarketState,
     NumericalError,
     RecursionDomainError,
-    leverage,
     mgf_p,
     mgf_q,
 )
@@ -38,8 +36,8 @@ from lharg.pricing import (
     implied_vol,
 )
 
-from conftest import random_state_arrays
-from oracles import model_cf, risk_neutral_map, risk_neutral_state
+from conftest import random_state
+from oracles import model_cf, risk_neutral_map
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -76,9 +74,7 @@ XTOL = st.sampled_from((1e-30, 3e-12))   # implied_vol's, calibrate_nu1's
 
 
 def _state(params, seed, scale):
-    rv, eps = random_state_arrays(np.random.default_rng(seed), scale)
-    lev = leverage(eps, rv, params.gamma_lev, params.variant)
-    return MarketState(rv=rv, lev=np.asarray(lev))
+    return random_state(np.random.default_rng(seed), params.gamma_lev, scale)
 
 
 class TestMgfProperties:
@@ -106,8 +102,7 @@ class TestMgfProperties:
         params = all_variants[v]
         state = _state(params, seed, scale)
         direct = mgf_q(params, state, nu1, z, horizon)
-        mapped = mgf_p(risk_neutral_map(params, nu1),
-                       risk_neutral_state(params, state), z, horizon)
+        mapped = mgf_p(risk_neutral_map(params, nu1), state, z, horizon)
         assert abs(direct - mapped) <= 1e-12 * abs(direct)
 
 
