@@ -33,9 +33,10 @@ from .model import (
     N_LAGS,
     _finite_nu1,
     state_from_series,
+    stationarity_margin,
     stationary_state,
 )
-from .options import FILTER_RULES, OptionChain, filter_options
+from .options import FILTER_RULES, filter_options
 from .pricing import price_chain, rmse_iv
 from .simulate import _snapshot_runs, mc_mgf_from_samples, simulate_paths
 
@@ -154,26 +155,20 @@ def _load_history(rv_path, returns_path):
     return rv, ret
 
 
-def _load_state(params: ModelParams, rv_path, returns_path):
-    if not (rv_path or returns_path):
-        return stationary_state(params)
-    rv, ret = _load_history(rv_path, returns_path)
-    return state_from_series(params, rv.values, ret.values)
-
-
 def _cmd_estimate(args) -> int:
     rv, ret = _load_history(args.rv, args.returns)
     fit = mle_fit(rv.values, ret.values, args.rate, args.variant,
-                  clamp_floor=1e-12 if args.clamp else None)
+                  clamp=args.clamp)
     p = fit.params
+    persistence = stationarity_margin(p)
     lio.save_params(args.out, p, extras={
-        "loglik": fit.loglik, "persistence": fit.persistence,
+        "loglik": fit.loglik, "persistence": persistence,
         "converged": int(fit.converged), "iterations": fit.iterations,
     })
     _write_csv(args.csv, _ESTIMATE_COLUMNS, [[
         p.lam, p.theta, p.delta, p.beta_d, p.beta_w, p.beta_m,
         p.alpha_d, p.alpha_w, p.alpha_m, p.gamma_lev, fit.loglik,
-        fit.persistence]])
+        persistence]])
     print(f"{args.variant} fit on {len(rv)} observations "
           f"({'converged' if fit.converged else 'NOT converged'}, "
           f"{fit.iterations} iterations)")
@@ -184,14 +179,14 @@ def _cmd_estimate(args) -> int:
             else f" ({se:.4g})"
         print(f"  {name:10s} = {getattr(p, name):.6g}{se_text}")
     print(f"  loglik     = {fit.loglik:.4f}")
-    print(f"  persistence= {fit.persistence:.4f}")
+    print(f"  persistence= {persistence:.4f}")
     print(f"params -> {args.out}; CSV row -> {args.csv}")
     return 0
 
 
 def _cmd_calibrate(args) -> int:
     params, _ = lio.load_params(args.params)
-    state = _load_state(params, args.rv, args.returns)
+    state = _chain_states(params, [None], args.rv, args.returns)[None]
     nu1 = calibrate_nu1(params, args.target_iv, args.maturity, state)
     with open(args.out, "w") as fh:
         fh.write(f"nu1 = {nu1!r}\n")
@@ -201,24 +196,27 @@ def _cmd_calibrate(args) -> int:
     return 0
 
 
-def _chain_states(params: ModelParams, chain: OptionChain, rv_path,
-                  returns_path):
+def _chain_states(params: ModelParams, dates, rv_path, returns_path):
+    """The MarketState on each of dates, keyed by date: the stationary state
+    without --rv/--returns, else the state from the history up to and
+    including the date.  The date None stands for the history's last date."""
     if not (rv_path or returns_path):
-        return dict.fromkeys((q.quote_date for q in chain),
-                             stationary_state(params))
+        return dict.fromkeys(dates, stationary_state(params))
     rv, ret = _load_history(rv_path, returns_path)
     index = {d: i for i, d in enumerate(rv.dates)}
+    index[None] = len(rv) - 1
     states = {}
-    for q in chain:
-        if q.quote_date in states:
+    for date in dates:
+        if date in states:
             continue
-        i = index.get(q.quote_date)
+        i = index.get(date)
         if i is None:
-            raise ValidationError(f"no RV history for quote date {q.quote_date}")
+            raise ValidationError(f"no RV history for quote date {date}")
         if i + 1 < N_LAGS:
-            raise ValidationError(f"fewer than {N_LAGS} observations up to "
-                                  f"and including {q.quote_date}")
-        states[q.quote_date] = state_from_series(
+            raise ValidationError(
+                f"fewer than {N_LAGS} observations up to and including "
+                + ("the last date" if date is None else str(date)))
+        states[date] = state_from_series(
             params, rv.values[:i + 1], ret.values[:i + 1])
     return states
 
@@ -237,7 +235,8 @@ def _cmd_price(args) -> int:
         print(f"filter: kept {len(report.chain)}/{report.n_input} "
               f"(rejected: {rejected})")
         chain = report.chain
-    states = _chain_states(params, chain, args.rv, args.returns)
+    states = _chain_states(params, [q.quote_date for q in chain], args.rv,
+                           args.returns)
     rows = price_chain(params, nu1, chain, states)
     _write_csv(args.out, _PRICED_COLUMNS, [
         [q.quote_date.isoformat(), q.expiry_date.isoformat(), repr(q.strike),
@@ -259,7 +258,7 @@ def _cmd_price(args) -> int:
 def _cmd_simulate(args) -> int:
     params, extras = lio.load_params(args.params)
     nu1 = _nu1(args, extras)
-    state = _load_state(params, args.rv, args.returns)
+    state = _chain_states(params, [None], args.rv, args.returns)[None]
     paths = simulate_paths(params, state, args.days, args.paths, nu1=nu1,
                            seed=args.seed, burn_in=args.burn_in)
     # one day-row at a time: whole-matrix axis=1 reductions would allocate
@@ -274,13 +273,13 @@ def _cmd_simulate(args) -> int:
     if args.dump:
         with open(args.dump, "wb") as fh:
             fh.write(struct.pack("<4sIII", PATHSET_MAGIC, PATHSET_VERSION,
-                                 paths.n_paths, paths.horizon))
+                                 *paths.rv_paths.shape))
             for m in (paths.rv_paths, paths.y_paths):   # (n_paths, horizon)
                 fh.write(np.ascontiguousarray(m, dtype="<f8").tobytes())
         print(f"raw paths -> {args.dump}")
-    rate = paths.clamp_count / (paths.n_paths * paths.horizon)
-    print(f"simulated {paths.n_paths} paths x {paths.horizon} days "
-          f"under {paths.measure} (seed {paths.rng_seed})")
+    rate = paths.clamp_count / paths.rv_paths.size
+    print(f"simulated {args.paths} paths x {args.days} days "
+          f"under {'P' if nu1 is None else 'Q'} (seed {args.seed})")
     print(f"clamp rate per path-day: {rate:.3e} "
           f"({paths.clamp_count} events)")
     print(f"-> {args.out}")
@@ -323,7 +322,7 @@ def _cmd_cumulants(args) -> int:
     params, extras = lio.load_params(args.params)
     horizons = _horizons(args.horizons)
     runs = _runs(_nu1(args, extras))
-    state = _load_state(params, args.rv, args.returns)
+    state = _chain_states(params, [None], args.rv, args.returns)[None]
     rows = []
     for measure, nu1 in runs:
         for horizon in horizons:

@@ -72,6 +72,8 @@ _K_START = 91
 _K_CEILING = _K_START * 2**5
 _LOG_TAIL = math.log(1e-17)   # dropped mixture tail, relative to the peak term
 _POSITIVE_FLOOR = 1e-8   # lower bound of theta and delta over their start
+# the noncentrality floor of clamp=True fits
+_CLAMP_FLOOR = 1e-12
 # objective value where Theta <= 0: L-BFGS-B's line search backs off from a
 # finite wall, while an infinite value ends the run as falsely converged
 _PENALTY = 1e12
@@ -85,7 +87,6 @@ class FitResult:
     loglik: float
     std_errors: dict         # per-parameter robust (sandwich) standard
                              # errors, NaN where not available
-    persistence: float
     converged: bool
     iterations: int          # L-BFGS-B iterations, summed over restarts
 
@@ -194,11 +195,11 @@ def _natural_terms(variant, rv, eps, clamp_floor):
 
 
 def loglik_terms(params: ModelParams, rv_series, eps_series,
-                 clamp_floor: float | None = None) -> np.ndarray:
+                 clamp: bool = False) -> np.ndarray:
     """Per-observation log-likelihood contributions (after the 22-lag warm-up).
 
-    Nonpositive noncentrality raises by default; pass clamp_floor (e.g.
-    1e-12) to clamp instead, for zero-mean fits on pathological samples.
+    Nonpositive noncentrality raises by default; clamp=True raises it to
+    1e-12 instead, for zero-mean fits on pathological samples.
     A mixture that needs more than 2912 terms raises too.
     """
     rv = np.asarray(rv_series, dtype=float)
@@ -209,15 +210,14 @@ def loglik_terms(params: ModelParams, rv_series, eps_series,
         raise ValidationError("likelihood requires strictly positive variances")
     names = _NAMES[:5] if params.variant == "HARG" else _NAMES
     x = np.array([getattr(params, name) for name in names])
-    return _natural_terms(params.variant, rv, eps, clamp_floor)(
-        x, scores=False)
+    return _natural_terms(params.variant, rv, eps,
+                          _CLAMP_FLOOR if clamp else None)(x, scores=False)
 
 
 def loglik(params: ModelParams, rv_series, eps_series,
-           clamp_floor: float | None = None) -> float:
+           clamp: bool = False) -> float:
     """Total sample log-likelihood of the variance transitions."""
-    return float(np.sum(loglik_terms(params, rv_series, eps_series,
-                                     clamp_floor)))
+    return float(np.sum(loglik_terms(params, rv_series, eps_series, clamp)))
 
 
 def estimate_lambda(returns, rv_series, r: float) -> tuple[float, float]:
@@ -259,7 +259,7 @@ def _initial_guess(variant, rv) -> np.ndarray:
 
 
 def mle_fit(rv_series, returns, r: float, variant: str,
-            clamp_floor: float | None = None) -> FitResult:
+            clamp: bool = False) -> FitResult:
     """Fit the variance dynamics of one variant by maximum likelihood.
 
     The market price of risk is estimated first by regression and held
@@ -274,7 +274,8 @@ def mle_fit(rv_series, returns, r: float, variant: str,
     likelihood's LikelihoodDomainError.  `FitResult.converged` holds only
     if the run that ended the restarts succeeded without meeting the wall:
     a fit whose likelihood still rises toward Theta = 0 is reported as not
-    converged.
+    converged.  clamp=True fits the likelihood of `loglik(clamp=True)`,
+    which has no wall.
     `FitResult.iterations` counts L-BFGS-B iterations over all runs, each
     taking one or more likelihood-and-score evaluations.  Robust standard
     errors come from `_sandwich_errors`; where its difference steps cross
@@ -296,7 +297,8 @@ def mle_fit(rv_series, returns, r: float, variant: str,
         )
     lam_hat, lam_se = estimate_lambda(y, rv, r)
     eps = filter_innovations(y, rv, r, lam_hat)
-    per_obs = _natural_terms(variant, rv, eps, clamp_floor)
+    per_obs = _natural_terms(variant, rv, eps,
+                             _CLAMP_FLOOR if clamp else None)
     x0 = _initial_guess(variant, rv)
     scale = np.abs(x0)
 
@@ -349,7 +351,6 @@ def mle_fit(rv_series, returns, r: float, variant: str,
 
     return FitResult(
         params=params, loglik=-float(best.fun), std_errors=std_errors,
-        persistence=stationarity_margin(params),
         converged=bool(run.success and wall_hits == hits),
         iterations=int(iterations),
     )

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .model import ModelParams
-from .options import OptionChain, OptionQuote
+from .options import OptionQuote
 from .pricing import TRADING_DAYS, implied_vol
 
 
@@ -114,9 +114,10 @@ CHAIN_COLUMNS = ("quote_date", "expiry_date", "strike", "type", "mid_price",
                  "underlying", "rate")
 
 
-def load_option_chain(path) -> OptionChain:
-    """Load an option chain; missing market_iv entries are computed from
-    the mid price (annualized with the 252-day convention)."""
+def load_option_chain(path) -> tuple[OptionQuote, ...]:
+    """Load an option chain as a tuple of quotes sorted by (quote date,
+    maturity, strike); missing market_iv entries are computed from the mid
+    price (annualized with the 252-day convention)."""
     path, header, rows = _read_rows(path, CHAIN_COLUMNS)
     has_iv = len(header) > 7 and header[7] == "market_iv"
     quotes = []
@@ -152,7 +153,7 @@ def load_option_chain(path) -> OptionChain:
             quote = replace(quote, market_iv=iv_daily * math.sqrt(TRADING_DAYS))
         quotes.append(quote)
     quotes.sort(key=lambda q: (q.quote_date, q.maturity_days, q.strike))
-    return OptionChain(tuple(quotes))
+    return tuple(quotes)
 
 
 PARAM_FIELDS = tuple(f.name for f in fields(ModelParams))

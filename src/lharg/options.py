@@ -1,10 +1,14 @@
-"""Option quote containers and the standard OTM sample filter."""
+"""Option quotes and the standard OTM sample filter.
+
+A chain is a tuple of OptionQuote; `io.load_option_chain` returns one
+sorted by (quote date, maturity, strike).
+"""
 
 from __future__ import annotations
 
 import datetime as dt
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ValidationError
 
@@ -69,29 +73,13 @@ class OptionQuote:
         return self.moneyness < 1.0
 
 
-@dataclass(frozen=True)
-class OptionChain:
-    """An immutable collection of quotes."""
-
-    quotes: tuple[OptionQuote, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "quotes", tuple(self.quotes))
-
-    def __len__(self):
-        return len(self.quotes)
-
-    def __iter__(self):
-        return iter(self.quotes)
-
-
 @dataclass
 class FilterReport:
-    """Retained chain plus per-rule rejection counts (first failing rule)."""
+    """Retained quotes plus per-rule rejection counts (first failing rule)."""
 
-    chain: OptionChain
-    rejections: dict = field(default_factory=dict)
-    n_input: int = 0
+    chain: tuple[OptionQuote, ...]
+    rejections: dict
+    n_input: int
 
 
 def _first_failure(q: OptionQuote) -> str | None:
@@ -108,8 +96,9 @@ def _first_failure(q: OptionQuote) -> str | None:
     return None
 
 
-def filter_options(chain: OptionChain) -> FilterReport:
-    """Keep quotes passing all five screening rules.
+def filter_options(chain) -> FilterReport:
+    """Keep the quotes of a chain, a sequence of OptionQuote, that pass all
+    five screening rules, in their order.
 
     Rules, from the module constants: maturity from MIN_MATURITY_DAYS to
     MAX_MATURITY_DAYS (10 to 365 days), implied vol at most MAX_IV (70%),
@@ -126,5 +115,5 @@ def filter_options(chain: OptionChain) -> FilterReport:
             kept.append(q)
         else:
             counts[rule] += 1
-    return FilterReport(chain=OptionChain(tuple(kept)), rejections=counts,
+    return FilterReport(chain=tuple(kept), rejections=counts,
                         n_input=len(chain))

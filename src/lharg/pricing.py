@@ -60,7 +60,7 @@ from .errors import (
 )
 from .mgf import _cumulant_segments, _log_mgf_segments
 from .model import MarketState, ModelParams, _finite_nu1
-from .options import OPTION_TYPES, OptionChain, OptionQuote
+from .options import OPTION_TYPES, OptionQuote
 
 TRADING_DAYS = 252  # annualization factor for reported implied vols
 COS_TERMS = 256     # N, the number of cosine terms: the floor of the tail
@@ -309,9 +309,10 @@ class PricedQuote:
     error: str | None = None
 
 
-def price_chain(params: ModelParams, nu1: float, chain: OptionChain,
+def price_chain(params: ModelParams, nu1: float, chain,
                 states) -> list[PricedQuote]:
-    """Price every quote of a chain under the risk-neutral model.
+    """Price every quote of a chain, a sequence of OptionQuote, under the
+    risk-neutral model.
 
     `states` maps each quote date to its MarketState.  Quotes are grouped
     by (quote_date, maturity, rate), and each group is priced by one

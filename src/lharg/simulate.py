@@ -8,9 +8,9 @@ updates as it overwrites the oldest row of an unshifted ring of lags.
 Negative Theta, which the zero-mean variant cannot rule out, is clamped
 to zero and counted (never for positivity-satisfying parameters).
 simulate_paths writes each day as one contiguous row of preallocated
-(horizon, n_paths) arrays and returns their transposes, so a PathSet reads
-(n_paths, horizon); simulate_y_snapshots keeps running sums of the same
-paths.
+(horizon, n_paths) arrays and returns their transposes, so a PathSet's
+rv_paths and y_paths read (n_paths, horizon) and its clamp_count sums the
+recorded days; simulate_y_snapshots keeps running sums of the same paths.
 
 Paths run in blocks of DEFAULT_BLOCK; block b draws from an independent
 PCG64 stream spawned as SeedSequence(seed).spawn(...)[b] and fills a fixed
@@ -58,20 +58,13 @@ DEFAULT_BLOCK = 65536   # paths per RNG stream
 
 @dataclass
 class PathSet:
-    """Simulated daily variances and log-returns with RNG provenance."""
+    """Simulated daily variances and log-returns, and the clamp count."""
 
-    n_paths: int
-    horizon: int
     rv_paths: np.ndarray   # (n_paths, horizon); .T is day-major
     y_paths: np.ndarray    # (n_paths, horizon); .T is day-major
-    rng_seed: int
-    measure: str           # "P" (no nu1) or "Q"
     clamp_count: int       # noncentrality clampings over all recorded days
 
     def __post_init__(self):
-        if self.rv_paths.shape != (self.n_paths, self.horizon) \
-                or self.y_paths.shape != (self.n_paths, self.horizon):
-            raise ValidationError("path matrix dimensions are inconsistent")
         if np.any(self.rv_paths < 0.0):
             raise ValidationError("simulated variances must be nonnegative")
 
@@ -215,9 +208,7 @@ def simulate_paths(params: ModelParams, state: MarketState, horizon: int,
                 rv_out[day, rows] = rv
                 y_out[day, rows] = y
                 clamps += c
-    return PathSet(n_paths=n_paths, horizon=horizon, rv_paths=rv_out.T,
-                   y_paths=y_out.T, rng_seed=seed, clamp_count=clamps,
-                   measure="P" if nu1 is None else "Q")
+    return PathSet(rv_paths=rv_out.T, y_paths=y_out.T, clamp_count=clamps)
 
 
 def simulate_y_snapshots(params: ModelParams, state: MarketState,

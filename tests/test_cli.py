@@ -14,12 +14,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lharg import ModelParams, simulate_paths, stationary_state
+from lharg import (ModelParams, simulate_paths, stationarity_margin,
+                   stationary_state)
 from lharg import cli
 from lharg.cli import PATHSET_MAGIC, PATHSET_VERSION, main
 from lharg.io import (DatedSeries, load_params, load_returns, load_rv_series,
                       save_params)
-from lharg.options import OptionChain
 
 from conftest import make_history
 from oracles import write_option_chain, write_series
@@ -51,7 +51,7 @@ def data_dir(tmp_path_factory, small_model):
                    market_iv=0.2)
         for tau in (40, 130) for m in (0.9, 1.0, 1.1)
     )
-    write_option_chain(root / "chain.csv", OptionChain(quotes))
+    write_option_chain(root / "chain.csv", quotes)
     return root
 
 
@@ -86,6 +86,23 @@ def test_estimate_then_downstream(data_dir, small_model):
                  "--out", str(data_dir / "panels.csv")])
     assert code == 0
     assert (data_dir / "panels.csv").read_text().count("\n") >= 2
+
+
+def test_estimate_writes_persistence_of_its_params(data_dir, tmp_path):
+    # the params file and the CSV row carry the stationarity margin of the
+    # params the file holds, to the bit
+    fit, row = tmp_path / "fit.txt", tmp_path / "row.csv"
+    assert main(["estimate", "--rv", str(data_dir / "rv.csv"),
+                 "--returns", str(data_dir / "returns.csv"),
+                 "--variant", "HARG", "--out", str(fit),
+                 "--csv", str(row)]) == 0
+    params, extras = load_params(fit)
+    margin = stationarity_margin(params)
+    assert 0.0 < margin < 1.0
+    assert extras["persistence"] == margin
+    with open(row, newline="") as fh:
+        cells, = csv.DictReader(fh)
+    assert float(cells["persistence"]) == margin
 
 
 def test_minimal_invocations(data_dir, tmp_path, monkeypatch):
@@ -193,6 +210,24 @@ def test_simulate_q_reads_params_file_nu1(tmp_path, small_model):
     assert main([*sim, "--params", str(fit), "--out", str(plain)]) == 0
     assert key.read_bytes() == flag.read_bytes()
     assert plain.read_bytes() != flag.read_bytes()
+
+
+def test_simulate_prints_run_and_clamp_lines(tmp_path, zmlharg, capsys):
+    # the run line names the arguments and the measure that nu1 selects;
+    # the clamp line gives the rate per path-day and the event count
+    fit, keyed = tmp_path / "p.txt", tmp_path / "keyed.txt"
+    save_params(fit, zmlharg)
+    save_params(keyed, zmlharg, extras={"nu1": -1000.0})
+    out = tmp_path / "s.csv"
+    for params, measure in ((fit, "P"), (keyed, "Q")):
+        assert main(["simulate", "--params", str(params), "--days", "63",
+                     "--paths", "2000", "--seed", "4",
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"simulated 2000 paths x 63 days under {measure} (seed 4)",
+            "clamp rate per path-day: 1.587e-05 (2 events)",
+            f"-> {out}",
+        ]
 
 
 def test_price_reads_params_file_nu1(data_dir, tmp_path, small_model,
@@ -419,6 +454,31 @@ def test_lone_history_flag_rejected(data_dir, tmp_path, small_model,
             assert not out.exists(), argv + flag
 
 
+def test_short_history_rejected(data_dir, tmp_path, small_model, capsys):
+    # the commands that start from the history's last date need 22 rows:
+    # 21 rows, or a header alone, exit 2 and write nothing
+    fit = tmp_path / "p.txt"
+    save_params(fit, small_model)
+    rv, ret = (load_rv_series(data_dir / "rv.csv"),
+               load_returns(data_dir / "returns.csv"))
+    rv_path, ret_path = tmp_path / "rv.csv", tmp_path / "returns.csv"
+    history = ["--rv", str(rv_path), "--returns", str(ret_path)]
+    commands = (
+        ["calibrate", "--params", str(fit), "--target-iv", "0.2"],
+        ["simulate", "--params", str(fit), "--days", "5", "--paths", "8"],
+        ["cumulants", "--params", str(fit)],
+    )
+    for n in (21, 0):
+        write_series(rv_path, DatedSeries(rv.dates[:n], rv.values[:n]), "rv")
+        write_series(ret_path, DatedSeries(ret.dates[:n], ret.values[:n]),
+                     "log_return")
+        for argv in commands:
+            out = tmp_path / f"{argv[0]}.out"
+            assert main([*argv, *history, "--out", str(out)]) == 2, (argv, n)
+            assert "fewer than 22 observations" in capsys.readouterr().err
+            assert not out.exists(), (argv, n)
+
+
 FIRST_DAY = dt.date(2000, 1, 3)    # the first date of data_dir's history
 
 
@@ -427,7 +487,7 @@ def _price_quotes(data_dir, tmp_path, small_model, quotes, *flags):
     # output path)
     fit, chain = tmp_path / "p.txt", tmp_path / "chain.csv"
     save_params(fit, small_model)
-    write_option_chain(chain, OptionChain(quotes))
+    write_option_chain(chain, quotes)
     out = tmp_path / "priced.csv"
     out.unlink(missing_ok=True)
     code = main(["price", "--params", str(fit), "--nu1", "-2500",

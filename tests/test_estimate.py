@@ -151,7 +151,7 @@ class TestLoglik:
             loglik(zmlharg, rv, eps)
         assert err.value.index >= 22
         # clamp mode turns the same input into a finite value
-        val = loglik(zmlharg, rv, eps, clamp_floor=1e-12)
+        val = loglik(zmlharg, rv, eps, clamp=True)
         assert np.isfinite(val)
 
     def test_scale_invariance_of_shape(self, plharg, plharg_history):
@@ -222,7 +222,6 @@ class TestMleFit:
             err = abs(getattr(fit.params, name) - getattr(plharg, name))
             assert err < 3.0 * fit.std_errors[name], name
         assert abs(fit.params.lam - plharg.lam) < 3.0 * fit.std_errors["lam"]
-        assert fit.persistence == stationarity_margin(fit.params)
 
     def test_optimum_at_least_truth(self, plharg, plharg_history, plharg_fit):
         rv, y = plharg_history
@@ -268,7 +267,7 @@ class TestMleFit:
         with pytest.raises(LikelihoodDomainError) as err:
             mle_fit(rv, y, zmlharg.r, "ZM-LHARG")
         assert err.value.index == 32
-        fit = mle_fit(rv, y, zmlharg.r, "ZM-LHARG", clamp_floor=1e-12)
+        fit = mle_fit(rv, y, zmlharg.r, "ZM-LHARG", clamp=True)
         assert fit.converged
         assert abs(fit.loglik - 158.2934) < 1e-4
 

@@ -15,7 +15,7 @@ from lharg.io import (
     load_rv_series,
     save_params,
 )
-from lharg.options import OptionChain, filter_options
+from lharg.options import filter_options
 
 from oracles import write_option_chain, write_series
 from test_pricing import make_quote
@@ -76,8 +76,8 @@ class TestSeriesLoading:
 
 class TestChainLoading:
     def test_round_trip(self, tmp_path):
-        chain = OptionChain((make_quote(0.9, 63, "put", market_iv=0.22),
-                             make_quote(1.05, 126, "call", market_iv=0.18)))
+        chain = (make_quote(0.9, 63, "put", market_iv=0.22),
+                 make_quote(1.05, 126, "call", market_iv=0.18))
         path = tmp_path / "chain.csv"
         write_option_chain(path, chain)
         back = load_option_chain(path)
@@ -91,7 +91,7 @@ class TestChainLoading:
             "quote_date,expiry_date,strike,type,mid_price,underlying,rate\n"
             "2004-06-09,2004-09-09,1000.0,call,25.0,1000.0,1e-4\n")
         chain = load_option_chain(path)
-        q = chain.quotes[0]
+        q = chain[0]
         assert q.market_iv is not None
         # invert manually: tau=92 days, annualized with sqrt(252)
         from lharg.pricing import bs_price
@@ -199,33 +199,31 @@ class TestOptionQuote:
 
 class TestFilterOptions:
     def test_short_maturity_excluded(self):
-        chain = OptionChain((make_quote(1.05, 5, "call", market_iv=0.2),))
+        chain = (make_quote(1.05, 5, "call", market_iv=0.2),)
         report = filter_options(chain)
         assert len(report.chain) == 0
         assert report.rejections["maturity"] == 1
 
     def test_deep_call_excluded(self):
-        chain = OptionChain((make_quote(1.25, 63, "call", market_iv=0.2),))
+        chain = (make_quote(1.25, 63, "call", market_iv=0.2),)
         report = filter_options(chain)
         assert report.rejections["moneyness"] == 1
 
     def test_atm_call_retained(self):
-        chain = OptionChain((make_quote(1.0, 30, "call", mid=5.0,
-                                        market_iv=0.2),))
+        chain = (make_quote(1.0, 30, "call", mid=5.0, market_iv=0.2),)
         report = filter_options(chain)
         assert len(report.chain) == 1
 
     def test_atm_put_is_itm_by_convention(self):
-        chain = OptionChain((make_quote(1.0, 30, "put", mid=5.0,
-                                        market_iv=0.2),))
+        chain = (make_quote(1.0, 30, "put", mid=5.0, market_iv=0.2),)
         report = filter_options(chain)
         assert report.rejections["otm"] == 1
 
     def test_iv_and_price_rules(self):
-        chain = OptionChain((
+        chain = (
             make_quote(1.05, 63, "call", mid=5.0, market_iv=0.75),
             make_quote(1.05, 63, "call", mid=0.01, market_iv=0.2),
-        ))
+        )
         report = filter_options(chain)
         assert report.rejections["implied_vol"] == 1
         assert report.rejections["price"] == 1
@@ -239,10 +237,10 @@ class TestFilterOptions:
             quotes.append(make_quote(m, int(rng.integers(2, 500)), kind,
                                      mid=float(rng.uniform(0.01, 50)),
                                      market_iv=float(rng.uniform(0.05, 0.9))))
-        chain = OptionChain(tuple(quotes))
+        chain = tuple(quotes)
         once = filter_options(chain)
         twice = filter_options(once.chain)
-        assert twice.chain.quotes == once.chain.quotes
+        assert twice.chain == once.chain
         assert sum(twice.rejections.values()) == 0
 
     def test_counts_conserve_total(self):
@@ -254,7 +252,7 @@ class TestFilterOptions:
             quotes.append(make_quote(m, int(rng.integers(2, 600)), kind,
                                      mid=float(rng.uniform(0.001, 50)),
                                      market_iv=float(rng.uniform(0.05, 1.0))))
-        chain = OptionChain(tuple(quotes))
+        chain = tuple(quotes)
         report = filter_options(chain)
         assert len(report.chain) + sum(report.rejections.values()) == 500
         assert report.n_input == 500
@@ -262,13 +260,13 @@ class TestFilterOptions:
     def test_boundaries(self):
         # both ends of the maturity and moneyness ranges are kept
         for tau, kept in ((9, False), (10, True), (365, True), (366, False)):
-            report = filter_options(OptionChain(
-                (make_quote(1.05, tau, "call", market_iv=0.2),)))
+            report = filter_options(
+                (make_quote(1.05, tau, "call", market_iv=0.2),))
             assert len(report.chain) == kept
             assert report.rejections["maturity"] == (not kept)
         for m, kind, kept in ((0.8 - 1e-9, "put", False), (0.8, "put", True),
                               (1.2, "call", True), (1.2 + 1e-9, "call", False)):
-            report = filter_options(OptionChain(
-                (make_quote(m, 63, kind, market_iv=0.2),)))
+            report = filter_options(
+                (make_quote(m, 63, kind, market_iv=0.2),))
             assert len(report.chain) == kept
             assert report.rejections["moneyness"] == (not kept)

@@ -27,7 +27,6 @@ from lharg import (
 )
 from lharg.io import PARAM_FIELDS
 from lharg.model import _SCALE_FIELDS, risk_neutral_parabolic
-from lharg.options import OptionChain
 from lharg.pricing import price_chain
 
 from conftest import random_state_arrays
@@ -220,8 +219,7 @@ class TestNoArbitrage:
             with pytest.raises(ValidationError, match="finite"):
                 simulate_paths(plharg, st, 10, 10, nu1=nu1)
             with pytest.raises(ValidationError, match="finite"):
-                price_chain(plharg, nu1, OptionChain((quote,)),
-                            {quote.quote_date: st})
+                price_chain(plharg, nu1, (quote,), {quote.quote_date: st})
 
 
 class TestRiskNeutralMap:

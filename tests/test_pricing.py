@@ -22,7 +22,7 @@ from lharg import (
     stationary_state,
 )
 from lharg.mgf import raw_cumulants
-from lharg.options import OptionChain, OptionQuote
+from lharg.options import OptionQuote
 from lharg.pricing import (
     COS_TERMS,
     COS_WIDTH,
@@ -457,9 +457,9 @@ def two_date_chain(params, maturities=(63, 126)):
     # two quote dates x the maturities x three strikes, each date with its
     # own state
     dates = (dt.date(2004, 6, 9), dt.date(2004, 6, 10))
-    chain = OptionChain(tuple(
+    chain = tuple(
         make_quote(m, tau, "call" if m >= 1 else "put", qdate=d)
-        for d in dates for tau in maturities for m in (0.9, 1.0, 1.1)))
+        for d in dates for tau in maturities for m in (0.9, 1.0, 1.1))
     st = stationary_state(params)
     calm = MarketState(rv=0.5 * st.rv, lev=st.lev)
     return chain, {dates[0]: st, dates[1]: calm}
@@ -502,11 +502,10 @@ class TestPriceChain:
         quotes = (make_quote(0.95, 90, "put", rate=1e-4),
                   make_quote(0.95, 90, "put", rate=3e-4))
         states = stationary_states(zmlharg, quotes)
-        rows = price_chain(zmlharg, -3375.0, OptionChain(quotes), states)
+        rows = price_chain(zmlharg, -3375.0, quotes, states)
         assert sorted(row.quote.rate for row in rows) == [1e-4, 3e-4]
         for row in rows:
-            alone, = price_chain(zmlharg, -3375.0, OptionChain((row.quote,)),
-                                 states)
+            alone, = price_chain(zmlharg, -3375.0, (row.quote,), states)
             assert row.error is None and alone.error is None
             assert row.model_price == alone.model_price
             assert row.model_iv == alone.model_iv
@@ -544,17 +543,17 @@ class TestPriceChain:
         assert metrics["pricing.quotes"] == len(rows) == 12
 
     def test_self_pricing_round_trip(self, zmlharg):
-        chain = OptionChain(tuple(
+        chain = tuple(
             make_quote(m, tau, "call" if m >= 1 else "put")
             for tau in (30, 120) for m in (0.85, 0.95, 1.0, 1.05, 1.15)
-        ))
+        )
         states = stationary_states(zmlharg, chain)
         first = price_chain(zmlharg, -3375.0, chain, states)
-        regenerated = OptionChain(tuple(
+        regenerated = tuple(
             make_quote(r.quote.moneyness, r.quote.maturity_days,
                        r.quote.option_type, mid=r.model_price)
             for r in first
-        ))
+        )
         second = price_chain(zmlharg, -3375.0, regenerated, states)
         for a, b in zip(first, second):
             assert abs(a.model_iv - b.model_iv) < 1e-6
@@ -562,8 +561,8 @@ class TestPriceChain:
     def test_smile_steepening_vs_harg(self, harg, zmlharg):
         # identical synthetic chains: the zero-mean leverage model puts
         # more implied vol on deep OTM puts than the no-leverage model
-        chain = OptionChain((make_quote(0.8, 63, "put"),
-                             make_quote(1.0, 63, "call")))
+        chain = (make_quote(0.8, 63, "put"),
+                 make_quote(1.0, 63, "call"))
         rows_z = price_chain(zmlharg, -3375.0, chain,
                              stationary_states(zmlharg, chain))
         rows_h = price_chain(harg, -2794.0, chain,
@@ -575,7 +574,7 @@ class TestPriceChain:
 
     def test_per_quote_failures_recorded(self, zmlharg):
         bad = make_quote(5.0, 63, "put")   # strike far above the range
-        chain = OptionChain((bad, make_quote(1.0, 63, "call")))
+        chain = (bad, make_quote(1.0, 63, "call"))
         rows = price_chain(zmlharg, -3375.0, chain,
                            stationary_states(zmlharg, chain))
         assert rows[1].error is None
@@ -593,11 +592,11 @@ class TestPriceChain:
                             *args)
 
         monkeypatch.setattr(pricing_mod, "cos_price", bumped)
-        chain = OptionChain((make_quote(1.0, 63, "call"),
-                             make_quote(5.0, 63, "call"),
-                             make_quote(0.9, 63, "put"),
-                             make_quote(0.62, 63, "put"),
-                             make_quote(1.0, 126, "put")))
+        chain = (make_quote(1.0, 63, "call"),
+                 make_quote(5.0, 63, "call"),
+                 make_quote(0.9, 63, "put"),
+                 make_quote(0.62, 63, "put"),
+                 make_quote(1.0, 126, "put"))
         rows = price_chain(zmlharg, -3375.0, chain,
                            stationary_states(zmlharg, chain))
         errors = [r.error for r in rows]
@@ -608,8 +607,8 @@ class TestPriceChain:
         assert all(np.isnan(rows[i].model_price) for i in (1, 3))
 
     def test_group_failures_recorded(self, zmlharg):
-        chain = OptionChain((make_quote(1.0, 63, "call"),
-                             make_quote(1.0, 126, "call")))
+        chain = (make_quote(1.0, 63, "call"),
+                 make_quote(1.0, 126, "call"))
         rows = price_chain(zmlharg, -3375.0, chain,
                            {dt.date(1999, 1, 4): stationary_state(zmlharg)})
         assert all(r.error.startswith("no state for") for r in rows)
@@ -643,7 +642,7 @@ class TestPriceChain:
                 failed.add(str(exc))
                 assert row.error == str(exc) and np.isnan(row.model_price)
                 continue
-            alone, = price_chain(zmlharg, nu1, OptionChain((q,)), states)
+            alone, = price_chain(zmlharg, nu1, (q,), states)
             assert row.error is None and alone.error is None
             assert row.model_price == alone.model_price
         assert any("1 - 2*C_1 left" in e for e in failed)
@@ -691,7 +690,7 @@ class TestPriceChain:
             raise TypeError("bug in the pricer")
 
         monkeypatch.setattr(pricing_mod, "cos_price", broken)
-        chain = OptionChain((make_quote(1.0, 63, "call"),))
+        chain = (make_quote(1.0, 63, "call"),)
         with pytest.raises(TypeError, match="bug in the pricer"):
             price_chain(zmlharg, -3375.0, chain,
                         stationary_states(zmlharg, chain))

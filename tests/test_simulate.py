@@ -81,7 +81,7 @@ class TestSimulatePaths:
     def test_zero_mean_clamps_rarely(self, zmlharg):
         st = stationary_state(zmlharg)
         paths = simulate_paths(zmlharg, st, 252, 20000, seed=6)
-        rate = paths.clamp_count / (paths.n_paths * paths.horizon)
+        rate = paths.clamp_count / paths.rv_paths.size
         assert paths.clamp_count > 0
         assert rate < 1e-3   # order-of-magnitude guard; exact rate in acceptance
 
@@ -133,7 +133,7 @@ class TestSimulatePaths:
         paths = simulate_paths(plharg, hot, 5, 4000, seed=15, burn_in=1000)
         target = stationary_mean_rv(plharg)
         mean = paths.rv_paths[:, 0].mean()
-        se = paths.rv_paths[:, 0].std() / np.sqrt(paths.n_paths)
+        se = paths.rv_paths[:, 0].std() / np.sqrt(paths.rv_paths.shape[0])
         assert abs(mean - target) < 4.0 * se
 
     def test_one_kernel_across_blocks(self, zmlharg, monkeypatch):
