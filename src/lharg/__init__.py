@@ -31,11 +31,6 @@ from .model import (
     theta_noncentrality,
 )
 from .mgf import Cumulants, cumulants, mgf_p, mgf_q
-from .simulate import (
-    PathSet,
-    sample_noncentral_gamma,
-    simulate_paths,
-    simulate_y_snapshots,
-)
+from .simulate import PathSet, simulate_paths, simulate_y_snapshots
 
 __version__ = "0.1.0"

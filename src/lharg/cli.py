@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import struct
 import sys
 
 import numpy as np
@@ -41,9 +40,6 @@ from .pricing import price_chain, rmse_iv
 from .simulate import _snapshot_runs, mc_mgf_from_samples, simulate_paths
 
 _NU1_HELP = "selects measure Q; default: the params file's nu1, else P"
-
-PATHSET_MAGIC = b"LHPS"
-PATHSET_VERSION = 1
 
 # Table-layout column order for estimation output
 _ESTIMATE_COLUMNS = ("lambda", "theta", "delta", "beta_d", "beta_w", "beta_m",
@@ -118,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rv", help="RV CSV for the start state")
     p.add_argument("--returns", help="returns CSV for the start state")
     p.add_argument("--out", default="simulation_summary.csv")
-    p.add_argument("--dump", help="optional raw-path binary dump")
+    p.add_argument("--dump", help="optional .npz of rv_paths and y_paths")
 
     p = sub.add_parser("cumulants", help="cumulant term structure")
     p.add_argument("--params", required=True)
@@ -241,16 +237,17 @@ def _cmd_price(args) -> int:
     _write_csv(args.out, _PRICED_COLUMNS, [
         [q.quote_date.isoformat(), q.expiry_date.isoformat(), repr(q.strike),
          q.option_type, repr(q.mid_price), repr(q.underlying), repr(q.rate),
-         "" if q.market_iv is None else repr(q.market_iv),
-         repr(row.model_price), repr(row.model_iv), row.error or ""]
+         repr(q.market_iv), repr(row.model_price), repr(row.model_iv),
+         row.error or ""]
         for row in rows for q in [row.quote]])
-    good = [r for r in rows if r.error is None and r.quote.market_iv is not None]
+    # load_option_chain fills every quote's market_iv
+    good = [r for r in rows if r.error is None]
+    line = f"priced {len(good)}/{len(rows)} quotes"
     if good:
         err = rmse_iv([r.quote.market_iv for r in good],
                       [r.model_iv for r in good])
-        print(f"priced {len(good)}/{len(rows)} quotes; RMSE_IV = {err:.4f}")
-    else:
-        print(f"priced {len(rows)} quotes (no market IVs for RMSE)")
+        line += f"; RMSE_IV = {err:.4f}"
+    print(line)
     print(f"-> {args.out}")
     return 0
 
@@ -271,11 +268,9 @@ def _cmd_simulate(args) -> int:
                ([t + 1] + [repr(float(c)) for c in row]
                 for t, row in enumerate(cells)))
     if args.dump:
+        # a file object, not the path: given a path, np.savez appends .npz
         with open(args.dump, "wb") as fh:
-            fh.write(struct.pack("<4sIII", PATHSET_MAGIC, PATHSET_VERSION,
-                                 *paths.rv_paths.shape))
-            for m in (paths.rv_paths, paths.y_paths):   # (n_paths, horizon)
-                fh.write(np.ascontiguousarray(m, dtype="<f8").tobytes())
+            np.savez(fh, rv_paths=paths.rv_paths, y_paths=paths.y_paths)
         print(f"raw paths -> {args.dump}")
     rate = paths.clamp_count / paths.rv_paths.size
     print(f"simulated {args.paths} paths x {args.days} days "

@@ -1,7 +1,8 @@
 """Forward path simulation and Monte Carlo estimators.
 
 One day-step kernel, _day_steps, simulates the dynamics exactly: a
-noncentral-gamma variance draw and a standard normal return innovation.
+noncentral-gamma variance draw, theta * Gamma(delta + Poisson(Theta)), and a
+standard normal return innovation.
 Theta, the noncentrality, needs the 22 variance and leverage lags only
 through lag 1 and per-path sums of lags 2-5 and 6-22, which each new day
 updates as it overwrites the oldest row of an unshifted ring of lags.
@@ -69,36 +70,6 @@ class PathSet:
             raise ValidationError("simulated variances must be nonnegative")
 
 
-def sample_noncentral_gamma(delta: float, big_theta, theta: float,
-                            rng: np.random.Generator, size=None):
-    """Exact noncentral-gamma draw via the Poisson-gamma mixture.
-
-    K ~ Poisson(big_theta), then Gamma(shape=delta + K, scale=theta).
-    big_theta may be an array (one draw per entry).
-    """
-    if not (delta > 0.0 and theta > 0.0):
-        raise ValidationError("delta and theta must be strictly positive")
-    big_theta = np.asarray(big_theta, dtype=float)
-    if np.any(big_theta < 0.0):
-        raise ValidationError("noncentrality must be nonnegative")
-    out = _poisson_gamma(delta, big_theta, theta, rng, size)
-    return out if np.ndim(out) else float(out)
-
-
-def _poisson_gamma(delta, big_theta, theta, rng, size=None):
-    # the unchecked draw of sample_noncentral_gamma, also the kernel's
-    return rng.standard_gamma(delta + rng.poisson(big_theta, size)) * theta
-
-
-def _block_streams(seed: int, n_paths: int):
-    # (start row, rows, generator) of each block of DEFAULT_BLOCK paths
-    starts = range(0, n_paths, DEFAULT_BLOCK)
-    children = np.random.SeedSequence(seed).spawn(len(starts))
-    return [(s, min(DEFAULT_BLOCK, n_paths - s),
-             np.random.Generator(np.random.PCG64(c)))
-            for c, s in zip(children, starts)]
-
-
 def _day_steps(p: ParabolicForm, st, n: int, rng, days: int):
     """Step n paths from state st; yield each day's (rv, y, clamps).
 
@@ -117,7 +88,7 @@ def _day_steps(p: ParabolicForm, st, n: int, rng, days: int):
         neg = nc < 0.0
         clamps = int(np.count_nonzero(neg))
         nc[neg] = 0.0
-        rv_new = _poisson_gamma(p.delta, nc, p.theta, rng)
+        rv_new = rng.standard_gamma(p.delta + rng.poisson(nc)) * p.theta
         eps = rng.standard_normal(n)
         vol = np.sqrt(rv_new)
         yield rv_new, p.r + p.lam * rv_new + vol * eps, clamps
@@ -136,8 +107,12 @@ def _blocks(params: ModelParams, state: MarketState,
     once, and return each RNG block's (rows, day steps)."""
     n_paths, seed = _whole("n_paths", n_paths, 1), _whole("seed", seed, 0)
     p = _measure_form(params, nu1)
-    return [(slice(s, s + n), _day_steps(p, state, n, rng, days))
-            for s, n, rng in _block_streams(seed, n_paths)]
+    starts = range(0, n_paths, DEFAULT_BLOCK)
+    children = np.random.SeedSequence(seed).spawn(len(starts))
+    return [(slice(s, min(s + DEFAULT_BLOCK, n_paths)),
+             _day_steps(p, state, min(DEFAULT_BLOCK, n_paths - s),
+                        np.random.Generator(np.random.PCG64(c)), days))
+            for c, s in zip(children, starts)]
 
 
 def _cpus():

@@ -5,7 +5,6 @@ import datetime as dt
 import importlib.util
 import json
 import re
-import struct
 import subprocess
 import sys
 import threading
@@ -17,7 +16,7 @@ import pytest
 from lharg import (ModelParams, simulate_paths, stationarity_margin,
                    stationary_state)
 from lharg import cli
-from lharg.cli import PATHSET_MAGIC, PATHSET_VERSION, main
+from lharg.cli import main
 from lharg.io import (DatedSeries, load_params, load_returns, load_rv_series,
                       save_params)
 
@@ -173,18 +172,14 @@ def test_simulate_with_dump(data_dir, small_model, tmp_path):
                  "--paths", "64", "--seed", "3", "--out", str(out),
                  "--dump", str(dump)])
     assert code == 0
-    raw = dump.read_bytes()
-    magic, version, n, horizon = struct.unpack_from("<4sIII", raw)
-    assert magic == PATHSET_MAGIC
-    assert version == PATHSET_VERSION
-    assert (n, horizon) == (64, 12)
-    assert len(raw) == 16 + 2 * 8 * 64 * 12
-    # row-major (n_paths, horizon): rv first, then y, as simulate_paths
+    # numpy's .npz under exactly the name given, whatever its suffix
+    assert set(tmp_path.iterdir()) == {dump, fit, out}
     params, _ = load_params(fit)
     ref = simulate_paths(params, stationary_state(params), 12, 64, seed=3)
-    rv, y = np.frombuffer(raw, dtype="<f8", offset=16).reshape(2, 64, 12)
-    assert np.array_equal(rv, ref.rv_paths)
-    assert np.array_equal(y, ref.y_paths)
+    with np.load(dump) as saved:
+        assert sorted(saved.files) == ["rv_paths", "y_paths"]
+        assert np.array_equal(saved["rv_paths"], ref.rv_paths)
+        assert np.array_equal(saved["y_paths"], ref.y_paths)
     # the summary equals a per-day loop over the path columns
     rows = np.loadtxt(out, delimiter=",", skiprows=1)
     for t in range(12):
@@ -255,6 +250,22 @@ def test_price_reads_params_file_nu1(data_dir, tmp_path, small_model,
     assert "price needs nu1 (--nu1 or the params file's nu1 key)" \
         in capsys.readouterr().err
     assert not out["none"].exists()
+
+
+def test_price_counts_failed_quotes(data_dir, tmp_path, small_model,
+                                    capsys):
+    # a premium so large that every group leaves the recursion's domain:
+    # each row records its error and the summary counts 0 priced quotes
+    fit, out = tmp_path / "p.txt", tmp_path / "priced.csv"
+    save_params(fit, small_model)
+    assert main(["price", "--params", str(fit), "--nu1=-1e6",
+                 "--chain", str(data_dir / "chain.csv"),
+                 "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    with out.open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows and all(r["error"] and r["market_iv"] for r in rows)
+    assert f"priced 0/{len(rows)} quotes" in lines
 
 
 def _zero_mean_estimate(tmp_path, params, n_days, seed):

@@ -390,6 +390,57 @@ class TestCalibrateNu1:
         assert np.isfinite([err.value.iv_low, err.value.iv_high]).all()
         assert err.value.iv_low < err.value.iv_high
 
+    def test_infeasible_when_shifted_persistence_reaches_one(self, zmlharg):
+        # a large lam leaves the physical persistence at 0.81 but takes the
+        # persistence at the shifted gamma* = gamma + lam + 1/2 to 1.07, so
+        # no premium keeps the mapped dynamics stationary
+        from lharg import CalibrationInfeasibleError
+        from lharg.model import _gamma_star, parabolic_form
+        params = replace(zmlharg, lam=60.0)
+        p = parabolic_form(params)
+        assert stationarity_margin(params) < 1.0 <= stationarity_margin(
+            replace(p, gamma_lev=_gamma_star(p)))
+        with pytest.raises(CalibrationInfeasibleError) as err:
+            calibrate_nu1(params, 0.2, 252, stationary_state(zmlharg))
+        assert np.isnan([err.value.iv_low, err.value.iv_high]).all()
+
+    @pytest.mark.parametrize("failures", [1, None])
+    def test_top_end_backs_off(self, zmlharg, monkeypatch, failures):
+        # the top end (s > 1, nu1 below the identity point) fails its first
+        # `failures` evaluations, or all of them (None): each failure backs
+        # theta*y_star off by 0.7; a later success still brackets the
+        # root, and with none left the range reported is NaN
+        import lharg.estimate
+        from lharg import CalibrationInfeasibleError, NumericalError
+        st = stationary_state(zmlharg)
+        target = 0.22              # above the identity point's 0.166
+        expected = calibrate_nu1(zmlharg, target, 252, st)
+        fixed_point = 0.125 - 0.5 * zmlharg.lam**2
+        atm_iv = lharg.estimate.model_atm_iv
+        failed = []
+
+        def failing(params, nu1, *args):
+            if nu1 < fixed_point and (failures is None
+                                      or len(failed) < failures):
+                failed.append((fixed_point - nu1) * params.theta)
+                raise NumericalError("top end failed")
+            return atm_iv(params, nu1, *args)
+
+        monkeypatch.setattr(lharg.estimate, "model_atm_iv", failing)
+        if failures is None:
+            with pytest.raises(CalibrationInfeasibleError) as err:
+                calibrate_nu1(zmlharg, target, 252, st)
+            assert np.isnan([err.value.iv_low, err.value.iv_high]).all()
+            assert len(failed) == 40
+        else:
+            found = calibrate_nu1(zmlharg, target, 252, st)
+            assert abs(found - expected) <= 1e-9 * abs(expected)
+            assert len(failed) == 1
+        # failed holds theta*y_star = 1 - 1/s of each failed top point, up
+        # to the rounding of s
+        ratios = np.array(failed[1:]) / failed[:-1]
+        assert np.allclose(ratios, 0.7, rtol=1e-6, atol=0.0)
+
     def test_bench_target_evaluations(self, zmlharg, monkeypatch):
         # the identity split and the cache leave at most 10 IV evaluations;
         # calibrate_nu1 calls estimate's own binding of model_atm_iv

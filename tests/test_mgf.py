@@ -17,7 +17,6 @@ from lharg import (
     mgf_p,
     mgf_q,
     parabolic_form,
-    sample_noncentral_gamma,
     simulate_paths,
     state_from_series,
     stationary_state,
@@ -146,16 +145,12 @@ class TestStepP:
 
     def test_one_step_matches_mc(self, zmlharg):
         # one-day conditional expectation by direct Monte Carlo over the
-        # pair (RV, eps), against the single-step exponential-affine form
+        # simulator's day-1 returns, against the single-step
+        # exponential-affine form
         st = stationary_state(zmlharg)
-        p = parabolic_form(zmlharg)
-        nc = theta_noncentrality(p, st)
-        rng = np.random.default_rng(101)
         n = 10**6
-        rv = sample_noncentral_gamma(p.delta, nc, p.theta, rng, size=n)
-        eps = rng.standard_normal(n)
+        y = simulate_paths(zmlharg, st, 1, n, seed=101).y_paths[:, 0]
         for z in (-1.5, 2.0):
-            y = p.r + p.lam * rv + np.sqrt(rv) * eps
             samples = np.exp(z * y)
             est, se = samples.mean(), samples.std() / np.sqrt(n)
             analytic = float(np.real(mgf_p(zmlharg, st, z, 1)))

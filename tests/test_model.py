@@ -51,11 +51,13 @@ class TestModelParams:
                         beta_d=-1.0, beta_w=0.0, beta_m=0.0,
                         alpha_d=0.0, alpha_w=0.0, alpha_m=0.0,
                         gamma_lev=1.0, lam=0.0, r=0.0)
-        with pytest.raises(ValidationError):
-            ModelParams(variant="P-LHARG", theta=-1e-5, delta=1.0, d=0.0,
-                        beta_d=0.0, beta_w=0.0, beta_m=0.0,
-                        alpha_d=0.0, alpha_w=0.0, alpha_m=0.0,
-                        gamma_lev=1.0, lam=0.0, r=0.0)
+        # the simulator's gamma draw needs theta > 0 and delta > 0
+        for theta, delta in ((-1e-5, 1.0), (0.0, 1.0), (1e-5, 0.0)):
+            with pytest.raises(ValidationError, match="strictly positive"):
+                ModelParams(variant="P-LHARG", theta=theta, delta=delta,
+                            d=0.0, beta_d=0.0, beta_w=0.0, beta_m=0.0,
+                            alpha_d=0.0, alpha_w=0.0, alpha_m=0.0,
+                            gamma_lev=1.0, lam=0.0, r=0.0)
 
     def test_unknown_variant(self):
         with pytest.raises(ValidationError):

@@ -422,6 +422,14 @@ class TestImpliedVol:
                         n_cases += 1
         assert n_cases > 1000
 
+    def test_bracket_doubles_past_the_start(self):
+        # 0.9 on a unit at-the-money strike over tau = 1 needs sigma = 3.29,
+        # so the bracket's top doubles twice from 1/sqrt(tau) = 1
+        for kind in ("call", "put"):
+            iv = implied_vol(0.9, 1.0, 1.0, 0.0, 1.0, kind)
+            assert abs(iv - 3.2897) < 1e-4
+            assert abs(bs_price(1.0, 1.0, 0.0, iv, 1.0, kind) - 0.9) <= 1e-12
+
     def test_below_intrinsic_rejected(self):
         intrinsic = 100.0 - 80.0 * np.exp(-0.01)
         with pytest.raises(InversionDomainError):

@@ -1,4 +1,4 @@
-"""Noncentral-gamma sampling, path dynamics, and Monte Carlo estimators."""
+"""The noncentral-gamma draw, path dynamics, and Monte Carlo estimators."""
 
 import sys
 import threading
@@ -8,15 +8,16 @@ import numpy as np
 import pytest
 
 from lharg import (
+    MarketState,
     NumericalError,
     ValidationError,
     expand_weights,
     filter_innovations,
-    sample_noncentral_gamma,
     simulate_paths,
     simulate_y_snapshots,
     stationary_mean_rv,
     stationary_state,
+    theta_noncentrality,
 )
 from lharg import simulate
 from lharg.simulate import mc_mgf_from_samples
@@ -24,35 +25,31 @@ from lharg.simulate import mc_mgf_from_samples
 from oracles import conditional_covariance
 
 
+def _check_day_one_moments(params, big_theta, seed):
+    # day-1 variances of 10**6 kernel paths from a lag state whose flat rv
+    # lags give noncentrality big_theta (its leverage lags are zero) have
+    # the noncentral gamma's mean theta (delta + Theta) and variance
+    # theta^2 (delta + 2 Theta), each within 3 standard errors
+    beta_sum = params.beta_d + params.beta_w + params.beta_m
+    st = MarketState(rv=np.full(22, big_theta / beta_sum), lev=np.zeros(22))
+    assert abs(theta_noncentrality(params, st) - big_theta) < 1e-12
+    x = simulate_paths(params, st, 1, 10**6, seed=seed).rv_paths[:, 0]
+    mean_exact = params.theta * (params.delta + big_theta)
+    var_exact = params.theta**2 * (params.delta + 2.0 * big_theta)
+    se_mean = x.std() / np.sqrt(x.size)
+    assert abs(x.mean() - mean_exact) < 3.0 * se_mean
+    se_var = ((x - x.mean()) ** 2).std() / np.sqrt(x.size)
+    assert abs(x.var() - var_exact) < 3.0 * se_var
+
+
 class TestNoncentralGamma:
-    def test_degenerate_mixture_is_plain_gamma(self):
-        rng = np.random.default_rng(1)
-        delta, theta = 1.78, 1.117e-5
-        x = sample_noncentral_gamma(delta, 0.0, theta, rng, size=10**6)
-        se = x.std() / np.sqrt(x.size)
-        assert abs(x.mean() - theta * delta) < 3.0 * se
+    """The kernel's variance draw: theta * Gamma(delta + Poisson(Theta))."""
 
-    def test_mean_and_variance(self):
-        rng = np.random.default_rng(2)
-        delta, theta, nc = 1.78, 1.117e-5, 9.0
-        x = sample_noncentral_gamma(delta, nc, theta, rng, size=10**6)
-        mean_exact = theta * (delta + nc)          # 1.204e-4
-        var_exact = theta**2 * (delta + 2.0 * nc)
-        assert abs(mean_exact - 1.2041259e-4) < 1e-10
-        se_mean = x.std() / np.sqrt(x.size)
-        assert abs(x.mean() - mean_exact) < 3.0 * se_mean
-        sq = (x - x.mean()) ** 2
-        se_var = sq.std() / np.sqrt(x.size)
-        assert abs(x.var() - var_exact) < 3.0 * se_var
+    def test_degenerate_mixture_is_plain_gamma(self, harg):
+        _check_day_one_moments(harg, 0.0, seed=1)
 
-    def test_invalid_parameters(self):
-        rng = np.random.default_rng(3)
-        with pytest.raises(ValidationError):
-            sample_noncentral_gamma(-1.0, 1.0, 1e-5, rng)
-        with pytest.raises(ValidationError):
-            sample_noncentral_gamma(1.0, 1.0, 0.0, rng)
-        with pytest.raises(ValidationError):
-            sample_noncentral_gamma(1.0, -0.5, 1e-5, rng)
+    def test_mean_and_variance(self, harg):
+        _check_day_one_moments(harg, 9.0, seed=2)
 
 
 class TestSimulatePaths:
@@ -354,23 +351,29 @@ class TestConcurrentRuns:
 
     def test_blocks_of_a_run_held_one_at_a_time(self, zmlharg, monkeypatch):
         # a run drains its 10 blocks in turn, so the call holds about one
-        # block's working set per run, as with 1 block a run
+        # block's working set per run, as a one-run call of 1 block does.
+        # The baseline starts no thread: a two-run, 1-block call would
+        # peak at one or two working sets, as its jobs overlap or not
         monkeypatch.setattr(simulate, "DEFAULT_BLOCK", 500)
         monkeypatch.setattr(simulate, "_cpus", lambda: 4)
         st = stationary_state(zmlharg)
         simulate_y_snapshots(zmlharg, st, [5], 10)    # warm caches
+
+        def peak(nu1s, n_paths):
+            tracemalloc.start()
+            try:
+                runs = simulate._snapshot_runs(zmlharg, st, [1, 21, 63],
+                                               n_paths, nu1s, 3)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return peak - sum(out.nbytes for out, _ in runs)
+
+        one_block = peak([None], 500)
         for nu1s in ([None], [None, -3375.0]):
-            peaks = []
-            for n_paths in (500, 5000):
-                tracemalloc.start()
-                try:
-                    runs = simulate._snapshot_runs(zmlharg, st, [1, 21, 63],
-                                                   n_paths, nu1s, 3)
-                    _, peak = tracemalloc.get_traced_memory()
-                finally:
-                    tracemalloc.stop()
-                peaks.append(peak - sum(out.nbytes for out, _ in runs))
-            assert peaks[1] <= 1.5 * peaks[0], (nu1s, peaks)
+            ten_blocks = peak(nu1s, 5000)
+            assert ten_blocks <= 1.5 * len(nu1s) * one_block, \
+                (nu1s, ten_blocks, one_block)
 
     def test_one_run_starts_no_thread(self, zmlharg, monkeypatch):
         def no_pool(*args):
