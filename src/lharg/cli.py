@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from itertools import repeat
 
 import numpy as np
 
@@ -37,7 +38,8 @@ from .model import (
 )
 from .options import FILTER_RULES, filter_options
 from .pricing import price_chain, rmse_iv
-from .simulate import _snapshot_runs, mc_mgf_from_samples, simulate_paths
+from .simulate import (_recorded_days, _snapshot_runs, mc_mgf_from_samples,
+                       simulate_paths)
 
 _NU1_HELP = "selects measure Q; default: the params file's nu1, else P"
 
@@ -114,7 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rv", help="RV CSV for the start state")
     p.add_argument("--returns", help="returns CSV for the start state")
     p.add_argument("--out", default="simulation_summary.csv")
-    p.add_argument("--dump", help="optional .npz of rv_paths and y_paths")
+    p.add_argument("--dump", help="optional .npz of rv_paths and y_paths; "
+                   "only with it are the whole path arrays held")
 
     p = sub.add_parser("cumulants", help="cumulant term structure")
     p.add_argument("--params", required=True)
@@ -256,27 +259,31 @@ def _cmd_simulate(args) -> int:
     params, extras = lio.load_params(args.params)
     nu1 = _nu1(args, extras)
     state = _chain_states(params, [None], args.rv, args.returns)[None]
-    paths = simulate_paths(params, state, args.days, args.paths, nu1=nu1,
-                           seed=args.seed, burn_in=args.burn_in)
-    # one day-row at a time: whole-matrix axis=1 reductions would allocate
-    # (horizon, n_paths) temporaries
-    cells = ([r.mean(), r.var(), *np.quantile(r, [0.05, 0.5, 0.95]),
-              s.mean(), s.var()]
-             for r, s in zip(paths.rv_paths.T, paths.y_paths.T))
+    run = (params, state, args.days, args.paths, nu1, args.seed, args.burn_in)
+    if args.dump:
+        paths = simulate_paths(*run)
+        # the PathSet carries the clamp total, not the count of each day
+        days = zip(paths.rv_paths.T, paths.y_paths.T, repeat(0))
+        clamps = paths.clamp_count
+    else:
+        days, clamps = _recorded_days(*run), 0
+    rows = []
+    for t, (r, s, c) in enumerate(days, start=1):
+        cells = (r.mean(), r.var(), *np.quantile(r, [0.05, 0.5, 0.95]),
+                 s.mean(), s.var())
+        rows.append([t] + [repr(float(x)) for x in cells])
+        clamps += c
     _write_csv(args.out, ["day", "rv_mean", "rv_var", "rv_q05", "rv_q50",
-                          "rv_q95", "y_mean", "y_var"],
-               ([t + 1] + [repr(float(c)) for c in row]
-                for t, row in enumerate(cells)))
+                          "rv_q95", "y_mean", "y_var"], rows)
     if args.dump:
         # a file object, not the path: given a path, np.savez appends .npz
         with open(args.dump, "wb") as fh:
             np.savez(fh, rv_paths=paths.rv_paths, y_paths=paths.y_paths)
         print(f"raw paths -> {args.dump}")
-    rate = paths.clamp_count / paths.rv_paths.size
+    rate = clamps / (args.paths * args.days)
     print(f"simulated {args.paths} paths x {args.days} days "
           f"under {'P' if nu1 is None else 'Q'} (seed {args.seed})")
-    print(f"clamp rate per path-day: {rate:.3e} "
-          f"({paths.clamp_count} events)")
+    print(f"clamp rate per path-day: {rate:.3e} ({clamps} events)")
     print(f"-> {args.out}")
     return 0
 

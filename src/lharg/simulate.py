@@ -8,16 +8,19 @@ through lag 1 and per-path sums of lags 2-5 and 6-22, which each new day
 updates as it overwrites the oldest row of an unshifted ring of lags.
 Negative Theta, which the zero-mean variant cannot rule out, is clamped
 to zero and counted (never for positivity-satisfying parameters).
-simulate_paths writes each day as one contiguous row of preallocated
-(horizon, n_paths) arrays and returns their transposes, so a PathSet's
-rv_paths and y_paths read (n_paths, horizon) and its clamp_count sums the
-recorded days; simulate_y_snapshots keeps running sums of the same paths.
 
 Paths run in blocks of DEFAULT_BLOCK; block b draws from an independent
-PCG64 stream spawned as SeedSequence(seed).spawn(...)[b] and fills a fixed
-range of rows, so a fixed seed reproduces the same paths bit for bit.
-n_paths, horizon and maturities must be positive and burn_in and seed
-nonnegative integers; other inputs raise ValidationError before any work.
+PCG64 stream spawned as SeedSequence(seed).spawn(...)[b], so a fixed seed
+reproduces the same paths bit for bit.  _recorded_days, the one source of
+path output, steps every block a day at a time in lockstep and yields each
+recorded day as one row over all paths; each block owns its generator, so
+the order changes no draw.  simulate_paths fills (horizon, n_paths) arrays
+from those rows and returns their (n_paths, horizon) transposes; `lharg
+simulate` summarises the rows as they come.  simulate_y_snapshots keeps
+running sums of the same paths, block by block.  n_paths, horizon and
+maturities must be positive and burn_in and seed nonnegative integers;
+other inputs raise ValidationError before any work, as does a negative
+simulated variance when it is drawn.
 
 _snapshot_runs simulates several runs that share a seed, one per nu1 (P
 and Q for mgf-check); each run is one job of _drain, which runs the jobs
@@ -40,6 +43,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
 
 import numpy as np
 
@@ -66,8 +70,13 @@ class PathSet:
     clamp_count: int       # noncentrality clampings over all recorded days
 
     def __post_init__(self):
-        if np.any(self.rv_paths < 0.0):
-            raise ValidationError("simulated variances must be nonnegative")
+        _nonnegative(self.rv_paths)
+
+
+def _nonnegative(rv):
+    if np.any(rv < 0.0):
+        raise ValidationError("simulated variances must be nonnegative")
+    return rv
 
 
 def _day_steps(p: ParabolicForm, st, n: int, rng, days: int):
@@ -171,19 +180,31 @@ def simulate_paths(params: ModelParams, state: MarketState, horizon: int,
     (1000 days comfortably washes out the start state at the persistence
     levels of interest); clamps are counted on recorded days only.
     """
-    horizon = _whole("horizon", horizon, 1)
-    burn_in = _whole("burn_in", burn_in, 0)
-    blocks = _blocks(params, state, nu1, n_paths, seed, burn_in + horizon)
+    days = _recorded_days(params, state, horizon, n_paths, nu1, seed, burn_in)
     rv_out = np.empty((horizon, n_paths))
     y_out = np.empty((horizon, n_paths))
     clamps = 0
-    for rows, steps in blocks:
-        for day, (rv, y, c) in enumerate(steps, start=-burn_in):
-            if day >= 0:
-                rv_out[day, rows] = rv
-                y_out[day, rows] = y
-                clamps += c
+    for day, (rv, y, c) in enumerate(days):
+        rv_out[day] = rv
+        y_out[day] = y
+        clamps += c
     return PathSet(rv_paths=rv_out.T, y_paths=y_out.T, clamp_count=clamps)
+
+
+def _recorded_days(params, state, horizon, n_paths, nu1, seed, burn_in):
+    """Check the arguments, then return an iterator over the days after the
+    burn-in, each as (rv, y, clamps) over all n_paths."""
+    horizon = _whole("horizon", horizon, 1)
+    burn_in = _whole("burn_in", burn_in, 0)
+    blocks = _blocks(params, state, nu1, n_paths, seed, burn_in + horizon)
+    lockstep = zip(*(steps for _, steps in blocks))
+    return map(_joined, islice(lockstep, burn_in, None))
+
+
+def _joined(draws):
+    # one day's (rv, y, clamps) of every block, in block order; rv checked
+    rv, y, clamps = zip(*draws)
+    return _nonnegative(np.concatenate(rv)), np.concatenate(y), sum(clamps)
 
 
 def simulate_y_snapshots(params: ModelParams, state: MarketState,

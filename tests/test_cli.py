@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 
 from lharg import (ModelParams, simulate_paths, stationarity_margin,
                    stationary_state)
-from lharg import cli
+from lharg import cli, simulate
 from lharg.cli import main
 from lharg.io import (DatedSeries, load_params, load_returns, load_rv_series,
                       save_params)
@@ -23,6 +24,7 @@ from lharg.io import (DatedSeries, load_params, load_returns, load_rv_series,
 from conftest import make_history
 from oracles import write_option_chain, write_series
 from test_pricing import TRACING, make_quote
+from test_simulate import negative_on_day_4
 
 
 @pytest.fixture(scope="module")
@@ -187,6 +189,72 @@ def test_simulate_with_dump(data_dir, small_model, tmp_path):
         loop = [t + 1, r.mean(), r.var(), *np.quantile(r, [0.05, 0.5, 0.95]),
                 x.mean(), x.var()]
         assert np.array_equal(rows[t], loop)
+
+
+def _summary_and_clamp_line(argv, out, capsys):
+    assert main([*argv, "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    return out.read_bytes(), [x for x in lines if x.startswith("clamp")]
+
+
+def test_simulate_summary_same_without_dump(tmp_path, plharg, zmlharg,
+                                            monkeypatch, capsys):
+    # without --dump the summary comes from the lockstep day rows of 8
+    # blocks of 7 paths, not from a PathSet: the same bytes and clamp line
+    # after a burn-in, for P-LHARG under P and for ZM-LHARG under Q from a
+    # cold start (rv lags at a tenth of the stationary level, each return
+    # r + (lam + gamma) rv so that every leverage lag is 0), which clamps
+    monkeypatch.setattr(simulate, "DEFAULT_BLOCK", 7)
+    rv = np.full(22, 0.1 * stationary_state(zmlharg).rv[0])
+    y = zmlharg.r + (zmlharg.lam + zmlharg.gamma_lev) * rv
+    dates = [dt.date(2001, 1, 1) + dt.timedelta(days=i) for i in range(22)]
+    write_series(tmp_path / "rv.csv", DatedSeries(dates, rv), "rv")
+    write_series(tmp_path / "ret.csv", DatedSeries(dates, y), "log_return")
+    cold = ["--nu1=-3375", "--rv", str(tmp_path / "rv.csv"),
+            "--returns", str(tmp_path / "ret.csv")]
+    for params, extra, clamping in ((plharg, [], False),
+                                    (zmlharg, cold, True)):
+        fit = tmp_path / "p.txt"
+        save_params(fit, params)
+        argv = ["simulate", "--params", str(fit), "--days", "30",
+                "--paths", "50", "--seed", "1", "--burn-in", "3", *extra]
+        streamed = _summary_and_clamp_line(argv, tmp_path / "s.csv", capsys)
+        dumped = _summary_and_clamp_line(
+            [*argv, "--dump", str(tmp_path / "p.npz")], tmp_path / "d.csv",
+            capsys)
+        assert streamed == dumped
+        assert streamed[1][0].endswith(" (0 events)") != clamping
+
+
+def test_simulate_without_dump_holds_no_paths(tmp_path, plharg):
+    # the summary's peak is a small part of the (days, paths) arrays that
+    # only --dump holds
+    fit, out = tmp_path / "p.txt", tmp_path / "s.csv"
+    save_params(fit, plharg)
+    argv = ["simulate", "--params", str(fit), "--out", str(out)]
+    assert main([*argv, "--days", "5", "--paths", "10"]) == 0  # warm caches
+    tracemalloc.start()
+    try:
+        assert main([*argv, "--days", "500", "--paths", "2000"]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25 * 2 * 8 * 2000 * 500
+
+
+def test_simulate_negative_variance_leaves_no_files(tmp_path, plharg,
+                                                    monkeypatch, capsys):
+    # a negative variance on a recorded day exits 2 before the summary or
+    # the dump is written, with or without --dump
+    monkeypatch.setattr(simulate, "_day_steps", negative_on_day_4)
+    fit, out, dump = tmp_path / "p.txt", tmp_path / "s.csv", tmp_path / "d"
+    save_params(fit, plharg)
+    argv = ["simulate", "--params", str(fit), "--days", "10", "--paths", "20",
+            "--burn-in", "2", "--out", str(out)]
+    for extra in ([], ["--dump", str(dump)]):
+        assert main([*argv, *extra]) == 2, extra
+        assert "nonnegative" in capsys.readouterr().err
+        assert set(tmp_path.iterdir()) == {fit}, extra
 
 
 def test_simulate_q_reads_params_file_nu1(tmp_path, small_model):

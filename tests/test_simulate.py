@@ -229,6 +229,69 @@ class TestSimulatePaths:
             simulate_y_snapshots(plharg, st, [5], 0)
 
 
+def negative_on_day_4(p, st, n, rng, days, kernel=simulate._day_steps):
+    # the kernel's days with day 4's variances negated
+    for day, (rv, y, c) in enumerate(kernel(p, st, n, rng, days)):
+        yield (-rv if day == 4 else rv), y, c
+
+
+def _cold_state(params):
+    # rv lags at a tenth of the stationary level and zero leverage lags:
+    # the zero-mean variant's noncentrality starts below zero and clamps
+    return MarketState(rv=0.1 * stationary_state(params).rv, lev=np.zeros(22))
+
+
+class TestRecordedDays:
+    def test_rows_are_the_paths(self, zmlharg, monkeypatch):
+        # 3 blocks of 7 stepped in lockstep after a burn-in: each row is
+        # that day of simulate_paths and of the blocks drained one after
+        # another, bit for bit, clamps included
+        monkeypatch.setattr(simulate, "DEFAULT_BLOCK", 7)
+        st = _cold_state(zmlharg)
+        for nu1 in (None, -3375.0):
+            rows = list(simulate._recorded_days(zmlharg, st, 30, 20, nu1, 5,
+                                                3))
+            paths = simulate_paths(zmlharg, st, 30, 20, nu1=nu1, seed=5,
+                                   burn_in=3)
+            rv, y, _ = _drained_in_turn(zmlharg, st, nu1, 20, 5, 33)
+            assert len(rows) == 30
+            for day, (r, s, _) in enumerate(rows):
+                assert np.array_equal(r, paths.rv_paths[:, day])
+                assert np.array_equal(s, paths.y_paths[:, day])
+                assert np.array_equal(r, rv[:, 3 + day])
+                assert np.array_equal(s, y[:, 3 + day])
+            clamps = sum(c for _, _, c in rows)
+            assert clamps == paths.clamp_count > 0, nu1
+
+    def test_arguments_checked_at_the_call(self, plharg, monkeypatch):
+        # a bad count raises when _recorded_days is called, not at its
+        # first row, and before any block's day steps are set up
+        def no_steps(*args):
+            raise AssertionError("day steps set up for bad arguments")
+
+        monkeypatch.setattr(simulate, "_day_steps", no_steps)
+        st = stationary_state(plharg)
+        cases = (((5.0, 10, None, 0, 0), "horizon.*5.0"),
+                 ((5, 0, None, 0, 0), "n_paths.*0"),
+                 ((5, 10, None, 1.5, 0), "seed.*1.5"),
+                 ((5, 10, None, 0, -2), "burn_in.*-2"))
+        for args, message in cases:
+            with pytest.raises(ValidationError, match=message):
+                simulate._recorded_days(plharg, st, *args)
+
+    def test_negative_variance_raises(self, plharg, monkeypatch):
+        # every streamed row is checked, as every PathSet is
+        monkeypatch.setattr(simulate, "_day_steps", negative_on_day_4)
+        st = stationary_state(plharg)
+        rows = simulate._recorded_days(plharg, st, 10, 20, None, 0, 2)
+        next(rows), next(rows)
+        with pytest.raises(ValidationError, match="nonnegative"):
+            next(rows)
+        with pytest.raises(ValidationError, match="nonnegative"):
+            simulate.PathSet(rv_paths=-np.ones((2, 3)),
+                             y_paths=np.zeros((2, 3)), clamp_count=0)
+
+
 def _shift_and_add(p, st, n, rng, days):
     # the literal kernel: both 22-lag buffers shift by one row every day and
     # Theta weights all 22 lags; same RNG calls in the same order
