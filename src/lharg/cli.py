@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from itertools import repeat
 
 import numpy as np
 
@@ -38,8 +37,7 @@ from .model import (
 )
 from .options import FILTER_RULES, filter_options
 from .pricing import price_chain, rmse_iv
-from .simulate import (_recorded_days, _snapshot_runs, mc_mgf_from_samples,
-                       simulate_paths)
+from .simulate import _recorded_days, _snapshot_runs, mc_mgf_from_samples
 
 _NU1_HELP = "selects measure Q; default: the params file's nu1, else P"
 
@@ -259,16 +257,14 @@ def _cmd_simulate(args) -> int:
     params, extras = lio.load_params(args.params)
     nu1 = _nu1(args, extras)
     state = _chain_states(params, [None], args.rv, args.returns)[None]
-    run = (params, state, args.days, args.paths, nu1, args.seed, args.burn_in)
+    days = _recorded_days(params, state, args.days, args.paths, nu1,
+                          args.seed, args.burn_in)
     if args.dump:
-        paths = simulate_paths(*run)
-        # the PathSet carries the clamp total, not the count of each day
-        days = zip(paths.rv_paths.T, paths.y_paths.T, repeat(0))
-        clamps = paths.clamp_count
-    else:
-        days, clamps = _recorded_days(*run), 0
-    rows = []
+        paths = np.empty((2, args.days, args.paths))
+    rows, clamps = [], 0
     for t, (r, s, c) in enumerate(days, start=1):
+        if args.dump:
+            paths[:, t - 1] = r, s
         cells = (r.mean(), r.var(), *np.quantile(r, [0.05, 0.5, 0.95]),
                  s.mean(), s.var())
         rows.append([t] + [repr(float(x)) for x in cells])
@@ -278,7 +274,7 @@ def _cmd_simulate(args) -> int:
     if args.dump:
         # a file object, not the path: given a path, np.savez appends .npz
         with open(args.dump, "wb") as fh:
-            np.savez(fh, rv_paths=paths.rv_paths, y_paths=paths.y_paths)
+            np.savez(fh, rv_paths=paths[0].T, y_paths=paths[1].T)
         print(f"raw paths -> {args.dump}")
     rate = clamps / (args.paths * args.days)
     print(f"simulated {args.paths} paths x {args.days} days "

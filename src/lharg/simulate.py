@@ -11,16 +11,14 @@ to zero and counted (never for positivity-satisfying parameters).
 
 Paths run in blocks of DEFAULT_BLOCK; block b draws from an independent
 PCG64 stream spawned as SeedSequence(seed).spawn(...)[b], so a fixed seed
-reproduces the same paths bit for bit.  _recorded_days, the one source of
-path output, steps every block a day at a time in lockstep and yields each
-recorded day as one row over all paths; each block owns its generator, so
-the order changes no draw.  simulate_paths fills (horizon, n_paths) arrays
-from those rows and returns their (n_paths, horizon) transposes; `lharg
-simulate` summarises the rows as they come.  simulate_y_snapshots keeps
-running sums of the same paths, block by block.  n_paths, horizon and
-maturities must be positive and burn_in and seed nonnegative integers;
-other inputs raise ValidationError before any work, as does a negative
-simulated variance when it is drawn.
+reproduces the same paths bit for bit in whatever order the blocks step.
+simulate_paths and simulate_y_snapshots drain the blocks one after another,
+holding one block's working set at a time.  _recorded_days, which `lharg
+simulate` summarises from, steps every block a day at a time in lockstep
+and yields each recorded day over all paths: it holds every block's
+working set (about 460 bytes a path) but no path arrays.
+n_paths, horizon and maturities must be positive and burn_in and seed
+nonnegative integers; other inputs raise ValidationError before any work.
 
 _snapshot_runs simulates several runs that share a seed, one per nu1 (P
 and Q for mgf-check); each run is one job of _drain, which runs the jobs
@@ -180,25 +178,31 @@ def simulate_paths(params: ModelParams, state: MarketState, horizon: int,
     (1000 days comfortably washes out the start state at the persistence
     levels of interest); clamps are counted on recorded days only.
     """
-    days = _recorded_days(params, state, horizon, n_paths, nu1, seed, burn_in)
+    blocks = _recorded(params, state, horizon, n_paths, nu1, seed, burn_in)
     rv_out = np.empty((horizon, n_paths))
     y_out = np.empty((horizon, n_paths))
     clamps = 0
-    for day, (rv, y, c) in enumerate(days):
-        rv_out[day] = rv
-        y_out[day] = y
-        clamps += c
+    for rows, days in blocks:
+        for day, (rv, y, c) in enumerate(days):
+            rv_out[day, rows] = rv
+            y_out[day, rows] = y
+            clamps += c
     return PathSet(rv_paths=rv_out.T, y_paths=y_out.T, clamp_count=clamps)
+
+
+def _recorded(params, state, horizon, n_paths, nu1, seed, burn_in):
+    # check the arguments, then each block's (rows, days after the burn-in)
+    horizon = _whole("horizon", horizon, 1)
+    burn_in = _whole("burn_in", burn_in, 0)
+    blocks = _blocks(params, state, nu1, n_paths, seed, burn_in + horizon)
+    return [(rows, islice(steps, burn_in, None)) for rows, steps in blocks]
 
 
 def _recorded_days(params, state, horizon, n_paths, nu1, seed, burn_in):
     """Check the arguments, then return an iterator over the days after the
-    burn-in, each as (rv, y, clamps) over all n_paths."""
-    horizon = _whole("horizon", horizon, 1)
-    burn_in = _whole("burn_in", burn_in, 0)
-    blocks = _blocks(params, state, nu1, n_paths, seed, burn_in + horizon)
-    lockstep = zip(*(steps for _, steps in blocks))
-    return map(_joined, islice(lockstep, burn_in, None))
+    burn-in, each as (rv, y, clamps) over all n_paths, rv checked."""
+    blocks = _recorded(params, state, horizon, n_paths, nu1, seed, burn_in)
+    return map(_joined, zip(*(days for _, days in blocks)))
 
 
 def _joined(draws):

@@ -199,31 +199,38 @@ def _summary_and_clamp_line(argv, out, capsys):
 
 def test_simulate_summary_same_without_dump(tmp_path, plharg, zmlharg,
                                             monkeypatch, capsys):
-    # without --dump the summary comes from the lockstep day rows of 8
-    # blocks of 7 paths, not from a PathSet: the same bytes and clamp line
-    # after a burn-in, for P-LHARG under P and for ZM-LHARG under Q from a
-    # cold start (rv lags at a tenth of the stationary level, each return
-    # r + (lam + gamma) rv so that every leverage lag is 0), which clamps
+    # 8 blocks of 7 paths after a burn-in: the summary bytes and clamp line
+    # are the same with and without --dump, and the dump and clamp count
+    # are simulate_paths', whose blocks drain one after another; for
+    # P-LHARG under P and for ZM-LHARG under Q from a cold start (rv lags
+    # at a tenth of the stationary level, each return r + (lam + gamma) rv
+    # so that every leverage lag is 0), which clamps
     monkeypatch.setattr(simulate, "DEFAULT_BLOCK", 7)
     rv = np.full(22, 0.1 * stationary_state(zmlharg).rv[0])
     y = zmlharg.r + (zmlharg.lam + zmlharg.gamma_lev) * rv
     dates = [dt.date(2001, 1, 1) + dt.timedelta(days=i) for i in range(22)]
-    write_series(tmp_path / "rv.csv", DatedSeries(dates, rv), "rv")
-    write_series(tmp_path / "ret.csv", DatedSeries(dates, y), "log_return")
-    cold = ["--nu1=-3375", "--rv", str(tmp_path / "rv.csv"),
-            "--returns", str(tmp_path / "ret.csv")]
-    for params, extra, clamping in ((plharg, [], False),
-                                    (zmlharg, cold, True)):
-        fit = tmp_path / "p.txt"
+    history = (str(tmp_path / "rv.csv"), str(tmp_path / "ret.csv"))
+    write_series(history[0], DatedSeries(dates, rv), "rv")
+    write_series(history[1], DatedSeries(dates, y), "log_return")
+    cold = ["--nu1=-3375", "--rv", history[0], "--returns", history[1]]
+    for params, extra, nu1, files in ((plharg, [], None, (None, None)),
+                                      (zmlharg, cold, -3375.0, history)):
+        fit, dump = tmp_path / "p.txt", tmp_path / "p.npz"
         save_params(fit, params)
         argv = ["simulate", "--params", str(fit), "--days", "30",
                 "--paths", "50", "--seed", "1", "--burn-in", "3", *extra]
         streamed = _summary_and_clamp_line(argv, tmp_path / "s.csv", capsys)
-        dumped = _summary_and_clamp_line(
-            [*argv, "--dump", str(tmp_path / "p.npz")], tmp_path / "d.csv",
-            capsys)
+        dumped = _summary_and_clamp_line([*argv, "--dump", str(dump)],
+                                         tmp_path / "d.csv", capsys)
         assert streamed == dumped
-        assert streamed[1][0].endswith(" (0 events)") != clamping
+        state = cli._chain_states(params, [None], *files)[None]
+        ref = simulate_paths(params, state, 30, 50, nu1=nu1, seed=1,
+                             burn_in=3)
+        with np.load(dump) as saved:
+            assert np.array_equal(saved["rv_paths"], ref.rv_paths)
+            assert np.array_equal(saved["y_paths"], ref.y_paths)
+        assert streamed[1][0].endswith(f" ({ref.clamp_count} events)")
+        assert (ref.clamp_count > 0) == (nu1 is not None)
 
 
 def test_simulate_without_dump_holds_no_paths(tmp_path, plharg):

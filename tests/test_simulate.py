@@ -170,6 +170,21 @@ class TestSimulatePaths:
         out_bytes = paths.rv_paths.nbytes + paths.y_paths.nbytes
         assert peak <= 1.5 * out_bytes
 
+    def test_blocks_drained_one_at_a_time(self, plharg, monkeypatch):
+        # 16 blocks of 250 paths: one block's working set is held beside
+        # the output at a time (peak 1.13 x the output); stepping them all
+        # in lockstep holds every block's (2.5 x)
+        monkeypatch.setattr(simulate, "DEFAULT_BLOCK", 250)
+        st = stationary_state(plharg)
+        simulate_paths(plharg, st, 5, 10, seed=1)   # warm caches
+        tracemalloc.start()
+        try:
+            simulate_paths(plharg, st, 20, 4000, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 2 * 8 * 20 * 4000
+
     def test_negative_burn_in_rejected(self, plharg):
         st = stationary_state(plharg)
         with pytest.raises(ValidationError, match="burn_in.*-3"):
