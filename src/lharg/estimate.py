@@ -51,6 +51,7 @@ from .errors import (
     LikelihoodDomainError,
     NumericalError,
     ValidationError,
+    _whole,
 )
 from .model import (
     MarketState,
@@ -404,6 +405,7 @@ def calibrate_nu1(params: ModelParams, target_iv: float,
     nu1 at market-level targets: the model IV carries rounding noise that
     leaves nu1 defined only to about 1e-8, so finer steps would chase it.
     """
+    maturity_days = _whole("maturity_days", maturity_days, 1)
     if not (0.0 < target_iv < 0.7):
         raise ValidationError("target IV must lie in (0, 0.7)")
 

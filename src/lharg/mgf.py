@@ -3,19 +3,20 @@
 The conditional MGF E[exp(z * y_{t,T}) | F_t] is exponential-affine in the
 22-lag state,
 
-    mgf = exp( A + sum_i B_i RV[t+1-i] + sum_j C_j lev[t+1-j] ),
+    mgf = exp( A + z*r*T + sum_i B_i RV[t+1-i] + sum_j C_j lev[t+1-j] ),
 
 with coefficients obtained by a backward daily recursion from terminal
 zeros.  On the parabolic-leverage canonical form one step evolves (A, B, C)
 through
 
     X   = z*lam + B_1 + (z^2/2 + g^2 C_1 - 2 C_1 g z) / (1 - 2 C_1)
-    A  += z*r - log(1 - 2 C_1)/2 - delta*w(X) + d*v(X)
+    A  += -log(1 - 2 C_1)/2 - delta*w(X) + d*v(X)
     B_i = B_{i+1} + v(X) beta_i      (B_23 = 0)
     C_j = C_{j+1} + v(X) alpha_j
 
 where v(x) = theta*x / (1 - theta*x) and w(x) = log(1 - x*theta) are the
-noncentral-gamma moment transforms.
+noncentral-gamma moment transforms.  The rate adds z*r to A every day
+and nothing else, so the loop runs without it and adds z*r*T after it.
 
 The step is the same under both measures, since under an arbitrage-free
 pricing kernel the risk-neutral dynamics are again an LHARG.  `nu1=None`
@@ -37,14 +38,14 @@ as a Hankel product.
 
 The step map does not depend on the day, so the coefficients for horizon
 T are the loop's iterates after T days, and one pass serves many horizons
-(`_log_mgf_segments`): z-segments sorted longest horizon first, each
-point at its own rate (r enters only A's daily z*r); on the day a
-segment's horizon ends its B and C are formed and dotted with its state,
-and its columns drop off the end of the active prefix.  A pass that
-leaves the domain raises the RecursionDomainError of the first point to
-leave it, with that point's step and message, which its segment raises
-alone too.  It is the one route into the loop: `mgf_p`, `mgf_q` and
-`log_mgf` are its one-segment case.
+(`_log_mgf_segments`): z-segments sorted longest horizon first; on the
+day a segment's horizon ends its B and C are formed and dotted with its
+state, its own rate adds z*r*T, and its columns drop off the end of the
+active prefix.  A pass that leaves the domain raises the
+RecursionDomainError of the first point to leave it, with that point's
+step and message, which its segment raises alone too.  It is the one
+route into the loop: `mgf_p`, `mgf_q` and `log_mgf` are its one-segment
+case.
 
 The cumulants kappa_n of y_{t,T} are the Taylor coefficients of the log-MGF
 at z = 0, times n!.  `raw_cumulants` reads the first four from one FFT of
@@ -81,12 +82,12 @@ def _guarded(values: np.ndarray, step: int, what: str) -> None:
         raise RecursionDomainError(step, f"{what} left the right half-plane")
 
 
-def _steps(p: ParabolicForm, w: np.ndarray, z: np.ndarray, r, segments):
+def _steps(p: ParabolicForm, w: np.ndarray, z: np.ndarray, segments):
     """The backward loop over consecutive segments of z, with the
     `expand_weights` rows w of p.
 
     `segments` lists (size, horizon) pairs, horizons non-increasing and
-    sizes adding up to len(z); r is the rate, a scalar or one per point.
+    sizes adding up to len(z).
     Yields (segment index, (A, B, C)) on the day the segment's horizon
     ends, and raises RecursionDomainError on the day a point of a segment
     not yet yielded leaves the domain.
@@ -95,7 +96,6 @@ def _steps(p: ParabolicForm, w: np.ndarray, z: np.ndarray, r, segments):
     g = p.gamma_lev
     dtype = np.result_type(z.dtype, float)
     lin, quad, lev = z * p.lam, 0.5 * z * z, g * g - 2.0 * g * z
-    a_day = z * r
     # ring[s % 22] holds day s's increment; rolled[s % 22] lines the
     # [beta; alpha] rows up with the ring after day s.  The weights are
     # real, so the day's product runs on the ring's float view.
@@ -123,7 +123,7 @@ def _steps(p: ParabolicForm, w: np.ndarray, z: np.ndarray, r, segments):
         one_minus = 1.0 - tx
         _guarded(one_minus, step, "1 - theta*X")
         v_x = tx / one_minus
-        A += a_day - 0.5 * np.log(den) - delta * np.log(one_minus) + d * v_x
+        A -= 0.5 * np.log(den) + delta * np.log(one_minus) - d * v_x
         ring[step % N_LAGS] = v_x
         while live and live[-1][2] == step:
             k, lo, _ = live.pop()
@@ -131,8 +131,8 @@ def _steps(p: ParabolicForm, w: np.ndarray, z: np.ndarray, r, segments):
             # on a contiguous copy would round differently
             yield k, (A[lo:], *(hankel @ ring[(step - lags) % N_LAGS,
                                               lo:]).transpose(0, 2, 1))
-            ring, A, lin, quad, lev, a_day = (
-                v[..., :lo] for v in (ring, A, lin, quad, lev, a_day))
+            ring, A, lin, quad, lev = (
+                v[..., :lo] for v in (ring, A, lin, quad, lev))
             flat = ring.view(float)
         step += 1
 
@@ -168,14 +168,12 @@ def _log_mgf_segments(params, nu1: float | None, segments) -> list:
     for chunk in chunks:
         parts = [segments[k] for k in chunk]
         z = np.concatenate([zk for zk, _, _, _ in parts])
-        r = np.concatenate([np.full(len(zk), rate) for zk, _, rate, _ in parts])
-        for j, res in _steps(p, w, z, r,
-                             [(len(zk), h) for zk, h, _, _ in parts]):
-            # the log-MGF A + B @ rv + C @ lev on the segment's state;
-            # rebinding res frees this B and C before the pass forms the
-            # next
-            st = parts[j][3]
-            res = res[0] + res[1] @ st.rv + res[2] @ st.lev
+        for j, res in _steps(p, w, z, [(len(zk), h) for zk, h, _, _ in parts]):
+            # the log-MGF A + z*r*T + B @ rv + C @ lev on the segment's
+            # state; rebinding res frees this B and C before the pass forms
+            # the next
+            zk, h, rate, st = parts[j]
+            res = res[0] + zk * (rate * h) + res[1] @ st.rv + res[2] @ st.lev
             out[chunk[j]] = res
     return out
 

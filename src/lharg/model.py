@@ -89,21 +89,18 @@ class ModelParams:
             raise ValidationError(f"unknown variant {self.variant!r}")
         if not (self.theta > 0 and self.delta > 0):
             raise ValidationError("theta and delta must be strictly positive")
+        if self.d != 0.0:   # ZM-LHARG's d arises in its parabolic form only
+            raise ValidationError(f"{self.variant} requires d = 0")
         alphas = (self.alpha_d, self.alpha_w, self.alpha_m)
         betas = (self.beta_d, self.beta_w, self.beta_m)
         if self.variant == "HARG":
-            if any(a != 0.0 for a in alphas) or self.d != 0.0:
-                raise ValidationError("HARG requires all alphas = 0 and d = 0")
+            if any(a != 0.0 for a in alphas):
+                raise ValidationError("HARG requires all alphas = 0")
         elif self.variant == "P-LHARG":
-            if self.d != 0.0:
-                raise ValidationError("P-LHARG requires d = 0")
             if any(a < 0.0 for a in alphas) or any(b < 0.0 for b in betas):
                 raise ValidationError(
                     "P-LHARG requires nonnegative alphas and betas"
                 )
-        else:  # ZM-LHARG is stored in its native (beta, alpha, gamma) form
-            if self.d != 0.0:
-                raise ValidationError("ZM-LHARG native form carries no constant")
 
     @property
     def is_zero_mean(self) -> bool:

@@ -25,10 +25,10 @@ of every maturity are iterates of one backward loop.  `price_chain` (and
 chain, not twice per group: one shared pass over every group's 9-point
 cumulant contour, which sets each group's interval
 (`mgf._cumulant_segments`), then one over every group's N-point cf grid
-(`mgf._log_mgf_segments`), each point at its group's rate and each
-group's coefficients dotted with its own date's state.  A pass that
-leaves the domain raises, and `price_chain` then prices each group alone,
-so a failing group fails alone with its own error.
+(`mgf._log_mgf_segments`), whose loop runs without the rate; each group's
+coefficients are then dotted with its date's state, and its rate adds
+z*r*T.  A pass that leaves the domain raises, and `price_chain` then
+prices each group alone, so a failing group fails alone with its own error.
 At N = 256, one 1024-point pass of the recursion holds 4 groups' grids.
 
 N = 256 is the floor that the tail of phi allows.  Over P-LHARG and

@@ -9,16 +9,17 @@ updates as it overwrites the oldest row of an unshifted ring of lags.
 Negative Theta, which the zero-mean variant cannot rule out, is clamped
 to zero and counted (never for positivity-satisfying parameters).
 
-Paths run in blocks of DEFAULT_BLOCK; block b draws from an independent
-PCG64 stream spawned as SeedSequence(seed).spawn(...)[b], so a fixed seed
-reproduces the same paths bit for bit in whatever order the blocks step.
-simulate_paths and simulate_y_snapshots drain the blocks one after another,
-holding one block's working set at a time.  _recorded_days, which `lharg
-simulate` summarises from, steps every block a day at a time in lockstep
-and yields each recorded day over all paths: it holds every block's
-working set (about 460 bytes a path) but no path arrays.
-n_paths, horizon and maturities must be positive and burn_in and seed
-nonnegative integers; other inputs raise ValidationError before any work.
+One function, _recorded, sets up every run: it checks that horizon and
+n_paths are positive and burn_in and seed nonnegative integers (the
+snapshots check their maturities before it), maps the measure once, and
+splits the paths into blocks of DEFAULT_BLOCK, each skipping the burn-in;
+block b draws from the PCG64 stream SeedSequence(seed).spawn(...)[b], so
+a fixed seed gives the same paths bit for bit in whatever order the
+blocks step.  A bad input raises ValidationError before any work.
+simulate_paths and the snapshots drain the blocks one after another,
+holding one block's working set at a time; _recorded_days, which `lharg
+simulate` summarises from, steps them a day at a time in lockstep and
+holds every block's working set (about 460 bytes a path), no path arrays.
 
 _snapshot_runs simulates several runs that share a seed, one per nu1 (P
 and Q for mgf-check); each run is one job of _drain, which runs the jobs
@@ -108,17 +109,19 @@ def _day_steps(p: ParabolicForm, st, n: int, rng, days: int):
         ring[head] = agg[0:2]
 
 
-def _blocks(params: ModelParams, state: MarketState,
-            nu1: float | None, n_paths: int, seed: int, days: int):
-    """Check n_paths and seed, set up the P (nu1=None) or Q dynamics
-    once, and return each RNG block's (rows, day steps)."""
+def _recorded(params, state, horizon, n_paths, nu1, seed, burn_in=0):
+    """Check the four counts, set up the P (nu1=None) or Q dynamics once,
+    and return each RNG block's (rows, days after the burn-in)."""
+    horizon = _whole("horizon", horizon, 1)
+    burn_in = _whole("burn_in", burn_in, 0)
     n_paths, seed = _whole("n_paths", n_paths, 1), _whole("seed", seed, 0)
     p = _measure_form(params, nu1)
     starts = range(0, n_paths, DEFAULT_BLOCK)
     children = np.random.SeedSequence(seed).spawn(len(starts))
     return [(slice(s, min(s + DEFAULT_BLOCK, n_paths)),
-             _day_steps(p, state, min(DEFAULT_BLOCK, n_paths - s),
-                        np.random.Generator(np.random.PCG64(c)), days))
+             islice(_day_steps(p, state, min(DEFAULT_BLOCK, n_paths - s),
+                               np.random.Generator(np.random.PCG64(c)),
+                               burn_in + horizon), burn_in, None))
             for c, s in zip(children, starts)]
 
 
@@ -190,14 +193,6 @@ def simulate_paths(params: ModelParams, state: MarketState, horizon: int,
     return PathSet(rv_paths=rv_out.T, y_paths=y_out.T, clamp_count=clamps)
 
 
-def _recorded(params, state, horizon, n_paths, nu1, seed, burn_in):
-    # check the arguments, then each block's (rows, days after the burn-in)
-    horizon = _whole("horizon", horizon, 1)
-    burn_in = _whole("burn_in", burn_in, 0)
-    blocks = _blocks(params, state, nu1, n_paths, seed, burn_in + horizon)
-    return [(rows, islice(steps, burn_in, None)) for rows, steps in blocks]
-
-
 def _recorded_days(params, state, horizon, n_paths, nu1, seed, burn_in):
     """Check the arguments, then return an iterator over the days after the
     burn-in, each as (rv, y, clamps) over all n_paths, rv checked."""
@@ -231,7 +226,7 @@ def _snapshot_runs(params, state, maturities, n_paths, nu1s, seed):
     days = np.array([_whole("maturities", m, 1) for m in maturities], int)
     if days.size == 0:
         raise ValidationError("maturities must be a nonempty list of days")
-    runs = [_blocks(params, state, nu1, n_paths, seed, int(days.max()))
+    runs = [_recorded(params, state, int(days.max()), n_paths, nu1, seed)
             for nu1 in nu1s]
     outs = [np.empty((n_paths, days.size)) for _ in runs]
     clamps = _drain([partial(_record_snapshots, blocks, out, days)

@@ -443,6 +443,26 @@ def test_bad_simulator_inputs_rejected(tmp_path, small_model, capsys):
         assert re.search(message, capsys.readouterr().err), argv
 
 
+def test_nonpositive_counts_rejected_by_the_parser(tmp_path, small_model,
+                                                   capsys):
+    # a count below 1 is an argument error: argparse exits 2 naming the flag
+    fit = tmp_path / "p.txt"
+    save_params(fit, small_model)
+    cases = (
+        ("simulate", "--paths", "0"), ("simulate", "--days", "-1"),
+        ("mgf-check", "--paths", "0"), ("calibrate", "--maturity", "0"),
+    )
+    for command, flag, value in cases:
+        argv = [command, "--params", str(fit), flag, value]
+        if command == "calibrate":
+            argv += ["--target-iv", "0.2"]
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2, argv
+        assert (f"lharg {command}: error: argument {flag}: must be positive"
+                in capsys.readouterr().err), argv
+
+
 def test_failed_run_leaves_no_csv(data_dir, tmp_path, small_model):
     from lharg.io import save_params
     fit, bad = tmp_path / "p.txt", tmp_path / "bad.txt"
@@ -660,6 +680,13 @@ def test_evaluate_rejects_malformed_rows(tmp_path, capsys):
                      "--out", str(out)]) == 2, row
         assert f"{results}:3: {message}" in capsys.readouterr().err
         assert not out.exists()
+    # with every row skipped nothing is left to evaluate
+    results.write_text("\n".join([header, *skipped]) + "\n")
+    assert main(["evaluate", "--results", str(results),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        f"validation error: no usable rows in {results}\n"
+    assert not out.exists()
 
 
 def test_mgf_check_smoke(data_dir, tmp_path, small_model):

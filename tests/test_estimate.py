@@ -1,5 +1,6 @@
 """Likelihood, market-price-of-risk regression, MLE recovery, calibration."""
 
+import re
 from dataclasses import replace
 
 import mpmath
@@ -205,6 +206,28 @@ class TestEstimateLambda:
     def test_degenerate_regressor(self):
         with pytest.raises(ValidationError):
             estimate_lambda(np.zeros(10), np.zeros(10), 0.0)
+
+
+class TestInputErrors:
+    def test_each_rule_raises_its_message(self, plharg):
+        # (call, exact message): series of unequal length, a history too
+        # short to leave a transition after the 22-lag warm-up, and an
+        # empty regression, whose sum of variances is zero
+        rv, eps = np.full(30, 1e-4), np.zeros(30)
+        cases = (
+            (lambda: loglik_terms(plharg, rv, eps[:29]),
+             "rv and eps series must be aligned"),
+            (lambda: loglik_terms(plharg, rv[:22], eps[:22]),
+             "need at least 23 observations, got 22"),
+            (lambda: estimate_lambda(eps[:29], rv, 0.0),
+             "returns and rv series must be aligned"),
+            (lambda: estimate_lambda([], [], 0.0),
+             "degenerate regressor: sum of variances is zero"),
+        )
+        for call, message in cases:
+            with pytest.raises(ValidationError) as err:
+                call()
+            assert str(err.value) == message
 
 
 @pytest.fixture(scope="module")
@@ -474,8 +497,14 @@ class TestCalibrateNu1:
             calibrate_nu1(zmlharg, 0.9, 252, stationary_state(zmlharg))
 
     def test_rejects_bad_maturity(self, zmlharg):
-        # an input error, not a numerical failure for the bracket search
-        for maturity in (0, -5, 2.5):
-            with pytest.raises(ValidationError, match="horizon"):
-                calibrate_nu1(zmlharg, 0.2, maturity,
-                              stationary_state(zmlharg))
+        # an input error named as such, checked before anything else: before
+        # the target, and before the shifted persistence (lam = 60 takes it
+        # past 1) can report the calibration infeasible
+        st = stationary_state(zmlharg)
+        for maturity in (0, -5, 2.5, 252.5, "252", None):
+            for params, target in ((zmlharg, 0.2), (zmlharg, 0.9),
+                                   (replace(zmlharg, lam=60.0), 0.2)):
+                with pytest.raises(ValidationError, match=(
+                        "^maturity_days must be a whole number >= 1, got "
+                        f"{re.escape(repr(maturity))}$")):
+                    calibrate_nu1(params, target, maturity, st)

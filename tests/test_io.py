@@ -172,7 +172,66 @@ class TestParamsFile:
             load_params(path)
 
 
+CHAIN_HEADER = "quote_date,expiry_date,strike,type,mid_price,underlying,rate"
+
+
+class TestLocatedErrors:
+    """Each malformed input fails at the loader with a message that names
+    the file, and the line where there is one."""
+
+    CASES = (
+        # (file text, loader, message after the path)
+        ("date,rv\n2004-01-05,1e-4\n2004-01-06,nan\n", load_rv_series,
+         ":3: non-finite rv"),
+        ("date,log_return\n2004-01-05,inf\n", load_returns,
+         ":2: non-finite log_return"),
+        ("", load_rv_series, ": empty file"),
+        ("date,rv\n2004-01-05,1e-4\n2004-01-06\n", load_rv_series,
+         ":3: expected 2 columns"),
+        (f"{CHAIN_HEADER}\n2004-01-05,2004-03-05,100.0,call,5.0,100.0\n",
+         load_option_chain, ":2: expected at least 7 columns"),
+        # a call mid above the spot has no implied vol
+        (f"{CHAIN_HEADER}\n2004-01-05,2004-03-05,100.0,call,120.0,100.0,"
+         "0.0001\n", load_option_chain,
+         ":2: cannot imply vol from mid price: price 120 outside "
+         "no-arbitrage bounds (0.598204, 100)"),
+        # the quote's own checks, located at the row
+        (f"{CHAIN_HEADER},market_iv\n2004-01-05,2004-03-05,0.0,call,5.0,"
+         "100.0,0.0001,0.2\n", load_option_chain,
+         ":2: strike and underlying must be positive"),
+        (f"{CHAIN_HEADER},market_iv\n2004-01-05,2004-03-05,100.0,put,-1.0,"
+         "100.0,0.0001,0.2\n", load_option_chain,
+         ":2: mid price must be nonnegative"),
+    )
+
+    def test_malformed_file_names_path_and_line(self, tmp_path):
+        path = tmp_path / "input.csv"
+        for text, loader, message in self.CASES:
+            path.write_text(text)
+            with pytest.raises(ValidationError) as err:
+                loader(path)
+            assert str(err.value) == f"{path}{message}", text
+
+    def test_missing_params_file(self, tmp_path):
+        path = tmp_path / "nope.txt"
+        with pytest.raises(ValidationError) as err:
+            load_params(path)
+        assert str(err.value) == f"params file not found: {path}"
+
+
 class TestOptionQuote:
+    def test_sign_rules(self):
+        # each rule with its own message; 0 is not a positive price
+        good = make_quote(1.0, 63, "call", market_iv=0.2)
+        assert replace(good, mid_price=0.0).mid_price == 0.0
+        for change, message in (
+                ({"strike": 0.0}, "strike and underlying must be positive"),
+                ({"strike": -1.0}, "strike and underlying must be positive"),
+                ({"underlying": 0.0}, "strike and underlying must be positive"),
+                ({"mid_price": -1e-12}, "mid price must be nonnegative")):
+            with pytest.raises(ValidationError, match=f"^{message}$"):
+                replace(good, **change)
+
     def test_non_finite_numbers_rejected(self):
         # NaN passes every sign check, so each number is checked for
         # finiteness first; a missing market_iv stays allowed

@@ -35,9 +35,10 @@ HORIZONS = (1, 5, 22, 63, 126, 252)
 
 def _coefficients(p, weights, z, horizon):
     """(A, B, C) of z after `horizon` days: the kernel loop `mgf._steps`
-    run on z as one segment at the rate of p, raising its domain error."""
-    (_, out), = mgf._steps(p, weights, z, p.r, [(z.shape[0], horizon)])
-    return out
+    run on z as one segment, raising its domain error, with the rate's
+    z*r*T of p added to A as `mgf._log_mgf_segments` adds it."""
+    (_, (a, b, c)), = mgf._steps(p, weights, z, [(z.shape[0], horizon)])
+    return a + z * (p.r * horizon), b, c
 
 
 def _one_step(z, theta=1e-5, delta=1.5, lam=0.0):
@@ -250,8 +251,9 @@ class TestMgfQ:
     def test_coefficients_exact_at_zero_and_one(self, all_variants,
                                                 monkeypatch):
         # under Q the step's X is exactly 0 at z = 0 and at z = 1, so the
-        # coefficients mgf_q runs on are (0, 0, 0) and (rT, 0, 0); a tilt
-        # cancelling X against Y at the scale of |nu1| leaves rounding in B
+        # loop's coefficients are (0, 0, 0) at both: the rate's z*r*T joins
+        # A after the loop; a tilt cancelling X against Y at the scale of
+        # |nu1| leaves rounding in B
         seen = []
         original = mgf._steps
 
@@ -267,8 +269,7 @@ class TestMgfQ:
                     mgf_q(params, stationary_state(params), nu1,
                           np.array([0.0, 1.0]), horizon)
                     a, b, c = seen.pop()
-                    assert np.abs(a - [0.0, params.r * horizon]).max() \
-                        <= 1e-15
+                    assert np.abs(a).max() <= 1e-15
                     assert np.abs(b).max() <= 1e-15
                     assert np.abs(c).max() <= 1e-15
 
@@ -444,9 +445,9 @@ def _recorded_passes(monkeypatch):
     passes = []
     original = mgf._steps
 
-    def spy(p, weights, z, r, segments):
+    def spy(p, weights, z, segments):
         passes.append(list(segments))
-        return original(p, weights, z, r, segments)
+        return original(p, weights, z, segments)
 
     monkeypatch.setattr(mgf, "_steps", spy)
     return passes

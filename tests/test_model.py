@@ -40,13 +40,19 @@ def _q_form(params, nu1):
 
 
 class TestModelParams:
-    def test_variant_invariants_enforced(self):
-        with pytest.raises(ValidationError):
+    def test_variant_invariants_enforced(self, all_variants):
+        # every variant is stored without a constant: one check ahead of the
+        # variant's own rules
+        for params in all_variants:
+            with pytest.raises(ValidationError,
+                               match=f"^{params.variant} requires d = 0$"):
+                replace(params, d=1e-6)
+        with pytest.raises(ValidationError, match="HARG requires all alphas"):
             ModelParams(variant="HARG", theta=1e-5, delta=1.0, d=0.0,
                         beta_d=100.0, beta_w=0.0, beta_m=0.0,
                         alpha_d=0.5, alpha_w=0.0, alpha_m=0.0,
                         gamma_lev=0.0, lam=0.0, r=0.0)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="nonnegative alphas"):
             ModelParams(variant="P-LHARG", theta=1e-5, delta=1.0, d=0.0,
                         beta_d=-1.0, beta_w=0.0, beta_m=0.0,
                         alpha_d=0.0, alpha_w=0.0, alpha_m=0.0,
@@ -294,6 +300,31 @@ class TestFilterInnovations:
         y = np.zeros(3)
         with pytest.raises(ValidationError, match="index 1"):
             filter_innovations(y, rv, 0.0, 0.0)
+
+
+class TestInputErrors:
+    def test_each_rule_raises_its_message(self, plharg):
+        # (call, exact message): series of unequal length, an unknown
+        # variant, and a persistence with no stationary mean
+        rv, y = np.full(30, 1e-4), np.zeros(30)
+        explosive = replace(plharg, beta_m=4.0 * plharg.beta_m)
+        margin = stationarity_margin(explosive)
+        assert margin >= 1.0
+        no_mean = f"persistence {margin:.4f} >= 1: no stationary mean"
+        cases = (
+            (lambda: leverage(0.5, 1e-4, 1.0, "GARCH"),
+             "unknown variant 'GARCH'"),
+            (lambda: filter_innovations(y[:29], rv, 0.0, 0.0),
+             "returns and rv series must be aligned"),
+            (lambda: state_from_series(plharg, rv, y[:29]),
+             "rv and returns series must be aligned"),
+            (lambda: stationary_mean_rv(explosive), no_mean),
+            (lambda: stationary_state(explosive), no_mean),
+        )
+        for call, message in cases:
+            with pytest.raises(ValidationError) as err:
+                call()
+            assert str(err.value) == message
 
 
 class TestMarketState:

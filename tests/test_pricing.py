@@ -452,6 +452,37 @@ class TestImpliedVol:
         assert abs(back - 0.05) / 0.05 < 1e-4
 
 
+class TestInputErrors:
+    def test_each_rule_raises_its_message(self):
+        # (call, error class, exact message): Black-Scholes inputs outside
+        # its domain; a maturity so short that 1/sqrt(tau) = 1e7 already
+        # passes the bracket's 1e6 ceiling while pricing below the target;
+        # and cumulants that give no interval width, zero or NaN
+        bad_bs = ("bs_price requires positive S, K, tau and nonnegative "
+                  "sigma")
+        cases = (
+            (lambda: bs_price(0.0, 1.0, 0.0, 0.2, 1.0, "call"),
+             ValidationError, bad_bs),
+            (lambda: bs_price(1.0, -1.0, 0.0, 0.2, 1.0, "put"),
+             ValidationError, bad_bs),
+            (lambda: bs_price(1.0, 1.0, 0.0, 0.2, 0.0, "call"),
+             ValidationError, bad_bs),
+            (lambda: bs_price(1.0, 1.0, 0.0, -0.2, 1.0, "call"),
+             ValidationError, bad_bs),
+            (lambda: implied_vol(0.9, 1.0, 1.0, 0.0, 1e-14, "call"),
+             NumericalError, "implied vol bracket expansion failed"),
+            (lambda: _truncation((0.0, 0.0, 0.0, 0.0)),
+             NumericalError, "degenerate truncation interval"),
+            (lambda: _truncation((0.0, np.nan, 0.0, 0.0)),
+             NumericalError, "degenerate truncation interval"),
+        )
+        for call, kind, message in cases:
+            with pytest.raises(kind) as err:
+                call()
+            assert type(err.value) is kind
+            assert str(err.value) == message
+
+
 def make_quote(m, tau, kind, qdate=dt.date(2004, 6, 9), spot=1000.0,
                rate=1e-4, mid=1.0, market_iv=None):
     return OptionQuote(
@@ -530,9 +561,9 @@ class TestPriceChain:
         passes = []
         original = mgf_mod._steps
 
-        def counting(p, weights, z, r, segments):
+        def counting(p, weights, z, segments):
             passes.append(len(z))
-            return original(p, weights, z, r, segments)
+            return original(p, weights, z, segments)
 
         monkeypatch.setattr(mgf_mod, "_steps", counting)
         chain, states = two_date_chain(zmlharg)

@@ -358,7 +358,7 @@ def _drained_in_turn(params, st, nu1, n_paths, seed, days):
     rv = np.empty((days, n_paths))
     y = np.empty((days, n_paths))
     clamps = 0
-    for rows, steps in simulate._blocks(params, st, nu1, n_paths, seed, days):
+    for rows, steps in simulate._recorded(params, st, days, n_paths, nu1, seed):
         for day, (r, s, c) in enumerate(steps):
             rv[day, rows] = r
             y[day, rows] = s
