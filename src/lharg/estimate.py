@@ -31,11 +31,21 @@ the exact per-observation scores through the posterior moments of k:
 dTheta/dbeta and dTheta/dalpha are the RV and leverage aggregates, and
 dTheta/dgamma is alpha . the aggregates of d lev/d gamma, which is
 -2 sqrt(RV)(eps - gamma sqrt(RV)) in parabolic and -2 eps sqrt(RV) in
-zero-mean form.
+zero-mean form.  Each term is log sum_k e^(a_k), so its Hessian is
+E[Hess a_k | x] + Cov[grad a_k | x] (Louis 1982), from the posterior
+moments of k, psi(delta + k), k^2, psi^2, k psi and psi'(delta + k).  The
+second derivatives of a_k are -k/Theta^2 in Theta, (delta + k)/theta^2 -
+2x/theta^3 in theta, -psi'(delta + k) in delta and -1/theta in theta and
+delta.  Through Theta's Jacobian add dl/dTheta times d2Theta/dalpha dgamma
+(the aggregates of d lev/d gamma) and, in parabolic form, d2Theta/dgamma^2
+(alpha . the aggregates of 2 RV).  The fit searches in the coordinates
+v = (theta, delta, theta*beta, theta*alpha[, gamma]): the data pin the
+conditional mean theta*delta + theta*beta . f_rv + theta*alpha . f_lev,
+so the products far better than theta and beta apart.
 
-scipy serves the likelihood (gammaln, digamma) and the fit (L-BFGS-B) and
-is imported where they run, so the commands that never fit start without
-it; the calibration's root search is `pricing._brent`.
+scipy serves the likelihood (gammaln, digamma, polygamma) and the fit
+(L-BFGS-B) and is imported where they run, so the commands that never
+fit start without it; the calibration's root search is `pricing._brent`.
 """
 
 from __future__ import annotations
@@ -86,8 +96,8 @@ class FitResult:
 
     params: ModelParams
     loglik: float
-    std_errors: dict         # per-parameter robust (sandwich) standard
-                             # errors, NaN where not available
+    std_errors: dict         # robust (sandwich) SEs by name; NaN but lam's
+                             # where the information is not positive definite
     converged: bool
     iterations: int          # L-BFGS-B iterations, summed over restarts
 
@@ -108,13 +118,14 @@ def _har_aggregates(series: np.ndarray) -> np.ndarray:
 
 
 def _natural_terms(variant, rv, eps, clamp_floor):
-    """Per-observation log-likelihood terms and their (n, p) scores as a
-    function of the natural vector (theta, delta, beta_d, beta_w, beta_m[,
-    alpha_d, alpha_w, alpha_m, gamma_lev]); HARG carries the first five.
+    """Per-observation log-likelihood terms as a function of the natural
+    vector (theta, delta, beta_d, beta_w, beta_m[, alpha_d, alpha_w,
+    alpha_m, gamma_lev]); HARG carries the first five.
 
-    `terms(x)` returns (terms, scores); `terms(x, scores=False)` the terms.
+    `terms(x, order)` returns the terms (order 0), with their (n, p)
+    scores (1, the default), and with the summed (p, p) Hessian (2).
     """
-    from scipy.special import digamma, gammaln
+    from scipy.special import digamma, gammaln, polygamma
 
     # the 22-lag warm-up leaves no transition to score on shorter histories
     if rv.size < N_LAGS + 1:
@@ -128,13 +139,13 @@ def _natural_terms(variant, rv, eps, clamp_floor):
     k_all = np.arange(_K_CEILING, dtype=float)
     log_k_fact = gammaln(k_all + 1.0)
 
-    def terms(x, scores=True):
+    def terms(x, order=1):
         theta, delta = x[0], x[1]
         nc = f_rv @ x[2:5]
         if variant != "HARG":
             f_lev = _har_aggregates(leverage(eps, rv, x[8], variant))
             nc += f_lev @ x[5:8]
-        inside = None
+        inside = True       # rows whose Theta is not clamped
         if clamp_floor is not None:
             inside = nc >= clamp_floor
             nc = np.maximum(nc, clamp_floor)
@@ -176,21 +187,44 @@ def _natural_terms(variant, rv, eps, clamp_floor):
         total = a.sum(axis=1)
         ll = (delta - 1.0) * log_x - delta * np.log(theta) - obs / theta \
             - nc + peak + np.log(total)
-        if not scores:
+        if order == 0:
             return ll
-        # posterior moments E[k | x_t] and E[psi(delta + k) | x_t]
-        e_k, e_psi = (a @ np.column_stack([k, digamma(delta + k)])
-                      / total[:, None]).T
-        d_nc = e_k / nc - 1.0
-        if inside is not None:
-            d_nc *= inside
-        cols = [obs / theta**2 - (delta + e_k) / theta,
-                log_x - np.log(theta) - e_psi, d_nc[:, None] * f_rv]
+        # posterior moments given x_t of k, psi(delta + k) and, for the
+        # Hessian, of k^2, psi^2, k psi and psi'(delta + k)
+        psi = digamma(delta + k)
+        cols = [k, psi] if order == 1 else \
+            [k, psi, k * k, psi * psi, k * psi, polygamma(1, delta + k)]
+        moments = (a @ np.column_stack(cols) / total[:, None]).T
+        e_k, e_psi = moments[:2]
+        d_nc = (e_k / nc - 1.0) * inside
+        # dTheta/d(beta, alpha, gamma), one column each
+        jac = f_rv
         if variant != "HARG":
             gap = eps if variant == "ZM-LHARG" else eps - x[8] * vol
-            d_lev = _har_aggregates(-2.0 * vol * gap) @ x[5:8]
-            cols += [d_nc[:, None] * f_lev, d_nc * d_lev]
-        return ll, np.column_stack(cols)
+            f_dlev = _har_aggregates(-2.0 * vol * gap)
+            jac = np.column_stack([f_rv, f_lev, f_dlev @ x[5:8]])
+        scores = np.column_stack([obs / theta**2 - (delta + e_k) / theta,
+                                  log_x - np.log(theta) - e_psi,
+                                  d_nc[:, None] * jac])
+        if order == 1:
+            return ll, scores
+        var_k = moments[2] - e_k**2
+        cov_kpsi = moments[4] - e_k * e_psi
+        # d2l/dtheta dTheta, d2l/ddelta dTheta, d2l/dTheta2; 0 when clamped
+        w = np.array([-var_k / (theta * nc), -cov_kpsi / nc,
+                      (var_k - e_k) / nc**2]) * inside
+        hess = np.zeros((jac.shape[1] + 2,) * 2)
+        hess[0, :2] = np.sum([delta + e_k + var_k - 2.0 * obs / theta,
+                              cov_kpsi - 1.0], axis=1) / [theta**2, theta]
+        hess[1, 1] = np.sum(moments[3] - e_psi**2 - moments[5])
+        hess[:2, 2:] = w[:2] @ jac
+        hess[2:, 2:] = jac.T @ (w[2][:, None] * jac)
+        if variant != "HARG":
+            # d2Theta/dalpha dgamma, and alpha . agg(2 RV) in gamma twice
+            hess[5:8, 8] += d_nc @ f_dlev
+            if variant == "P-LHARG":
+                hess[8, 8] += 2.0 * (d_nc @ f_rv) @ x[5:8]
+        return ll, scores, np.triu(hess) + np.triu(hess, 1).T
 
     return terms
 
@@ -212,7 +246,7 @@ def loglik_terms(params: ModelParams, rv_series, eps_series,
     names = _NAMES[:5] if params.variant == "HARG" else _NAMES
     x = np.array([getattr(params, name) for name in names])
     return _natural_terms(params.variant, rv, eps,
-                          _CLAMP_FLOOR if clamp else None)(x, scores=False)
+                          _CLAMP_FLOOR if clamp else None)(x, 0)
 
 
 def loglik(params: ModelParams, rv_series, eps_series,
@@ -246,16 +280,17 @@ def estimate_lambda(returns, rv_series, r: float) -> tuple[float, float]:
 
 
 def _initial_guess(variant, rv) -> np.ndarray:
-    # HAR-style moment matching: regress RV on its daily/weekly/monthly
-    # factors for the betas, read theta off the residual dispersion.
+    # HAR-style moment matching in conditional-mean coordinates: the slopes
+    # of RV on its daily/weekly/monthly factors are theta*beta, theta is
+    # read off the residual dispersion, and theta*alpha starts at 0.2 theta
     f_rv = _har_aggregates(rv)
     target = rv[N_LAGS:]
     design = np.column_stack([np.ones_like(target), f_rv])
     coef, *_ = np.linalg.lstsq(design, target, rcond=None)
     resid = target - design @ coef
     theta0 = max(float(np.var(resid)) / (2.0 * float(np.mean(rv))), 1e-8)
-    slopes = np.clip(coef[1:], 1e-3, None) / theta0
-    start = np.array([theta0, 1.5, *slopes, 0.2, 0.2, 0.2, 100.0])
+    start = np.array([theta0, 1.5, *np.clip(coef[1:], 1e-3, None),
+                      *[0.2 * theta0] * 3, 100.0])
     return start[:5] if variant == "HARG" else start
 
 
@@ -265,25 +300,25 @@ def mle_fit(rv_series, returns, r: float, variant: str,
 
     The market price of risk is estimated first by regression and held
     fixed while the gamma-transition likelihood is maximized over the
-    remaining parameters by one bounded L-BFGS-B run on the exact scores.
-    The run starts from a HAR moment-matching guess x0 and works in the
-    natural coordinates divided by |x0|, inside the box theta, delta >=
-    1e-8 |x0| (strictly positive), beta, alpha >= 0, gamma_lev free.
-    Where Theta <= 0 (possible in the zero-mean variant) the objective is
-    a finite wall; a run that met it restarts from where it stopped for as
-    long as that gains, and a fit that never leaves it raises the
-    likelihood's LikelihoodDomainError.  `FitResult.converged` holds only
-    if the run that ended the restarts succeeded without meeting the wall:
-    a fit whose likelihood still rises toward Theta = 0 is reported as not
-    converged.  clamp=True fits the likelihood of `loglik(clamp=True)`,
-    which has no wall.
+    remaining parameters by bounded L-BFGS-B on the exact scores, in the
+    module's conditional-mean coordinates v over |v0|, v0 a HAR
+    moment-matching guess, inside the box theta, delta >= 1e-8 |v0|,
+    theta*beta, theta*alpha >= 0, gamma_lev free.  Where Theta <= 0
+    (possible in the zero-mean variant) the objective is a finite wall; a
+    run that met it restarts from where it stopped for as long as that
+    gains, and a fit that never leaves it raises LikelihoodDomainError.
+    `FitResult.converged` holds only if the run that ended the restarts
+    succeeded without meeting the wall: a fit whose likelihood still rises
+    toward Theta = 0 is reported as not converged.  clamp=True fits the
+    likelihood of `loglik(clamp=True)`, which has no wall.
     `FitResult.iterations` counts L-BFGS-B iterations over all runs, each
     taking one or more likelihood-and-score evaluations.  Robust standard
-    errors come from `_sandwich_errors`; where its difference steps cross
-    the wall, the transition parameters' errors are NaN (not available)
-    and lam's stays.  A history needs one transition more than the variant
-    has parameters after the 22-lag warm-up (28 observations for HARG, 32
-    for the LHARG variants), or ValidationError.
+    errors come from `_sandwich_errors` at the estimate: where the observed
+    information is not positive definite, the transition parameters'
+    errors are NaN (not available) and lam's stays.  A history needs one
+    transition more than the variant has parameters after the 22-lag
+    warm-up (28 observations for HARG, 32 for the LHARG variants), or
+    ValidationError.
     """
     from scipy import optimize
 
@@ -300,24 +335,34 @@ def mle_fit(rv_series, returns, r: float, variant: str,
     eps = filter_innovations(y, rv, r, lam_hat)
     per_obs = _natural_terms(variant, rv, eps,
                              _CLAMP_FLOOR if clamp else None)
-    x0 = _initial_guess(variant, rv)
-    scale = np.abs(x0)
+    v0 = _initial_guess(variant, rv)
+    scale = np.abs(v0)
+    m = 5 if variant == "HARG" else 8   # slots 2..m-1 hold the products
+
+    def natural_of(u):
+        x = u * scale
+        x[2:m] /= x[0]
+        return x
 
     wall_hits = 0
 
     def negll(u):
         nonlocal wall_hits
+        x = natural_of(u)
         try:
-            terms, scores = per_obs(u * scale)
+            terms, scores = per_obs(x)
         except LikelihoodDomainError:
             wall_hits += 1
             return _PENALTY, np.zeros_like(u)
-        return -float(np.sum(terms)), -scores.sum(axis=0) * scale
+        # chain rule at fixed products: d beta/d theta = -beta/theta
+        g = scores.sum(axis=0)
+        g[0] -= g[2:m] @ x[2:m] / x[0]
+        g[2:m] /= x[0]
+        return -float(np.sum(terms)), -g * scale
 
-    bounds = [(_POSITIVE_FLOOR, None)] * 2 + [(0.0, None)] * (x0.size - 2)
-    if variant != "HARG":
-        bounds[-1] = (None, None)
-    best, start, iterations = None, x0 / scale, 0
+    bounds = [(_POSITIVE_FLOOR, None)] * 2 + [(0.0, None)] * (m - 2) \
+        + [(None, None)] * (v0.size - m)
+    best, start, iterations = None, v0 / scale, 0
     while True:
         hits = wall_hits
         run = optimize.minimize(
@@ -333,22 +378,18 @@ def mle_fit(rv_series, returns, r: float, variant: str,
         if wall_hits == hits:
             break
         start = run.x
-    x_hat = best.x * scale
+    x_hat = natural_of(best.x)
     if best.fun == _PENALTY:
         # no run left the wall: the likelihood raises its own located error
-        per_obs(x_hat, scores=False)
-    names = _NAMES[:x0.size]
+        per_obs(x_hat, 0)
+    names = _NAMES[:v0.size]
     natural = {"alpha_d": 0.0, "alpha_w": 0.0, "alpha_m": 0.0,
                "gamma_lev": 0.0, **dict(zip(names, x_hat))}
     params = ModelParams(variant=variant, d=0.0, lam=lam_hat, r=r, **natural)
 
-    try:
-        errors = _sandwich_errors(x_hat, per_obs, scale)
-    except LikelihoodDomainError:
-        # a difference step leaves the likelihood's domain: not available
-        errors = np.full(x_hat.size, np.nan)
-    std_errors = dict(zip(names, errors))
-    std_errors["lam"] = lam_se
+    # scaled by the natural start: a parameter of x_hat may sit at 0
+    errors = _sandwich_errors(x_hat, per_obs, np.abs(natural_of(v0 / scale)))
+    std_errors = {**dict(zip(names, errors)), "lam": lam_se}
 
     return FitResult(
         params=params, loglik=-float(best.fun), std_errors=std_errors,
@@ -358,32 +399,21 @@ def mle_fit(rv_series, returns, r: float, variant: str,
 
 
 def _sandwich_errors(x_hat: np.ndarray, per_obs, scale: np.ndarray) -> np.ndarray:
-    """Robust SEs from inv(info) @ score-outer-product @ inv(info).
-
-    Both matrices are formed in the coordinates u = x / scale.  The score
-    outer product sums the exact per-observation scores at x_hat.  The
-    observed information is minus the Hessian, whose column i is the
-    central difference of the summed analytic score over u_i +- 1e-5, made
-    symmetric; that is 1 + 2p calls of `per_obs`.
+    """Robust SEs from inv(info) @ score-outer-product @ inv(info), in
+    the coordinates u = x / scale, from one call of `per_obs` at x_hat: the
+    exact per-observation scores and the observed information, minus the
+    exact Hessian.  Where the information is not positive definite (it has
+    no Cholesky factor), every error is NaN (not available).
     """
-    p = x_hat.size
-    h = 1e-5
-    _, scores = per_obs(x_hat)
-    scores = scores * scale
-    opg = scores.T @ scores
-    hess = np.empty((p, p))
-    for i in range(p):
-        step = np.zeros(p)
-        step[i] = h * scale[i]
-        hess[i] = (per_obs(x_hat + step)[1].sum(axis=0)
-                   - per_obs(x_hat - step)[1].sum(axis=0)) * scale / (2.0 * h)
-    info = -0.5 * (hess + hess.T)
+    _, scores, hess = per_obs(x_hat, 2)
     try:
-        info_inv = np.linalg.inv(info)
+        root = np.linalg.cholesky(-hess * np.outer(scale, scale))
     except np.linalg.LinAlgError:
-        info_inv = np.linalg.pinv(info)
-    cov_u = info_inv @ opg @ info_inv
-    return np.sqrt(np.clip(np.diag(cov_u), 0.0, None)) * scale
+        return np.full(x_hat.size, np.nan)
+    half = np.linalg.inv(root)
+    # cov_u = B.T @ B for B = scores_u @ inv(info) = scores_u @ half.T @ half
+    spread = (scores * scale) @ half.T @ half
+    return np.sqrt(np.sum(spread**2, axis=0)) * scale
 
 
 def calibrate_nu1(params: ModelParams, target_iv: float,

@@ -1,6 +1,9 @@
 """Test-local oracles: formulas and writers that the package itself does
 not need, kept here so the tests check the package against them.
 
+`difference_hessian` is the likelihood's Hessian by central differences
+of its exact scores, against which the closed-form Hessian is checked.
+
 The package reaches Q one way: the physical recursion on the parameters
 of `lharg.model.risk_neutral_parabolic`.  Two independent routes sit
 here.  `risk_neutral_map` writes that map out natively from the paper's
@@ -159,3 +162,19 @@ def write_option_chain(path, chain) -> None:
                 repr(float(q.rate)),
                 "" if q.market_iv is None else repr(float(q.market_iv)),
             ])
+
+
+def difference_hessian(per_obs, x, scale, h=1e-5):
+    """Hessian of the summed log-likelihood of `estimate._natural_terms`'
+    closure `per_obs` at the natural vector x: row i is the central
+    difference of the summed exact scores over x_i +- h * scale_i, and the
+    result is made symmetric.  That is 2p calls of `per_obs`.
+    """
+    p = x.size
+    hess = np.empty((p, p))
+    for i in range(p):
+        step = np.zeros(p)
+        step[i] = h * scale[i]
+        hess[i] = (per_obs(x + step)[1].sum(axis=0)
+                   - per_obs(x - step)[1].sum(axis=0)) / (2.0 * step[i])
+    return 0.5 * (hess + hess.T)

@@ -26,6 +26,7 @@ from lharg.options import OptionQuote
 from lharg.pricing import (
     COS_TERMS,
     COS_WIDTH,
+    _brent,
     _cos_grid,
     _norm_cdf,
     _truncation,
@@ -481,6 +482,30 @@ class TestInputErrors:
                 call()
             assert type(err.value) is kind
             assert str(err.value) == message
+
+    def test_root_search_raises(self):
+        # a NaN value at an end or inside the bracket, where the first
+        # secant step lands; and a step at 0, where xtol = 0 asks for a
+        # bracket within 4 machine epsilons of |x| while x halves toward 0,
+        # so 100 steps do not suffice
+        def step(x):
+            points.append(x)
+            return -1.0 if x < 0.0 else 1.0
+
+        cases = (
+            (lambda x: np.nan, "root search: f(-1.0) is NaN"),
+            (lambda x: x - 0.5 if abs(x) == 1.0 else np.nan,
+             "root search: f(0.5) is NaN"),
+            (step, "root search did not converge; last x "
+             "-1.5777218104420236e-30"),
+        )
+        for f, message in cases:
+            points = []
+            with pytest.raises(NumericalError) as err:
+                _brent(f, -1.0, 1.0, xtol=0.0)
+            assert type(err.value) is NumericalError
+            assert str(err.value) == message
+        assert len(points) == 102
 
 
 def make_quote(m, tau, kind, qdate=dt.date(2004, 6, 9), spot=1000.0,
