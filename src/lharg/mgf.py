@@ -34,7 +34,11 @@ alpha), where inc[s] is day s's v(X).  So the loop keeps a ring of the
 last 22 increments and forms B_1 and C_1 in one weight product per day,
 a real (2, 22) x (22, 2n) product on the float view of a complex ring (the
 weights are real); the full B and C are formed once, after the last day,
-as a Hankel product.
+as a Hankel product.  The day's logs and domain checks wait for the end
+of a block of days: each day writes its two log arguments to the block,
+and once per block their real parts are checked and their logs taken in
+real arithmetic, log1p for the modulus and arctan2 for the argument, so
+that the per-call cost of the logs and checks is paid once per block.
 
 The step map does not depend on the day, so the coefficients for horizon
 T are the loop's iterates after T days, and one pass serves many horizons
@@ -74,12 +78,52 @@ from .model import (
 
 
 def _guarded(values: np.ndarray, step: int, what: str) -> None:
-    # Per-step branch guard: arguments of the logs must stay in the right
+    # Branch guard: arguments of the logs must stay in the right
     # half-plane (which also keeps |arg| < pi/2, the principal branch);
     # raise instead of silently wrapping the branch.  NaN fails too, and
     # an empty array passes.
     if not values.real.min(initial=np.inf) > 0.0:
         raise RecursionDomainError(step, f"{what} left the right half-plane")
+
+
+_LOG_ARGS = ("1 - 2*C_1", "1 - theta*X")
+# Days per block of logs and checks: each block saves the per-day calls of
+# the logs and checks at a few points, and holds 3 complex values per
+# point and day.  Four days keep the 1024-point pass's peak memory close
+# to that of the day-by-day loop.
+_BLOCK = 4
+
+
+def _checked_logs(args: np.ndarray, first: int) -> None:
+    """Replace the (days, 2, n) log arguments args of days first,
+    first + 1, ... by their principal logs, in place, once each day's
+    pair passes `_guarded`: the first failing (day, argument) raises.
+
+    Complex logs run in real arithmetic: arg x = arctan2(Im x, Re x) and
+    log|x| = log1p((Re x - 1)(Re x + 1) + (Im x)^2) / 2, accurate near
+    |x| = 1.  A block with a modulus below 1/sqrt(2), where that argument
+    of log1p nears -1 and loses its digits, or one whose square overflows,
+    is left to the complex log; `_steps` runs this under its np.errstate,
+    which keeps the overflow quiet.
+    """
+    re = args.real
+    if not re.min(initial=np.inf) > 0.0:
+        day, what = divmod(int(np.flatnonzero(
+            (~(re > 0.0)).any(axis=2))[0]), 2)
+        _guarded(args[day, what], first + day, _LOG_ARGS[what])
+    if not np.iscomplexobj(args):
+        np.log(args, out=args)
+        return
+    im = args.imag
+    mod = re - 1.0
+    mod *= re + 1.0
+    mod += im * im
+    if not (-0.5 < mod.min(initial=0.0) and mod.max(initial=0.0) < np.inf):
+        np.log(args, out=args)
+        return
+    np.arctan2(im, re, out=im)
+    np.log1p(mod, out=mod)
+    np.multiply(mod, 0.5, out=re)
 
 
 def _steps(p: ParabolicForm, w: np.ndarray, z: np.ndarray, segments):
@@ -89,55 +133,91 @@ def _steps(p: ParabolicForm, w: np.ndarray, z: np.ndarray, segments):
     `segments` lists (size, horizon) pairs, horizons non-increasing and
     sizes adding up to len(z).
     Yields (segment index, (A, B, C)) on the day the segment's horizon
-    ends, and raises RecursionDomainError on the day a point of a segment
-    not yet yielded leaves the domain.
+    ends, and raises the RecursionDomainError of the first day on which a
+    point of a segment not yet yielded leaves the domain.
+
+    The logs and the domain checks run once per block of _BLOCK days,
+    blocks counted from day 1, so that no column's arithmetic depends on
+    which segments share its pass.  Each day writes its log arguments
+    1 - 2*C_1 and 1 - theta*X and its increment v(X) to its row of the
+    (_BLOCK, 3, n) block, and does no more than the weight product, X,
+    v(X) and the ring write.  At a block's end, and on a segment's last
+    day, `_checked_logs` checks the rows not yet checked and takes their
+    logs, and the rows' sums give the block's gain in A,
+    -(sum log(1 - 2*C_1)/2 + delta*sum log(1 - theta*X)) + d*sum v(X):
+    added to A at the block's end, and to the segment's own A alone when
+    it ends mid-block.  A point that has left the domain runs on to the
+    check under an np.errstate that covers the days' arithmetic and the
+    block's logs, and is never open across a yield.
     """
     theta, delta, d = p.theta, p.delta, p.d
     g = p.gamma_lev
+    n = z.shape[0]
     dtype = np.result_type(z.dtype, float)
-    lin, quad, lev = z * p.lam, 0.5 * z * z, g * g - 2.0 * g * z
+    lin, quad, lev = z * p.lam, 0.5 * z * z, -0.5 * (g * g - 2.0 * g * z)
     # ring[s % 22] holds day s's increment; rolled[s % 22] lines the
-    # [beta; alpha] rows up with the ring after day s.  The weights are
-    # real, so the day's product runs on the ring's float view.
+    # [beta; -2 alpha] rows up with the ring after day s, so the day's
+    # product gives B_1 and -2 C_1 (exactly: a power-of-two scale), with
+    # lev scaled by -1/2 to match.  The weights are real, so the product
+    # runs on the ring's float view.
     lags = np.arange(N_LAGS)
-    rolled = np.stack([w[:, (s - lags) % N_LAGS] for s in lags])
+    rolled = np.stack([w[:, (s - lags) % N_LAGS] for s in lags]) \
+        * np.array([[1.0], [-2.0]])
     # B[:, i] = sum_j beta[i + j] inc[T - j], 0-based and zero past lag 22,
-    # likewise C: a Hankel product with the increments newest first
+    # likewise C: a Hankel product with the increments newest first;
+    # hankel[..., (s - lags) % 22] takes them in ring order after day s
     hankel = np.concatenate([w, np.zeros_like(w)], axis=1)[:, lags[:, None]
                                                            + lags]
-    ring = np.zeros((N_LAGS, z.shape[0]), dtype)
+    ring = np.zeros((N_LAGS, n), dtype)
     flat = ring.view(float)
-    A = np.zeros(z.shape[0], dtype)
+    A = np.zeros(n, dtype)
     # live segments (index, first column, horizon): the columns before
     # the last one's first are the active prefix
     stops = np.cumsum([size for size, _ in segments], dtype=int)
     live = [(k, stop - size, h)
             for k, ((size, h), stop) in enumerate(zip(segments, stops))]
-    step = 1
+    block = np.empty((_BLOCK, 3, n), dtype)
+    first, checked = 1, 0   # the block's first day, and its rows checked
     while live:
-        B1, C1 = (rolled[(step - 1) % N_LAGS] @ flat).view(dtype)
-        den = 1.0 - 2.0 * C1
-        _guarded(den, step, "1 - 2*C_1")
-        X = lin + B1 + (quad + lev * C1) / den
-        tx = theta * X
-        one_minus = 1.0 - tx
-        _guarded(one_minus, step, "1 - theta*X")
-        v_x = tx / one_minus
-        A -= 0.5 * np.log(den) + delta * np.log(one_minus) - d * v_x
-        ring[step % N_LAGS] = v_x
-        while live and live[-1][2] == step:
+        if checked == _BLOCK:
+            first, checked = first + _BLOCK, 0
+        last = min(first + _BLOCK - 1, live[-1][2])
+        with np.errstate(all="ignore"):
+            for step in range(first + checked, last + 1):
+                B1, C1m2 = (rolled[(step - 1) % N_LAGS] @ flat).view(dtype)
+                den, one_minus, v_x = block[step - first]
+                np.add(C1m2, 1.0, out=den)
+                X = lin + B1 + (quad + lev * C1m2) / den
+                X *= theta
+                np.subtract(1.0, X, out=one_minus)
+                np.divide(X, one_minus, out=v_x)
+                ring[step % N_LAGS] = v_x
+            # the day's temporaries go before the logs' own
+            del B1, C1m2, X
+            _checked_logs(block[checked:last + 1 - first, :2],
+                          first + checked)
+        checked = last + 1 - first
+        # sums of log(1 - 2*C_1), log(1 - theta*X) and v(X)
+        sums = block[:checked].sum(axis=0)
+        gain = d * sums[2] - (0.5 * sums[0] + delta * sums[1])
+        del sums
+        if checked == _BLOCK:
+            A += gain
+        while live and live[-1][2] == last:
             k, lo, _ = live.pop()
             # B and C as transposed views of one (2, 22, m) product: B @ rv
             # on a contiguous copy would round differently
-            yield k, (A[lo:], *(hankel @ ring[(step - lags) % N_LAGS,
-                                              lo:]).transpose(0, 2, 1))
-            ring, A, lin, quad, lev = (
-                v[..., :lo] for v in (ring, A, lin, quad, lev))
+            yield k, (A[lo:] if checked == _BLOCK else A[lo:] + gain[lo:],
+                      *(hankel[..., (last - lags) % N_LAGS] @ ring[:, lo:]
+                        ).transpose(0, 2, 1))
+            ring, block, A, gain, lin, quad, lev = (
+                v[..., :lo] for v in (ring, block, A, gain, lin, quad, lev))
             flat = ring.view(float)
-        step += 1
 
 
-_PASS_POINTS = 1024   # z-points per shared pass: bounds the ring and temporaries
+# z-points per shared pass: bounds the ring, the block of logs and the
+# temporaries
+_PASS_POINTS = 1024
 
 
 def _log_mgf_segments(params, nu1: float | None, segments) -> list:

@@ -1,5 +1,6 @@
 """Backward MGF recursions, characteristic function, cumulants."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -675,3 +676,127 @@ class TestCumulantSegments:
                 mgf._cumulant_segments(zmlharg, nu1,
                                        [seg for seg, _ in clean] + [segment])
             assert str(batch.value) == message
+
+
+class TestBlockedLogs:
+    """`mgf._steps` checks the domain and takes its logs once per block of
+    `mgf._BLOCK` days.  A failure is still placed on its own day and
+    argument, a failing point's later days leave no floating-point state or
+    warning behind, and the real-arithmetic logs match the principal log
+    near |x| = 1."""
+
+    NU1 = -3000.0
+
+    @staticmethod
+    def _failing_at(p, weights, day):
+        """A real z whose `shift_and_add` recursion on p leaves the domain
+        on `day` exactly, by bisection between a z that runs `day` days
+        clean and one that fails within `day` - 1."""
+        lo, hi = 1.0, 2000.0
+        assert _domain_error(shift_and_add, p, weights,
+                             np.array([hi]), 1) is not None
+        while True:
+            mid = 0.5 * (lo + hi)
+            err = _domain_error(shift_and_add, p, weights,
+                                np.array([mid]), day)
+            if err is None:
+                lo = mid
+            elif err.step < day:
+                hi = mid
+            else:
+                return mid, err
+
+    def test_failure_day_across_block_edges(self, zmlharg):
+        # a point leaving the domain on either side of the first block
+        # edges, under P and Q, alone and beside shorter segments that end
+        # mid-block, before or after that day: the error of the oracle
+        K = mgf._BLOCK
+        st = stationary_state(zmlharg)
+        grid = 1j * np.linspace(0.0, 30.0, 7)
+        horizon = 3 * K + 1
+        for nu1 in (None, self.NU1):
+            p = _measure_form(zmlharg, nu1)
+            weights = expand_weights(p)
+            for day in sorted({1, K - 1, K, K + 1, 2 * K + 1}):
+                z, want = self._failing_at(p, weights, day)
+                assert want.step == day
+                bad = (np.r_[grid[:3], z, grid[3:]], horizon, 1e-4, st)
+                # the failing segment itself ending mid-block, on or after
+                # its failing day, beside a longer clean one
+                ends = day + (day % K == 0)
+                batches = [[bad]] + [
+                    [bad, (grid, short, 2e-4, st)]
+                    for short in (K // 2 + 1, K + K // 2 + 1, 2 * K + 1)
+                ] + [[(grid, horizon, 2e-4, st), (bad[0], ends, 1e-4, st)]]
+                for batch in batches:
+                    assert len(batch) == 1 or batch[1][1] % K
+                    with pytest.raises(RecursionDomainError) as got:
+                        mgf._log_mgf_segments(zmlharg, nu1, batch)
+                    assert got.value.step == want.step
+                    assert str(got.value) == str(want)
+
+    def test_caller_error_state_between_yields(self, zmlharg):
+        # the pass's np.errstate stays inside it: at every yield, and after
+        # the last, the consumer sees the error state it set
+        p = _measure_form(zmlharg, self.NU1)
+        weights = expand_weights(p)
+        z = np.r_[1j * np.linspace(0.0, 60.0, 20), 0.3, -0.2]
+        segments = [(8, 2 * mgf._BLOCK + 3), (8, mgf._BLOCK + 1),
+                    (3, mgf._BLOCK), (3, 1)]
+        caller = dict(divide="raise", over="warn", under="print",
+                      invalid="call")
+        with np.errstate(**caller, call=lambda *args: None):
+            seen = [np.geterr() for _ in mgf._steps(p, weights, z, segments)]
+            seen.append(np.geterr())
+        assert len(seen) == len(segments) + 1
+        assert all(state == caller for state in seen)
+
+    def test_zero_log_argument_raises_domain_error(self):
+        # theta*X = 1/2 on day 1 gives v = 1, so C_1 = alpha_d * v = 1/2 on
+        # day 2 and 1 - 2*C_1 is exactly 0: the check raises, and neither
+        # the division by it nor the block's later days warns
+        p = ParabolicForm(theta=2.0 ** -16, delta=1.5, d=0.1, beta_d=1.0,
+                          beta_w=0.0, beta_m=0.0, alpha_d=0.5, alpha_w=0.0,
+                          alpha_m=0.0, gamma_lev=0.0, lam=0.0, r=0.0)
+        z = np.array([0.5, 2.0 ** 8, 1.0])
+        want = _domain_error(shift_and_add, p, expand_weights(p), z, 30)
+        assert (want.step, str(want)) == (
+            2, "step 2: 1 - 2*C_1 left the right half-plane")
+        state = MarketState(rv=np.full(22, 1e-4), lev=np.zeros(22))
+        with warnings.catch_warnings(), np.errstate(all="warn"):
+            warnings.simplefilter("error")
+            for args in ((z, 30), (z.astype(complex), 30)):
+                with pytest.raises(RecursionDomainError) as got:
+                    mgf_p(p, state, *args)
+                assert (got.value.step, str(got.value)) \
+                    == (want.step, str(want))
+
+    def test_real_arithmetic_log_against_mpmath(self):
+        # x = 1 and its neighbours, the unit circle at several arguments,
+        # tiny imaginary parts and real parts down to 1e-3; then the blocks
+        # left to the complex log, with a modulus far below 1 or one whose
+        # square overflows: within 4 eps of the principal log
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.prec = 120
+        eps = np.finfo(float).eps
+        angles = np.array([1e-8, 0.1, 0.5, 1.0, 1.3, 1.55])
+        near = np.r_[1.0, 1.0 + 1e-12, 1.0 - 1e-12, 1.0 + 2e-16,
+                     1.0 - 1e-16, np.exp(1j * angles),
+                     (1.0 + 1e-12) * np.exp(1j * angles),
+                     (1.0 - 1e-12) * np.exp(-1j * angles),
+                     1.0 + 1e-300j, 1.0 - 1e-20j, 1.0 + 1e-9j, 0.8 + 1e-200j,
+                     1e-3 + 1j * np.sqrt(1.0 - 1e-6), 1e-3 - 1.0j,
+                     0.72 + 0.01j, 2.0 + 3.0j, 1e3 - 1e4j]
+        small = np.array([1e-3 + 1e-3j, 1e-3, 0.5 + 1e-200j, 0.7 - 1e-9j])
+        huge = np.array([1e200 + 1e200j, 2.0 - 1e170j, 1e-3 + 1e160j])
+        assert (np.abs(near) > np.sqrt(0.5)).all()
+        assert (np.abs(small) < np.sqrt(0.5)).all()
+        for x in (near, small, huge):
+            pairs = np.stack([x, x[::-1]], axis=1)
+            args = pairs[:, :, None].copy()
+            with np.errstate(over="ignore"):   # as `_steps` calls it
+                mgf._checked_logs(args, 1)
+            for got, xk in zip(args[..., 0].ravel(), pairs.ravel()):
+                want = mpmath.log(mpmath.mpc(xk.real, xk.imag))
+                err = abs(mpmath.mpc(got.real, got.imag) - want)
+                assert err <= 4 * eps * max(1.0, float(abs(want))), (xk, err)
