@@ -695,7 +695,7 @@ class TestBlockedLogs:
         lo, hi = 1.0, 2000.0
         assert _domain_error(shift_and_add, p, weights,
                              np.array([hi]), 1) is not None
-        while True:
+        for _ in range(100):
             mid = 0.5 * (lo + hi)
             err = _domain_error(shift_and_add, p, weights,
                                 np.array([mid]), day)
@@ -705,6 +705,7 @@ class TestBlockedLogs:
                 hi = mid
             else:
                 return mid, err
+        raise AssertionError(f"no real z leaves the domain on day {day}")
 
     def test_failure_day_across_block_edges(self, zmlharg):
         # a point leaving the domain on either side of the first block
