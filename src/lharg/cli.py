@@ -30,7 +30,7 @@ from .mgf import cumulants, log_mgf
 from .model import (
     ModelParams,
     N_LAGS,
-    _finite_nu1,
+    _finite,
     state_from_series,
     stationarity_margin,
     stationary_state,
@@ -298,7 +298,7 @@ def _nu1(args, extras) -> float | None:
     if nu1 is None:
         return None
     try:
-        return _finite_nu1(float(nu1))
+        return _finite("nu1", float(nu1))
     except ValueError:
         raise ValidationError(f"nu1 must be a number, got {nu1!r}") from None
 

@@ -51,7 +51,7 @@ fit start without it; the calibration's root search is `pricing._brent`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -67,12 +67,11 @@ from .model import (
     MarketState,
     ModelParams,
     N_LAGS,
-    _gamma_star,
     _spread_lags,
     filter_innovations,
     leverage,
-    parabolic_form,
-    stationarity_margin,
+    risk_neutral_nu1,
+    stationary_scale_floor,
 )
 from .pricing import _brent, model_atm_iv
 
@@ -422,15 +421,16 @@ def calibrate_nu1(params: ModelParams, target_iv: float,
 
     The target is the annualized at-the-money implied volatility at the
     given maturity; the model value is computed by COS pricing under the
-    risk-neutral map.  nu1 enters that map only through the scale
-    c = 1 - theta*y_star, so the root is sought in s = 1/c, in which the
-    IV is close to linear, and mapped back by
-    nu1 = (1/8 - lam^2/2) - (1 - 1/s)/theta.  The search first evaluates
-    the identity point s = 1 (nu1 = 1/8 - lam^2/2, where the map leaves
-    the scale parameters untouched), which lies strictly inside the
+    risk-neutral map.  nu1 enters that map only through the scale c, so
+    the root is sought in s = 1/c, in which the IV is close to linear, and
+    mapped back to nu1 by `model.risk_neutral_nu1`.  The search first
+    evaluates the identity point s = 1 (nu1 = 1/8 - lam^2/2, where the map
+    leaves the scale parameters untouched), which lies strictly inside the
     bracket [1/21, s_max], and keeps only the half that holds the sign
-    change; each point is evaluated once.  The far end is evaluated only
-    when that half holds no root, to report the attainable IV range.
+    change; each point is evaluated once.  s_max lies below the inverse of
+    `model.stationary_scale_floor`, past which the Q dynamics is not
+    stationary.  The far end is evaluated only when that half holds no
+    root, to report the attainable IV range.
     The root is resolved to xtol = 3e-12 in s, about 1e-10 relative in
     nu1 at market-level targets: the model IV carries rounding noise that
     leaves nu1 defined only to about 1e-8, so finer steps would chase it.
@@ -439,29 +439,24 @@ def calibrate_nu1(params: ModelParams, target_iv: float,
     if not (0.0 < target_iv < 0.7):
         raise ValidationError("target IV must lie in (0, 0.7)")
 
-    fixed_point = 0.125 - 0.5 * params.lam**2
-    p = parabolic_form(params)
-    pers_star = stationarity_margin(replace(p, gamma_lev=_gamma_star(p)))
-    if pers_star >= 1.0:
+    floor = stationary_scale_floor(params)
+    if floor >= 1.0:
         raise CalibrationInfeasibleError(iv_low=np.nan, iv_high=np.nan,
                                          target=target_iv)
     ivs: dict[float, float] = {}
 
-    def nu1_of(s):
-        return fixed_point - (1.0 - 1.0 / s) / p.theta
-
     def f(s):
         if s not in ivs:
-            ivs[s] = model_atm_iv(params, nu1_of(s), maturity_days,
-                                  state) - target_iv
+            ivs[s] = model_atm_iv(params, risk_neutral_nu1(params, 1.0 / s),
+                                  maturity_days, state) - target_iv
         return ivs[s]
 
     def top():
-        # s > 1 inflates variance.  The mapped dynamics stays stationary
-        # only while c^2 exceeds the physical-scale persistence at the
-        # shifted gamma: start at 98% of that limit on theta*y_star and
-        # back off by 0.7 on each numerical failure.
-        ty = 0.98 * (1.0 - np.sqrt(pers_star))
+        # s > 1 inflates variance, and the Q dynamics stays stationary only
+        # while c = 1 - theta*y_star exceeds the floor: start at 98% of the
+        # way there on theta*y_star and back off by 0.7 on each numerical
+        # failure.
+        ty = 0.98 * (1.0 - floor)
         for _ in range(40):
             s = 1.0 / (1.0 - ty)
             try:
@@ -483,4 +478,5 @@ def calibrate_nu1(params: ModelParams, target_iv: float,
             sorted((f(low) + target_iv, f(high) + target_iv))
         raise CalibrationInfeasibleError(iv_low=ends[0], iv_high=ends[1],
                                          target=target_iv)
-    return float(nu1_of(_brent(f, *bracket, xtol=3e-12)))
+    root = _brent(f, *bracket, xtol=3e-12)
+    return float(risk_neutral_nu1(params, 1.0 / root))

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .model import ModelParams
+from .model import ModelParams, ParabolicForm
 from .options import OptionQuote
 from .pricing import TRADING_DAYS, implied_vol
 
@@ -156,7 +156,7 @@ def load_option_chain(path) -> tuple[OptionQuote, ...]:
     return tuple(quotes)
 
 
-PARAM_FIELDS = tuple(f.name for f in fields(ModelParams))
+PARAM_FIELDS = ("variant", *(f.name for f in fields(ParabolicForm)))
 
 
 def save_params(path, params, extras: dict | None = None) -> None:

@@ -21,10 +21,10 @@ and nothing else, so the loop runs without it and adds z*r*T after it.
 The step is the same under both measures, since under an arbitrage-free
 pricing kernel the risk-neutral dynamics are again an LHARG.  `nu1=None`
 runs it on the physical parameters (P); a variance premium nu1 runs it on
-the parameters of `model.risk_neutral_parabolic` (scale parameters over
-c, gamma + lam + 1/2, lam = -1/2), the risk-neutral Q, for which
-mgf(1) = exp(r*T) holds exactly: X is 0 every day at z = 1.  model.py is
-the single home of that measure change and of its check on nu1.
+the parameters that `model.risk_neutral_parabolic` maps them to, the
+risk-neutral Q, for which mgf(1) = exp(r*T) holds exactly: X is 0 every
+day at z = 1.  model.py is the single home of that measure change and of
+its check on nu1.
 
 The recursion accepts complex z; the characteristic function is the MGF
 at z = i*u.  `_steps` is the one implementation of the step, vectorized

@@ -15,9 +15,10 @@ leverage through daily / weekly / monthly factors:
 
 The daily, weekly and monthly loadings spread evenly over 1, 4 and 17
 lags; `expand_weights` returns the (2, 22) rows [beta; alpha].  One
-parameter list serves every form: `ParabolicForm` is `ModelParams`
-without the variant tag, and `parabolic_form`, the Q map and the
-params-file keys are read off the dataclass fields.
+parameter list serves every form: `_Parameters` declares the twelve
+shared fields once, `ParabolicForm` is exactly those, and `ModelParams`
+adds the keyword-only variant tag after them and checks them all finite.
+`parabolic_form`, the Q map and the params-file keys are read off them.
 
 Three variants are supported:
 
@@ -34,20 +35,23 @@ change (the shift of the innovation exactly offsets the shift of gamma),
 so a `MarketState` holds parabolic leverage for every variant and serves
 P and Q, and every form of the parameters, as it stands.
 
-This module is the single home of the P -> Q measure change: the kernel's
-tilt y_star, the scale c = 1 - theta*y_star and the shifted leverage
-asymmetry gamma* = gamma + lam + 1/2 (`_gamma_star`) all live in
-`risk_neutral_parabolic`, the one map from physical to risk-neutral
-parameters.  No-arbitrage pins the equity premium at lam + 1/2, so the
-variance premium nu1 is the one free premium: `nu1=None` means the
-physical measure P throughout the package, and a finite nu1 selects the
-risk-neutral Q, whose dynamics are again an LHARG.  `_measure_form` picks
-the one or the other for the MGF recursion and the simulator alike.
+This module is the single home of the P -> Q measure change and its
+inverse.  The kernel's tilt y_star (`_tilt`), the scale c = 1 -
+theta*y_star and the shifted leverage asymmetry gamma* = gamma + lam +
+1/2 (`_gamma_star`) make up `risk_neutral_parabolic`, the one map from
+physical to risk-neutral parameters.  No-arbitrage pins the equity
+premium at lam + 1/2, so the variance premium nu1 is the one free
+premium: `nu1=None` means the physical measure P throughout the package,
+and a finite nu1 selects the risk-neutral Q, whose dynamics are again an
+LHARG.  `_measure_form` picks the one or the other for the MGF recursion
+and the simulator alike.  Going back, `risk_neutral_nu1` is the nu1 that
+the map takes to a given scale c, and `stationary_scale_floor` the lowest
+c whose Q dynamics is stationary.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -61,16 +65,23 @@ _HAR_SPANS = (1, WEEKLY_LAGS, MONTHLY_LAGS)   # lags per HAR factor
 VARIANTS = ("HARG", "P-LHARG", "ZM-LHARG")
 
 
+def _finite(name: str, value: float) -> float:
+    # value itself, which must be finite: the one check of a parameter and
+    # of the premium nu1
+    if not np.isfinite(value):
+        raise ValidationError(f"{name} must be finite, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
-class ModelParams:
-    """Full parameter set of one model variant.
+class _Parameters:
+    """The twelve fields that every form of the parameters shares.
 
     Units are daily and decimal throughout: theta and r in daily decimal
     variance / rate units, beta loadings in 1/variance, gamma_lev in
     1/volatility, lam (market price of risk) in 1/variance.
     """
 
-    variant: str
     theta: float        # gamma scale
     delta: float        # gamma shape
     d: float            # noncentrality constant (0 for all stored variants)
@@ -84,9 +95,19 @@ class ModelParams:
     lam: float          # market price of risk
     r: float            # daily risk-free rate
 
+
+@dataclass(frozen=True)
+class ModelParams(_Parameters):
+    """Full parameter set of one model variant: the shared fields, all
+    finite, and the variant tag, which is keyword-only and comes last."""
+
+    variant: str = field(kw_only=True)
+
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValidationError(f"unknown variant {self.variant!r}")
+        for f in fields(_Parameters):   # the first non-finite one is named
+            _finite(f.name, getattr(self, f.name))
         if not (self.theta > 0 and self.delta > 0):
             raise ValidationError("theta and delta must be strictly positive")
         if self.d != 0.0:   # ZM-LHARG's d arises in its parabolic form only
@@ -108,25 +129,11 @@ class ModelParams:
 
 
 @dataclass(frozen=True)
-class ParabolicForm:
-    """Canonical parabolic-leverage parameterization used by the engines.
-
-    Identical fields as ModelParams minus the variant tag; d may be
-    negative here (the zero-mean reduction has d = -sum(alpha)).
+class ParabolicForm(_Parameters):
+    """Canonical parabolic-leverage parameterization used by the engines:
+    the shared fields alone, unchecked; d may be negative here (the
+    zero-mean reduction has d = -sum(alpha)).
     """
-
-    theta: float
-    delta: float
-    d: float
-    beta_d: float
-    beta_w: float
-    beta_m: float
-    alpha_d: float
-    alpha_w: float
-    alpha_m: float
-    gamma_lev: float
-    lam: float
-    r: float
 
 
 @dataclass(frozen=True)
@@ -149,6 +156,9 @@ class MarketState:
                 f"state requires exactly {N_LAGS} lags of rv and leverage; "
                 "shorter histories are rejected rather than zero-padded"
             )
+        for name, lags in (("rv", rv), ("lev", lev)):
+            if not np.all(np.isfinite(lags)):
+                raise ValidationError(f"state {name} lags must be finite")
         if np.any(rv < 0.0):
             raise ValidationError("realized variances must be nonnegative")
         if np.any(lev < 0.0):
@@ -247,28 +257,27 @@ def _gamma_star(params: ModelParams | ParabolicForm) -> float:
     return params.gamma_lev + params.lam + 0.5
 
 
-def _finite_nu1(nu1: float) -> float:
-    # nu1 itself, which must be finite: the one check of the premium
-    if not np.isfinite(nu1):
-        raise ValidationError(f"nu1 must be finite, got {nu1!r}")
-    return nu1
-
-
 # the fields risk_neutral_parabolic divides by the scale c
 _SCALE_FIELDS = ("theta", "d", "beta_d", "beta_w", "beta_m",
                  "alpha_d", "alpha_w", "alpha_m")
 
 
+def _tilt(lam: float, nu1: float) -> float:
+    # the kernel's tilt y_star at the equity premium lam + 1/2; the sum
+    # rounds once, so the tilt at nu1 = 0 is 1/8 - lam^2/2 to the bit
+    return 0.125 - (0.5 * lam**2 + nu1)
+
+
 def risk_neutral_parabolic(pform: ParabolicForm, nu1: float) -> ParabolicForm:
     """Map the parabolic form into the risk-neutral dynamics of premium nu1.
 
-    The kernel's tilt is y_star = -lam^2/2 - nu1 + 1/8, with the equity
+    The kernel's tilt is y_star = 1/8 - lam^2/2 - nu1, with the equity
     premium at lam + 1/2 where no-arbitrage pins it.  With c = 1 -
     theta*y_star the scale parameters (theta, d, betas, alphas) rescale by
     1/c, delta is unchanged, gamma becomes gamma + lam + 1/2 and lam -1/2.
     A non-finite nu1 raises ValidationError, and c <= 0 MappingSingularError.
     """
-    y_star = -0.5 * pform.lam**2 - _finite_nu1(nu1) + 0.125
+    y_star = _tilt(pform.lam, _finite("nu1", nu1))
     c = 1.0 - pform.theta * y_star
     if c <= 0.0:
         raise MappingSingularError(
@@ -277,6 +286,22 @@ def risk_neutral_parabolic(pform: ParabolicForm, nu1: float) -> ParabolicForm:
         )
     return replace(pform, **{n: getattr(pform, n) / c for n in _SCALE_FIELDS},
                    gamma_lev=_gamma_star(pform), lam=-0.5)
+
+
+def risk_neutral_nu1(params: ModelParams | ParabolicForm, c: float) -> float:
+    """The premium nu1 that `risk_neutral_parabolic` maps to scale c, the
+    one of tilt y_star = (1 - c)/theta: the tilt falls one for one with nu1
+    from 1/8 - lam^2/2 at nu1 = 0, so that value is the premium of c = 1."""
+    return _tilt(params.lam, 0.0) - (1.0 - c) / params.theta
+
+
+def stationary_scale_floor(params: ModelParams | ParabolicForm) -> float:
+    """The lowest scale c whose risk-neutral dynamics is stationary: the Q
+    persistence at scale c is the `stationarity_margin` of the parabolic
+    form at the shifted gamma* = gamma + lam + 1/2, over c^2."""
+    p = parabolic_form(params)
+    return float(np.sqrt(stationarity_margin(
+        replace(p, gamma_lev=_gamma_star(p)))))
 
 
 def _measure_form(params: ModelParams | ParabolicForm,

@@ -59,7 +59,7 @@ from .errors import (
     ValidationError,
 )
 from .mgf import _cumulant_segments, _log_mgf_segments
-from .model import MarketState, ModelParams, _finite_nu1
+from .model import MarketState, ModelParams, _finite
 from .options import OPTION_TYPES, OptionQuote
 
 TRADING_DAYS = 252  # annualization factor for reported implied vols
@@ -328,7 +328,7 @@ def price_chain(params: ModelParams, nu1: float, chain,
     quote's row alone.  A non-finite nu1 raises ValidationError before any
     group is priced; any other exception is a bug and propagates.
     """
-    _finite_nu1(nu1)
+    _finite("nu1", nu1)
     groups: dict = {}
     for q in chain:
         groups.setdefault((q.quote_date, q.maturity_days, q.rate),

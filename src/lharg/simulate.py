@@ -100,7 +100,7 @@ def _day_steps(p: ParabolicForm, st, n: int, rng, days: int):
         eps = rng.standard_normal(n)
         vol = np.sqrt(rv_new)
         yield rv_new, p.r + p.lam * rv_new + vol * eps, clamps
-        lag5 = ring[(head + 4) % N_LAGS]
+        lag5 = ring[(head + WEEKLY_LAGS) % N_LAGS]
         head = (head + N_LAGS - 1) % N_LAGS                    # lag 22's row
         agg[2:4] += agg[0:2] - lag5
         agg[4:6] += lag5 - ring[head]
@@ -172,11 +172,11 @@ def simulate_paths(params: ModelParams, state: MarketState, horizon: int,
                    seed: int = 0, burn_in: int = 0) -> PathSet:
     """Simulate daily (RV, y) paths from the given state.
 
-    nu1=None simulates the physical measure.  A variance premium nu1 maps
-    params into the starred Q dynamics (lam* = -1/2, shifted gamma,
-    rescaled gamma parameters) by risk_neutral_parabolic; the state's
-    parabolic leverage lags are measure-invariant, so the same physical
-    state seeds both measures.
+    nu1=None simulates the physical measure.  A variance premium nu1
+    simulates the Q dynamics of the parameters that
+    `model.risk_neutral_parabolic` maps params to; the state's parabolic
+    leverage lags are measure-invariant, so the same physical state seeds
+    both measures.
     A nonzero burn_in advances the paths that many days before recording
     (1000 days comfortably washes out the start state at the persistence
     levels of interest); clamps are counted on recorded days only.

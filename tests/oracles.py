@@ -3,6 +3,8 @@ not need, kept here so the tests check the package against them.
 
 `difference_hessian` is the likelihood's Hessian by central differences
 of its exact scores, against which the closed-form Hessian is checked.
+`moment_cumulants` propagates the state's first two moments exactly, a
+check on the recursion's multi-day cumulants that shares no step formula.
 
 The package reaches Q one way: the physical recursion on the parameters
 of `lharg.model.risk_neutral_parabolic`.  Two independent routes sit
@@ -20,6 +22,7 @@ from lharg import (
     MappingSingularError,
     MarketState,
     ModelParams,
+    N_LAGS,
     expand_weights,
     mgf_q,
     parabolic_form,
@@ -96,6 +99,53 @@ def shift_and_add(p, weights, z, horizon, nu1=None):
         C[:, -1] = 0.0
         C += inc[:, None] * weights[1]
     return A, B, C
+
+
+def moment_cumulants(p, state: MarketState, horizons):
+    """{T: (kappa1, kappa2)} of y_{t,T} over the given horizons, by exact
+    propagation of the first two moments of the state
+    s = (22 rv lags, 22 lev lags, cumulative y, 1) on the parabolic form p.
+
+    Given s, tomorrow's RV has mean theta (delta + Theta(s)) and variance
+    theta^2 (delta + 2 Theta(s)), both affine in s.  Given RV, the new
+    leverage (eps - gamma sqrt(RV))^2 has mean 1 + gamma^2 RV and variance
+    2 + 4 gamma^2 RV, y = r + lam RV + sqrt(RV) eps has variance RV, and
+    their covariance is -2 gamma RV.  So E[s] advances by one matrix M a
+    day, and by total covariance Cov(s) by M Cov(s) M^T plus the day's
+    conditional covariance at E[s]: no X, v(X) or log, no shared step.
+    """
+    n = 2 * N_LAGS + 2
+    beta, alpha = expand_weights(p)
+    theta_of = np.concatenate([beta, alpha, [0.0, p.d]])   # Theta = . @ s
+    mean_rv = p.theta * theta_of
+    mean_rv[-1] += p.theta * p.delta                        # E[RV' | s]
+    g, lam = p.gamma_lev, p.lam
+    M = np.zeros((n, n))
+    M[0] = mean_rv
+    M[N_LAGS] = g * g * mean_rv
+    M[2 * N_LAGS] = lam * mean_rv
+    M[N_LAGS, -1] += 1.0
+    M[2 * N_LAGS, -2:] += (1.0, p.r)
+    M[-1, -1] = 1.0
+    for first in (0, N_LAGS):           # each row of lags ages by one day
+        M[first + 1:first + N_LAGS, first:first + N_LAGS - 1] = \
+            np.eye(N_LAGS - 1)
+    new = [0, N_LAGS, 2 * N_LAGS]       # rows of RV', lev' and y'
+    mean = np.concatenate([state.rv, state.lev, [0.0, 1.0]])
+    cov = np.zeros((n, n))
+    out = {}
+    for day in range(1, max(horizons) + 1):
+        m, v = mean_rv @ mean, p.theta**2 * (p.delta + 2.0 * theta_of @ mean)
+        cov = M @ cov @ M.T
+        cov[np.ix_(new, new)] += [
+            [v, g * g * v, lam * v],
+            [g * g * v, 2.0 + 4.0 * g * g * m + g**4 * v,
+             -2.0 * g * m + g * g * lam * v],
+            [lam * v, -2.0 * g * m + g * g * lam * v, m + lam * lam * v]]
+        mean = M @ mean
+        if day in horizons:
+            out[day] = mean[-2], cov[-2, -2]
+    return out
 
 
 def model_cf(params: ModelParams, state: MarketState, nu1, tau: int):

@@ -25,11 +25,11 @@ from lharg import (
 )
 from lharg import mgf
 from lharg.mgf import _guarded, log_mgf, raw_cumulants
-from lharg.model import _measure_form
+from lharg.model import _measure_form, risk_neutral_parabolic
 from lharg.pricing import COS_TERMS, _cos_grid, _truncation, model_atm_iv
 
 from conftest import random_state
-from oracles import risk_neutral_map, shift_and_add
+from oracles import moment_cumulants, risk_neutral_map, shift_and_add
 
 HORIZONS = (1, 5, 22, 63, 126, 252)
 
@@ -355,6 +355,29 @@ class TestCumulants:
         exact = p.r + p.lam * p.theta * (p.delta + nc)
         k = raw_cumulants(plharg, st, 1)
         assert abs(k[0] - exact) <= 1e-10 * max(abs(exact), 1e-6)
+
+
+class TestExactMoments:
+    def test_first_two_cumulants(self, all_variants):
+        # kappa1 and kappa2 against `oracles.moment_cumulants`, which
+        # propagates the state's first two moments exactly and shares no
+        # step formula with the recursion; Q is the physical law on the
+        # parameters of the package's map
+        horizons = (1, 10, 22, 252, 365)
+        rng = np.random.default_rng(8)
+        for params in all_variants:
+            drawn = random_state(rng, params.gamma_lev)
+            for nu1 in (None, -3000.0):
+                p = parabolic_form(params) if nu1 is None \
+                    else risk_neutral_parabolic(parabolic_form(params), nu1)
+                for st in (stationary_state(params), drawn):
+                    exact = moment_cumulants(p, st, horizons)
+                    for horizon in horizons:
+                        k = raw_cumulants(params, st, horizon, nu1=nu1)
+                        rel = np.abs(k[:2] - exact[horizon]) \
+                            / np.abs(exact[horizon])
+                        assert rel.max() <= 1e-11, (params.variant, nu1,
+                                                    horizon)
 
 
 class TestStateHandling:

@@ -26,7 +26,12 @@ from lharg import (
     theta_noncentrality,
 )
 from lharg.io import PARAM_FIELDS
-from lharg.model import _SCALE_FIELDS, risk_neutral_parabolic
+from lharg.model import (
+    _SCALE_FIELDS,
+    risk_neutral_nu1,
+    risk_neutral_parabolic,
+    stationary_scale_floor,
+)
 from lharg.pricing import price_chain
 
 from conftest import random_state_arrays
@@ -80,6 +85,11 @@ class TestFieldsCarriedThrough:
         # map's c, none is dropped or swapped
         names = tuple(f.name for f in fields(ParabolicForm))
         assert PARAM_FIELDS == ("variant", *names)
+        # one declaration of the shared fields; the variant tag comes last
+        # and only by keyword
+        assert tuple(f.name for f in fields(ModelParams)) == (*names, "variant")
+        with pytest.raises(TypeError):
+            ModelParams(*(getattr(harg, name) for name in PARAM_FIELDS))
         for params in (harg, plharg):
             p = parabolic_form(params)
             for name in names:
@@ -272,6 +282,30 @@ class TestRiskNeutralMap:
         assert abs(qp.alpha_w - p.alpha_w / scale) < 1e-12
 
 
+class TestRiskNeutralInverse:
+    def test_premium_of_each_scale(self, all_variants):
+        # `risk_neutral_nu1` is the premium that the map takes to scale c;
+        # at c = 1 the map leaves every scale field as it was, bit for bit
+        for params in all_variants:
+            p = parabolic_form(params)
+            for c in (0.5, 0.97, 1.0, 1.3):
+                q = risk_neutral_parabolic(p, risk_neutral_nu1(params, c))
+                assert abs(q.theta * c - p.theta) <= 1e-15 * p.theta, c
+            q = risk_neutral_parabolic(p, risk_neutral_nu1(params, 1.0))
+            for name in _SCALE_FIELDS:
+                assert getattr(q, name) == getattr(p, name), name
+
+    def test_stationary_floor(self, all_variants):
+        # the Q persistence crosses one at the floor of the scale
+        for params in all_variants:
+            floor = stationary_scale_floor(params)
+            above, below = (
+                _q_form(params, risk_neutral_nu1(params, floor * step))
+                for step in (1.0 + 1e-9, 1.0 - 1e-9))
+            assert stationarity_margin(above) < 1.0, params.variant
+            assert stationarity_margin(below) >= 1.0, params.variant
+
+
 class TestStationarityMargin:
     def test_zero_for_degenerate(self):
         p = ParabolicForm(theta=1e-5, delta=1.0, d=0.0, beta_d=0.0,
@@ -303,9 +337,10 @@ class TestFilterInnovations:
 
 
 class TestInputErrors:
-    def test_each_rule_raises_its_message(self, plharg):
+    def test_each_rule_raises_its_message(self, plharg, zmlharg):
         # (call, exact message): series of unequal length, an unknown
-        # variant, and a persistence with no stationary mean
+        # variant, a persistence with no stationary mean, and non-finite
+        # parameters or state lags, which `<` and `>` checks let through
         rv, y = np.full(30, 1e-4), np.zeros(30)
         explosive = replace(plharg, beta_m=4.0 * plharg.beta_m)
         margin = stationarity_margin(explosive)
@@ -320,6 +355,17 @@ class TestInputErrors:
              "rv and returns series must be aligned"),
             (lambda: stationary_mean_rv(explosive), no_mean),
             (lambda: stationary_state(explosive), no_mean),
+            (lambda: replace(plharg, beta_d=np.nan),
+             "beta_d must be finite, got nan"),
+            (lambda: replace(plharg, r=np.inf), "r must be finite, got inf"),
+            (lambda: replace(zmlharg, gamma_lev=np.inf),
+             "gamma_lev must be finite, got inf"),
+            (lambda: replace(zmlharg, lam=np.nan),
+             "lam must be finite, got nan"),
+            (lambda: MarketState(rv=np.full(22, np.nan), lev=np.ones(22)),
+             "state rv lags must be finite"),
+            (lambda: MarketState(rv=np.ones(22), lev=np.full(22, np.inf)),
+             "state lev lags must be finite"),
         )
         for call, message in cases:
             with pytest.raises(ValidationError) as err:
