@@ -247,7 +247,7 @@ def _cmd_price(args) -> int:
     if good:
         err = rmse_iv([r.quote.market_iv for r in good],
                       [r.model_iv for r in good])
-        line += f"; RMSE_IV = {err:.4f}"
+        line += f"; RMSE_IV = {err:.4f} pp (percentage points of annual vol)"
     print(line)
     print(f"-> {args.out}")
     return 0
@@ -364,7 +364,9 @@ def _cmd_evaluate(args) -> int:
     if not rows:
         raise ValidationError(f"no usable rows in {args.results}")
     panels = []
-    print(f"{'moneyness':>14s} {'maturity':>12s} {'n':>6s} {'RMSE_IV':>9s}")
+    # rmse_iv is in percentage points (pp) of annualized vol
+    print(f"{'moneyness':>14s} {'maturity':>12s} {'n':>6s} "
+          f"{'RMSE_IV(pp)':>11s}")
     for m_lo, m_hi in _M_BUCKETS:
         for t_lo, t_hi in _TAU_BUCKETS:
             cell = [(mk, md) for m, tau, mk, md in rows
@@ -377,7 +379,7 @@ def _cmd_evaluate(args) -> int:
                            len(cell), repr(err)])
             tau_text = f">{t_lo}" if open_ended else f"({t_lo},{t_hi}]"
             print(f"({m_lo:5.2f},{m_hi:5.2f}] {tau_text:>12s} "
-                  f"{len(cell):6d} {err:9.4f}")
+                  f"{len(cell):6d} {err:11.4f}")
     _write_csv(args.out, ["m_low", "m_high", "tau_low", "tau_high", "n",
                           "rmse_iv"], panels)
     print(f"-> {args.out}")

@@ -306,33 +306,46 @@ class Cumulants(NamedTuple):
 _CONTOUR_RADIUS = 0.125   # circle radius in guessed standard deviations
 
 
+def _contours(params, segments) -> list:
+    """The `raw_cumulants` circles of (horizon, rate, state) segments, as
+    (z, horizon, rate, state) segments of 9 points each, for
+    `_log_mgf_segments`.
+    """
+    p = parabolic_form(params)
+    # the 9 upper-half points of each circle |z| = rho
+    circle = np.exp(1j * np.pi * np.arange(9) / 8)
+    out = []
+    for horizon, rate, state in segments:
+        nc = theta_noncentrality(p, state)
+        kappa2_guess = (_whole("horizon", horizon, 1) * p.theta
+                        * (p.delta + max(nc, 0.0)))
+        if not np.isfinite(kappa2_guess) or kappa2_guess <= 0.0:
+            kappa2_guess = 1.0
+        rho = _CONTOUR_RADIUS / np.sqrt(kappa2_guess)
+        out.append((rho * circle, horizon, rate, state))
+    return out
+
+
+def _contour_cumulants(z, g) -> np.ndarray:
+    """kappa_1..kappa_4 from the log-MGF g on a `_contours` circle z.
+    Raises NumericalError for a g that is not finite."""
+    if not np.all(np.isfinite(g)):
+        raise NumericalError("log-MGF non-finite on the cumulant contour")
+    rho = z[0].real     # the circle's first point is rho * 1, exactly
+    n = np.arange(1, 5)
+    return (np.fft.irfft(np.conj(g), 16)[n]
+            * np.array([1.0, 2.0, 6.0, 24.0]) / rho ** n)
+
+
 def _cumulant_segments(params, nu1: float | None, segments) -> list:
     """kappa_1..kappa_4 of (horizon, rate, state) segments, under P when
     nu1 is None, in the order given, from one shared pass over their
     `raw_cumulants` circles.  Raises what that pass raises, and
     NumericalError for a log-MGF non-finite on a circle.
     """
-    p = parabolic_form(params)
-    radii = []
-    for horizon, _, state in segments:
-        nc = theta_noncentrality(p, state)
-        kappa2_guess = (_whole("horizon", horizon, 1) * p.theta
-                        * (p.delta + max(nc, 0.0)))
-        if not np.isfinite(kappa2_guess) or kappa2_guess <= 0.0:
-            kappa2_guess = 1.0
-        radii.append(_CONTOUR_RADIUS / np.sqrt(kappa2_guess))
-    # the 9 upper-half points of each circle |z| = rho
-    circle = np.exp(1j * np.pi * np.arange(9) / 8)
-    logs = _log_mgf_segments(params, nu1, [
-        (rho * circle, *seg) for rho, seg in zip(radii, segments)])
-    n = np.arange(1, 5)
-    out: list = []
-    for rho, g in zip(radii, logs):
-        if not np.all(np.isfinite(g)):
-            raise NumericalError("log-MGF non-finite on the cumulant contour")
-        out.append(np.fft.irfft(np.conj(g), 16)[n]
-                   * np.array([1.0, 2.0, 6.0, 24.0]) / rho ** n)
-    return out
+    circles = _contours(params, segments)
+    return [_contour_cumulants(c[0], g) for c, g in
+            zip(circles, _log_mgf_segments(params, nu1, circles))]
 
 
 def raw_cumulants(params, state, horizon: int,

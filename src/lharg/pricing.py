@@ -17,27 +17,42 @@ of a maturity: `cos_price` takes phi(u_k), k < N = len(phi), reads the
 cf(0) = 1 check from phi(u_0) (u_0 = 0), and broadcasts over strikes and
 option types at one rate; each strike's price is its row of the
 (strikes, N) payoff coefficients times the N density coefficients.
-`_price_groups` picks N = COS_TERMS, and makes one such call per group.
+`_price_groups` makes one such call per group, with each group's own N.
 
 The recursion's step map does not depend on the day, so the coefficients
-of every maturity are iterates of one backward loop.  `price_chain` (and
-`model_atm_iv`, its one-group case) therefore runs the recursion twice per
-chain, not twice per group: one shared pass over every group's 9-point
-cumulant contour, which sets each group's interval
-(`mgf._cumulant_segments`), then one over every group's N-point cf grid
-(`mgf._log_mgf_segments`), whose loop runs without the rate; each group's
-coefficients are then dotted with its date's state, and its rate adds
-z*r*T.  A pass that leaves the domain raises, and `price_chain` then
-prices each group alone, so a failing group fails alone with its own error.
-At N = 256, one 1024-point pass of the recursion holds 4 groups' grids.
+of every maturity are iterates of one backward loop.  `price_chain`
+therefore runs shared passes of the recursion over all its groups, not
+passes per group: one over every group's 9-point cumulant contour, which
+sets each group's interval (`mgf._cumulant_segments`), then one over
+every group's first COS_TERMS = N0 cf values (`mgf._log_mgf_segments`),
+whose loop runs without the rate; each group's coefficients are then
+dotted with its date's state, and its rate adds z*r*T.  A pass that
+leaves the domain raises, and `price_chain` then prices each group
+alone, so a failing group fails alone with its own error.  At N0 = 192,
+one 1024-point pass of the recursion holds 5 groups' grids.
 
-N = 256 is the floor that the tail of phi allows.  Over P-LHARG and
-ZM-LHARG states with rv lags at scales 1e-6 to 1e-3, maturities of 10 to
-365 days and nu1 in {-2000, -3000}, the dropped terms max|phi(u_k)|,
-k >= 256, stayed below 9e-14; they are largest on calm 10-day states and
-below 1e-15 from 14 days on.  At k in [192, 256) they reached 2.5e-11, so
-192 terms are too few.  `tests/test_pricing.py::TestCosTermsGate` holds
-that tail below 1e-12, and the N- and 2N-term prices within 1e-12 * K.
+Each group's N is its own.  A grid whose last N/4 values of |phi| are
+not all below COS_TAIL = 1e-12 gets its terms k in [N, 2N) on the same
+interval in one more shared pass, with the other such groups, and so on
+until it passes or holds COS_MAX_TERMS terms, where pricing goes on with
+the terms it has.  Over P-LHARG and ZM-LHARG states with rv lags at
+scales 1e-6 to 1e-3, maturities of 10 to 365 days and nu1 in
+{-2000, -3000}, only calm states at 10 to 30 days doubled, once: their
+last quarter at N0 reached 6.8e-9, and at 2*N0 stayed below 7e-15.  Long
+groups pass at N0; so does the 252-day calibration grid, except near
+the stationarity edge of the Q dynamics, where its interval is about
+three times as wide.  Groups of a few days need more: one-day grids stop
+at the cap with a last quarter of |phi| near 1e-5, since the cf of a
+normal mixed over a gamma variance decays only like a power of u.
+`tests/test_pricing.py::TestCosTermsGate` holds the dropped terms
+[N, 2N) below 1e-12, and the N- and 2N-term prices within 1e-12 * K.
+
+`model_atm_iv`, the one-group case that `estimate.calibrate_nu1`
+evaluates at each step of its root search, runs the contour and the
+grid in one pass once the search has narrowed: the grid's interval is
+then a hint from the own intervals of the premia evaluated on either
+side (`_interval_hint`), checked against the contour's own interval and
+the grid's tail before its price is taken.
 
 Pricing needs numpy alone: the normal CDF of `bs_price` is the standard
 library's erfc, and `_brent`, a port of scipy's brentq, inverts it.  scipy
@@ -58,14 +73,22 @@ from .errors import (
     NumericalError,
     ValidationError,
 )
-from .mgf import _cumulant_segments, _log_mgf_segments
+from .mgf import (
+    _contour_cumulants,
+    _contours,
+    _cumulant_segments,
+    _log_mgf_segments,
+)
 from .model import MarketState, ModelParams, _finite
 from .options import OPTION_TYPES, OptionQuote
 
 TRADING_DAYS = 252  # annualization factor for reported implied vols
-COS_TERMS = 256     # N, the number of cosine terms: the floor of the tail
-                    # of phi (module docstring, TestCosTermsGate)
+COS_TERMS = 192     # N0, the cosine terms every group's grid starts with
+COS_TAIL = 1e-12    # the bound on a grid's last quarter of |phi|
+COS_MAX_TERMS = 8 * COS_TERMS   # where a grid stops doubling
 COS_WIDTH = 10.0    # L in the cumulant-based truncation rule
+_HINT_SPREAD = 1.25  # widest union of two intervals a hint takes, in narrower
+_HINT_MARGIN = 0.01  # a hint's widening on each side, in its width
 
 
 def _truncation(kappas) -> tuple[float, float]:
@@ -163,15 +186,16 @@ def bs_price(S: float, K: float, r: float, sigma: float, tau: float,
     if option_type not in OPTION_TYPES:
         raise ValidationError("option type must be call or put, "
                               f"got {option_type!r}")
+    disc_k = K * math.exp(-r * tau)
     if sigma == 0.0:
-        fwd = S - K * np.exp(-r * tau)
+        fwd = S - disc_k
         return max(fwd, 0.0) if option_type == "call" else max(-fwd, 0.0)
-    srt = sigma * np.sqrt(tau)
-    d1 = (np.log(S / K) + (r + 0.5 * sigma**2) * tau) / srt
+    srt = sigma * math.sqrt(tau)
+    d1 = (math.log(S / K) + (r + 0.5 * sigma**2) * tau) / srt
     d2 = d1 - srt
     if option_type == "call":
-        return float(S * _norm_cdf(d1) - K * np.exp(-r * tau) * _norm_cdf(d2))
-    return float(K * np.exp(-r * tau) * _norm_cdf(-d2) - S * _norm_cdf(-d1))
+        return float(S * _norm_cdf(d1) - disc_k * _norm_cdf(d2))
+    return float(disc_k * _norm_cdf(-d2) - S * _norm_cdf(-d1))
 
 
 def _brent(f, xa: float, xb: float, xtol: float) -> float:
@@ -250,7 +274,7 @@ def implied_vol(price: float, S: float, K: float, r: float, tau: float,
     never stops the search first.  Prices outside the static no-arbitrage
     bounds raise InversionDomainError.
     """
-    disc_k = K * np.exp(-r * tau)
+    disc_k = K * math.exp(-r * tau)
     if option_type == "call":
         lower, upper = max(S - disc_k, 0.0), S
     else:
@@ -264,7 +288,7 @@ def implied_vol(price: float, S: float, K: float, r: float, tau: float,
     def f(sig):
         return bs_price(S, K, r, sig, tau, option_type) - price
 
-    hi = 1.0 / np.sqrt(tau)
+    hi = 1.0 / math.sqrt(tau)
     while f(hi) < 0.0:
         hi *= 2.0
         if hi > 1e6:
@@ -272,31 +296,108 @@ def implied_vol(price: float, S: float, K: float, r: float, tau: float,
     return _brent(f, 1e-12, hi, xtol=1e-30)
 
 
-def _price_groups(params: ModelParams, nu1: float, groups) -> list:
+def _tail_passes(phi: np.ndarray) -> bool:
+    # the grid's last quarter of |phi| lies below COS_TAIL
+    return bool(np.abs(phi[-(phi.size // 4):]).max() < COS_TAIL)
+
+
+def _price_groups(params: ModelParams, nu1: float, groups,
+                  intervals=None) -> list:
     """Prices of quote groups (tau, rate, state, S, K, option_type), in
-    the order given, each on its own truncation interval at its own rate,
-    from two shared passes of the recursion: one over every group's
-    cumulant contour, then one over every group's cf grid.  Raises the
-    first package error met: a bad maturity, the measure map, a recursion
-    leaving its domain, a degenerate interval.
+    the order given, each on its own truncation interval at its own rate.
+
+    One shared pass over every group's cumulant contour sets the
+    intervals, unless `intervals` gives them.  One shared pass then
+    computes every group's first COS_TERMS cf values, and each further
+    pass doubles the grids whose last quarter of |phi| is not below
+    COS_TAIL, with the terms k in [N, 2N) on the same interval, until
+    they pass or hold COS_MAX_TERMS terms.  Raises the first package
+    error met: a bad maturity, the measure map, a recursion leaving its
+    domain, a degenerate interval.
     """
-    intervals = [_truncation(kappas) for kappas in
-                 _cumulant_segments(params, nu1, [g[:3] for g in groups])]
-    logs = _log_mgf_segments(params, nu1, [
-        (1j * _cos_grid(*ab, COS_TERMS), *g[:3])
-        for ab, g in zip(intervals, groups)])
-    return [cos_price(np.exp(g), S, K, rate, tau, kind, *ab)
-            for g, ab, (tau, rate, _, S, K, kind) in zip(logs, intervals,
-                                                         groups)]
+    if intervals is None:
+        intervals = [_truncation(kappas) for kappas in _cumulant_segments(
+            params, nu1, [g[:3] for g in groups])]
+    phis = [np.empty(0, complex)] * len(groups)
+    short = range(len(groups))
+    while short:
+        # the terms k in [n, 2n) of each short grid of n terms, or the
+        # first COS_TERMS of a grid not begun
+        spans = [(phis[k].size, max(2 * phis[k].size, COS_TERMS))
+                 for k in short]
+        logs = _log_mgf_segments(params, nu1, [
+            (1j * _cos_grid(*intervals[k], hi)[lo:], *groups[k][:3])
+            for k, (lo, hi) in zip(short, spans)])
+        for k, g in zip(short, logs):
+            phis[k] = np.concatenate([phis[k], np.exp(g)])
+        short = [k for k in short if phis[k].size < COS_MAX_TERMS
+                 and not _tail_passes(phis[k])]
+    return [cos_price(phi, S, K, rate, tau, kind, *ab)
+            for phi, ab, (tau, rate, _, S, K, kind) in zip(phis, intervals,
+                                                           groups)]
+
+
+def _interval_hint(memo: dict, nu1: float):
+    """The grid interval for nu1 that the own intervals of the nearest
+    evaluated premia below and above it suggest: their union, widened by
+    _HINT_MARGIN of its width on each side.  None when nu1 lacks a
+    neighbour on a side, or when the union is wider than _HINT_SPREAD
+    times the narrower of the two."""
+    below = max((x for x in memo if x < nu1), default=None)
+    above = min((x for x in memo if x > nu1), default=None)
+    if below is None or above is None:
+        return None
+    (a0, b0), (a1, b1) = memo[below], memo[above]
+    a, b = min(a0, a1), max(b0, b1)
+    if b - a > _HINT_SPREAD * min(b0 - a0, b1 - a1):
+        return None
+    pad = _HINT_MARGIN * (b - a)
+    return a - pad, b + pad
 
 
 def model_atm_iv(params: ModelParams, nu1: float, maturity_days: int,
-                 state: MarketState) -> float:
-    """Annualized at-the-money implied vol generated by the model."""
-    price, = _price_groups(params, nu1, [(maturity_days, params.r, state,
-                                          1.0, 1.0, "call")])
+                 state: MarketState, *, memo: dict | None = None) -> float:
+    """Annualized at-the-money implied vol generated by the model.
+
+    Without `memo`, one pass of the recursion over the cumulant contour
+    sets the own truncation interval, and the price comes from
+    `_price_groups`' grid on it.  `memo` is a dict that one caller passes
+    to every evaluation of one (params, maturity_days, state); each call
+    records its nu1's own interval in it.  When `_interval_hint` finds a
+    grid interval for nu1 there, one pass computes the contour and a
+    COS_TERMS-point grid on the hint together, and the price is taken
+    from that grid if the own interval lies inside the hint and the
+    grid's tail passes (`_tail_passes`).  Otherwise the grid on the own
+    interval prices it, as without a memo, and a shared pass that raises
+    gives way to the two passes alone: the IV or the error is that of a
+    call without memo, bit for bit.  A hinted grid moves the IV by a few
+    1e-13 relative at most (2.6e-13 over calibrations of HARG, P-LHARG and
+    ZM-LHARG at targets 0.15 to 0.26).
+    """
+    group = (maturity_days, params.r, state, 1.0, 1.0, "call")
+    hint = None if memo is None else _interval_hint(memo, nu1)
+    own = price = None
+    if hint is not None:
+        circle, = _contours(params, [group[:3]])
+        try:
+            g, grid = _log_mgf_segments(params, nu1, [
+                circle, (1j * _cos_grid(*hint, COS_TERMS), *group[:3])])
+        except LhargError:
+            pass    # the two passes alone, below, raise their own error
+        else:
+            own = _truncation(_contour_cumulants(circle[0], g))
+            phi = np.exp(grid)
+            if hint[0] <= own[0] and own[1] <= hint[1] and _tail_passes(phi):
+                price = cos_price(phi, 1.0, 1.0, params.r, maturity_days,
+                                  "call", *hint)
+    if own is None:
+        own = _truncation(_cumulant_segments(params, nu1, [group[:3]])[0])
+    if memo is not None:
+        memo[nu1] = own
+    if price is None:
+        price, = _price_groups(params, nu1, [group], [own])
     iv_daily = implied_vol(price, 1.0, 1.0, params.r, maturity_days, "call")
-    return iv_daily * np.sqrt(TRADING_DAYS)
+    return iv_daily * math.sqrt(TRADING_DAYS)
 
 
 @dataclass
@@ -318,15 +419,17 @@ def price_chain(params: ModelParams, nu1: float, chain,
     by (quote_date, maturity, rate), and each group is priced by one
     `cos_price` call on its own truncation interval, with the group's rate
     as both the risk-neutral drift and the discount rate.  The groups'
-    contours and cf grids come from two shared passes of the recursion
-    (`_price_groups`).  Failures of the package's own error classes are
-    recorded on the rows instead of aborting the chain.  When the shared
-    passes raise one, each group is priced again alone, so a group failure
-    (no state, measure map, recursion domain, degenerate interval) lands
-    on every row of that group only, with the error of the group alone; a
-    strike's negative COS price or failed IV inversion lands on that
-    quote's row alone.  A non-finite nu1 raises ValidationError before any
-    group is priced; any other exception is a bug and propagates.
+    contours and cf grids come from shared passes of the recursion
+    (`_price_groups`): one over the contours, one over the grids, and one
+    more for each doubling of the grids whose tails need it.  Failures of
+    the package's own error classes are recorded on the rows instead of
+    aborting the chain.  When the shared passes raise one, each group is
+    priced again alone, so a group failure (no state, measure map,
+    recursion domain, degenerate interval) lands on every row of that
+    group only, with the error of the group alone; a strike's negative
+    COS price or failed IV inversion lands on that quote's row alone.  A
+    non-finite nu1 raises ValidationError before any group is priced; any
+    other exception is a bug and propagates.
     """
     _finite("nu1", nu1)
     groups: dict = {}

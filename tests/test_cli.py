@@ -56,7 +56,7 @@ def data_dir(tmp_path_factory, small_model):
     return root
 
 
-def test_estimate_then_downstream(data_dir, small_model):
+def test_estimate_then_downstream(data_dir, small_model, capsys):
     fit_path = data_dir / "fit.txt"
     row_path = data_dir / "row.csv"
     code = main(["estimate", "--rv", str(data_dir / "rv.csv"),
@@ -82,11 +82,17 @@ def test_estimate_then_downstream(data_dir, small_model):
                  "--returns", str(data_dir / "returns.csv"),
                  "--out", str(data_dir / "priced.csv")])
     assert code == 0
+    # rmse_iv returns percentage points of annualized vol, and both
+    # commands say so
+    assert re.search(r"; RMSE_IV = \d+\.\d{4} pp \(percentage points",
+                     capsys.readouterr().out)
 
     code = main(["evaluate", "--results", str(data_dir / "priced.csv"),
                  "--out", str(data_dir / "panels.csv")])
     assert code == 0
     assert (data_dir / "panels.csv").read_text().count("\n") >= 2
+    header = capsys.readouterr().out.splitlines()[0]
+    assert header.split()[-1] == "RMSE_IV(pp)"
 
 
 def test_estimate_writes_persistence_of_its_params(data_dir, tmp_path):

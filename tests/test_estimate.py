@@ -518,12 +518,12 @@ class TestCalibrateNu1:
         atm_iv = lharg.estimate.model_atm_iv
         failed = []
 
-        def failing(params, nu1, *args):
+        def failing(params, nu1, *args, **kwargs):
             if nu1 < fixed_point and (failures is None
                                       or len(failed) < failures):
                 failed.append((fixed_point - nu1) * params.theta)
                 raise NumericalError("top end failed")
-            return atm_iv(params, nu1, *args)
+            return atm_iv(params, nu1, *args, **kwargs)
 
         monkeypatch.setattr(lharg.estimate, "model_atm_iv", failing)
         if failures is None:
@@ -547,14 +547,70 @@ class TestCalibrateNu1:
         seen = []
         atm_iv = lharg.estimate.model_atm_iv
 
-        def counted(params, nu1, *args):
+        def counted(params, nu1, *args, **kwargs):
             seen.append(nu1)
-            return atm_iv(params, nu1, *args)
+            return atm_iv(params, nu1, *args, **kwargs)
 
         monkeypatch.setattr(lharg.estimate, "model_atm_iv", counted)
         calibrate_nu1(zmlharg, 0.20, 252, stationary_state(zmlharg))
         assert 0 < len(seen) <= 10
         assert len(set(seen)) == len(seen)
+
+    @pytest.mark.parametrize("side", [0.9, 1.3])
+    def test_one_pass_roots_match_two_pass_roots(self, all_variants,
+                                                 monkeypatch, side):
+        # targets below (0.9) and above (1.3) the identity point's IV:
+        # evaluations that take one shared pass (a grid on a hinted
+        # interval) move the root by less than 1e-10 relative
+        import lharg.estimate
+        import lharg.mgf as mgf_mod
+        import lharg.pricing as pricing_mod
+        atm_iv = lharg.estimate.model_atm_iv
+        shared = []
+        original = mgf_mod._log_mgf_segments
+
+        def counting(params, nu1, segments):
+            shared.append(len(segments) == 2)
+            return original(params, nu1, segments)
+
+        for params in all_variants:
+            st = stationary_state(params)
+            target = side * atm_iv(params, 0.125 - 0.5 * params.lam**2,
+                                   252, st)
+            shared.clear()
+            with monkeypatch.context() as m:
+                m.setattr(mgf_mod, "_log_mgf_segments", counting)
+                m.setattr(pricing_mod, "_log_mgf_segments", counting)
+                found = calibrate_nu1(params, target, 252, st)
+            assert sum(shared) >= 4, params.variant
+            with monkeypatch.context() as m:
+                m.setattr(lharg.estimate, "model_atm_iv",
+                          lambda params, nu1, *args, memo=None:
+                          atm_iv(params, nu1, *args))
+                two_pass = calibrate_nu1(params, target, 252, st)
+            assert abs(found - two_pass) <= 1e-10 * abs(two_pass), \
+                params.variant
+
+    def test_bench_target_passes(self, zmlharg, monkeypatch):
+        # the bench calibration's recursion passes: 18 when each of its 9
+        # evaluations ran a contour pass and then a grid pass.  Now 5 run
+        # one shared pass, and the top end's 252-day grid, on an interval
+        # 3 times as wide as the identity point's, doubles once
+        import lharg.mgf as mgf_mod
+        import lharg.pricing as pricing_mod
+        from lharg.pricing import COS_TERMS
+        passes = []
+        original = mgf_mod._log_mgf_segments
+
+        def counting(params, nu1, segments):
+            passes.append([np.size(z) for z, *_ in segments])
+            return original(params, nu1, segments)
+
+        monkeypatch.setattr(mgf_mod, "_log_mgf_segments", counting)
+        monkeypatch.setattr(pricing_mod, "_log_mgf_segments", counting)
+        calibrate_nu1(zmlharg, 0.20, 252, stationary_state(zmlharg))
+        assert len(passes) <= 14
+        assert passes.count([9, COS_TERMS]) >= 5
 
     @pytest.mark.parametrize("target", [0.15, 0.22])
     def test_matches_root_in_nu1(self, zmlharg, target):

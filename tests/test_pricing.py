@@ -2,6 +2,7 @@
 
 import datetime as dt
 import importlib.util
+import math
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -24,6 +25,8 @@ from lharg import (
 from lharg.mgf import raw_cumulants
 from lharg.options import OptionQuote
 from lharg.pricing import (
+    COS_MAX_TERMS,
+    COS_TAIL,
     COS_TERMS,
     COS_WIDTH,
     _brent,
@@ -246,17 +249,20 @@ class TestCosOnModel:
 
 
 class TestCosTermsGate:
-    """COS_TERMS, the N that `_price_groups` picks for its cf grids,
-    against the characteristic function it drops.
+    """The per-group rule of `_price_groups` for its cf grids, against the
+    characteristic function it drops.
 
-    `cos_price` expands in N = len(phi) cosine terms, so it leaves out
-    phi(u_k) for k >= N; the tests pass it the first N or all 2N values of
-    one 2N-point grid.  Over P-LHARG and ZM-LHARG states with rv lags at
-    scales 1e-6 to 1e-3, maturities of 10 to 365 days and nu1 in
-    {-2000, -3000}, the dropped terms N <= k < 2N must stay below BOUND in
-    modulus, and N- and 2N-term prices must agree within BOUND * K.  The
-    tail is largest on calm 10-day states: there, at N = 256, it measured
-    below 9e-14, and k in [192, 256) reached 1.6e-11 to 2.5e-11."""
+    Each group's grid starts at N0 = COS_TERMS terms and doubles while its
+    last quarter of |phi| is not below COS_TAIL; `cos_price` then leaves
+    out phi(u_k) for k >= N.  The tests read N from one 4*N0-point grid
+    per case and pass `cos_price` its first N or 2N values.  Over P-LHARG
+    and ZM-LHARG states with rv lags at scales 1e-6 to 1e-3, maturities of
+    10 to 365 days and nu1 in {-2000, -3000}, the dropped terms N <= k < 2N
+    must stay below BOUND in modulus, and N- and 2N-term prices must agree
+    within BOUND * K.  Calm 10- and 14-day states, and ZM-LHARG's at 30
+    days, need N = 2*N0: there the terms k in [144, 192) reached 6.8e-9,
+    and k in [288, 384) stayed below 7e-15.  From 63 days on, k in
+    [144, 192) stayed below 3.6e-13."""
 
     BOUND = 1e-12
     SCALES = (1e-6, 1e-5, 1.1e-4, 1e-3)
@@ -265,8 +271,9 @@ class TestCosTermsGate:
 
     @pytest.fixture(scope="class")
     def grids(self, plharg, zmlharg):
-        # (variant, scale, nu1, tau) -> (params, a, b, phi on the first
-        # 2*COS_TERMS u_k of its interval), one shared pass per (params, nu1)
+        # (variant, scale, nu1, tau) -> (params, state, a, b, phi on the
+        # first 4*COS_TERMS u_k of its interval), one shared pass per
+        # (params, nu1)
         out = {}
         for params in (plharg, zmlharg):
             rng = np.random.default_rng(31)
@@ -277,16 +284,28 @@ class TestCosTermsGate:
                     params, st, tau, nu1=nu1)))
                     for scale, st in states.items() for tau in self.MATURITIES]
                 logs = mgf_mod._log_mgf_segments(params, nu1, [
-                    (1j * _cos_grid(a, b, 2 * COS_TERMS), tau, params.r,
+                    (1j * _cos_grid(a, b, 4 * COS_TERMS), tau, params.r,
                      states[scale]) for scale, tau, a, b in cases])
                 for (scale, tau, a, b), g in zip(cases, logs):
                     out[params.variant, scale, nu1, tau] = (
-                        params, a, b, np.exp(g))
+                        params, states[scale], a, b, np.exp(g))
         return out
 
+    @staticmethod
+    def _terms(phi):
+        # the rule's N: N0 doubled until the last quarter passes
+        n = COS_TERMS
+        while not np.abs(phi[3 * n // 4:n]).max() < COS_TAIL:
+            n *= 2
+        assert 2 * n <= phi.size
+        return n
+
     def test_dropped_tail_below_bound(self, grids):
-        tail = {key: np.abs(phi[COS_TERMS:]).max()
-                for key, (*_, phi) in grids.items()}
+        assert COS_TAIL == self.BOUND
+        tail = {}
+        for key, (*_, phi) in grids.items():
+            n = self._terms(phi)
+            tail[key] = np.abs(phi[n:2 * n]).max()
         worst = max(tail, key=tail.get)
         assert tail[worst] < self.BOUND, (worst, tail[worst])
 
@@ -295,25 +314,77 @@ class TestCosTermsGate:
         # exp(b), so parity with the puts would not bound their error
         strikes = 100.0 * np.linspace(0.8, 1.2, 9)
         gaps = {}
-        for key, (params, a, b, phi) in grids.items():
+        for key, (params, _, a, b, phi) in grids.items():
+            n = self._terms(phi)
             for kind in ("put", "call"):
-                prices = [cos_price(phi[:n], 100.0, strikes, params.r, key[-1],
-                                    kind, a, b)
-                          for n in (COS_TERMS, 2 * COS_TERMS)]
+                prices = [cos_price(phi[:m], 100.0, strikes, params.r,
+                                    key[-1], kind, a, b) for m in (n, 2 * n)]
                 gaps[key + (kind,)] = np.max(np.abs(prices[0] - prices[1])
                                              / strikes)
         worst = max(gaps, key=gaps.get)
         assert gaps[worst] < self.BOUND, (worst, gaps[worst])
 
-    def test_three_quarters_fails_the_gate(self, grids):
-        # the gate has teeth: a quarter fewer terms drops a tail above the
-        # bound on the calm 10-day P-LHARG state.  This also holds
-        # COS_TERMS at that floor: a larger N fails here until the bound
-        # or the states change with it
-        n = 3 * COS_TERMS // 4
-        for nu1 in self.NU1S:
-            *_, phi = grids["P-LHARG", 1e-6, nu1, 10]
-            assert np.abs(phi[n:2 * n]).max() > self.BOUND, nu1
+    def test_only_short_calm_groups_double(self, grids):
+        # N0 from both sides: the calm 10-day states need one doubling,
+        # and every group of 63 days or more passes at N0.  A larger N0
+        # would give every long group terms it does not need, a smaller
+        # one would send the long groups through a second pass
+        terms = {key: self._terms(phi) for key, (*_, phi) in grids.items()}
+        for variant in ("P-LHARG", "ZM-LHARG"):
+            for nu1 in self.NU1S:
+                assert terms[variant, 1e-6, nu1, 10] == 2 * COS_TERMS
+        assert {n for key, n in terms.items() if key[-1] >= 63} \
+            == {COS_TERMS}
+        assert max(terms.values()) == 2 * COS_TERMS
+
+    def test_price_groups_follows_the_rule(self, grids, monkeypatch):
+        # every grid that _price_groups prices ends below the bound, with
+        # the rule's N; and a doubled group prices within BOUND * K of a
+        # 512-term grid on the same interval
+        seen = []
+        original = pricing_mod.cos_price
+
+        def spy(phi, *args):
+            seen.append(phi)
+            return original(phi, *args)
+
+        monkeypatch.setattr(pricing_mod, "cos_price", spy)
+        strikes = np.linspace(0.8, 1.2, 9)
+        kinds = np.where(strikes < 1.0, "put", "call")
+        doubled = 0
+        for (variant, scale, nu1, tau), (params, st, a, b, phi) in \
+                grids.items():
+            seen.clear()
+            price, = pricing_mod._price_groups(params, nu1, [
+                (tau, params.r, st, 1.0, strikes, kinds)])
+            got, = seen
+            n = self._terms(phi)
+            assert got.size == n and np.abs(got[-n // 4:]).max() < COS_TAIL
+            if n > COS_TERMS:
+                doubled += 1
+                ref = original(phi[:512], 1.0, strikes, params.r, tau,
+                               kinds, a, b)
+                assert np.max(np.abs(price - ref) / strikes) < self.BOUND
+        assert doubled >= 8
+
+    def test_doubling_stops_at_the_cap(self, plharg, monkeypatch):
+        # a one-day grid on a calm state keeps a tail above the bound at
+        # any practical N: it stops at COS_MAX_TERMS and still prices
+        seen = []
+        original = pricing_mod.cos_price
+
+        def spy(phi, *args):
+            seen.append(phi)
+            return original(phi, *args)
+
+        monkeypatch.setattr(pricing_mod, "cos_price", spy)
+        st = random_state(np.random.default_rng(31), plharg.gamma_lev, 1e-6)
+        price, = pricing_mod._price_groups(plharg, -3000.0, [
+            (1, plharg.r, st, 1.0, 1.0, "call")])
+        got, = seen
+        assert got.size == COS_MAX_TERMS
+        assert not np.abs(got[-COS_MAX_TERMS // 4:]).max() < COS_TAIL
+        assert 0.0 < price < 1.0
 
 
 class TestCosAgainstMonteCarlo:
@@ -408,7 +479,7 @@ class TestImpliedVol:
         n_cases = 0
         for m in np.linspace(0.5, 2.0, 11):
             for tau in (1, 2, 5, 10, 22, 44, 63, 126, 252, 365):
-                disc_k = S * m * np.exp(-r * tau)
+                disc_k = S * m * math.exp(-r * tau)
                 bounds = {"call": (max(S - disc_k, 0.0), S),
                           "put": (max(disc_k - S, 0.0), disc_k)}
                 for vol in (0.05, 0.1, 0.2, 0.3, 0.45, 0.6):
@@ -758,6 +829,103 @@ class TestPriceChain:
         with pytest.raises(TypeError, match="bug in the pricer"):
             price_chain(zmlharg, -3375.0, chain,
                         stationary_states(zmlharg, chain))
+
+
+class TestAtmIvMemo:
+    """`model_atm_iv` with a memo of own truncation intervals.  A hint is
+    taken from the two nearest premia evaluated, here both given one
+    interval.  A hint that holds the own interval and a grid tail that
+    passes price from one shared pass; a hint that misses, a tail that
+    fails and a shared pass that raises give the IV or the error of a
+    call without memo, bit for bit."""
+
+    NU1 = -3000.0
+
+    @staticmethod
+    def _passes(monkeypatch, fail_shared=False):
+        # the size of every segment of every pass; with fail_shared, the
+        # contour-and-grid pass raises
+        passes = []
+        original = mgf_mod._log_mgf_segments
+
+        def counting(params, nu1, segments):
+            passes.append([np.size(z) for z, *_ in segments])
+            if fail_shared and len(segments) == 2:
+                raise RecursionDomainError(1, "shared pass failed")
+            return original(params, nu1, segments)
+
+        monkeypatch.setattr(mgf_mod, "_log_mgf_segments", counting)
+        monkeypatch.setattr(pricing_mod, "_log_mgf_segments", counting)
+        return passes
+
+    def _case(self, zmlharg, stretch, nu1=NU1):
+        # the own interval at nu1, and a memo whose neighbours of nu1 both
+        # hold it stretched about its middle
+        st = stationary_state(zmlharg)
+        own = _truncation(raw_cumulants(zmlharg, st, 252, nu1=nu1))
+        mid, half = (own[0] + own[1]) / 2, stretch * (own[1] - own[0]) / 2
+        memo = dict.fromkeys((nu1 - 1.0, nu1 + 1.0), (mid - half, mid + half))
+        return st, own, memo
+
+    def test_hint_holding_the_own_interval_takes_one_pass(self, zmlharg,
+                                                          monkeypatch):
+        st, own, memo = self._case(zmlharg, 1.1)
+        alone = pricing_mod.model_atm_iv(zmlharg, self.NU1, 252, st)
+        passes = self._passes(monkeypatch)
+        iv = pricing_mod.model_atm_iv(zmlharg, self.NU1, 252, st, memo=memo)
+        assert passes == [[9, COS_TERMS]]
+        assert abs(iv - alone) <= 1e-13 * alone
+        assert memo[self.NU1] == own
+
+    @pytest.mark.parametrize("stretch", [0.9, 20.0])
+    def test_rejected_hint_prices_on_the_own_interval(self, zmlharg,
+                                                      monkeypatch, stretch):
+        # 0.9: the hint misses the own interval; 20: it holds it, but the
+        # grid's tail on so wide an interval fails the bound
+        st, own, memo = self._case(zmlharg, stretch)
+        alone = pricing_mod.model_atm_iv(zmlharg, self.NU1, 252, st)
+        passes = self._passes(monkeypatch)
+        iv = pricing_mod.model_atm_iv(zmlharg, self.NU1, 252, st, memo=memo)
+        assert passes == [[9, COS_TERMS], [COS_TERMS]]
+        assert repr(iv) == repr(alone)
+        assert memo[self.NU1] == own
+
+    def test_failed_shared_pass_runs_both_passes(self, zmlharg, monkeypatch):
+        st, own, memo = self._case(zmlharg, 1.1)
+        alone = pricing_mod.model_atm_iv(zmlharg, self.NU1, 252, st)
+        passes = self._passes(monkeypatch, fail_shared=True)
+        iv = pricing_mod.model_atm_iv(zmlharg, self.NU1, 252, st, memo=memo)
+        assert passes == [[9, COS_TERMS], [9], [COS_TERMS]]
+        assert repr(iv) == repr(alone)
+        assert memo[self.NU1] == own
+
+    @pytest.mark.parametrize("fraction", [-0.35, -0.3, -0.2])
+    def test_failing_premium_raises_its_own_error(self, zmlharg,
+                                                  monkeypatch, fraction):
+        # premia past the domain's edge at 252 days, each at its own step
+        nu1 = fraction / zmlharg.theta
+        st = stationary_state(zmlharg)
+        memo = dict.fromkeys((nu1 - 1.0, nu1 + 1.0), (-3.0, 3.0))
+        with pytest.raises(RecursionDomainError) as alone:
+            pricing_mod.model_atm_iv(zmlharg, nu1, 252, st)
+        for fail_shared in (False, True):
+            self._passes(monkeypatch, fail_shared)
+            with pytest.raises(RecursionDomainError) as err:
+                pricing_mod.model_atm_iv(zmlharg, nu1, 252, st, memo=memo)
+            assert (err.value.step, str(err.value)) \
+                == (alone.value.step, str(alone.value))
+            assert set(memo) == {nu1 - 1.0, nu1 + 1.0}
+
+    def test_hint_needs_close_neighbours_on_both_sides(self):
+        hint = pricing_mod._interval_hint
+        assert hint({}, 0.0) is None
+        assert hint({-1.0: (-2.0, 2.0)}, 0.0) is None
+        assert hint({-1.0: (-2.0, 2.0), -0.5: (-2.0, 2.0)}, 0.0) is None
+        # a union 1.3 times the narrower interval is too wide
+        assert hint({-1.0: (-2.0, 2.0), 1.0: (-2.0, 3.2)}, 0.0) is None
+        a, b = hint({-1.0: (-2.0, 2.0), 1.0: (-2.1, 2.2), 3.0: (-9.0, 9.0)},
+                    0.0)
+        assert (a, b) == pytest.approx((-2.1 - 0.043, 2.2 + 0.043))
 
 
 class TestRmse:

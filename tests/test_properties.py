@@ -27,9 +27,11 @@ from lharg import (
 )
 from lharg.mgf import _log_mgf_segments, raw_cumulants
 from lharg.pricing import (
+    COS_MAX_TERMS,
     COS_TERMS,
     _brent,
     _cos_grid,
+    _tail_passes,
     _truncation,
     bs_price,
     cos_price,
@@ -118,8 +120,13 @@ class TestCosProperties:
         c1, c2 = kappas[:2]
         strikes = 100.0 * np.exp(c1 + np.sqrt(c2) * np.linspace(-2.5, 2.5, 11))
         a, b = _truncation(kappas)
-        # one cf grid prices both rows: calls, then puts
-        phi = model_cf(params, state, nu1, horizon)(_cos_grid(a, b, COS_TERMS))
+        # one cf grid prices both rows (calls, then puts), with as many
+        # terms as the per-group rule of `_price_groups` takes
+        cf, n = model_cf(params, state, nu1, horizon), COS_TERMS
+        phi = cf(_cos_grid(a, b, n))
+        while n < COS_MAX_TERMS and not _tail_passes(phi):
+            n *= 2
+            phi = cf(_cos_grid(a, b, n))
         calls, puts = cos_price(phi, 100.0, strikes, params.r, horizon,
                                 [["call"], ["put"]], a, b)
         parity = 100.0 - strikes * np.exp(-params.r * horizon)
