@@ -121,7 +121,8 @@ def _checked_logs(args: np.ndarray, first: int) -> None:
     if not (-0.5 < mod.min(initial=0.0) and mod.max(initial=0.0) < np.inf):
         np.log(args, out=args)
         return
-    np.arctan2(im, re, out=im)
+    # a new array: an arctan2 into the strided view rounds by its shape
+    im[...] = np.arctan2(im, re)
     np.log1p(mod, out=mod)
     np.multiply(mod, 0.5, out=re)
 

@@ -20,14 +20,15 @@ option types at one rate; each strike's price is its row of the
 `_price_groups` makes one such call per group, with each group's own N.
 
 The recursion's step map does not depend on the day, so the coefficients
-of every maturity are iterates of one backward loop.  `price_chain`
-therefore runs shared passes of the recursion over all its groups, not
-passes per group: one over every group's 9-point cumulant contour, which
-sets each group's interval (`mgf._cumulant_segments`), then one over
-every group's first COS_TERMS = N0 cf values (`mgf._log_mgf_segments`),
-whose loop runs without the rate; each group's coefficients are then
-dotted with its date's state, and its rate adds z*r*T.  A pass that
-leaves the domain raises, and `price_chain` then prices each group
+of every maturity are iterates of one backward loop.  `_price_groups`,
+the one route from quote groups to the recursion, for `price_chain` and
+`model_atm_iv` alike, therefore runs shared passes over all its groups,
+not passes per group: one over every group's 9-point cumulant contour
+(`mgf._contours`), which sets each group's interval, then one over every
+group's first COS_TERMS = N0 cf values (`mgf._log_mgf_segments`), whose
+loop runs without the rate; each group's coefficients are then dotted
+with its date's state, and its rate adds z*r*T.  If a pass raises (one
+that leaves the domain, say), `_price_groups` prices each group again
 alone, so a failing group fails alone with its own error.  At N0 = 192,
 one 1024-point pass of the recursion holds 5 groups' grids.
 
@@ -48,11 +49,12 @@ normal mixed over a gamma variance decays only like a power of u.
 [N, 2N) below 1e-12, and the N- and 2N-term prices within 1e-12 * K.
 
 `model_atm_iv`, the one-group case that `estimate.calibrate_nu1`
-evaluates at each step of its root search, runs the contour and the
-grid in one pass once the search has narrowed: the grid's interval is
-then a hint from the own intervals of the premia evaluated on either
-side (`_interval_hint`), checked against the contour's own interval and
-the grid's tail before its price is taken.
+evaluates at each step of its root search, gives `_price_groups` a hint
+once the search has narrowed: a grid interval from the own intervals of
+the premia evaluated on either side (`_interval_hint`).  A COS_TERMS-point
+grid on the hint then joins the contour's pass, and prices the group if
+the contour's own interval lies inside the hint and the grid's tail
+passes; otherwise the group takes the grids on its own interval.
 
 Pricing needs numpy alone: the normal CDF of `bs_price` is the standard
 library's erfc, and `_brent`, a port of scipy's brentq, inverts it.  scipy
@@ -76,7 +78,6 @@ from .errors import (
 from .mgf import (
     _contour_cumulants,
     _contours,
-    _cumulant_segments,
     _log_mgf_segments,
 )
 from .model import MarketState, ModelParams, _finite
@@ -302,39 +303,62 @@ def _tail_passes(phi: np.ndarray) -> bool:
 
 
 def _price_groups(params: ModelParams, nu1: float, groups,
-                  intervals=None) -> list:
-    """Prices of quote groups (tau, rate, state, S, K, option_type), in
-    the order given, each on its own truncation interval at its own rate.
+                  hints=None) -> tuple[list, list]:
+    """Prices of quote groups (tau, rate, state, S, K, option_type), each
+    at its own rate, and their own truncation intervals, in the order
+    given: the one place in `pricing` that plans the recursion's passes
+    and isolates a failure.
 
-    One shared pass over every group's cumulant contour sets the
-    intervals, unless `intervals` gives them.  One shared pass then
-    computes every group's first COS_TERMS cf values, and each further
-    pass doubles the grids whose last quarter of |phi| is not below
-    COS_TAIL, with the terms k in [N, 2N) on the same interval, until
-    they pass or hold COS_MAX_TERMS terms.  Raises the first package
-    error met: a bad maturity, the measure map, a recursion leaving its
-    domain, a degenerate interval.
+    The first shared pass holds every group's cumulant contour, which
+    sets its own interval, and a COS_TERMS-point grid on its hint if
+    `hints` gives one; that grid prices the group if the own interval
+    lies inside the hint and `_tail_passes`.  The other groups take
+    COS_TERMS-point grids on their own intervals in the next pass, and
+    then passes that double the grids whose tails fail, with the terms k
+    in [N, 2N) on the same interval, up to COS_MAX_TERMS terms.
+
+    Returns (prices, intervals).  If any of this raises a package error,
+    each group is priced again alone and unhinted, and a failing group
+    gets the LhargError it raises alone for its prices and None for its
+    interval.
     """
-    if intervals is None:
-        intervals = [_truncation(kappas) for kappas in _cumulant_segments(
-            params, nu1, [g[:3] for g in groups])]
-    phis = [np.empty(0, complex)] * len(groups)
-    short = range(len(groups))
-    while short:
-        # the terms k in [n, 2n) of each short grid of n terms, or the
-        # first COS_TERMS of a grid not begun
-        spans = [(phis[k].size, max(2 * phis[k].size, COS_TERMS))
-                 for k in short]
-        logs = _log_mgf_segments(params, nu1, [
-            (1j * _cos_grid(*intervals[k], hi)[lo:], *groups[k][:3])
-            for k, (lo, hi) in zip(short, spans)])
-        for k, g in zip(short, logs):
-            phis[k] = np.concatenate([phis[k], np.exp(g)])
-        short = [k for k in short if phis[k].size < COS_MAX_TERMS
-                 and not _tail_passes(phis[k])]
-    return [cos_price(phi, S, K, rate, tau, kind, *ab)
-            for phi, ab, (tau, rate, _, S, K, kind) in zip(phis, intervals,
-                                                           groups)]
+    hints = hints or [None] * len(groups)
+    try:
+        circles = _contours(params, [g[:3] for g in groups])
+        hinted = [k for k, hint in enumerate(hints) if hint is not None]
+        logs = _log_mgf_segments(params, nu1, circles + [
+            (1j * _cos_grid(*hints[k], COS_TERMS), *groups[k][:3])
+            for k in hinted])
+        intervals = [_truncation(_contour_cumulants(c[0], g))
+                     for c, g in zip(circles, logs)]
+        grids = list(intervals)
+        phis = [np.empty(0, complex)] * len(groups)
+        for k, g in zip(hinted, logs[len(groups):]):
+            (a, b), hint, phi = intervals[k], hints[k], np.exp(g)
+            if hint[0] <= a and b <= hint[1] and _tail_passes(phi):
+                grids[k], phis[k] = hint, phi
+        short = [k for k, phi in enumerate(phis) if not phi.size]
+        while short:
+            # the terms k in [n, 2n) of each short grid of n terms, or the
+            # first COS_TERMS of a grid not begun
+            spans = [(phis[k].size, max(2 * phis[k].size, COS_TERMS))
+                     for k in short]
+            logs = _log_mgf_segments(params, nu1, [
+                (1j * _cos_grid(*grids[k], hi)[lo:], *groups[k][:3])
+                for k, (lo, hi) in zip(short, spans)])
+            for k, g in zip(short, logs):
+                phis[k] = np.concatenate([phis[k], np.exp(g)])
+            short = [k for k in short if phis[k].size < COS_MAX_TERMS
+                     and not _tail_passes(phis[k])]
+        prices = [cos_price(phi, S, K, rate, tau, kind, *ab) for phi, ab,
+                  (tau, rate, _, S, K, kind) in zip(phis, grids, groups)]
+    except LhargError as exc:
+        if len(groups) == 1 and hints[0] is None:
+            return [exc], [None]
+        # the only place a failure is isolated: each group alone, unhinted
+        alone = [_price_groups(params, nu1, [group]) for group in groups]
+        return [p for (p,), _ in alone], [ab for _, (ab,) in alone]
+    return prices, intervals
 
 
 def _interval_hint(memo: dict, nu1: float):
@@ -357,45 +381,25 @@ def _interval_hint(memo: dict, nu1: float):
 
 def model_atm_iv(params: ModelParams, nu1: float, maturity_days: int,
                  state: MarketState, *, memo: dict | None = None) -> float:
-    """Annualized at-the-money implied vol generated by the model.
+    """Annualized at-the-money implied vol generated by the model: the
+    one-group case of `_price_groups`, whose error it raises.
 
-    Without `memo`, one pass of the recursion over the cumulant contour
-    sets the own truncation interval, and the price comes from
-    `_price_groups`' grid on it.  `memo` is a dict that one caller passes
-    to every evaluation of one (params, maturity_days, state); each call
-    records its nu1's own interval in it.  When `_interval_hint` finds a
-    grid interval for nu1 there, one pass computes the contour and a
-    COS_TERMS-point grid on the hint together, and the price is taken
-    from that grid if the own interval lies inside the hint and the
-    grid's tail passes (`_tail_passes`).  Otherwise the grid on the own
-    interval prices it, as without a memo, and a shared pass that raises
-    gives way to the two passes alone: the IV or the error is that of a
-    call without memo, bit for bit.  A hinted grid moves the IV by a few
-    1e-13 relative at most (2.6e-13 over calibrations of HARG, P-LHARG and
-    ZM-LHARG at targets 0.15 to 0.26).
+    `memo` is a dict that one caller passes to every evaluation of one
+    (params, maturity_days, state).  Each call that prices records its
+    nu1's own truncation interval there, and takes the grid interval that
+    `_interval_hint` finds there as its group's hint.  A hinted grid
+    moves the IV by a few 1e-13 relative at most (2.6e-13 over
+    calibrations of HARG, P-LHARG and ZM-LHARG at targets 0.15 to 0.26);
+    a hint rejected or failing gives the IV or the error of a call
+    without memo, bit for bit.
     """
     group = (maturity_days, params.r, state, 1.0, 1.0, "call")
     hint = None if memo is None else _interval_hint(memo, nu1)
-    own = price = None
-    if hint is not None:
-        circle, = _contours(params, [group[:3]])
-        try:
-            g, grid = _log_mgf_segments(params, nu1, [
-                circle, (1j * _cos_grid(*hint, COS_TERMS), *group[:3])])
-        except LhargError:
-            pass    # the two passes alone, below, raise their own error
-        else:
-            own = _truncation(_contour_cumulants(circle[0], g))
-            phi = np.exp(grid)
-            if hint[0] <= own[0] and own[1] <= hint[1] and _tail_passes(phi):
-                price = cos_price(phi, 1.0, 1.0, params.r, maturity_days,
-                                  "call", *hint)
-    if own is None:
-        own = _truncation(_cumulant_segments(params, nu1, [group[:3]])[0])
+    (price,), (own,) = _price_groups(params, nu1, [group], [hint])
+    if isinstance(price, LhargError):
+        raise price
     if memo is not None:
         memo[nu1] = own
-    if price is None:
-        price, = _price_groups(params, nu1, [group], [own])
     iv_daily = implied_vol(price, 1.0, 1.0, params.r, maturity_days, "call")
     return iv_daily * math.sqrt(TRADING_DAYS)
 
@@ -410,26 +414,35 @@ class PricedQuote:
     error: str | None = None
 
 
+def _quote_row(q: OptionQuote, price, tau: int, rate: float) -> PricedQuote:
+    # a quote's row: its NaN price or failed IV inversion fails it alone
+    try:
+        if np.isnan(price):
+            raise NumericalError("COS price NaN or below -1e-10")
+        iv = implied_vol(price, q.underlying, q.strike, rate, tau,
+                         q.option_type) * np.sqrt(TRADING_DAYS)
+    except LhargError as exc:
+        return PricedQuote(q, np.nan, np.nan, str(exc))
+    return PricedQuote(q, float(price), float(iv))
+
+
 def price_chain(params: ModelParams, nu1: float, chain,
                 states) -> list[PricedQuote]:
     """Price every quote of a chain, a sequence of OptionQuote, under the
     risk-neutral model.
 
     `states` maps each quote date to its MarketState.  Quotes are grouped
-    by (quote_date, maturity, rate), and each group is priced by one
-    `cos_price` call on its own truncation interval, with the group's rate
-    as both the risk-neutral drift and the discount rate.  The groups'
-    contours and cf grids come from shared passes of the recursion
-    (`_price_groups`): one over the contours, one over the grids, and one
-    more for each doubling of the grids whose tails need it.  Failures of
-    the package's own error classes are recorded on the rows instead of
-    aborting the chain.  When the shared passes raise one, each group is
-    priced again alone, so a group failure (no state, measure map,
-    recursion domain, degenerate interval) lands on every row of that
-    group only, with the error of the group alone; a strike's negative
-    COS price or failed IV inversion lands on that quote's row alone.  A
-    non-finite nu1 raises ValidationError before any group is priced; any
-    other exception is a bug and propagates.
+    by (quote_date, maturity, rate), and `_price_groups` prices the groups
+    in shared passes of the recursion, each by one `cos_price` call on its
+    own truncation interval, with the group's rate as both the
+    risk-neutral drift and the discount rate.  Failures of the package's
+    own error classes are recorded on the rows instead of aborting the
+    chain: a group's failure (no state, measure map, recursion domain,
+    degenerate interval) lands on every row of that group only, with the
+    error of the group alone; a strike's negative COS price or failed IV
+    inversion lands on that quote's row alone.  A non-finite nu1 raises
+    ValidationError before any group is priced; any other exception is a
+    bug and propagates.
     """
     _finite("nu1", nu1)
     groups: dict = {}
@@ -443,17 +456,8 @@ def price_chain(params: ModelParams, nu1: float, chain,
             batch[qdate, tau, rate] = (
                 tau, rate, states[qdate], [q.underlying for q in quotes],
                 [q.strike for q in quotes], [q.option_type for q in quotes])
-    try:
-        priced = dict(zip(batch, _price_groups(params, nu1,
-                                               list(batch.values()))))
-    except LhargError:
-        # the only place a failure is isolated: each group alone
-        priced = {}
-        for key, group in batch.items():
-            try:
-                priced[key] = _price_groups(params, nu1, [group])[0]
-            except LhargError as exc:
-                priced[key] = exc
+    prices, _ = _price_groups(params, nu1, list(batch.values()))
+    priced = dict(zip(batch, prices))
 
     results = []
     for key, quotes in groups.items():
@@ -463,15 +467,8 @@ def price_chain(params: ModelParams, nu1: float, chain,
             results.extend(PricedQuote(q, np.nan, np.nan, str(prices))
                            for q in quotes)
             continue
-        for q, price in zip(quotes, prices):
-            try:
-                if np.isnan(price):
-                    raise NumericalError("COS price NaN or below -1e-10")
-                iv = implied_vol(price, q.underlying, q.strike, rate, tau,
-                                 q.option_type) * np.sqrt(TRADING_DAYS)
-                results.append(PricedQuote(q, float(price), float(iv)))
-            except LhargError as exc:
-                results.append(PricedQuote(q, np.nan, np.nan, str(exc)))
+        results.extend(_quote_row(q, price, tau, rate)
+                       for q, price in zip(quotes, prices))
     return results
 
 

@@ -554,7 +554,9 @@ class TestHorizon:
 class TestSharedPass:
     """`_log_mgf_segments` runs many (z, horizon, rate, state) segments
     through shared backward passes; each segment's values are bit for bit
-    those of a call on that segment alone, and a failure stays its own."""
+    those of a call on that segment alone, whichever segments share its
+    pass and on whichever day of a block of logs they end, and a failure
+    stays its own."""
 
     @staticmethod
     def _alone(params, nu1, segment):
@@ -584,6 +586,17 @@ class TestSharedPass:
                     want = self._alone(zmlharg, nu1, segment)
                     assert values.dtype == want.dtype
                     assert np.array_equal(values, want)
+
+    def test_pass_mate_ending_mid_block(self, zmlharg):
+        # a one-point segment that ends on day 7, inside the second block
+        # of logs, leaves the 30-day grid's block a narrower view from
+        # then on; an arctan2 written into that view moved the grid's
+        # values by up to 1.8e-15
+        st = stationary_state(zmlharg)
+        grid = (1j * np.arange(192) * np.pi / 0.5, 30, 1e-4, st)
+        mate = (np.array([0.5 + 0j]), 7, 1e-4, st)
+        got, _ = mgf._log_mgf_segments(zmlharg, -3000.0, [grid, mate])
+        assert np.array_equal(got, self._alone(zmlharg, -3000.0, grid))
 
     def test_failures_stay_per_segment(self, zmlharg):
         # a large real z crosses the pole at a step of its own: wherever

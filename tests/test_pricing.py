@@ -355,7 +355,7 @@ class TestCosTermsGate:
         for (variant, scale, nu1, tau), (params, st, a, b, phi) in \
                 grids.items():
             seen.clear()
-            price, = pricing_mod._price_groups(params, nu1, [
+            (price,), _ = pricing_mod._price_groups(params, nu1, [
                 (tau, params.r, st, 1.0, strikes, kinds)])
             got, = seen
             n = self._terms(phi)
@@ -379,7 +379,7 @@ class TestCosTermsGate:
 
         monkeypatch.setattr(pricing_mod, "cos_price", spy)
         st = random_state(np.random.default_rng(31), plharg.gamma_lev, 1e-6)
-        price, = pricing_mod._price_groups(plharg, -3000.0, [
+        (price,), _ = pricing_mod._price_groups(plharg, -3000.0, [
             (1, plharg.r, st, 1.0, 1.0, "call")])
         got, = seen
         assert got.size == COS_MAX_TERMS
@@ -405,7 +405,7 @@ class TestCosAgainstMonteCarlo:
             ysnap, _ = simulate_y_snapshots(params, st, self.MATURITIES,
                                             self.N_PATHS, nu1=self.NU1,
                                             seed=5)
-            prices = pricing_mod._price_groups(params, self.NU1, [
+            prices, _ = pricing_mod._price_groups(params, self.NU1, [
                 (tau, params.r, st, 1.0, self.MONEYNESS, kinds)
                 for tau in self.MATURITIES])
             for j, tau in enumerate(self.MATURITIES):
@@ -437,7 +437,7 @@ class TestCosAgainstLewis:
         st = stationary_state(zmlharg)
         strikes = np.r_[self.MONEYNESS, self.MONEYNESS]
         kinds = np.repeat(["call", "put"], self.MONEYNESS.size)
-        prices = pricing_mod._price_groups(zmlharg, self.NU1, [
+        prices, _ = pricing_mod._price_groups(zmlharg, self.NU1, [
             (tau, rate, st, 1.0, strikes, kinds) for tau, rate in self.CASES])
         for (tau, rate), got in zip(self.CASES, prices):
             at_rate = replace(zmlharg, r=rate)
@@ -611,8 +611,8 @@ class TestPriceChain:
         # the pricer makes two shared passes per chain: one over every
         # (date, maturity, rate) group's 9-point cumulant contour, then one
         # over every group's whole cf grid; no separate cf(0) evaluation
-        # and no evaluation per strike; the contour pass runs inside
-        # mgf._cumulant_segments, the grid pass from pricing
+        # and no evaluation per strike; both passes run from
+        # pricing._price_groups
         passes = []
         original = mgf_mod._log_mgf_segments
 
@@ -836,8 +836,8 @@ class TestAtmIvMemo:
     taken from the two nearest premia evaluated, here both given one
     interval.  A hint that holds the own interval and a grid tail that
     passes price from one shared pass; a hint that misses, a tail that
-    fails and a shared pass that raises give the IV or the error of a
-    call without memo, bit for bit."""
+    fails, a shared pass that raises and a price on the hint that raises
+    give the IV or the error of a call without memo, bit for bit."""
 
     NU1 = -3000.0
 
@@ -895,6 +895,30 @@ class TestAtmIvMemo:
         alone = pricing_mod.model_atm_iv(zmlharg, self.NU1, 252, st)
         passes = self._passes(monkeypatch, fail_shared=True)
         iv = pricing_mod.model_atm_iv(zmlharg, self.NU1, 252, st, memo=memo)
+        assert passes == [[9, COS_TERMS], [9], [COS_TERMS]]
+        assert repr(iv) == repr(alone)
+        assert memo[self.NU1] == own
+
+    def test_failed_hinted_price_runs_both_passes(self, zmlharg,
+                                                  monkeypatch):
+        # a COS price on the hint that raises gives way to the group
+        # alone, like any other failure of the hinted route
+        st, own, memo = self._case(zmlharg, 1.1)
+        hint = pricing_mod._interval_hint(memo, self.NU1)
+        alone = pricing_mod.model_atm_iv(zmlharg, self.NU1, 252, st)
+        raised = []
+        original = pricing_mod.cos_price
+
+        def failing_on_hint(phi, S, K, r, tau, kind, a, b):
+            if (a, b) == hint:
+                raised.append((a, b))
+                raise NumericalError("COS price below -1e-10")
+            return original(phi, S, K, r, tau, kind, a, b)
+
+        monkeypatch.setattr(pricing_mod, "cos_price", failing_on_hint)
+        passes = self._passes(monkeypatch)
+        iv = pricing_mod.model_atm_iv(zmlharg, self.NU1, 252, st, memo=memo)
+        assert raised == [hint]
         assert passes == [[9, COS_TERMS], [9], [COS_TERMS]]
         assert repr(iv) == repr(alone)
         assert memo[self.NU1] == own

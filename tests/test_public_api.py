@@ -260,3 +260,25 @@ def test_no_function_level_package_imports():
                        if isinstance(node, ast.ImportFrom) and (
                            node.level or node.module.startswith("lharg"))]
     assert not nested, nested
+
+
+def test_one_pricing_route():
+    # in pricing, _price_groups alone plans the recursion's passes and
+    # isolates a failure: only it names the recursion's private entries,
+    # and neither caller of it holds a try
+    tree = ast.parse((SRC / "pricing.py").read_text())
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    entries = {"_log_mgf_segments", "_contours", "_contour_cumulants"}
+    callers = {}
+    for node in tree.body:
+        if not isinstance(node, ast.ImportFrom):
+            for name in _names_read(node) & entries:
+                callers.setdefault(name, set()).add(getattr(node, "name",
+                                                            None))
+    assert callers == dict.fromkeys(entries, {"_price_groups"})
+    # nor does pricing import the one-call contour route
+    assert "_cumulant_segments" not in _names_read(tree)
+    for name in ("price_chain", "model_atm_iv"):
+        assert not any(isinstance(node, ast.Try)
+                       for node in ast.walk(functions[name])), name
