@@ -31,14 +31,16 @@ at z = i*u.  `_steps` is the one implementation of the step, vectorized
 across a whole z-grid in one pass.  Unrolled over T days the step gives
 B_i = sum_j beta_{i+j-1} inc[T+1-j], zero past lag 22 (C_j likewise with
 alpha), where inc[s] is day s's v(X).  So the loop keeps a ring of the
-last 22 increments and forms B_1 and C_1 in one weight product per day,
-a real (2, 22) x (22, 2n) product on the float view of a complex ring (the
-weights are real); the full B and C are formed once, after the last day,
-as a Hankel product.  The day's logs and domain checks wait for the end
-of a block of days: each day writes its two log arguments to the block,
-and once per block their real parts are checked and their logs taken in
-real arithmetic, log1p for the modulus and arctan2 for the argument, so
-that the per-call cost of the logs and checks is paid once per block.
+last 22 increments and forms theta*B_1 and -2*C_1 in one real weight
+product per day on the float view of the ring; the full B and C are
+formed once, after the last day, as a Hankel product.  With quad =
+theta*(z^2/2 + z*lam) and lin = theta*(z*lam - (g^2 - 2gz)/2) formed once,
+theta*X = theta*B_1 + (quad + lin*(-2*C_1))/(1 - 2*C_1) takes four
+in-place ops, and v(X) goes straight into the ring.  The logs, the domain
+checks and the A update wait for the end of a block of days, so that
+their per-call cost is paid once per block: the block holds each day's
+two log arguments, whose logs are taken in real arithmetic (log1p for the
+modulus, arctan2 for the argument), and the ring holds its v(X).
 
 The step map does not depend on the day, so the coefficients for horizon
 T are the loop's iterates after T days, and one pass serves many horizons
@@ -87,11 +89,12 @@ def _guarded(values: np.ndarray, step: int, what: str) -> None:
 
 
 _LOG_ARGS = ("1 - 2*C_1", "1 - theta*X")
-# Days per block of logs and checks: each block saves the per-day calls of
-# the logs and checks at a few points, and holds 3 complex values per
-# point and day.  Four days keep the 1024-point pass's peak memory close
-# to that of the day-by-day loop.
-_BLOCK = 4
+# Days per block of logs, checks and A updates, which saves their per-day
+# calls at a few points; a block holds 2 complex values per point and day,
+# 512 bytes a point at 16.  At most N_LAGS, so that the ring still holds
+# the block's v(X), and one constant, so that no column's bits depend on
+# its pass-mates.
+_BLOCK = 16
 
 
 def _checked_logs(args: np.ndarray, first: int) -> None:
@@ -140,44 +143,44 @@ def _steps(p: ParabolicForm, w: np.ndarray, z: np.ndarray, segments):
     The logs and the domain checks run once per block of _BLOCK days,
     blocks counted from day 1, so that no column's arithmetic depends on
     which segments share its pass.  Each day writes its log arguments
-    1 - 2*C_1 and 1 - theta*X and its increment v(X) to its row of the
-    (_BLOCK, 3, n) block, and does no more than the weight product, X,
-    v(X) and the ring write.  At a block's end, and on a segment's last
+    1 - 2*C_1 and 1 - theta*X to its row of the (_BLOCK, 2, n) block and
+    v(X) to its ring row, and does no more than the weight product, the
+    folded theta*X and v(X).  At a block's end, and on a segment's last
     day, `_checked_logs` checks the rows not yet checked and takes their
-    logs, and the rows' sums give the block's gain in A,
+    logs; their sums, and the sum of v(X) over the ring rows of the same
+    days, give the block's gain in A,
     -(sum log(1 - 2*C_1)/2 + delta*sum log(1 - theta*X)) + d*sum v(X):
     added to A at the block's end, and to the segment's own A alone when
     it ends mid-block.  A point that has left the domain runs on to the
     check under an np.errstate that covers the days' arithmetic and the
     block's logs, and is never open across a yield.
     """
-    theta, delta, d = p.theta, p.delta, p.d
-    g = p.gamma_lev
+    theta, delta, d, g = p.theta, p.delta, p.d, p.gamma_lev
     n = z.shape[0]
     dtype = np.result_type(z.dtype, float)
-    lin, quad, lev = z * p.lam, 0.5 * z * z, -0.5 * (g * g - 2.0 * g * z)
+    quad = theta * (0.5 * z * z + z * p.lam)
+    lin = theta * (z * p.lam - 0.5 * (g * g - 2.0 * g * z))
     # ring[s % 22] holds day s's increment; rolled[s % 22] lines the
-    # [beta; -2 alpha] rows up with the ring after day s, so the day's
-    # product gives B_1 and -2 C_1 (exactly: a power-of-two scale), with
-    # lev scaled by -1/2 to match.  The weights are real, so the product
-    # runs on the ring's float view.
+    # [theta*beta; -2 alpha] rows up with the ring after day s.  Both are
+    # split into rows once, and the ring and block again when a segment
+    # drops off.
     lags = np.arange(N_LAGS)
-    rolled = np.stack([w[:, (s - lags) % N_LAGS] for s in lags]) \
-        * np.array([[1.0], [-2.0]])
+    rolled = list(np.stack([w[:, (s - lags) % N_LAGS] for s in lags])
+                  * np.array([[theta], [-2.0]]))
     # B[:, i] = sum_j beta[i + j] inc[T - j], 0-based and zero past lag 22,
     # likewise C: a Hankel product with the increments newest first;
     # hankel[..., (s - lags) % 22] takes them in ring order after day s
     hankel = np.concatenate([w, np.zeros_like(w)], axis=1)[:, lags[:, None]
                                                            + lags]
     ring = np.zeros((N_LAGS, n), dtype)
-    flat = ring.view(float)
+    block = np.empty((_BLOCK, 2, n), dtype)
+    flat, rows, days = ring.view(float), list(ring), [tuple(b) for b in block]
     A = np.zeros(n, dtype)
     # live segments (index, first column, horizon): the columns before
     # the last one's first are the active prefix
     stops = np.cumsum([size for size, _ in segments], dtype=int)
     live = [(k, stop - size, h)
             for k, ((size, h), stop) in enumerate(zip(segments, stops))]
-    block = np.empty((_BLOCK, 3, n), dtype)
     first, checked = 1, 0   # the block's first day, and its rows checked
     while live:
         if checked == _BLOCK:
@@ -185,23 +188,25 @@ def _steps(p: ParabolicForm, w: np.ndarray, z: np.ndarray, segments):
         last = min(first + _BLOCK - 1, live[-1][2])
         with np.errstate(all="ignore"):
             for step in range(first + checked, last + 1):
-                B1, C1m2 = (rolled[(step - 1) % N_LAGS] @ flat).view(dtype)
-                den, one_minus, v_x = block[step - first]
-                np.add(C1m2, 1.0, out=den)
-                X = lin + B1 + (quad + lev * C1m2) / den
-                X *= theta
+                # X holds -2*C_1, then theta*X
+                B1, X = (rolled[(step - 1) % N_LAGS] @ flat).view(dtype)
+                den, one_minus = days[step - first]
+                np.add(X, 1.0, out=den)
+                X *= lin
+                X += quad
+                X /= den
+                X += B1
                 np.subtract(1.0, X, out=one_minus)
-                np.divide(X, one_minus, out=v_x)
-                ring[step % N_LAGS] = v_x
+                np.divide(X, one_minus, out=rows[step % N_LAGS])
             # the day's temporaries go before the logs' own
-            del B1, C1m2, X
-            _checked_logs(block[checked:last + 1 - first, :2],
-                          first + checked)
+            del B1, X
+            _checked_logs(block[checked:last + 1 - first], first + checked)
         checked = last + 1 - first
-        # sums of log(1 - 2*C_1), log(1 - theta*X) and v(X)
-        sums = block[:checked].sum(axis=0)
-        gain = d * sums[2] - (0.5 * sums[0] + delta * sums[1])
-        del sums
+        # sums of log(1 - 2*C_1) and log(1 - theta*X), and of v(X)
+        logs = block[:checked].sum(axis=0)
+        gain = (d * ring.take(range(first, last + 1), axis=0, mode="wrap")
+                .sum(axis=0) - (0.5 * logs[0] + delta * logs[1]))
+        del logs
         if checked == _BLOCK:
             A += gain
         while live and live[-1][2] == last:
@@ -211,9 +216,10 @@ def _steps(p: ParabolicForm, w: np.ndarray, z: np.ndarray, segments):
             yield k, (A[lo:] if checked == _BLOCK else A[lo:] + gain[lo:],
                       *(hankel[..., (last - lags) % N_LAGS] @ ring[:, lo:]
                         ).transpose(0, 2, 1))
-            ring, block, A, gain, lin, quad, lev = (
-                v[..., :lo] for v in (ring, block, A, gain, lin, quad, lev))
-            flat = ring.view(float)
+            ring, block, A, gain, lin, quad = (
+                v[..., :lo] for v in (ring, block, A, gain, lin, quad))
+            flat, rows = ring.view(float), list(ring)
+            days = [tuple(b) for b in block]
 
 
 # z-points per shared pass: bounds the ring, the block of logs and the

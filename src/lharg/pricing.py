@@ -126,7 +126,7 @@ def cos_price(phi, S, K, r, tau_days: int, option_type, a: float, b: float):
     phi is the characteristic function of the log-return over the whole
     maturity on `_cos_grid(a, b, N)`, N = len(phi) > 0 cosine terms: a 1-D
     array with phi[0] = 1 within 1e-10.  [a, b], b > a, is the truncation
-    interval of the density, which `price_chain` sets from the cumulants.
+    interval of the density, which `_price_groups` sets from the cumulants.
 
     r is one scalar rate, in the time unit of tau_days.  S, K and
     option_type broadcast against each other like the arguments of a numpy

@@ -1,5 +1,6 @@
 """Backward MGF recursions, characteristic function, cumulants."""
 
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -25,7 +26,7 @@ from lharg import (
 )
 from lharg import mgf
 from lharg.mgf import _guarded, log_mgf, raw_cumulants
-from lharg.model import _measure_form, risk_neutral_parabolic
+from lharg.model import N_LAGS, _measure_form, risk_neutral_parabolic
 from lharg.pricing import COS_TERMS, _cos_grid, _truncation, model_atm_iv
 
 from conftest import random_state
@@ -588,10 +589,10 @@ class TestSharedPass:
                     assert np.array_equal(values, want)
 
     def test_pass_mate_ending_mid_block(self, zmlharg):
-        # a one-point segment that ends on day 7, inside the second block
-        # of logs, leaves the 30-day grid's block a narrower view from
-        # then on; an arctan2 written into that view moved the grid's
-        # values by up to 1.8e-15
+        # a one-point segment that ends on day 7, inside a block of logs,
+        # leaves the 30-day grid's block a narrower view from then on; an
+        # arctan2 written into that view moved the grid's values by up to
+        # 1.8e-15
         st = stationary_state(zmlharg)
         grid = (1j * np.arange(192) * np.pi / 0.5, 30, 1e-4, st)
         mate = (np.array([0.5 + 0j]), 7, 1e-4, st)
@@ -787,6 +788,23 @@ class TestBlockedLogs:
             seen.append(np.geterr())
         assert len(seen) == len(segments) + 1
         assert all(state == caller for state in seen)
+
+    def test_working_set_of_a_full_pass(self, zmlharg):
+        # a block's sum of v(X) is read from the ring rows of its days, so
+        # the ring must still hold them; and the 16-day block of two log
+        # arguments a point keeps one 1024-point, 252-day pass within 2 MB
+        # at its peak (it reads 1.78 MB)
+        assert mgf._BLOCK <= N_LAGS
+        st = stationary_state(zmlharg)
+        segment = (1j * np.arange(1024) * np.pi / 12.0, 252, 1e-4, st)
+        mgf._log_mgf_segments(zmlharg, self.NU1, [segment])   # warm caches
+        tracemalloc.start()
+        try:
+            mgf._log_mgf_segments(zmlharg, self.NU1, [segment])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2e6
 
     def test_zero_log_argument_raises_domain_error(self):
         # theta*X = 1/2 on day 1 gives v = 1, so C_1 = alpha_d * v = 1/2 on
